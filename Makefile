@@ -1,5 +1,5 @@
 .PHONY: all build test check fuzz bench bench-json compare trace-demo \
-	serve-smoke corpus sweep corpus-smoke clean
+	serve-smoke corpus sweep audit corpus-smoke clean
 
 all: build
 
@@ -70,9 +70,9 @@ corpus: build
 	  --total 2000 -o corpus/iip-2k.jsonl
 
 # Full fleet sweep over the checked-in corpora: throughput + tail
-# latency at jobs 1 and 4, then the 8-configuration engine-matrix
-# differential audit (cone lazy/full x LP float_first/exact x jobs 1/4)
-# with every certificate re-checked exactly.  Tables via
+# latency at jobs 1 and 4, then the audit (the production path at jobs 1
+# and 4, every verdict against the corpus label) with every certificate
+# re-checked exactly.  Tables via
 # scripts/sweep_tables.py; see EXPERIMENTS.md for a recorded run.
 SWEEP_OUT ?= /tmp/bagcqc-sweep.jsonl
 
@@ -91,8 +91,19 @@ sweep: build
 	  -o $(SWEEP_OUT) --append
 	python3 scripts/sweep_tables.py $(SWEEP_OUT)
 
+# The correctness audit alone over the checked-in corpora: the
+# production path at jobs 1 and 4, every verdict against the corpus
+# label, every certificate re-checked exactly.  Fails on any mismatch.
+AUDIT_OUT ?= /tmp/bagcqc-audit.jsonl
+
+audit: build
+	dune exec bench/sweep.exe -- audit corpus/check-10k.jsonl -o $(AUDIT_OUT)
+	dune exec bench/sweep.exe -- audit corpus/iip-2k.jsonl \
+	  -o $(AUDIT_OUT) --append
+	python3 scripts/sweep_tables.py --summary-only $(AUDIT_OUT)
+
 # CI-sized version: a small freshly generated corpus, sweeps at jobs 1
-# and 4, the engine-matrix audit, and the analysis script (which exits
+# and 4, the audit, and the analysis script (which exits
 # nonzero on any verdict mismatch or certificate failure).
 SMOKE_OUT ?= /tmp/bagcqc-sweep-smoke
 

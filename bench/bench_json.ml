@@ -78,34 +78,9 @@ let run_points ~reps sizes f =
 let shannon_target n =
   Linexpr.sub (Linexpr.term (Varset.full n)) (Linexpr.term (vs [ 0 ]))
 
-let with_engine engine f =
-  let saved = !Simplex.default_engine in
-  Simplex.default_engine := engine;
-  Fun.protect ~finally:(fun () -> Simplex.default_engine := saved) f
-
-(* The pre-hybrid experiment ids are pinned to [Exact] so their medians
-   keep measuring the exact simplex regardless of what [BAGCQC_LP] or
-   [--lp-engine] set the process default to — ids are frozen contracts
-   with older baseline files.  Hybrid ids opt into [Float_first]
-   explicitly for the same reason. *)
-let with_mode mode f =
-  let saved = !Simplex.default_mode in
-  Simplex.default_mode := mode;
-  Fun.protect ~finally:(fun () -> Simplex.default_mode := saved) f
-
-(* The cone-engine analogue of [with_mode]: every Γn id that predates
-   the lazy separation driver pins [Cones.default_engine] to [Full] so
-   its baselines keep measuring the materialized elemental family; the
-   *_lazy ids opt into [Lazy] explicitly. *)
-let with_cone engine f =
-  let saved = !Cones.default_engine in
-  Cones.default_engine := engine;
-  Fun.protect ~finally:(fun () -> Cones.default_engine := saved) f
-
 (* LP timing must bypass the engine's solve cache: with it on, every rep
    after the first is a table lookup and the baselines stop measuring the
-   simplex at all (and dense-vs-sparse points would alias to whichever
-   engine populated the cache first). *)
+   simplex at all. *)
 let without_cache f =
   let saved = !Solver.caching in
   Solver.caching := false;
@@ -123,57 +98,35 @@ let path k =
   Query.make ~nvars:(k + 1)
     (List.init k (fun i -> Query.atom "R" [ i; i + 1 ]))
 
-(* The certificate (Farkas) LP for the n-variable Shannon monotonicity
-   target, as a raw simplex problem: the "decide point" workload that the
-   float-first engine exists for, measured below without the surrounding
-   elemental-family construction and axiom bookkeeping. *)
+(* The certificate (Farkas) LP over the full elemental family for the
+   n-variable Shannon monotonicity target, as a raw simplex problem: the
+   "decide point" workload that the float-first engine exists for,
+   measured below without the surrounding elemental-family construction
+   and axiom bookkeeping. *)
 let gamma_farkas_problem n =
-  match Cones.find_backend "gamma" with
-  | Some { Cones.farkas = Some build; _ } ->
-    Problem.to_simplex (fst (build ~n [ shannon_target n ]))
-  | Some _ | None -> invalid_arg "gamma backend with farkas builder"
+  Problem.to_simplex (fst (Cones.Oracle.farkas ~n [ shannon_target n ]))
 
 let lp_suite ~smoke =
   let ns = if smoke then [ 2; 3 ] else [ 2; 3; 4; 5 ] in
-  let hybrid_ns = if smoke then [ 2; 3 ] else [ 2; 3; 4; 5; 6 ] in
   let reps = if smoke then 2 else 15 in
-  let raw_solver =
+  (* The reference oracle, called directly: the exact simplex over the
+     materialized elemental family (the pre-lazy production path).
+     [ingleton_gamma_full] is an invalid inequality, so it exercises both
+     the failed certificate LP and the primal refuter LP. *)
+  let oracle =
     without_cache @@ fun () ->
-    with_mode Simplex.Exact @@ fun () ->
-    with_cone Cones.Full @@ fun () ->
     [ { id = "e11_gamma_sparse";
         points =
           run_points ~reps ns (fun n () ->
-              with_engine Simplex.Sparse (fun () ->
-                  Cones.valid_shannon ~n (shannon_target n))) };
-      { id = "e11_gamma_dense";
-        points =
-          run_points ~reps ns (fun n () ->
-              with_engine Simplex.Dense (fun () ->
-                  Cones.valid_shannon ~n (shannon_target n))) };
-      (* Invalid inequality: exercises both the failed certificate LP and
-         the primal refuter LP (size is fixed at n = 4). *)
+              Cones.Oracle.valid_max_quick ~n [ shannon_target n ]) };
       { id = "ingleton_gamma_full";
         points =
           run_points ~reps:(if smoke then 2 else 15) [ 4 ] (fun n () ->
-              Cones.valid Cones.Gamma ~n ingleton) } ]
+              Cones.Oracle.valid_max_cert ~n [ ingleton ]) } ]
   in
-  (* Same end-to-end workload as e11_gamma_sparse under the float-first
-     engine, one size further out (n=6 is affordable only here). *)
-  let hybrid =
-    without_cache @@ fun () ->
-    with_mode Simplex.Float_first @@ fun () ->
-    with_cone Cones.Full @@ fun () ->
-    [ { id = "e11_gamma_hybrid";
-        points =
-          run_points ~reps hybrid_ns (fun n () ->
-              with_engine Simplex.Sparse (fun () ->
-                  Cones.valid_shannon ~n (shannon_target n))) } ]
-  in
-  (* Lazy cone-engine frontier: the e11 workload again under the lazy
-     separation driver (float-first LP underneath, like the hybrid id),
-     pushed to n=7 — a size the materialized family has never reached in
-     bench time.  [ingleton_gamma_lazy] times the refuted path, where
+  (* Production Γn frontier: the e11 workload under the lazy separation
+     driver (float-first LP underneath), pushed to n=7 — a size the
+     materialized family has never reached in bench time.  [ingleton_gamma_lazy] times the refuted path, where
      the loop must run the implicit separation oracle to a genuine Γn
      refuter; [cert_gamma_lazy] times validity *with* certificate
      assembly, i.e. including the terminal restricted-Farkas solve and
@@ -181,13 +134,10 @@ let lp_suite ~smoke =
   let lazy_ns = if smoke then [ 2; 3 ] else [ 2; 3; 4; 5; 6; 7 ] in
   let lazy_engine =
     without_cache @@ fun () ->
-    with_mode Simplex.Float_first @@ fun () ->
-    with_cone Cones.Lazy @@ fun () ->
     [ { id = "e11_gamma_lazy";
         points =
           run_points ~reps lazy_ns (fun n () ->
-              with_engine Simplex.Sparse (fun () ->
-                  Cones.valid_shannon ~n (shannon_target n))) };
+              Cones.valid_shannon ~n (shannon_target n)) };
       { id = "ingleton_gamma_lazy";
         points =
           run_points ~reps:(if smoke then 2 else 15) [ 4 ] (fun n () ->
@@ -199,22 +149,20 @@ let lp_suite ~smoke =
               Cones.valid_max_cert Cones.Gamma ~n [ shannon_target n ]) } ]
   in
   (* Solver-only decide points: the Farkas LP is built once per size and
-     the thunk times nothing but [Simplex.solve], so the exact/hybrid
-     ratio here is the honest speedup of the LP engine itself (the
-     end-to-end e11 ids share cone-construction overhead between modes).
-     [Simplex.solve] never consults the engine cache, so no cache guard
-     is needed. *)
+     the thunk times nothing but the simplex, so the exact/hybrid ratio
+     here is the honest speedup of the float-first front end.  Neither
+     solver consults the engine cache, so no cache guard is needed. *)
   let decide_points =
-    let decide ~id ~mode sizes =
+    let decide ~id solve sizes =
       { id;
         points =
           run_points ~reps sizes (fun n ->
               let sp = gamma_farkas_problem n in
-              fun () -> Simplex.solve ~mode sp) }
+              fun () -> solve sp) }
     in
-    [ decide ~id:"lp_decide_gamma_exact" ~mode:Simplex.Exact
+    [ decide ~id:"lp_decide_gamma_exact" Simplex.solve_exact
         (if smoke then [ 3 ] else [ 4; 5 ]);
-      decide ~id:"lp_decide_gamma_hybrid" ~mode:Simplex.Float_first
+      decide ~id:"lp_decide_gamma_hybrid" Simplex.solve
         (if smoke then [ 3 ] else [ 4; 5; 6 ]) ]
   in
   (* Repeated full decide on the same pair, with and without the engine's
@@ -222,8 +170,6 @@ let lp_suite ~smoke =
      so every measured rep answers its solves from the cache. *)
   let decide_sizes = if smoke then [ 3 ] else [ 3; 4; 5 ] in
   let cache_pair =
-    with_mode Simplex.Exact @@ fun () ->
-    with_cone Cones.Full @@ fun () ->
     [ { id = "decide_path_repeat_uncached";
         points =
           run_points ~reps decide_sizes (fun n ->
@@ -237,7 +183,7 @@ let lp_suite ~smoke =
               Solver.clear ();
               fun () -> ignore (Containment.decide p p)) } ]
   in
-  raw_solver @ hybrid @ lazy_engine @ decide_points @ cache_pair
+  oracle @ lazy_engine @ decide_points @ cache_pair
 
 (* ---------------- hom suite ---------------- *)
 
@@ -314,11 +260,6 @@ let par_suite ~smoke =
   let saved_jobs = Bagcqc_par.Pool.jobs () in
   Fun.protect ~finally:(fun () -> Bagcqc_par.Pool.set_jobs saved_jobs)
   @@ fun () ->
-  (* Frozen ids again: the jobs-scaling baselines predate the hybrid
-     engine and the lazy cone driver, so they stay pinned to the exact
-     simplex over the materialized family. *)
-  with_mode Simplex.Exact @@ fun () ->
-  with_cone Cones.Full @@ fun () ->
   [ { id = "par_e11_fanout";
       points =
         run_points ~reps jobs_sizes (fun jobs ->
@@ -442,8 +383,6 @@ let serve_suite ~smoke =
   let saved_jobs = Bagcqc_par.Pool.jobs () in
   Fun.protect ~finally:(fun () -> Bagcqc_par.Pool.set_jobs saved_jobs)
   @@ fun () ->
-  with_mode Simplex.Exact @@ fun () ->
-  with_cone Cones.Full @@ fun () ->
   [ { id = "serve_burst_cold";
       points =
         List.map (fun jobs -> with_serve_server ~jobs time_bursts) jobs_sizes
@@ -501,19 +440,17 @@ let stats_workload () =
   Solver.clear ();
   let tri = Parser.parse "R(x,y), R(y,z), R(z,x)" in
   let vee = Parser.parse "R(x,y), R(x,z)" in
-  with_cone Cones.Full (fun () ->
-      for _ = 1 to 3 do
-        ignore (Containment.decide tri vee)
-      done;
-      for _ = 1 to 2 do
-        ignore (Containment.decide (path 3) (path 3))
-      done);
-  (* One valid and one refuted Γn decision under the lazy driver, so the
+  for _ = 1 to 3 do
+    ignore (Containment.decide tri vee)
+  done;
+  for _ = 1 to 2 do
+    ignore (Containment.decide (path 3) (path 3))
+  done;
+  (* One valid and one refuted Γn decision of their own, so the
      cone.lazy.* / cone.orbit.* counters in the "stats" block are
      nonzero on every emitted run. *)
-  with_cone Cones.Lazy (fun () ->
-      ignore (Cones.valid_max_cert Cones.Gamma ~n:4 [ shannon_target 4 ]);
-      ignore (Cones.valid Cones.Gamma ~n:4 ingleton));
+  ignore (Cones.valid_max_cert Cones.Gamma ~n:4 [ shannon_target 4 ]);
+  ignore (Cones.valid Cones.Gamma ~n:4 ingleton);
   let engine = Stats.snapshot () in
   (* The engine counters above are frozen; the serve burst runs after
      that snapshot (so it cannot shift them) but inside the recording
@@ -572,10 +509,8 @@ let emit buf suites stats =
   let pf fmt = Printf.bprintf buf fmt in
   pf
     "{\n  \"schema\": \"bagcqc-bench/1\",\n  \"jobs\": %d,\n  \
-     \"lp_engine\": %S,\n  \"cone_engine\": %S,\n  \"suites\": ["
-    (Bagcqc_par.Pool.jobs ())
-    (Simplex.mode_name !Simplex.default_mode)
-    (Cones.engine_name !Cones.default_engine);
+     \"suites\": ["
+    (Bagcqc_par.Pool.jobs ());
   List.iteri
     (fun i (name, experiments) ->
       pf "%s\n    { \"suite\": %S,\n      \"experiments\": ["

@@ -41,16 +41,7 @@ let points_of_file path =
        | _ -> None)
     | _ -> None
   in
-  let lp_engine =
-    (* None for files written before the hybrid LP engine existed. *)
-    match root with
-    | Obj fields ->
-      (match List.assoc_opt "lp_engine" fields with
-       | Some (Str s) -> Some s
-       | _ -> None)
-    | _ -> None
-  in
-  (jobs, lp_engine),
+  jobs,
   List.concat_map
     (fun suite ->
       let sname = as_str (member "suite" suite) in
@@ -93,8 +84,7 @@ let () =
   parse_args (List.tl (Array.to_list Sys.argv));
   match List.rev !files with
   | [ old_file; new_file ] ->
-    let ((old_jobs, old_engine), old_points), ((new_jobs, new_engine), new_points)
-        =
+    let (old_jobs, old_points), (new_jobs, new_points) =
       try (points_of_file old_file, points_of_file new_file)
       with
       | Parse_error msg -> Printf.eprintf "compare: %s\n" msg; exit 2
@@ -104,24 +94,12 @@ let () =
       | Some j -> string_of_int j
       | None -> "?" (* file predates the "jobs" header field *)
     in
-    let pp_engine = function
-      | Some e -> e
-      | None -> "?" (* file predates the "lp_engine" header field *)
-    in
     Printf.printf "jobs: old=%s new=%s\n" (pp_jobs old_jobs) (pp_jobs new_jobs);
-    Printf.printf "lp_engine: old=%s new=%s\n" (pp_engine old_engine)
-      (pp_engine new_engine);
     (match old_jobs, new_jobs with
      | Some a, Some b when a <> b ->
        Printf.printf
          "warning: runs used different pool sizes; timings are not \
           comparable like for like\n"
-     | _ -> ());
-    (match old_engine, new_engine with
-     | Some a, Some b when a <> b ->
-       Printf.printf
-         "warning: runs used different default LP engines; unpinned \
-          experiments are not comparable like for like\n"
      | _ -> ());
     let regressions = ref 0 in
     let missing = ref 0 in

@@ -681,14 +681,13 @@ let json_mode () =
   let usage () =
     prerr_endline
       "usage: main.exe [--json FILE [--only lp|hom|par] [--smoke] [--jobs N] \
-       [--lp-engine exact|float_first] [--trace FILE]]";
+       [--trace FILE]]";
     exit 2
   in
   let path = ref None
   and only = ref Bench_json.All
   and smoke = ref false
   and jobs = ref None
-  and lp_engine = ref None
   and trace = ref None in
   let rec parse = function
     | [] -> ()
@@ -701,19 +700,11 @@ let json_mode () =
       (match int_of_string_opt v with
        | Some n when n >= 1 -> jobs := Some n; parse rest
        | _ -> prerr_endline "main.exe: bad --jobs"; exit 2)
-    | "--lp-engine" :: v :: rest ->
-      (match Bagcqc_lp.Simplex.mode_of_string v with
-       | Some m -> lp_engine := Some m; parse rest
-       | None -> prerr_endline "main.exe: bad --lp-engine"; exit 2)
     | "--trace" :: file :: rest -> trace := Some file; parse rest
     | _ -> usage ()
   in
   parse (List.tl (Array.to_list Sys.argv));
   Option.iter Bagcqc_par.Pool.set_jobs !jobs;
-  (* Sets the process default; the frozen lp-suite experiment ids still
-     pin their own mode (see Bench_json), so this governs the stats
-     workload and any unpinned solves. *)
-  Option.iter (fun m -> Bagcqc_lp.Simplex.default_mode := m) !lp_engine;
   match !path with
   | Some path ->
     let module Obs = Bagcqc_obs in
@@ -728,7 +719,6 @@ let json_mode () =
     true
   | None ->
     if !only <> Bench_json.All || !smoke || !trace <> None || !jobs <> None
-       || !lp_engine <> None
     then usage ()
     else false
 

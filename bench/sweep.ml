@@ -7,12 +7,11 @@
             against a live `bagcqc serve` daemon over its socket —
             reporting decisions/sec, p50/p99 latency and cache/store hit
             rates per stratum as one JSONL record
-     audit  differential correctness sweep: every instance under the
-            engine matrix (cone lazy/full x LP float_first/exact x
-            jobs 1/4), every verdict compared against the corpus label
-            and across configurations, every certificate re-checked with
-            the exact checker; any disagreement prints a reproducer and
-            fails the run
+     audit  correctness sweep: every instance decided by the production
+            path at jobs 1 and 4, every verdict compared against the
+            corpus label, every certificate re-checked with the exact
+            checker; any disagreement prints a reproducer and fails the
+            run
 
    Strata are processed one parallel region at a time, so per-stratum
    counter deltas (cache hits, LP solves) are exact — the pool is
@@ -267,8 +266,8 @@ type run_summary = {
   r_json : Json.t;
 }
 
-(* Runs the whole corpus stratum-by-stratum under the ambient engine
-   configuration and returns the JSONL record.  [transport] is either
+(* Runs the whole corpus stratum-by-stratum at the current pool size and
+   returns the JSONL record.  [transport] is either
    [`Inproc] or [`Serve client]. *)
 let run_corpus ~label ~corpus_path ~kind ~config_name ~config_fields ~transport
     insts =
@@ -367,31 +366,16 @@ let emit_record out append record =
 
 (* ---------------- configuration plumbing ---------------- *)
 
-let cone_name () =
-  match !Cones.default_engine with Cones.Full -> "full" | Cones.Lazy -> "lazy"
-
-let lp_name () =
-  match !Bagcqc_lp.Simplex.default_mode with
-  | Bagcqc_lp.Simplex.Exact -> "exact"
-  | Bagcqc_lp.Simplex.Float_first -> "float_first"
-
-let apply_config ~cone ~lp ~jobs =
-  Cones.default_engine := cone;
-  Bagcqc_lp.Simplex.default_mode := lp;
+let apply_config ~jobs =
   Pool.set_jobs jobs;
-  (* a fresh cache per configuration: engines must not serve each other's
-     memoized answers during a differential audit; fresh metrics so the
+  (* a fresh cache per configuration: one pool size must not serve the
+     other's memoized answers during an audit; fresh metrics so the
      latency histograms (keyed by stratum name) don't blend configs *)
   Bagcqc_engine.Solver.clear ();
   Metrics.reset ()
 
 let config_fields ~transport ~jobs =
-  [
-    ("cone", Json.Str (cone_name ()));
-    ("lp", Json.Str (lp_name ()));
-    ("jobs", num jobs);
-    ("transport", Json.Str transport);
-  ]
+  [ ("jobs", num jobs); ("transport", Json.Str transport) ]
 
 (* ---------------- gen subcommand ---------------- *)
 
@@ -468,25 +452,10 @@ let take limit insts =
 (* ---------------- run subcommand ---------------- *)
 
 let run_cmd =
-  let run corpus_path jobs cone lp label out append limit store socket port host
-      window =
-    let cone =
-      match Cones.engine_of_string cone with
-      | Some c -> c
-      | None ->
-        prerr_endline ("sweep run: unknown cone engine " ^ cone);
-        exit 2
-    in
-    let lp =
-      match Bagcqc_lp.Simplex.mode_of_string lp with
-      | Some m -> m
-      | None ->
-        prerr_endline ("sweep run: unknown lp engine " ^ lp);
-        exit 2
-    in
+  let run corpus_path jobs label out append limit store socket port host window =
     let header, insts = load_corpus corpus_path in
     let insts = take limit insts in
-    apply_config ~cone ~lp ~jobs;
+    apply_config ~jobs;
     let finish transport_name transport =
       let summary =
         run_corpus ~label ~corpus_path ~kind:header.Corpus.h_kind
@@ -539,12 +508,6 @@ let run_cmd =
   let jobs_arg =
     Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N"
            ~doc:"Domain-pool size for the in-process sweep.")
-  and cone_arg =
-    Arg.(value & opt string "lazy" & info [ "cone-engine" ] ~docv:"ENGINE"
-           ~doc:"Cone engine: $(b,lazy) or $(b,full).")
-  and lp_arg =
-    Arg.(value & opt string "float_first" & info [ "lp-engine" ] ~docv:"ENGINE"
-           ~doc:"LP engine: $(b,float_first) or $(b,exact).")
   and store_arg =
     Arg.(value & opt (some string) None & info [ "store" ] ~docv:"PATH"
            ~doc:"Attach the persistent solve store at PATH for the sweep.")
@@ -565,78 +528,70 @@ let run_cmd =
   Cmd.v
     (Cmd.info "run"
        ~doc:"Sweep a corpus and report throughput/latency per stratum")
-    Term.(const run $ corpus_arg $ jobs_arg $ cone_arg $ lp_arg $ label_arg
-          $ out_arg $ append_arg $ limit_arg $ store_arg $ socket_arg
-          $ port_arg $ host_arg $ window_arg)
+    Term.(const run $ corpus_arg $ jobs_arg $ label_arg $ out_arg $ append_arg
+          $ limit_arg $ store_arg $ socket_arg $ port_arg $ host_arg
+          $ window_arg)
 
 (* ---------------- audit subcommand ---------------- *)
 
-let matrix =
-  [
-    (Cones.Lazy, Bagcqc_lp.Simplex.Float_first, 1);
-    (Cones.Lazy, Bagcqc_lp.Simplex.Float_first, 4);
-    (Cones.Lazy, Bagcqc_lp.Simplex.Exact, 1);
-    (Cones.Lazy, Bagcqc_lp.Simplex.Exact, 4);
-    (Cones.Full, Bagcqc_lp.Simplex.Float_first, 1);
-    (Cones.Full, Bagcqc_lp.Simplex.Float_first, 4);
-    (Cones.Full, Bagcqc_lp.Simplex.Exact, 1);
-    (Cones.Full, Bagcqc_lp.Simplex.Exact, 4);
-  ]
+(* The production path at both pool sizes: jobs 4 exercises the
+   speculative-parallel control flow and the sharded cache, jobs 1 the
+   sequential code paths. *)
+let audit_jobs = [ 1; 4 ]
 
 let audit_cmd =
   let run corpus_path label out append limit =
     let header, insts = load_corpus corpus_path in
     let insts = take limit insts in
     let failures = ref 0 in
-    List.iter
-      (fun (cone, lp, jobs) ->
-        apply_config ~cone ~lp ~jobs;
-        let config_name =
-          Printf.sprintf "cone=%s lp=%s jobs=%d" (cone_name ()) (lp_name ())
-            jobs
-        in
+    List.iteri
+      (fun i jobs ->
+        apply_config ~jobs;
+        let config_name = Printf.sprintf "jobs=%d" jobs in
         let summary =
           run_corpus ~label ~corpus_path ~kind:header.Corpus.h_kind
             ~config_name
             ~config_fields:(config_fields ~transport:"inproc" ~jobs)
             ~transport:`Inproc insts
         in
-        emit_record out true summary.r_json;
+        (* the first configuration truncates unless --append; the rest
+           always append to it *)
+        emit_record out (append || i > 0) summary.r_json;
         failures := !failures + summary.r_mismatches + summary.r_cert_failures;
         Printf.eprintf "sweep audit [%s]: %d instances, %.2fs, %d mismatches, \
                         %d cert failures\n%!"
           config_name summary.r_total summary.r_wall summary.r_mismatches
           summary.r_cert_failures)
-      matrix;
-    ignore append;
+      audit_jobs;
     if !failures > 0 then begin
       Printf.eprintf
-        "sweep audit: %d FAILURES across the engine matrix — each reproducer \
-         line above replays with `sweep run` on a one-line corpus\n%!"
+        "sweep audit: %d FAILURES — each reproducer line above replays with \
+         `sweep run` on a one-line corpus\n%!"
         !failures;
       1
     end
     else begin
       Printf.eprintf
-        "sweep audit: engine matrix clean (%d configurations, 0 mismatches, \
-         0 certificate failures)\n%!"
-        (List.length matrix);
+        "sweep audit: clean (%d configurations, 0 mismatches, 0 certificate \
+         failures)\n%!"
+        (List.length audit_jobs);
       0
     end
   in
   Cmd.v
     (Cmd.info "audit"
-       ~doc:"Differential sweep under the full engine matrix; fail on any \
-             disagreement")
+       ~doc:"Correctness sweep of the production path at jobs 1 and 4: \
+             every verdict against the corpus label, every certificate \
+             re-checked; fail on any disagreement")
     Term.(const run $ corpus_arg $ label_arg $ out_arg $ append_arg
           $ limit_arg)
 
 (* ---------------- entry point ---------------- *)
 
 let () =
-  (* every verdict in audit mode must be engine-honest: comparing against
-     the corpus label subsumes pairwise cross-config comparison, since
-     equality to a common label is transitive *)
+  (* comparing every verdict against the corpus label subsumes pairwise
+     cross-config comparison, since equality to a common label is
+     transitive *)
   let doc = "stratified corpus sweeps: generation, throughput, audit" in
   exit
     (Cmd.eval'

@@ -115,9 +115,10 @@ let run suite iters seed stats trace =
 let cmd =
   Cmd.v
     (Cmd.info "bagcqc-fuzz" ~version:"1.0.0"
-       ~doc:"Differential fuzzing harness: exact Logint sign, sparse vs \
-             dense simplex, sequential vs parallel decide, and parser \
-             totality, each against independent oracles.")
+       ~doc:"Differential fuzzing harness: exact Logint sign, exact vs \
+             dense simplex, float-first vs exact LP and Γn decisions, lazy \
+             vs materialized Γn driver, sequential vs parallel decide, and \
+             parser totality, each against independent oracles.")
     Term.(const run $ suite_arg $ iters_arg $ seed_arg $ stats_arg $ trace_arg)
 
 let () = exit (Cmd.eval' cmd)

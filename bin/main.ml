@@ -43,43 +43,13 @@ let jobs_arg =
                domain count minus one; 1 runs the sequential code paths \
                unchanged.")
 
-let lp_engine_arg =
-  let mode_conv =
-    Arg.enum
-      [ ("float_first", Bagcqc_lp.Simplex.Float_first);
-        ("exact", Bagcqc_lp.Simplex.Exact) ]
-  in
-  Arg.(value & opt (some mode_conv) None & info [ "lp-engine" ] ~docv:"MODE"
-         ~doc:"LP solving strategy: $(b,float_first) (the default) proposes \
-               each simplex basis in floating point and repairs it to an \
-               exact, certificate-checked rational answer, falling back to \
-               the exact simplex on any numerical doubt; $(b,exact) runs \
-               the exact simplex for every solve.  Both modes return exact \
-               verdicts.  Defaults to $(b,BAGCQC_LP) if set.")
-
-let cone_engine_arg =
-  let engine_conv =
-    Arg.enum [ ("full", Cones.Full); ("lazy", Cones.Lazy) ]
-  in
-  Arg.(value & opt (some engine_conv) None & info [ "cone-engine" ]
-         ~docv:"ENGINE"
-         ~doc:"Shannon-cone (Γn) decision strategy: $(b,lazy) (the default) \
-               generates elemental inequalities on demand by cutting-plane \
-               separation with symmetry reduction; $(b,full) materializes \
-               the whole elemental family into every LP.  Both engines \
-               return identical verdicts, and validity always carries a \
-               Farkas certificate re-checked with exact arithmetic.  \
-               Defaults to $(b,BAGCQC_CONE) if set.")
-
 (* Every subcommand runs under this wrapper so [--stats] and [--trace]
    mean the same thing everywhere: counters and spans cover exactly this
    invocation, under a root span named after the subcommand.  The pool is
    sized first — before tracing is enabled — per the initialization-order
    contract of {!Bagcqc_obs} (pool size, then enable/reset, then work). *)
-let with_obs ~cmd ?jobs ?lp_engine ?cone_engine stats trace run =
+let with_obs ~cmd ?jobs stats trace run =
   Option.iter Bagcqc_par.Pool.set_jobs jobs;
-  Option.iter (fun m -> Bagcqc_lp.Simplex.default_mode := m) lp_engine;
-  Option.iter (fun e -> Cones.default_engine := e) cone_engine;
   Stats.reset ();
   if stats || trace <> None then begin
     Obs.enable ();
@@ -225,9 +195,8 @@ let run_batch ~max_factors file =
     if !unknowns > 0 then 2 else 0
 
 let check_cmd =
-  let run q1 q2 batch max_factors store jobs lp_engine cone_engine stats trace
-      print_cert =
-    with_obs ~cmd:"check" ?jobs ?lp_engine ?cone_engine stats trace
+  let run q1 q2 batch max_factors store jobs stats trace print_cert =
+    with_obs ~cmd:"check" ?jobs stats trace
     @@ fun () ->
     with_store_opt store @@ fun () ->
     match batch, q1, q2 with
@@ -277,8 +246,7 @@ let check_cmd =
   in
   let term =
     Term.(const run $ q1_opt_arg $ q2_opt_arg $ batch_arg $ max_factors_arg
-          $ store_arg $ jobs_arg $ lp_engine_arg $ cone_engine_arg $ stats_arg
-          $ trace_arg $ certificate_arg)
+          $ store_arg $ jobs_arg $ stats_arg $ trace_arg $ certificate_arg)
   in
   Cmd.v
     (Cmd.info "check"
@@ -320,8 +288,8 @@ let classify_cmd =
 (* ---------------- eq8 ---------------- *)
 
 let eq8_cmd =
-  let run q1 q2 jobs lp_engine cone_engine stats trace =
-    with_obs ~cmd:"eq8" ?jobs ?lp_engine ?cone_engine stats trace @@ fun () ->
+  let run q1 q2 jobs stats trace =
+    with_obs ~cmd:"eq8" ?jobs stats trace @@ fun () ->
     let ineq = Containment.eq8 q1 q2 in
     Format.printf "%a@." (Maxii.pp ~names:(names_of q1) ()) ineq;
     (match Maxii.decide ineq with
@@ -344,8 +312,7 @@ let eq8_cmd =
     (Cmd.info "eq8"
        ~doc:"Print and decide the Eq. 8 max-information inequality for a pair \
              of Boolean queries.")
-    Term.(const run $ q1_arg $ q2_arg $ jobs_arg $ lp_engine_arg
-          $ cone_engine_arg $ stats_arg $ trace_arg)
+    Term.(const run $ q1_arg $ q2_arg $ jobs_arg $ stats_arg $ trace_arg)
 
 (* ---------------- iip ---------------- *)
 
@@ -393,8 +360,8 @@ let expr_conv =
   Arg.conv (parse, fun fmt e -> Linexpr.pp () fmt e)
 
 let iip_cmd =
-  let run n sides jobs lp_engine cone_engine stats trace print_cert =
-    with_obs ~cmd:"iip" ?jobs ?lp_engine ?cone_engine stats trace @@ fun () ->
+  let run n sides jobs stats trace print_cert =
+    with_obs ~cmd:"iip" ?jobs stats trace @@ fun () ->
     let m = Maxii.general ~n sides in
     Format.printf "%a@." (Maxii.pp ()) m;
     (match Maxii.decide m with
@@ -430,8 +397,8 @@ let iip_cmd =
     (Cmd.info "iip"
        ~doc:"Decide validity of 0 ≤ max(EXPR...) over the entropic cone, via \
              the Shannon relaxation and normal-cone refutation.")
-    Term.(const run $ n_arg $ sides_arg $ jobs_arg $ lp_engine_arg
-          $ cone_engine_arg $ stats_arg $ trace_arg $ certificate_arg)
+    Term.(const run $ n_arg $ sides_arg $ jobs_arg $ stats_arg $ trace_arg
+          $ certificate_arg)
 
 (* ---------------- reduce ---------------- *)
 
@@ -527,8 +494,8 @@ let addr_of socket port host =
 
 let serve_cmd =
   let run socket port host max_queue deadline_ms metrics_port access_log
-      log_sample slow_ms store selftest jobs lp_engine cone_engine stats trace =
-    with_obs ~cmd:"serve" ?jobs ?lp_engine ?cone_engine stats trace
+      log_sample slow_ms store selftest jobs stats trace =
+    with_obs ~cmd:"serve" ?jobs stats trace
     @@ fun () ->
     (* Slow-request capture reconstructs each request's span subtree, so
        an access log forces tracing on even without --stats/--trace. *)
@@ -626,8 +593,8 @@ let serve_cmd =
              with slow-request span capture.")
     Term.(const run $ socket_arg $ port_arg $ host_arg $ max_queue_arg
           $ deadline_arg $ metrics_port_arg $ access_log_arg $ log_sample_arg
-          $ slow_ms_arg $ store_arg $ selftest_arg $ jobs_arg $ lp_engine_arg
-          $ cone_engine_arg $ stats_arg $ trace_arg)
+          $ slow_ms_arg $ store_arg $ selftest_arg $ jobs_arg $ stats_arg
+          $ trace_arg)
 
 let client_cmd =
   let run socket port host retry_ms sends =

@@ -17,9 +17,9 @@
     silently under-filling.
 
     The declared verdict makes every corpus double as a correctness
-    audit: any engine configuration that disagrees with the label (or
-    with another configuration) on any instance is a bug — the sweep
-    runner checks exactly that, across the cone × LP × jobs matrix. *)
+    audit: a run that disagrees with the label on any instance is a
+    bug — [sweep audit] checks exactly that, at jobs 1 and 4, and
+    re-checks every certificate exactly. *)
 
 open Bagcqc_num
 open Bagcqc_entropy
@@ -62,15 +62,14 @@ val build_side : (Varset.t * Rat.t) list -> Linexpr.t
     bridge from [Iip_sides] payloads to {!Bagcqc_entropy.Maxii.general}. *)
 
 val oracle : payload -> string
-(** The production oracle's verdict tag for this payload, under the
-    ambient engine configuration ([Simplex.default_mode],
-    [Cones.default_engine]).  [unknown] is possible but never appears in
-    a generated corpus (such candidates are rejected). *)
+(** The production decision procedure's verdict tag for this payload.
+    [unknown] is possible but never appears in a generated corpus (such
+    candidates are rejected). *)
 
 val generate : kind -> seed:int -> total:int -> instance list
 (** Generate a corpus: [total] instances distributed over {!strata},
     ids [0 .. total-1] in stratum order.  Pure function of its
-    arguments (given a fixed engine configuration for the oracle).
+    arguments.
     @raise Invalid_argument if [total < 1].
     @raise Failure if a stratum exhausts its rejection budget. *)
 

@@ -217,7 +217,7 @@ let show_hybrid = function
    raw [(mask, coeff)] side encoding as [hybrid_case]'s cone population,
    one size further out — the separation loop and the symmetry layer
    only do interesting work from n = 3 up, and n = 4 reaches instances
-   (Ingleton-like) where the two engines walk genuinely different row
+   (Ingleton-like) where the two drivers walk genuinely different row
    sets to the same verdict. *)
 type lazy_case = { n : int; sides : (int * Rat.t) list list }
 

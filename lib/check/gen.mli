@@ -39,20 +39,22 @@ val show_lp : lp_case -> string
 (** {2 Hybrid (float-first vs exact) LP cases} *)
 
 type hybrid_case =
-  | Raw_lp of lp_case  (** a random LP, solved in both modes directly *)
+  | Raw_lp of lp_case
+      (** a random LP, solved by [Simplex.solve] and [Simplex.solve_exact] *)
   | Cone_gamma of { n : int; sides : (int * Rat.t) list list }
-      (** a Γn max-inequality as raw [(mask, coeff)] sides, driven
-          through [Cones.valid_max_cert] in both modes *)
+      (** a Γn max-inequality as raw [(mask, coeff)] sides, decided by
+          [Cones.valid_max_cert] and [Cones.Oracle.valid_max_cert] *)
 
 val hybrid_case : Rng.t -> hybrid_case
 val shrink_hybrid : hybrid_case -> hybrid_case list
 val show_hybrid : hybrid_case -> string
 
-(** {2 Lazy vs full cone-engine cases} *)
+(** {2 Lazy vs full Γn driver cases} *)
 
 type lazy_case = { n : int; sides : (int * Rat.t) list list }
-(** A Γn max-inequality as raw [(mask, coeff)] sides, decided under both
-    cone engines by the [lazy_vs_full] suite.  Sized n = 2..4 — large
+(** A Γn max-inequality as raw [(mask, coeff)] sides, decided by both the
+    production lazy driver and the materialized oracle in the
+    [lazy_vs_full] suite.  Sized n = 2..4 — large
     enough that the separation loop and the symmetry layer do real work,
     small enough for tens of thousands of iterations. *)
 

@@ -120,7 +120,7 @@ let check_lp case =
       (Rat.equal (objective_value case x) v)
       "%s point is off its reported objective" engine
   in
-  match Simplex.solve_with Dense p, Simplex.solve_with Sparse p with
+  match Dense_simplex.solve p, Simplex.solve_exact p with
   | Simplex.Optimal (v1, x1), Simplex.Optimal (v2, x2) ->
     let* () =
       require (Rat.equal v1 v2) "optimal values differ: dense %s, sparse %s"
@@ -141,7 +141,8 @@ let check_lp case =
 let simplex_suite =
   Runner.Suite
     { name = "simplex";
-      doc = "sparse vs dense simplex: status, value, exact feasibility";
+      doc = "exact sparse simplex vs the dense oracle: status, value, exact \
+             feasibility";
       gen = Gen.lp_case;
       show = Gen.show_lp;
       shrink = Gen.shrink_lp;
@@ -150,18 +151,13 @@ let simplex_suite =
 (* ---------------- float_vs_exact ---------------- *)
 
 (* Differential check for the hybrid LP pipeline (DESIGN.md §4f): the
-   float-first mode must agree with the exact oracle on every verdict,
-   its optimal points must be exactly feasible at exactly the reported
-   value, and every certificate the cone layer accepts must pass the
-   exact, LP-independent [Certificate.check].  Global-state discipline:
-   the mode flip and the cache bypass are scoped with [Fun.protect], and
-   the solver cache is cleared around the cone runs so the two modes
-   cannot answer each other's queries from the cache. *)
-
-let with_lp_mode mode f =
-  let saved = !Simplex.default_mode in
-  Simplex.default_mode := mode;
-  Fun.protect ~finally:(fun () -> Simplex.default_mode := saved) f
+   production [Simplex.solve] must agree with the exact simplex on every
+   verdict, its optimal points must be exactly feasible at exactly the
+   reported value, and on cone instances the production Γn decision
+   must agree with the exact materialized oracle, every certificate
+   passing the exact, LP-independent [Certificate.check].  The solver
+   cache is off and cleared around the cone runs so the two paths cannot
+   answer each other's queries from the cache. *)
 
 let without_solver_cache f =
   let saved = !Bagcqc_engine.Solver.caching in
@@ -180,9 +176,7 @@ let outcome_name = function
 
 let check_hybrid_lp case =
   let p = Gen.build_lp case in
-  match Simplex.solve ~mode:Simplex.Exact p,
-        Simplex.solve ~mode:Simplex.Float_first p
-  with
+  match Simplex.solve_exact p, Simplex.solve p with
   | Simplex.Optimal (ve, _), Simplex.Optimal (vh, xh) ->
     let* () =
       require (Rat.equal ve vh) "optimal values differ: exact %s, hybrid %s"
@@ -213,27 +207,24 @@ let check_hybrid_cone ~n sides =
   let module Certificate = Bagcqc_entropy.Certificate in
   let es = List.map build_side sides in
   without_solver_cache @@ fun () ->
-  let run mode = with_lp_mode mode (fun () -> Cones.valid_max_cert Cones.Gamma ~n es) in
-  let ve = run Simplex.Exact in
-  let vh = run Simplex.Float_first in
+  let ve = Cones.Oracle.valid_max_cert ~n es in
+  let vh = Cones.valid_max_cert Cones.Gamma ~n es in
   match ve, vh with
-  | Ok (Some ce), Ok (Some ch) ->
+  | Ok ce, Ok (Some ch) ->
     let* () =
-      require (Certificate.check ce) "exact-mode certificate fails check"
+      require (Certificate.check ce) "exact oracle certificate fails check"
     in
-    require (Certificate.check ch) "hybrid-mode certificate fails check"
+    require (Certificate.check ch) "production certificate fails check"
   | Error _, Error _ ->
-    (* Both modes refute; the refuting polymatroids may be different
-       vertices of the same polyhedron, which is fine — the refuters
-       were already exact-verified inside the cone layer's duality
-       cross-check. *)
+    (* Both refute; the refuting polymatroids may be different vertices
+       of the same polyhedron, which is fine — lazy_vs_full checks the
+       refuters themselves. *)
     Ok ()
-  | Ok None, _ | _, Ok None ->
-    Error "gamma backend returned Ok without a certificate"
-  | Ok (Some _), Error _ ->
-    Error "verdict mismatch: exact says valid, hybrid refutes"
+  | _, Ok None -> Error "gamma backend returned Ok without a certificate"
+  | Ok _, Error _ ->
+    Error "verdict mismatch: exact oracle says valid, production refutes"
   | Error _, Ok (Some _) ->
-    Error "verdict mismatch: exact refutes, hybrid says valid"
+    Error "verdict mismatch: exact oracle refutes, production says valid"
 
 let check_hybrid = function
   | Gen.Raw_lp case -> check_hybrid_lp case
@@ -243,8 +234,8 @@ let float_vs_exact_suite =
   Runner.Suite
     { name = "float_vs_exact";
       doc =
-        "hybrid (float-first) vs exact LP: verdicts, exact feasibility, \
-         certificate checks";
+        "production (float-first) LP and Γn decision vs exact: verdicts, \
+         exact feasibility, certificate checks";
       gen = Gen.hybrid_case;
       show = Gen.show_hybrid;
       shrink = Gen.shrink_hybrid;
@@ -252,20 +243,14 @@ let float_vs_exact_suite =
 
 (* ---------------- lazy_vs_full ---------------- *)
 
-(* Differential check for the lazy cone engine (DESIGN.md §4i): on every
-   Γn instance the lazy separation driver must return the same verdict
-   as the full materialization, its certificates must pass the exact,
-   LP-independent [Certificate.check] *and* prove exactly the generated
-   sides, and its refuters must be genuine polymatroids with every side
-   strictly negative (a real point of Γn beating the max).  The quick
-   (boolean) path is cross-checked against the certificate path too. *)
-
-let with_cone_engine engine f =
-  let saved = !Bagcqc_entropy.Cones.default_engine in
-  Bagcqc_entropy.Cones.default_engine := engine;
-  Fun.protect
-    ~finally:(fun () -> Bagcqc_entropy.Cones.default_engine := saved)
-    f
+(* Differential check for the lazy cone driver (DESIGN.md §4i): on every
+   Γn instance the production (lazy separation) decision must return the
+   same verdict as the materialized exact oracle, its certificates must
+   pass the exact, LP-independent [Certificate.check] *and* prove
+   exactly the generated sides, and its refuters must be genuine
+   polymatroids with every side strictly negative (a real point of Γn
+   beating the max).  The quick (boolean) paths are cross-checked
+   against the certificate paths too. *)
 
 let check_lazy_vs_full ({ n; sides } : Gen.lazy_case) =
   let module Cones = Bagcqc_entropy.Cones in
@@ -274,20 +259,15 @@ let check_lazy_vs_full ({ n; sides } : Gen.lazy_case) =
   let module Linexpr = Bagcqc_entropy.Linexpr in
   let es = List.map build_side sides in
   without_solver_cache @@ fun () ->
-  let run engine =
-    with_cone_engine engine (fun () -> Cones.valid_max_cert Cones.Gamma ~n es)
-  in
-  let vf = run Cones.Full in
-  let vl = run Cones.Lazy in
-  let quick engine =
-    with_cone_engine engine (fun () -> Cones.valid_max_quick Cones.Gamma ~n es)
-  in
-  let qf = quick Cones.Full and ql = quick Cones.Lazy in
+  let vf = Cones.Oracle.valid_max_cert ~n es in
+  let vl = Cones.valid_max_cert Cones.Gamma ~n es in
+  let qf = Cones.Oracle.valid_max_quick ~n es in
+  let ql = Cones.valid_max_quick Cones.Gamma ~n es in
   let* () =
     require (qf = ql) "quick verdicts differ: full %b, lazy %b" qf ql
   in
   match vf, vl with
-  | Ok (Some cf), Ok (Some cl) ->
+  | Ok cf, Ok (Some cl) ->
     let* () = require ql "certificates say valid, quick paths say invalid" in
     let* () =
       require (Certificate.check cf) "full certificate fails check"
@@ -313,9 +293,8 @@ let check_lazy_vs_full ({ n; sides } : Gen.lazy_case) =
     in
     let* () = refutes "full" hf in
     refutes "lazy" hl
-  | Ok None, _ | _, Ok None ->
-    Error "gamma backend returned Ok without a certificate"
-  | Ok (Some _), Error _ ->
+  | _, Ok None -> Error "gamma backend returned Ok without a certificate"
+  | Ok _, Error _ ->
     Error "verdict mismatch: full says valid, lazy refutes"
   | Error _, Ok (Some _) ->
     Error "verdict mismatch: full refutes, lazy says valid"
@@ -324,8 +303,9 @@ let lazy_vs_full_suite =
   Runner.Suite
     { name = "lazy_vs_full";
       doc =
-        "lazy (cutting-plane) vs full (materialized) cone engine: verdicts, \
-         certificate checks, refuter soundness";
+        "production lazy (cutting-plane) Γn driver vs the full \
+         (materialized) exact oracle: verdicts, certificate checks, \
+         refuter soundness";
       gen = Gen.lazy_case;
       show = Gen.show_lazy;
       shrink = Gen.shrink_lazy;

@@ -7,9 +7,16 @@
       against the float-interval screen whenever it is decisive, and
       against algebraic sign laws (negation, cancellation, doubling,
       positive scaling).
-    - [simplex]: sparse vs dense engines on random LPs — same status,
-      equal optimal value, and each engine's point checked feasible and
-      on-objective by exact arithmetic.
+    - [simplex]: the exact sparse simplex vs the dense oracle
+      ({!Dense_simplex}) on random LPs — same status, equal optimal
+      value, and each solver's point checked feasible and on-objective by
+      exact arithmetic.
+    - [float_vs_exact]: production {!Bagcqc_lp.Simplex.solve} vs
+      {!Bagcqc_lp.Simplex.solve_exact} on raw LPs, and the production Γn
+      decision vs {!Bagcqc_entropy.Cones.Oracle} on cone instances.
+    - [lazy_vs_full]: the production (lazy) Γn driver vs
+      {!Bagcqc_entropy.Cones.Oracle}, on both the certificate and the
+      quick path, with certificates and refuters checked exactly.
     - [decide]: the full containment pipeline at [jobs = 1] vs
       [jobs = 2] (sequential vs speculative-parallel control flow), plus
       the internal soundness oracles: a [Contained] certificate must
@@ -20,6 +27,7 @@
       print/reparse round trip. *)
 
 val all : Runner.t list
-(** In fixed order: logint, simplex, decide, parser. *)
+(** In fixed order: logint, simplex, float_vs_exact, lazy_vs_full,
+    decide, parser. *)
 
 val find : string -> Runner.t option

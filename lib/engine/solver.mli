@@ -30,8 +30,8 @@ open Bagcqc_lp
 val caching : bool ref
 (** Memoization switch, on by default.  Benchmarks that want to time the
     underlying simplex (not the table lookup) flip it off around the
-    measured region — same discipline as {!Simplex.default_engine}:
-    restore with [Fun.protect]. *)
+    measured region and restore it with [Fun.protect]; library code
+    never writes here. *)
 
 val solve : Problem.t -> Simplex.outcome
 (** Cached {!Simplex.solve} on the lowered problem. *)

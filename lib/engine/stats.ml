@@ -205,16 +205,15 @@ let pp fmt s =
   Format.fprintf fmt "  elemental tables:   %d hits / %d generated@."
     s.elemental_hits s.elemental_misses;
   Format.fprintf fmt "  hom enumerations:   %d@." s.hom_enumerations;
-  (* Only when the hybrid engine actually ran: exact-mode output stays
-     byte-for-byte what it was before float-first existed. *)
+  (* Only when an LP was actually solved, so LP-free commands print no
+     empty hybrid line. *)
   if s.hybrid_float_solves > 0 then
     Format.fprintf fmt
       "  hybrid LP:          %d float solves, %d repaired, %d fallbacks \
        (%.1f%% fallback rate)@."
       s.hybrid_float_solves s.hybrid_repairs s.hybrid_fallbacks
       (100.0 *. fallback_rate s);
-  (* Only when the lazy cone driver ran: --cone-engine full keeps the
-     historical output byte-for-byte, like the hybrid section above. *)
+  (* Only when the lazy Γn driver ran, like the hybrid section above. *)
   if s.lazy_solves > 0 then
     Format.fprintf fmt
       "  lazy cone:          %d decisions, %d rounds, %d cuts (%d via \

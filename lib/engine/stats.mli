@@ -17,7 +17,7 @@ type snapshot = {
   elemental_misses : int; (** elemental families actually generated *)
   hom_enumerations : int; (** homomorphism enumeration/counting passes *)
   hybrid_float_solves : int;
-      (** float-first simplex proposals attempted (0 in exact mode) *)
+      (** float-first simplex proposals attempted *)
   hybrid_repairs : int;   (** proposals repaired to verified exact answers *)
   hybrid_repair_failures : int;
       (** proposals whose exact repair was rejected *)
@@ -30,7 +30,8 @@ type snapshot = {
       (** store entries dropped at open: corrupt, forged, or failing
           exact re-verification — never served *)
   lazy_solves : int;
-      (** lazy cone decisions started (0 under [--cone-engine full]) *)
+      (** lazy Γn decisions started (0 when only the reference oracle
+          or the Nn/Mn cones ran) *)
   lazy_rounds : int;   (** solve–separate rounds across those decisions *)
   lazy_cuts : int;     (** elemental cuts added by the separation oracle *)
   lazy_fallbacks : int;

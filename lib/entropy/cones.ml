@@ -3,36 +3,7 @@ open Bagcqc_lp
 open Bagcqc_engine
 module Obs = Bagcqc_obs
 
-type cone = Gamma | Normal | Modular | Registered of string
-
-type engine = Full | Lazy
-
-let engine_name = function Full -> "full" | Lazy -> "lazy"
-
-let engine_of_string = function
-  | "full" -> Some Full
-  | "lazy" -> Some Lazy
-  | _ -> None
-
-(* Same discipline (and env-var pattern) as [Simplex.default_mode]:
-   initialized once from BAGCQC_CONE, set by CLI entry points or
-   test/bench harnesses under [Fun.protect], never written by library
-   code.  Lazy is the default: like the float-first LP default it only
-   changes how fast the answer arrives — every verdict is certified or
-   witnessed identically — and [--cone-engine full] restores the
-   previous behaviour byte-for-byte. *)
-let default_engine =
-  ref
-    (match Sys.getenv_opt "BAGCQC_CONE" with
-     | None | Some "" -> Lazy
-     | Some s ->
-       (match engine_of_string s with
-        | Some e -> e
-        | None ->
-          Printf.eprintf
-            "bagcqc: ignoring invalid BAGCQC_CONE=%s (expected full or lazy)\n%!"
-            s;
-          Lazy))
+type cone = Gamma | Normal | Modular
 
 let check_range ~n es =
   List.iter
@@ -43,30 +14,19 @@ let check_range ~n es =
 
 let elemental ~n = Elemental.list ~n
 
-(* Certificates rejected by the exact [Certificate.check] under the
-   float-first LP mode (expected 0; any bump is a solver bug that was
-   caught and repaired by the exact oracle). *)
-let c_cert_repair_fallbacks = Obs.Metrics.counter "cone.cert_check_fallbacks"
-
 (* ------------------------------------------------------------------ *)
-(* Pluggable backends: each cone contributes how to {e build} its LPs   *)
-(* as canonical engine problems; the generic driver below owns the      *)
-(* decide/certify/refute control flow, and the engine owns solving and  *)
-(* caching.  New cones register without touching any caller.            *)
+(* Backends: each cone contributes how to {e build} its refutation LP  *)
+(* as a canonical engine problem; the driver below owns the            *)
+(* decide/refute control flow, and the engine owns solving and caching. *)
 (* ------------------------------------------------------------------ *)
 
 type backend = {
   name : string;
   refutation : n:int -> Linexpr.t list -> Problem.t;
-      (** Feasibility system for [{h ∈ K, Eℓ(h) ≤ −1 ∀ℓ}] — a point
-          refutes the max-inequality over the cone. *)
+      (* Feasibility system for {h ∈ K, Eℓ(h) ≤ −1 ∀ℓ} — a point refutes
+         the max-inequality over the cone. *)
   refuter_of_point : n:int -> Rat.t array -> Polymatroid.t;
-      (** Reconstruct the refuting set function from an LP point. *)
-  farkas : (n:int -> Linexpr.t list -> Problem.t * Linexpr.t list) option;
-      (** Optional validity-certificate LP: the returned problem is
-          feasible iff the max-inequality is valid, and a solution is laid
-          out as [λ] over the returned axiom list followed by the convex
-          weights [μ] (one per side).  Present for [Γn]. *)
+      (* Reconstruct the refuting set function from an LP point. *)
 }
 
 (* ---------------- Γn ---------------- *)
@@ -251,8 +211,7 @@ let gamma_refutation ~n es =
 let gamma_backend =
   { name = "gamma";
     refutation = gamma_refutation;
-    refuter_of_point = (fun ~n x -> Polymatroid.make n (fun s -> x.(s - 1)));
-    farkas = Some gamma_farkas }
+    refuter_of_point = (fun ~n x -> Polymatroid.make n (fun s -> x.(s - 1))) }
 
 (* ---------------- Mn ---------------- *)
 
@@ -278,8 +237,7 @@ let modular_backend =
              (fun e ->
                Problem.row (modular_sparse ~n e) Simplex.Le Rat.minus_one)
              es));
-    refuter_of_point = (fun ~n:_ w -> Polymatroid.modular_of_weights w);
-    farkas = None }
+    refuter_of_point = (fun ~n:_ w -> Polymatroid.modular_of_weights w) }
 
 (* ---------------- Nn ---------------- *)
 
@@ -312,42 +270,13 @@ let normal_backend =
         Array.iteri
           (fun w cw -> if Rat.sign cw > 0 then coeffs := (w, cw) :: !coeffs)
           c;
-        Polymatroid.normal_of_steps n !coeffs);
-    farkas = None }
+        Polymatroid.normal_of_steps n !coeffs) }
 
-(* ---------------- registry ---------------- *)
-
-let registry : (string, backend) Hashtbl.t = Hashtbl.create 8
-
-let register b =
-  if Hashtbl.mem registry b.name then
-    invalid_arg ("Cones.register: backend already registered: " ^ b.name);
-  Hashtbl.add registry b.name b
-
-let () =
-  register gamma_backend;
-  register normal_backend;
-  register modular_backend
-
-let find_backend name = Hashtbl.find_opt registry name
-
-let backend_names () =
-  List.sort compare (Hashtbl.fold (fun name _ acc -> name :: acc) registry [])
-
-let backend_of_cone = function
-  | Gamma -> gamma_backend
-  | Normal -> normal_backend
-  | Modular -> modular_backend
-  | Registered name ->
-    (match find_backend name with
-     | Some b -> b
-     | None -> invalid_arg ("Cones: unknown backend " ^ name))
-
-(* ---------------- generic driver ---------------- *)
+(* ---------------- driver ---------------- *)
 
 (* Problem construction (cone axioms → canonical LP rows) is its own
-   span: for Γn it enumerates the full elemental family, which can rival
-   the solve itself on larger n. *)
+   span: for the materialized Γn family it can rival the solve itself on
+   larger n. *)
 let build_span b ~kind ~n es build =
   Obs.Span.with_span ~name:"cone.build"
     ~attrs:
@@ -357,108 +286,38 @@ let build_span b ~kind ~n es build =
         ("sides", Obs.Span.Int (List.length es)) ]
     build
 
-let build_refutation b ~n es =
-  build_span b ~kind:"refutation" ~n es (fun () -> b.refutation ~n es)
+let backend_of_cone = function
+  | Gamma -> gamma_backend
+  | Normal -> normal_backend
+  | Modular -> modular_backend
 
-let refute b ~n es =
-  match Solver.feasible (build_refutation b ~n es) with
-  | Some x -> Some (b.refuter_of_point ~n x)
-  | None -> None
+let refute_with feasible b ~n es =
+  let prob = build_span b ~kind:"refutation" ~n es (fun () -> b.refutation ~n es) in
+  Option.map (b.refuter_of_point ~n) (feasible prob)
 
-(* The lazy driver targets Γn — the only cone whose axiom family
-   explodes with n.  Nn/Mn LPs are small ([n] or [2^n − 1] variables,
-   one row per side) and stay on the direct path under either engine. *)
-let use_lazy b = b.name = "gamma" && !default_engine = Lazy
-
+(* Γn decides through the lazy separation driver — the only cone whose
+   axiom family explodes with n.  Nn/Mn LPs are small ([n] or [2^n − 1]
+   variables, one row per side) and solve directly, without a
+   certificate. *)
 let valid_max_cert cone ~n es =
   check_range ~n es;
-  match es with
-  | [] -> Error (Polymatroid.zero n)
-  | _ when use_lazy (backend_of_cone cone) ->
-    (match Separation.valid_max_cert ~n es with
-     | Ok cert -> Ok (Some cert)
-     | Error h -> Error h)
-  | _ ->
-    let b = backend_of_cone cone in
-    (match b.farkas with
-     | Some build ->
-       let prob, elems =
-         build_span b ~kind:"farkas" ~n es (fun () -> build ~n es)
-       in
-       let n_elem = List.length elems in
-       let k = List.length es in
-       (match Solver.feasible prob with
-        | Some x ->
-          let assemble x =
-            let lambda =
-              List.filteri (fun _ (_, l) -> Rat.sign l > 0)
-                (List.mapi (fun i e -> (e, x.(i))) elems)
-            in
-            let mu = List.init k (fun l -> x.(n_elem + l)) in
-            Certificate.make ~n ~cone:b.name ~sides:es ~lambda ~mu
-          in
-          let cert = assemble x in
-          (* Defense in depth for the float-first LP mode (DESIGN.md
-             §4f): a hybrid answer is only accepted once its Farkas
-             certificate passes the exact, LP-independent
-             [Certificate.check].  Repair already verified the solution
-             exactly, so a failure here means a solver bug — re-derive
-             the point with the exact oracle (bypassing the solver cache,
-             which holds the rejected point) rather than returning an
-             uncertified answer. *)
-          if !Simplex.default_mode = Simplex.Exact || Certificate.check cert
-          then Ok (Some cert)
-          else begin
-            Obs.Metrics.bump c_cert_repair_fallbacks;
-            match
-              Simplex.solve ~mode:Simplex.Exact (Problem.to_simplex prob)
-            with
-            | Simplex.Optimal (_, x) -> Ok (Some (assemble x))
-            | Simplex.Infeasible | Simplex.Unbounded ->
-              Bagcqc_error.invariant ~where:"Cones.valid_max_cert"
-                (Printf.sprintf
-                   "backend %s: float-first Farkas point rejected by \
-                    Certificate.check and the exact re-solve found no \
-                    feasible point"
-                   b.name)
-          end
-        | None ->
-          (match refute b ~n es with
-           | Some h -> Error h
-           | None ->
-             (* LP duality (Theorem 6.1 at this cone): the Farkas system
-                is infeasible iff the refutation system has a point.  Both
-                coming back empty means the two independently-built LPs
-                disagree — a solver bug, reported as a typed error. *)
-             Bagcqc_error.invariant ~where:"Cones.valid_max_cert"
-               (Printf.sprintf
-                  "backend %s: Farkas LP infeasible but refutation LP \
-                   infeasible too (duality violated)"
-                  b.name)))
-     | None ->
-       (match refute b ~n es with
-        | None -> Ok None
-        | Some h -> Error h))
+  match es, cone with
+  | [], _ -> Error (Polymatroid.zero n)
+  | _, Gamma -> Result.map Option.some (Separation.valid_max_cert ~n es)
+  | _, (Normal | Modular) -> (
+    match refute_with Solver.feasible (backend_of_cone cone) ~n es with
+    | None -> Ok None
+    | Some h -> Error h)
 
-let valid_max cone ~n es =
-  match valid_max_cert cone ~n es with
-  | Ok _ -> Ok ()
-  | Error h -> Error h
+let valid_max cone ~n es = Result.map ignore (valid_max_cert cone ~n es)
 
 let valid_max_quick cone ~n es =
   check_range ~n es;
-  match es with
-  | [] -> false
-  | _ when use_lazy (backend_of_cone cone) -> Separation.valid_max_quick ~n es
-  | _ ->
-    let b = backend_of_cone cone in
-    (match b.farkas with
-     | Some build ->
-       let prob =
-         build_span b ~kind:"farkas" ~n es (fun () -> fst (build ~n es))
-       in
-       Solver.feasible prob <> None
-     | None -> Solver.feasible (build_refutation b ~n es) = None)
+  match es, cone with
+  | [], _ -> false
+  | _, Gamma -> Separation.valid_max_quick ~n es
+  | _, (Normal | Modular) ->
+    refute_with Solver.feasible (backend_of_cone cone) ~n es = None
 
 let valid cone ~n e = valid_max cone ~n [ e ]
 
@@ -497,24 +356,68 @@ let valid_shannon_many ~n es =
   in
   List.map (fun e -> verdicts.(Etbl.find index e)) es
 
-(* [valid_max_cert] can only return [Ok None] for a backend without a
-   Farkas builder; Γn registers one, so a certificate-less Ok from the
-   gamma backend is a broken invariant, not a reachable state. *)
-let gamma_always_certifies ~where =
-  Bagcqc_error.invariant ~where
-    "gamma backend returned Ok without a certificate despite its Farkas \
-     builder"
-
+(* Γn always certifies, so [Ok None] cannot occur below. *)
 let max_to_convex ~n es =
   match valid_max_cert Gamma ~n es with
   | Ok (Some cert) -> Some (Array.of_list (Certificate.convex_weights cert))
-  | Ok None -> gamma_always_certifies ~where:"Cones.max_to_convex"
-  | Error _ -> None
+  | Ok None | Error _ -> None
 
 let shannon_certificate ~n e =
   match valid_max_cert Gamma ~n [ e ] with
   | Ok (Some cert) ->
     (* With k = 1 the convexity row forces μ = 1, so Σ λᵢ·elemᵢ = e. *)
     Some (Certificate.lambda cert)
-  | Ok None -> gamma_always_certifies ~where:"Cones.shannon_certificate"
-  | Error _ -> None
+  | Ok None | Error _ -> None
+
+(* ---------------- reference oracle ---------------- *)
+
+module Oracle = struct
+  let farkas = gamma_farkas
+
+  (* Exact simplex, but through the solver so cache, store and [Stats]
+     accounting behave as for any other solve. *)
+  let feasible prob =
+    match
+      Solver.solve_using prob ~solver:(fun p ->
+          Simplex.solve_exact (Problem.to_simplex p))
+    with
+    | Simplex.Optimal (_, x) -> Some x
+    | Simplex.Infeasible -> None
+    | Simplex.Unbounded ->
+      Bagcqc_error.invariant ~where:"Cones.Oracle"
+        "feasibility problem reported unbounded"
+
+  let build_farkas ~n es =
+    build_span gamma_backend ~kind:"farkas" ~n es (fun () -> farkas ~n es)
+
+  let valid_max_cert ~n es =
+    check_range ~n es;
+    match es with
+    | [] -> Error (Polymatroid.zero n)
+    | _ ->
+      let prob, elems = build_farkas ~n es in
+      (match feasible prob with
+       | Some x ->
+         let n_elem = List.length elems in
+         let lambda =
+           List.filteri (fun _ (_, l) -> Rat.sign l > 0)
+             (List.mapi (fun i e -> (e, x.(i))) elems)
+         in
+         let mu = List.mapi (fun l _ -> x.(n_elem + l)) es in
+         Ok (Certificate.make ~n ~cone:"gamma" ~sides:es ~lambda ~mu)
+       | None ->
+         (match refute_with feasible gamma_backend ~n es with
+          | Some h -> Error h
+          | None ->
+            (* LP duality (Theorem 6.1 at Γn): the Farkas system is
+               infeasible iff the refutation system has a point.  Both
+               coming back empty means the two independently-built LPs
+               disagree — a solver bug, reported as a typed error. *)
+            Bagcqc_error.invariant ~where:"Cones.Oracle.valid_max_cert"
+              "Farkas LP infeasible but refutation LP infeasible too \
+               (duality violated)"))
+
+  let valid_max_quick ~n es =
+    check_range ~n es;
+    es <> [] && feasible (fst (build_farkas ~n es)) <> None
+end

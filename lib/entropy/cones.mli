@@ -17,8 +17,11 @@
     additionally return a Farkas {!Certificate.t} that can be re-verified
     without the solver.
 
-    Each cone is a {!backend} value; {!register} adds new cones without
-    touching any caller of the decision functions. *)
+    One production path per cone: [Γn] is decided by the lazy
+    separation driver ({!Separation}, DESIGN.md §4i) on the float-first
+    LP, and [Nn]/[Mn] by one small refutation LP each.  The materialized
+    Γn driver on exact LP survives only as the reference {!Oracle} for
+    the fuzz suites and the corpus audit. *)
 
 open Bagcqc_engine
 
@@ -26,70 +29,10 @@ type cone =
   | Gamma   (** the Shannon cone [Γn] of all polymatroids *)
   | Normal  (** [Nn]: non-negative combinations of step functions *)
   | Modular (** [Mn]: non-negative modular functions *)
-  | Registered of string
-      (** A backend added via {!register}, looked up by name at use time. *)
 
 val elemental : n:int -> Linexpr.t list
 (** The elemental Shannon inequalities generating [Γn] (see
     {!Elemental.list}, which memoizes the family per [n]). *)
-
-(** {1 Cone engine}
-
-    Two interchangeable Γn drivers (DESIGN.md §4i).  [Full]
-    materializes the whole elemental family into each LP — the original
-    path, kept as the cross-checked oracle.  [Lazy] (default) decides
-    via {!Separation}: cutting-plane generation over the implicit
-    family plus symmetry canonicalization.  Both return identical
-    verdicts; validity always carries a certificate passing the same
-    exact {!Certificate.check}, so the choice affects speed, never
-    trust.  Nn/Mn solves are tiny and take the direct path under either
-    engine. *)
-
-type engine = Full | Lazy
-
-val engine_name : engine -> string
-(** ["full"] / ["lazy"] — the spellings accepted by {!engine_of_string},
-    [BAGCQC_CONE] and the [--cone-engine] CLI flag. *)
-
-val engine_of_string : string -> engine option
-
-val default_engine : engine ref
-(** Γn driver used by the decision procedures below.  Initialized from
-    the [BAGCQC_CONE] environment variable ([full] or [lazy]; an
-    invalid value is reported on stderr and ignored); defaults to
-    [Lazy].  Same mutation discipline as
-    {!Bagcqc_lp.Simplex.default_mode}: CLI entry points and test/bench
-    harnesses may set it (restoring under [Fun.protect]); library code
-    never writes here. *)
-
-(** {1 Backends} *)
-
-type backend = {
-  name : string;
-  refutation : n:int -> Linexpr.t list -> Problem.t;
-      (** Feasibility system for [{h ∈ K, Eℓ(h) ≤ −1 ∀ℓ}] — a point
-          refutes the max-inequality over the cone. *)
-  refuter_of_point : n:int -> Bagcqc_num.Rat.t array -> Polymatroid.t;
-      (** Reconstruct the refuting set function from a point of the
-          refutation system. *)
-  farkas :
-    (n:int -> Linexpr.t list -> Problem.t * Linexpr.t list) option;
-      (** Optional validity-certificate LP: feasible iff the
-          max-inequality is valid over the cone, with solutions laid out
-          as multipliers [λ] over the returned axiom list followed by one
-          convex weight [μℓ] per side.  Present for [Γn]; cones without
-          one still decide via {!field-refutation} but yield no
-          certificate. *)
-}
-
-val register : backend -> unit
-(** Make [Registered backend.name] usable everywhere a {!cone} is taken.
-    @raise Invalid_argument if the name is already registered (the three
-    built-in cones occupy ["gamma"], ["normal"], ["modular"]). *)
-
-val find_backend : string -> backend option
-val backend_names : unit -> string list
-(** Sorted names of all registered backends. *)
 
 (** {1 Decision procedures} *)
 
@@ -98,18 +41,18 @@ val valid_max_cert :
   (Certificate.t option, Polymatroid.t) result
 (** [valid_max_cert k ~n es] decides [∀h ∈ K. 0 ≤ max_ℓ es_ℓ(h)].
     [Ok (Some c)] proves validity with a Farkas certificate (always, for
-    cones with a [farkas] builder — in particular [Gamma]); [Ok None]
-    states validity for a cone without certificate support.  [Error h]
-    carries a point of [K] with [es_ℓ(h) < 0] for all [ℓ].  The empty max
-    is (vacuously) invalid, witnessed by the zero function.
+    [Gamma]); [Ok None] states validity over [Normal] or [Modular],
+    which carry no certificate.  [Error h] carries a point of [K] with
+    [es_ℓ(h) < 0] for all [ℓ].  The empty max is (vacuously) invalid,
+    witnessed by the zero function.
     @raise Invalid_argument if an expression mentions a variable [≥ n]. *)
 
 val valid_max : cone -> n:int -> Linexpr.t list -> (unit, Polymatroid.t) result
 (** {!valid_max_cert} with the certificate dropped. *)
 
 val valid_max_quick : cone -> n:int -> Linexpr.t list -> bool
-(** Like {!valid_max} but boolean only: a single feasibility solve, no
-    refuter extraction and no certificate packaging. *)
+(** Like {!valid_max} but boolean only: no refuter extraction and no
+    certificate packaging. *)
 
 val valid : cone -> n:int -> Linexpr.t -> (unit, Polymatroid.t) result
 (** Validity of a single linear inequality [0 ≤ E(h)] over the cone. *)
@@ -139,3 +82,27 @@ val shannon_certificate : n:int -> Linexpr.t -> (Linexpr.t * Bagcqc_num.Rat.t) l
     elemental inequalities and non-negative multipliers with
     [Σ λᵢ·elemᵢ = e] exactly, proving the inequality is Shannon.
     [None] if the inequality is not Shannon. *)
+
+(** {1 Reference oracle}
+
+    The materialized Γn driver: every LP carries the whole elemental
+    family and is solved by the exact simplex
+    ({!Bagcqc_lp.Simplex.solve_exact}) through the solver cache and any
+    attached store.  Too slow for production from n ≈ 6 up; kept as the
+    independent reference the [lazy_vs_full] fuzz suite and the tests
+    compare the production driver against. *)
+module Oracle : sig
+  val farkas : n:int -> Linexpr.t list -> Problem.t * Linexpr.t list
+  (** The validity-certificate LP: feasible iff the max-inequality is
+      valid over Γn, with solutions laid out as multipliers [λ] over the
+      returned elemental list followed by one convex weight [μℓ] per
+      side.  Tagged ["gamma/farkas"]; the persistent store re-verifies
+      entries of this tag through {!Certificate.check}. *)
+
+  val valid_max_cert :
+    n:int -> Linexpr.t list -> (Certificate.t, Polymatroid.t) result
+  (** {!valid_max_cert} at [Gamma], decided over the full family. *)
+
+  val valid_max_quick : n:int -> Linexpr.t list -> bool
+  (** {!valid_max_quick} at [Gamma]: the Farkas feasibility solve alone. *)
+end

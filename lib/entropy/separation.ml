@@ -1,6 +1,6 @@
 (* Lazy constraint generation for the Shannon cone (ISSUE 9, ROADMAP 3).
 
-   The full Γn drivers in [Cones] materialize all n + C(n,2)·2^(n−2)
+   The full Γn driver ([Cones.Oracle]) materializes all n + C(n,2)·2^(n−2)
    elemental inequalities into every LP — which is exactly why exact
    decisions stopped at n ≈ 5–6.  This driver solves the same two LPs
    over a small *working set* W of elemental inequalities and grows W
@@ -77,8 +77,8 @@
    the same LP-independent [Certificate.check] as the full driver, and
    refuters satisfy every elemental inequality by exact evaluation (the
    exact separation scan found no violation).  The full-materialization
-   driver remains available as the cross-checked oracle
-   (--cone-engine full, lazy_vs_full fuzz). *)
+   driver remains as the cross-checked reference ([Cones.Oracle], the
+   lazy_vs_full fuzz suite and the corpus audit). *)
 
 open Bagcqc_num
 open Bagcqc_lp
@@ -216,7 +216,7 @@ let warm_hint ~num_vars prev prob =
 
 (* ---------------- restricted Farkas ----------------
 
-   [Cones.gamma_farkas] with the axiom columns drawn from W instead of
+   [Cones.Oracle.farkas] with the axiom columns drawn from W instead of
    the full family, under its own tag: entries persisted from this
    problem shape are pure-feasibility (verified point-wise by the store
    on load) and must not be offered to the full-family
@@ -650,18 +650,14 @@ let certify_working_set ~n ~sym ~es w_descs =
   | None -> None
   | Some x ->
     let cert = assemble x in
-    (* Same defense-in-depth as the full driver (DESIGN.md §4f/§4i):
-       under float-first, accept only certificates that pass the
-       exact check; a rejection is a solver bug repaired by an exact
-       re-solve, never an uncertified answer.  Under the exact LP mode
-       the Farkas point is already exact-verified by construction. *)
-    if !Simplex.default_mode = Simplex.Exact || Certificate.check cert
-    then Some cert
+    (* Defense in depth (DESIGN.md §4f/§4i): accept only certificates
+       that pass the exact check; a rejection is a solver bug repaired
+       by an exact re-solve (bypassing the solver cache, which holds the
+       rejected point), never an uncertified answer. *)
+    if Certificate.check cert then Some cert
     else begin
       Obs.Metrics.bump c_fallbacks;
-      match
-        Simplex.solve ~mode:Simplex.Exact (Problem.to_simplex fprob)
-      with
+      match Simplex.solve_exact (Problem.to_simplex fprob) with
       | Simplex.Optimal (_, x) -> Some (assemble x)
       | Simplex.Infeasible | Simplex.Unbounded ->
         Bagcqc_error.invariant ~where

@@ -1,6 +1,5 @@
 (** Lazy constraint generation + symmetry reduction for the Shannon
-    cone — the [--cone-engine lazy] driver behind {!Cones} (DESIGN.md
-    §4i).
+    cone — the production Γn driver behind {!Cones} (DESIGN.md §4i).
 
     Instead of materializing all [n + C(n,2)·2^(n−2)] elemental
     inequalities into every Γn LP, the instance is canonicalized modulo
@@ -16,14 +15,14 @@
     sharded cache and the persistent store — across restarts {e and}
     across symmetric instances.
 
-    Soundness is engine-independent: "valid" means the refutation LP
+    Soundness does not rest on the cutting-plane loop: "valid" means the refutation LP
     over W ⊇'s cone is infeasible (a cone {e containing} Γn, so the
     verdict transfers), and carries a Farkas certificate over W ⊆
     elemental family that the unchanged exact
     {!Certificate.check} judges; "refuted" returns a point that passed
     the full separation scan, i.e. satisfies {e every} elemental
-    inequality.  The full-materialization driver in {!Cones} stays
-    available as the cross-checked oracle. *)
+    inequality.  The full-materialization driver {!Cones.Oracle} stays
+    as the cross-checked reference. *)
 
 val valid_max_cert :
   n:int -> Linexpr.t list -> (Certificate.t, Polymatroid.t) result

@@ -1,6 +1,6 @@
 (* Shared LP ingestion: the problem representation and the normalized
    row/column layout used by every solver in this library — the exact
-   dense and sparse simplex engines in {!Simplex}, the floating-point
+   sparse simplex in {!Simplex}, the floating-point
    basis proposer {!Fsimplex}, and the exact basis repair {!Repair}.
 
    Keeping ingestion in one place is load-bearing for the hybrid
@@ -20,7 +20,7 @@ open Bagcqc_num
 
 type op = Le | Ge | Eq
 
-(* Per-domain pivot odometer, shared by every solver (exact dense/sparse
+(* Per-domain pivot odometer, shared by every solver (the exact simplex
    and the float proposer): bumped once per Gaussian pivot.  Callers read
    it as a delta around a solve, which only stays exact if no other
    domain's pivots leak into the window — hence one cell per domain

@@ -1,6 +1,6 @@
 (** Shared LP ingestion for the solvers of this library.
 
-    {!Simplex} (exact dense/sparse), {!Fsimplex} (floating-point basis
+    {!Simplex} (exact sparse), {!Fsimplex} (floating-point basis
     proposer) and {!Repair} (exact basis repair) all normalize problems
     through this one module, so a simplex {e basis} — an array mapping
     each row to the column basic in it — means exactly the same thing to
@@ -15,7 +15,8 @@
       are assigned ([Le] ↔ [Ge] under negation).
 
     Callers outside [lib/lp] should use the re-exports in {!Simplex};
-    this interface exists for the solver implementations. *)
+    this interface exists for the solver implementations (and for test
+    oracles that must lay problems out the same way). *)
 
 open Bagcqc_num
 
@@ -42,7 +43,7 @@ type problem = {
 }
 
 val constr : Rat.t array -> op -> Rat.t -> constr
-(** Dense row; zero coefficients are dropped on ingestion. *)
+(** Full-width row; zero coefficients are dropped on ingestion. *)
 
 val sparse_constr : (int * Rat.t) list -> op -> Rat.t -> constr
 (** Sparse row as [(column, coefficient)] pairs in any order.

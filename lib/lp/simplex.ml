@@ -1,14 +1,15 @@
-(* Two-phase primal simplex over exact rationals, in two flavours.
+(* Two-phase primal simplex over exact rationals, behind a float-first
+   front end.
 
-   The {e dense} solver is the original reference implementation: [m] rows
-   of length [ncols + 1] (column [ncols] is the right-hand side),
-   Gaussian pivots touching every column of every affected row.  It is kept
-   verbatim as the correctness oracle.
+   Every production solve runs the hybrid pipeline (DESIGN.md §4f): a
+   float simplex proposes a basis, {!Repair} rebuilds and verifies the
+   exact solution for it, and any hiccup falls back to the exact sparse
+   solver below ({!solve_exact}).  The tests hold that solver to a dense
+   tableau reference ([Bagcqc_check.Dense_simplex]).
 
-   The {e sparse} solver (the default) exploits the structure of the
-   entropic LPs this project actually solves — elemental Shannon
-   inequalities have at most 4 nonzero coefficients, almost all ±1/±2 —
-   in three ways:
+   The exact solver exploits the structure of the entropic LPs this
+   project actually solves — elemental Shannon inequalities have at most
+   4 nonzero coefficients, almost all ±1/±2 — in three ways:
 
    - constraints are ingested as sorted [(col, coeff)] pairs, so building
      the tableau never materializes the zero coefficients;
@@ -22,7 +23,7 @@
      has one is taken.  Optimality is only declared after a full wrap
      finds no eligible column.
 
-   Both flavours share Bland's anti-cycling fallback: after a long run of
+   Bland's anti-cycling fallback applies: after a long run of
    degenerate pivots the pricing rule permanently switches to smallest
    eligible index, which guarantees termination.  [basis.(r)] is the
    column basic in row [r]; row operations keep basic columns at
@@ -55,37 +56,6 @@ type outcome =
   | Optimal of Rat.t * Rat.t array
   | Unbounded
   | Infeasible
-
-type engine = Dense | Sparse
-
-let default_engine = ref Sparse
-
-type mode = Exact | Float_first
-
-let mode_name = function Exact -> "exact" | Float_first -> "float_first"
-
-let mode_of_string s =
-  match String.lowercase_ascii (String.trim s) with
-  | "exact" -> Some Exact
-  | "float_first" | "float-first" -> Some Float_first
-  | _ -> None
-
-(* BAGCQC_LP picks the process-wide default mode, mirroring BAGCQC_JOBS
-   for the pool: an invalid value is reported once and ignored rather
-   than aborting (the CLI flag --lp-engine still overrides). *)
-let default_mode =
-  ref
-    (match Sys.getenv_opt "BAGCQC_LP" with
-     | None -> Float_first
-     | Some s ->
-       (match mode_of_string s with
-        | Some m -> m
-        | None ->
-          Printf.eprintf
-            "bagcqc: ignoring invalid BAGCQC_LP=%s (expected exact or \
-             float_first)\n%!"
-            s;
-          Float_first))
 
 (* Per-domain pivot odometer (see the .mli): the cell itself lives in
    {!Lp_layout} so the float proposer feeds the same meter. *)
@@ -133,201 +103,6 @@ type layout = Lp_layout.layout = {
 let layout_of = Lp_layout.layout_of
 
 (* ================================================================== *)
-(* Dense reference solver (the seed implementation, kept as oracle).    *)
-(* ================================================================== *)
-
-module Dense_impl = struct
-  type tableau = {
-    rows : Rat.t array array;
-    mutable obj : Rat.t array;
-    basis : int array;
-    ncols : int;
-  }
-
-  let rhs_col t = t.ncols
-
-  let pivot t r c =
-    note_pivot ();
-    let row = t.rows.(r) in
-    let p = row.(c) in
-    assert (not (Rat.is_zero p));
-    observe_pivot_magnitude p;
-    let inv_p = Rat.inv p in
-    for j = 0 to t.ncols do
-      row.(j) <- row.(j) */ inv_p
-    done;
-    let eliminate target =
-      let f = target.(c) in
-      if not (Rat.is_zero f) then
-        for j = 0 to t.ncols do
-          target.(j) <- target.(j) -/ (f */ row.(j))
-        done
-    in
-    Array.iteri (fun i target -> if i <> r then eliminate target) t.rows;
-    eliminate t.obj;
-    t.basis.(r) <- c
-
-  (* One phase of simplex: minimize the current objective row over the
-     columns [allowed].  Dantzig pricing with a permanent fallback to
-     Bland's rule once a long degenerate run suggests cycling. *)
-  let degenerate_limit = 60
-
-  let run_phase t ~allowed =
-    let m = Array.length t.rows in
-    let bland = ref false in
-    let degenerate_run = ref 0 in
-    let rec iterate () =
-      let entering = ref (-1) in
-      if !bland then begin
-        (try
-           for j = 0 to t.ncols - 1 do
-             if allowed j && Rat.sign t.obj.(j) < 0 then begin
-               entering := j;
-               raise Exit
-             end
-           done
-         with Exit -> ())
-      end
-      else begin
-        let best = ref Rat.zero in
-        for j = 0 to t.ncols - 1 do
-          if allowed j && Rat.compare t.obj.(j) !best < 0 then begin
-            best := t.obj.(j);
-            entering := j
-          end
-        done
-      end;
-      if !entering < 0 then `Optimal
-      else begin
-        let c = !entering in
-        (* Leaving: min ratio rhs/coeff over rows with coeff > 0; ties
-           broken by the smallest basis column. *)
-        let best_row = ref (-1) in
-        let best_ratio = ref Rat.zero in
-        for i = 0 to m - 1 do
-          let a = t.rows.(i).(c) in
-          if Rat.sign a > 0 then begin
-            let ratio = t.rows.(i).(rhs_col t) // a in
-            if !best_row < 0
-               || Rat.compare ratio !best_ratio < 0
-               || (Rat.equal ratio !best_ratio && t.basis.(i) < t.basis.(!best_row))
-            then begin
-              best_row := i;
-              best_ratio := ratio
-            end
-          end
-        done;
-        if !best_row < 0 then `Unbounded
-        else begin
-          if Rat.is_zero !best_ratio then begin
-            incr degenerate_run;
-            if !degenerate_run > degenerate_limit then bland := true
-          end
-          else degenerate_run := 0;
-          pivot t !best_row c;
-          iterate ()
-        end
-      end
-    in
-    iterate ()
-
-  let solution_of t ~num_vars =
-    let x = Array.make num_vars Rat.zero in
-    Array.iteri
-      (fun r c -> if c < num_vars then x.(c) <- t.rows.(r).(rhs_col t))
-      t.basis;
-    x
-
-  let solve ({ num_vars; objective; _ } as p) =
-    let { m; ncols; art_start; num_art; rows_data } = layout_of p in
-    let rows = Array.init m (fun _ -> Array.make (ncols + 1) Rat.zero) in
-    let basis = Array.make m (-1) in
-    let next_slack = ref num_vars and next_art = ref art_start in
-    Array.iteri
-      (fun i (cols, vals, op, rhs) ->
-        Array.iteri (fun k j -> rows.(i).(j) <- vals.(k)) cols;
-        rows.(i).(ncols) <- rhs;
-        (match op with
-         | Le ->
-           rows.(i).(!next_slack) <- Rat.one;
-           basis.(i) <- !next_slack;
-           incr next_slack
-         | Ge ->
-           rows.(i).(!next_slack) <- Rat.minus_one;
-           incr next_slack;
-           rows.(i).(!next_art) <- Rat.one;
-           basis.(i) <- !next_art;
-           incr next_art
-         | Eq ->
-           rows.(i).(!next_art) <- Rat.one;
-           basis.(i) <- !next_art;
-           incr next_art))
-      rows_data;
-    let t = { rows; obj = Array.make (ncols + 1) Rat.zero; basis; ncols } in
-    (* ---------------- Phase 1: minimize the sum of artificials. ------- *)
-    if num_art > 0 then begin
-      let obj = Array.make (ncols + 1) Rat.zero in
-      for j = art_start to ncols - 1 do
-        obj.(j) <- Rat.one
-      done;
-      t.obj <- obj;
-      (* Price out: artificials are basic, so subtract their rows. *)
-      Array.iteri
-        (fun i c ->
-          if c >= art_start then
-            for j = 0 to ncols do
-              obj.(j) <- obj.(j) -/ t.rows.(i).(j)
-            done)
-        t.basis;
-      (match run_phase t ~allowed:(fun _ -> true) with
-       | `Unbounded ->
-         (* The phase-1 objective (a sum of non-negative artificials) is
-            bounded below by 0; an unbounded verdict means a pivoting bug. *)
-         Bagcqc_error.invariant ~where:"Simplex.Dense_impl.solve"
-           "phase-1 objective reported unbounded"
-       | `Optimal -> ());
-      (* obj.(ncols) holds -(phase-1 value). *)
-      if Rat.sign t.obj.(ncols) < 0 then raise Exit
-    end;
-    (* Drive remaining artificials out of the basis where possible; rows
-       where it is impossible are redundant (all-zero) and harmless. *)
-    Array.iteri
-      (fun r c ->
-        if c >= art_start then begin
-          let found = ref (-1) in
-          (try
-             for j = 0 to art_start - 1 do
-               if not (Rat.is_zero t.rows.(r).(j)) then begin
-                 found := j;
-                 raise Exit
-               end
-             done
-           with Exit -> ());
-          if !found >= 0 then pivot t r !found
-        end)
-      t.basis;
-    (* ---------------- Phase 2: the real objective. --------------------- *)
-    let obj = Array.make (ncols + 1) Rat.zero in
-    Array.blit objective 0 obj 0 num_vars;
-    t.obj <- obj;
-    Array.iteri
-      (fun i c ->
-        if c < ncols && not (Rat.is_zero obj.(c)) then begin
-          let f = obj.(c) in
-          for j = 0 to ncols do
-            obj.(j) <- obj.(j) -/ (f */ t.rows.(i).(j))
-          done
-        end)
-      t.basis;
-    let allowed j = j < art_start in
-    match run_phase t ~allowed with
-    | `Unbounded -> Unbounded
-    | `Optimal ->
-      (* obj.(ncols) = -(objective value). *)
-      Optimal (Rat.neg t.obj.(ncols), solution_of t ~num_vars)
-end
-
-(* ================================================================== *)
 (* Sparse solver: nonzero-driven pivots and block partial pricing.      *)
 (* ================================================================== *)
 
@@ -344,9 +119,8 @@ module Sparse_impl = struct
 
   (* Gaussian pivot on (row, col) that touches only the nonzero columns of
      the pivot row.  Rows with a zero coefficient in the pivot column are
-     untouched (as in the dense solver); every touched row is updated only
-     at the pivot row's nonzeros — all other columns are unchanged by the
-     elimination [target.(j) <- target.(j) - f * row.(j)] anyway. *)
+     untouched; every touched row is updated only at the pivot row's
+     nonzeros — all other columns are unchanged by the elimination [target.(j) <- target.(j) - f * row.(j)] anyway. *)
   let pivot t r c =
     note_pivot ();
     let row = t.rows.(r) in
@@ -517,7 +291,8 @@ module Sparse_impl = struct
         t.basis;
       (match run_phase t ~allowed:(fun _ -> true) with
        | `Unbounded ->
-         (* Bounded below by 0, as in the dense solver. *)
+         (* The phase-1 objective (a sum of non-negative artificials) is
+           bounded below by 0; an unbounded verdict means a pivoting bug. *)
          Bagcqc_error.invariant ~where:"Simplex.Sparse_impl.solve"
            "phase-1 objective reported unbounded"
        | `Optimal -> ());
@@ -568,21 +343,16 @@ let outcome_name = function
   | Unbounded -> "unbounded"
   | Infeasible -> "infeasible"
 
-let solve_with engine p =
+let solve_exact p =
   validate p;
   Obs.Span.with_span ~name:"simplex.solve"
     ~attrs:
-      [ ("engine",
-         Obs.Span.Str (match engine with Dense -> "dense" | Sparse -> "sparse"));
+      [ ("engine", Obs.Span.Str "exact");
         ("rows", Obs.Span.Int (List.length p.constraints));
         ("vars", Obs.Span.Int p.num_vars) ]
   @@ fun () ->
   let p0 = pivot_count () in
-  let outcome =
-    try
-      (match engine with Dense -> Dense_impl.solve p | Sparse -> Sparse_impl.solve p)
-    with Exit -> Infeasible
-  in
+  let outcome = try Sparse_impl.solve p with Exit -> Infeasible in
   if !Obs.Runtime.enabled then begin
     let dp = pivot_count () - p0 in
     Obs.Metrics.observe h_pivots_per_solve dp;
@@ -601,11 +371,10 @@ let c_repairs = Obs.Metrics.counter "lp.hybrid.repairs"
 let c_repair_failures = Obs.Metrics.counter "lp.hybrid.repair_failures"
 let c_fallbacks = Obs.Metrics.counter "lp.hybrid.fallbacks"
 
-(* The generalized hybrid: optionally warm-started, and reporting the
-   accepted basis back to the caller so a cutting-plane loop can feed it
-   into the next round.  [solve_hybrid] below is this with no warm hint
-   and the basis dropped — same spans, counters and fallbacks as ever. *)
-let solve_hybrid_basis ?warm engine p =
+(* The hybrid, optionally warm-started, reporting the accepted basis back
+   to the caller so a cutting-plane loop can feed it into the next round.
+   [solve] below is this with no warm hint and the basis dropped. *)
+let solve_warm ?warm p =
   validate p;
   Obs.Span.with_span ~name:"simplex.solve"
     ~attrs:
@@ -618,8 +387,8 @@ let solve_hybrid_basis ?warm engine p =
     if !Obs.Runtime.enabled then
       Obs.Span.add_attr "fallback" (Obs.Span.Str reason);
     (* The exact solve opens its own nested simplex.solve span, so a
-       trace shows both the failed float attempt and the oracle solve. *)
-    solve_with engine p
+       trace shows both the failed float attempt and the exact solve. *)
+    solve_exact p
   in
   Obs.Metrics.bump c_float_solves;
   let p0 = pivot_count () in
@@ -656,7 +425,7 @@ let solve_hybrid_basis ?warm engine p =
          (fallback ("repair:" ^ reason), None))
   in
   if !Obs.Runtime.enabled then begin
-    (* On a fallback the nested exact solve_with already observed its own
+    (* On a fallback the nested solve_exact already observed its own
        pivots-per-solve; observing the combined delta again would double-
        count, so the hybrid span only reports the accepted-repair case. *)
     if basis <> None then begin
@@ -668,22 +437,7 @@ let solve_hybrid_basis ?warm engine p =
   end;
   (outcome, basis)
 
-let solve_hybrid engine p = fst (solve_hybrid_basis engine p)
-
-let solve ?engine ?mode p =
-  let engine = match engine with Some e -> e | None -> !default_engine in
-  match (match mode with Some m -> m | None -> !default_mode) with
-  | Exact -> solve_with engine p
-  | Float_first -> solve_hybrid engine p
-
-let solve_warm ?engine ?mode ?warm p =
-  let engine = match engine with Some e -> e | None -> !default_engine in
-  match (match mode with Some m -> m | None -> !default_mode) with
-  | Exact ->
-    (* The exact engines expose no basis, so there is nothing to warm
-       or to return; warm hints are float-pipeline-only by design. *)
-    (solve_with engine p, None)
-  | Float_first -> solve_hybrid_basis ?warm engine p
+let solve p = fst (solve_warm p)
 
 (* ---- pure-float probe ----
    The float half of the pipeline alone, with its primal point, and no
@@ -706,23 +460,17 @@ let solve_float ?warm p =
   | Ok (Fsimplex.Infeasible_basis b, _) -> Float_infeasible b
   | Ok _ | Error _ -> Float_unknown
 
-let solve_result ?engine ?mode p =
-  Bagcqc_error.protect (fun () -> solve ?engine ?mode p)
+let solve_result p = Bagcqc_error.protect (fun () -> solve p)
 
-let feasible ?engine ?mode ~num_vars constraints =
-  match
-    solve ?engine ?mode
-      { num_vars; objective = Array.make num_vars Rat.zero; constraints }
-  with
+let feasible ~num_vars constraints =
+  match solve { num_vars; objective = Array.make num_vars Rat.zero; constraints } with
   | Optimal (_, x) -> Some x
   | Infeasible -> None
   | Unbounded ->
     Bagcqc_error.invariant ~where:"Simplex.feasible"
       "constant (zero) objective reported unbounded"
 
-let maximize ?engine ?mode p =
-  match
-    solve ?engine ?mode { p with objective = Array.map Rat.neg p.objective }
-  with
+let maximize p =
+  match solve { p with objective = Array.map Rat.neg p.objective } with
   | Optimal (v, x) -> Optimal (Rat.neg v, x)
   | (Unbounded | Infeasible) as o -> o

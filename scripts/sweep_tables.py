@@ -4,7 +4,7 @@
 Reads one or more JSONL files whose records look like
 
     {"type":"sweep","label":...,"corpus":...,"kind":"check",
-     "config":{"cone":...,"lp":...,"jobs":...,"transport":...},
+     "config":{"jobs":...,"transport":...},
      "total":N,"wall_s":...,"dps":...,"cache_hit_rate":...,
      "mismatches":0,"cert_failures":0,"counters":{...},
      "strata":[{"stratum":...,"count":...,"dps":...,"p50_us":...,
@@ -15,7 +15,7 @@ Reads one or more JSONL files whose records look like
 and prints, per record, a summary line plus a per-stratum table ready to
 paste into EXPERIMENTS.md.  With --summary-only, prints just a
 cross-record comparison table (one row per record) — the shape used for
-the engine-matrix audit section.  Exits 1 if any record reports a
+the audit section (the production path at jobs 1 and 4).  Exits 1 if any record reports a
 verdict mismatch or certificate failure, so CI can gate on it.
 
 stdlib only; no third-party imports.
@@ -60,9 +60,8 @@ def fmt_us(x):
 
 def config_label(rec):
     cfg = rec.get("config", {})
-    return "{} / {} / jobs={} / {}".format(
-        cfg.get("cone", "?"), cfg.get("lp", "?"), cfg.get("jobs", "?"),
-        cfg.get("transport", "?"))
+    return "jobs={} / {}".format(cfg.get("jobs", "?"),
+                                 cfg.get("transport", "?"))
 
 
 def table(headers, rows):
@@ -102,7 +101,7 @@ def summary_table(records):
             rec["mismatches"], rec["cert_failures"],
         ])
     return table(
-        ["label", "config (cone / lp / jobs / transport)", "total",
+        ["label", "config (jobs / transport)", "total",
          "dec/s", "cache hit", "mism.", "cert fail"],
         rows)
 

@@ -7,19 +7,6 @@
 open Bagcqc_cq
 open Bagcqc_check
 
-(* The oracle consults the ambient engine configuration; pin it so the
-   tests mean the same thing under every CI matrix leg. *)
-let with_default_engines f =
-  let lp = !Bagcqc_lp.Simplex.default_mode
-  and cone = !Bagcqc_entropy.Cones.default_engine in
-  Bagcqc_lp.Simplex.default_mode := Bagcqc_lp.Simplex.Float_first;
-  Bagcqc_entropy.Cones.default_engine := Bagcqc_entropy.Cones.Lazy;
-  Fun.protect
-    ~finally:(fun () ->
-      Bagcqc_lp.Simplex.default_mode := lp;
-      Bagcqc_entropy.Cones.default_engine := cone)
-    f
-
 let serialize kind ~seed insts =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf (Corpus.header_line kind ~seed ~count:(List.length insts));
@@ -53,7 +40,6 @@ let test_quotas () =
     [ Corpus.Check; Corpus.Iip ]
 
 let test_determinism () =
-  with_default_engines @@ fun () ->
   List.iter
     (fun (kind, total) ->
       let a = Corpus.generate kind ~seed:5 ~total in
@@ -105,7 +91,6 @@ let check_instance_invariants inst =
     parts
 
 let test_stratification () =
-  with_default_engines @@ fun () ->
   List.iter
     (fun (kind, total) ->
       let insts = Corpus.generate kind ~seed:11 ~total in
@@ -142,7 +127,6 @@ let with_temp_file f =
     (fun () -> f path)
 
 let test_roundtrip () =
-  with_default_engines @@ fun () ->
   List.iter
     (fun (kind, total) ->
       let insts = Corpus.generate kind ~seed:3 ~total in

@@ -1,6 +1,6 @@
 (* The solver-engine layer: canonical problem IR, the LP solve cache and
    its copy-on-hit discipline, instrumentation counters, the independent
-   certificate verifier, and the pluggable cone-backend registry. *)
+   certificate verifier, and the cone backends. *)
 
 open Bagcqc_num
 open Bagcqc_lp
@@ -201,45 +201,29 @@ let test_certificate_multi_side () =
     Alcotest.(check bool) "weights sum to one" true (Rat.equal total Rat.one)
   | _ -> Alcotest.fail "opposite differences are valid over Γ2"
 
-(* ---------------- backend registry ---------------- *)
+(* ---------------- cone backends ---------------- *)
 
-let test_backend_registry () =
-  Alcotest.(check (list string)) "built-ins registered"
-    [ "gamma"; "modular"; "normal" ]
-    (Cones.backend_names ());
-  Alcotest.(check bool) "duplicate name rejected" true
-    (raises_invalid (fun () ->
-         Cones.register
-           { (Option.get (Cones.find_backend "gamma")) with
-             Cones.name = "gamma" }));
-  (* A brand-new cone: the non-negative orthant on singleton coordinates,
-     i.e. "valid iff no point with all coordinates >= 0 makes every side
-     <= -1".  Registering it makes every generic entry point accept it. *)
-  Cones.register
-    { Cones.name = "test-orthant";
-      refutation =
-        (fun ~n es ->
-          let sparse e =
-            List.filter_map
-              (fun (s, c) ->
-                if Varset.cardinal s = 1 then
-                  Some (List.hd (Varset.to_list s), c)
-                else None)
-              (Linexpr.terms e)
-          in
-          Problem.make ~tag:"test-orthant/refute" ~num_vars:n
-            (List.map (fun e -> Problem.row (sparse e) Simplex.Le (q (-1))) es));
-      refuter_of_point = (fun ~n:_ w -> Polymatroid.modular_of_weights w);
-      farkas = None };
-  let k = Cones.Registered "test-orthant" in
+let test_cone_backends () =
+  (* Every cone decides a valid and a refuted inequality; only Γn carries
+     a certificate, and the reference oracle's Farkas LP keeps the tag the
+     store verifier is registered under. *)
   let h1 = Linexpr.term (vs [ 0 ]) in
-  Alcotest.(check bool) "0 <= h(X1) valid on the orthant" true
-    (Result.is_ok (Cones.valid k ~n:2 h1));
-  Alcotest.(check bool) "0 <= -h(X1) refuted on the orthant" true
-    (Result.is_error (Cones.valid k ~n:2 (Linexpr.neg h1)));
-  Alcotest.(check bool) "unknown backend rejected" true
-    (raises_invalid (fun () ->
-         Cones.valid (Cones.Registered "no-such-cone") ~n:1 h1))
+  List.iter
+    (fun (name, cone, certifies) ->
+      (match Cones.valid_max_cert cone ~n:2 [ h1 ] with
+       | Ok cert ->
+         Alcotest.(check bool) (name ^ ": certificate iff Γn") certifies
+           (Option.is_some cert)
+       | Error _ -> Alcotest.failf "%s: 0 <= h(X1) refuted" name);
+      Alcotest.(check bool) (name ^ ": 0 <= -h(X1) refuted") true
+        (Result.is_error (Cones.valid cone ~n:2 (Linexpr.neg h1))))
+    [ ("gamma", Cones.Gamma, true);
+      ("normal", Cones.Normal, false);
+      ("modular", Cones.Modular, false) ];
+  Alcotest.(check string) "oracle Farkas tag" "gamma/farkas"
+    (Problem.tag (fst (Cones.Oracle.farkas ~n:2 [ h1 ])));
+  Alcotest.(check bool) "out-of-range variable rejected" true
+    (raises_invalid (fun () -> Cones.valid Cones.Normal ~n:1 (Linexpr.term (vs [ 1 ]))))
 
 let suite =
   [ ("problem canonicalization", `Quick, test_problem_canonical);
@@ -249,4 +233,4 @@ let suite =
     ("stats stages", `Quick, test_stats_stages);
     ("certificate check and tamper", `Quick, test_certificate_check_and_tamper);
     ("multi-side certificate", `Quick, test_certificate_multi_side);
-    ("backend registry", `Quick, test_backend_registry) ]
+    ("cone backends", `Quick, test_cone_backends) ]

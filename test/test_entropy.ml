@@ -370,7 +370,7 @@ let prop_counterexample_sound =
           | Error h ->
             Polymatroid.is_polymatroid h
             && (match cone with
-                | Cones.Gamma | Cones.Registered _ -> true
+                | Cones.Gamma -> true
                 | Cones.Normal -> Polymatroid.is_normal h
                 | Cones.Modular -> Polymatroid.is_modular h)
             && List.for_all (fun e -> Rat.sign (Polymatroid.eval h e) < 0) es)
@@ -461,11 +461,6 @@ let prop_modularize_lemma_3_7 =
 (* Lazy Shannon engine: membership, symmetry, lazy-vs-full (ISSUE 9)   *)
 (* ------------------------------------------------------------------ *)
 
-let with_engine eng f =
-  let old = !Cones.default_engine in
-  Cones.default_engine := eng;
-  Fun.protect ~finally:(fun () -> Cones.default_engine := old) f
-
 let test_is_elemental_membership () =
   let n = 4 in
   let fam = Elemental.list ~n in
@@ -513,7 +508,7 @@ let test_symmetry_canonicalization () =
   Alcotest.(check int) "stabilizer order of I(i;j) at n=3" 2
     (List.length a1.Symmetry.stabilizer)
 
-(* The decisions the two engines must agree on: a valid submodularity,
+(* The decisions the production driver and the oracle must agree on: a valid submodularity,
    a valid monotonicity, Zhang-Yeung (refuted over Γ4) and Ingleton
    (refuted over Γ4). *)
 let lazy_vs_full_instances () =
@@ -544,8 +539,8 @@ let lazy_vs_full_instances () =
 let test_lazy_engine_agrees_with_full () =
   List.iter
     (fun (e, expected) ->
-      let lz = with_engine Cones.Lazy (fun () -> Cones.valid_shannon ~n:4 e) in
-      let fl = with_engine Cones.Full (fun () -> Cones.valid_shannon ~n:4 e) in
+      let lz = Cones.valid_shannon ~n:4 e in
+      let fl = Cones.Oracle.valid_max_quick ~n:4 [ e ] in
       Alcotest.(check bool) "lazy verdict" expected lz;
       Alcotest.(check bool) "full verdict" expected fl)
     (lazy_vs_full_instances ())
@@ -553,10 +548,7 @@ let test_lazy_engine_agrees_with_full () =
 let test_lazy_certificates_check () =
   List.iter
     (fun (e, expected) ->
-      match
-        with_engine Cones.Lazy (fun () ->
-            Cones.valid_max_cert Cones.Gamma ~n:4 [ e ])
-      with
+      match Cones.valid_max_cert Cones.Gamma ~n:4 [ e ] with
       | Ok (Some cert) ->
         Alcotest.(check bool) "instance expected valid" true expected;
         Alcotest.(check bool) "lazy certificate passes Certificate.check"
@@ -574,10 +566,9 @@ let test_valid_shannon_many_dedup () =
   let instances = List.map fst (lazy_vs_full_instances ()) in
   (* A batch with heavy repetition must equal the per-element map. *)
   let batch = instances @ List.rev instances @ instances in
-  with_engine Cones.Lazy (fun () ->
-      Alcotest.(check (list bool)) "batched = mapped"
-        (List.map (Cones.valid_shannon ~n:4) batch)
-        (Cones.valid_shannon_many ~n:4 batch))
+  Alcotest.(check (list bool)) "batched = mapped"
+    (List.map (Cones.valid_shannon ~n:4) batch)
+    (Cones.valid_shannon_many ~n:4 batch)
 
 let qtests =
   List.map QCheck_alcotest.to_alcotest

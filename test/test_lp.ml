@@ -1,7 +1,9 @@
-(* Tests for the exact simplex solver. *)
+(* Tests for the simplex solvers: the production float-first [solve], the
+   exact [solve_exact], and their agreement with the dense oracle. *)
 
 open Bagcqc_num
 open Bagcqc_lp
+module Dense_simplex = Bagcqc_check.Dense_simplex
 
 let q = Rat.of_int
 let qa l = Array.of_list (List.map q l)
@@ -92,20 +94,20 @@ let test_equality () =
      Alcotest.check rt "y" (q 4) x.(1)
    | _ -> Alcotest.fail "expected optimal")
 
+(* Beale's classic cycling example: Dantzig's rule cycles on it; Bland's
+   rule must terminate.  min -3/4 x4 + 150 x5 - 1/50 x6 + 6 x7 s.t. ... *)
+let beale =
+  Simplex.{
+    num_vars = 4;
+    objective = [| qf (-3) 4; q 150; qf (-1) 50; q 6 |];
+    constraints =
+      [ constr [| qf 1 4; q (-60); qf (-1) 25; q 9 |] Le Rat.zero;
+        constr [| qf 1 2; q (-90); qf (-1) 50; q 3 |] Le Rat.zero;
+        constr [| Rat.zero; Rat.zero; Rat.one; Rat.zero |] Le Rat.one ];
+  }
+
 let test_degenerate_cycling () =
-  (* Beale's classic cycling example: Dantzig's rule cycles on it; Bland's
-     rule must terminate.  min -3/4 x4 + 150 x5 - 1/50 x6 + 6 x7 s.t. ... *)
-  let p =
-    Simplex.{
-      num_vars = 4;
-      objective = [| qf (-3) 4; q 150; qf (-1) 50; q 6 |];
-      constraints =
-        [ constr [| qf 1 4; q (-60); qf (-1) 25; q 9 |] Le Rat.zero;
-          constr [| qf 1 2; q (-90); qf (-1) 50; q 3 |] Le Rat.zero;
-          constr [| Rat.zero; Rat.zero; Rat.one; Rat.zero |] Le Rat.one ];
-    }
-  in
-  check_optimal "beale optimum" (qf (-1) 20) (Simplex.solve p)
+  check_optimal "beale optimum" (qf (-1) 20) (Simplex.solve beale)
 
 let test_negative_rhs () =
   (* Constraint given with negative rhs must be normalized correctly:
@@ -135,20 +137,42 @@ let test_zero_objective_feasibility () =
    | None -> ()
    | Some _ -> Alcotest.fail "expected infeasible (x >= 0 and x <= -1)")
 
+(* Duplicate equality rows leave a zero artificial in the basis; the
+   solver must cope. *)
+let redundant_equalities =
+  Simplex.{
+    num_vars = 2;
+    objective = qa [1; 1];
+    constraints =
+      [ constr (qa [1; 1]) Eq (q 4);
+        constr (qa [2; 2]) Eq (q 8);
+        constr (qa [1; 0]) Ge (q 1) ];
+  }
+
 let test_redundant_equalities () =
-  (* Duplicate equality rows leave a zero artificial in the basis; the
-     solver must cope. *)
-  let p =
-    Simplex.{
-      num_vars = 2;
-      objective = qa [1; 1];
-      constraints =
-        [ constr (qa [1; 1]) Eq (q 4);
-          constr (qa [2; 2]) Eq (q 8);
-          constr (qa [1; 0]) Ge (q 1) ];
-    }
+  check_optimal "value" (q 4) (Simplex.solve redundant_equalities)
+
+(* The fixtures above run through the production float-first [solve],
+   which hands most of them to the float front end; the exact simplex
+   and the dense oracle must get the pivot-rule-sensitive ones right on
+   their own, including both non-optimal statuses. *)
+let test_exact_solvers_on_fixtures () =
+  let one_var op rhs obj =
+    Simplex.{ num_vars = 1; objective = qa [ obj ];
+              constraints = [ constr (qa [ 1 ]) op (q rhs) ] }
   in
-  check_optimal "value" (q 4) (Simplex.solve p)
+  List.iter
+    (fun (name, solve) ->
+      check_optimal (name ^ ": beale") (qf (-1) 20) (solve beale);
+      check_optimal (name ^ ": redundant equalities") (q 4)
+        (solve redundant_equalities);
+      (match solve (one_var Simplex.Ge 1 (-1)) with
+       | Simplex.Unbounded -> ()
+       | _ -> Alcotest.failf "%s: expected unbounded" name);
+      match solve (one_var Simplex.Le (-1) 1) with
+      | Simplex.Infeasible -> ()
+      | _ -> Alcotest.failf "%s: expected infeasible" name)
+    [ ("solve_exact", Simplex.solve_exact); ("dense", Dense_simplex.solve) ]
 
 let test_dimension_mismatch () =
   let p =
@@ -209,7 +233,7 @@ let prop_solution_feasible =
         in
         feas && Rat.equal v (dot (qa obj)))
 
-(* Property: the sparse engine is a drop-in replacement for the dense
+(* Property: the exact sparse solver is a drop-in replacement for the dense
    reference implementation — same verdict and same optimal value on random
    LPs mixing Le/Ge/Eq rows with signed coefficients and right-hand sides
    (the mix produces feasible, infeasible, unbounded, and degenerate
@@ -248,12 +272,11 @@ let prop_engines_agree =
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let p = random_problem (Random.State.make [| seed |]) in
-      outcomes_agree
-        (Simplex.solve_with Simplex.Dense p)
-        (Simplex.solve_with Simplex.Sparse p))
+      outcomes_agree (Dense_simplex.solve p) (Simplex.solve_exact p))
 
 (* Same LP given densely and as reversed (column, coefficient) pairs must
-   solve identically under either engine. *)
+   solve identically under the production solver, and under the dense
+   oracle vs the exact solver. *)
 let prop_sparse_ingestion =
   QCheck.Test.make ~name:"sparse_constr matches constr" ~count:200
     QCheck.(int_bound 1_000_000)
@@ -285,9 +308,7 @@ let prop_sparse_ingestion =
       let pd = Simplex.{ num_vars = nv; objective; constraints = dense_rows } in
       let ps = Simplex.{ num_vars = nv; objective; constraints = sparse_rows } in
       outcomes_agree (Simplex.solve pd) (Simplex.solve ps)
-      && outcomes_agree
-           (Simplex.solve_with Simplex.Dense pd)
-           (Simplex.solve_with Simplex.Sparse ps))
+      && outcomes_agree (Dense_simplex.solve pd) (Simplex.solve_exact ps))
 
 let test_sparse_constr_validation () =
   Alcotest.check_raises "negative column"
@@ -300,22 +321,7 @@ let test_sparse_constr_validation () =
 
 (* ---------------- hybrid (float-first) engine ---------------- *)
 
-let test_mode_selector () =
-  Alcotest.(check string) "exact name" "exact" (Simplex.mode_name Simplex.Exact);
-  Alcotest.(check string) "float_first name" "float_first"
-    (Simplex.mode_name Simplex.Float_first);
-  let parses s expected =
-    match Simplex.mode_of_string s, expected with
-    | Some Simplex.Exact, `Exact | Some Simplex.Float_first, `Float -> ()
-    | None, `None -> ()
-    | _ -> Alcotest.failf "mode_of_string %S" s
-  in
-  parses "exact" `Exact;
-  parses "float_first" `Float;
-  parses "float-first" `Float;
-  parses "fast-but-wrong" `None
-
-(* Float-first and exact modes must return the same verdict and the same
+(* The float-first [solve] and the exact [solve_exact] must return the same verdict and the same
    optimal value on random signed LPs, and any hybrid optimum must be an
    exactly feasible point attaining that value — the repair step is what
    makes this a theorem rather than a hope, so the property doubles as a
@@ -347,8 +353,8 @@ let prop_hybrid_agrees =
                   constraints =
                     List.map (fun (r, op, b) -> constr r op b) rows }
       in
-      let exact = Simplex.solve ~mode:Simplex.Exact p in
-      let hybrid = Simplex.solve ~mode:Simplex.Float_first p in
+      let exact = Simplex.solve_exact p in
+      let hybrid = Simplex.solve p in
       let dot r x =
         Array.fold_left Rat.add Rat.zero (Array.mapi (fun i c -> Rat.mul c x.(i)) r)
       in
@@ -397,7 +403,7 @@ let test_hybrid_falls_back_on_overflow () =
   (* min x s.t. 2^5000 x >= 1: optimum x = 2^-5000, far below float range
      in the constraint and subnormal in the answer — only the exact
      fallback can get this right. *)
-  match Simplex.solve ~mode:Simplex.Float_first p with
+  match Simplex.solve p with
   | Simplex.Optimal (v, x) ->
     Alcotest.check rt "value" (Rat.inv huge) v;
     Alcotest.check rt "point" (Rat.inv huge) x.(0)
@@ -418,9 +424,9 @@ let suite =
     ("negative rhs", `Quick, test_negative_rhs);
     ("feasibility", `Quick, test_zero_objective_feasibility);
     ("redundant equalities", `Quick, test_redundant_equalities);
+    ("exact solvers on fixtures", `Quick, test_exact_solvers_on_fixtures);
     ("dimension mismatch", `Quick, test_dimension_mismatch);
     ("sparse_constr validation", `Quick, test_sparse_constr_validation);
-    ("mode selector", `Quick, test_mode_selector);
     ("float overflow is typed", `Quick, test_float_overflow_is_typed);
     ("hybrid falls back on overflow", `Quick, test_hybrid_falls_back_on_overflow) ]
   @ qtests

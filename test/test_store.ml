@@ -236,41 +236,36 @@ let test_solver_warm_start () =
   Solver.clear ();
   Stats.reset ()
 
-(* Pin the Γn driver for a test: the two Farkas roundtrip tests below
-   exercise the full-family "gamma/farkas" store verifier, which only
-   the Full engine emits; the lazy engine gets its own roundtrip test. *)
-let with_cone engine f =
-  let saved = !Cones.default_engine in
-  Cones.default_engine := engine;
-  Fun.protect ~finally:(fun () -> Cones.default_engine := saved) f
-
+(* The two Farkas roundtrip tests below exercise the full-family
+   "gamma/farkas" store verifier, which only the reference oracle's
+   Farkas LP carries; the production lazy driver gets its own roundtrip
+   test. *)
 let test_farkas_certificate_verified_roundtrip () =
-  with_cone Cones.Full @@ fun () ->
   with_temp_store @@ fun path ->
-  (* End-to-end over the real decision pipeline: a Contained-style
-     Farkas solve lands in the store, survives a restart only because
-     its reconstructed certificate passes Certificate.check, and then
-     answers the warm run with zero LP solves. *)
+  (* End-to-end over the oracle's Farkas solve: it lands in the store,
+     survives a restart only because its reconstructed certificate passes
+     Certificate.check, and then answers the warm run with zero LP
+     solves. *)
   let n = 2 in
   let es = [ Linexpr.mutual (Varset.singleton 0) (Varset.singleton 1) Varset.empty ] in
   Solver.clear ();
   Stats.reset ();
   with_attached path (fun _ ->
-      match Cones.valid_max_cert Cones.Gamma ~n es with
-      | Ok (Some cert) ->
+      match Cones.Oracle.valid_max_cert ~n es with
+      | Ok cert ->
         Alcotest.(check bool) "certificate checks" true (Certificate.check cert)
-      | Ok None | Error _ -> Alcotest.fail "I(0;1) >= 0 must be Shannon-valid");
+      | Error _ -> Alcotest.fail "I(0;1) >= 0 must be Shannon-valid");
   Solver.clear ();
   Stats.reset ();
   with_attached path (fun st ->
       Alcotest.(check int) "farkas entry re-verified via Certificate.check" 1
         (Store.loaded st);
       Alcotest.(check int) "nothing rejected" 0 (Store.rejected st);
-      (match Cones.valid_max_cert Cones.Gamma ~n es with
-       | Ok (Some cert) ->
+      (match Cones.Oracle.valid_max_cert ~n es with
+       | Ok cert ->
          Alcotest.(check bool) "warm certificate checks" true
            (Certificate.check cert)
-       | Ok None | Error _ -> Alcotest.fail "warm verdict flipped");
+       | Error _ -> Alcotest.fail "warm verdict flipped");
       let s = Stats.snapshot () in
       Alcotest.(check int) "warm verdict with zero simplex runs" 0
         s.Stats.lp_solves;
@@ -280,14 +275,12 @@ let test_farkas_certificate_verified_roundtrip () =
   Stats.reset ()
 
 let test_farkas_tampered_entry_dropped () =
-  with_cone Cones.Full @@ fun () ->
   with_temp_store @@ fun path ->
   let n = 2 in
   let es = [ Linexpr.mutual (Varset.singleton 0) (Varset.singleton 1) Varset.empty ] in
   Solver.clear ();
   Stats.reset ();
-  with_attached path (fun _ ->
-      ignore (Cones.valid_max_cert Cones.Gamma ~n es));
+  with_attached path (fun _ -> ignore (Cones.Oracle.valid_max_cert ~n es));
   (* Tamper with the recorded Farkas point (first rational in the point
      array): the entry must be dropped on load and the warm run must
      fall back to a real solve with the correct verdict. *)
@@ -311,18 +304,17 @@ let test_farkas_tampered_entry_dropped () =
   with_attached path (fun st ->
       Alcotest.(check int) "tampered entry rejected" 1 (Store.rejected st);
       Alcotest.(check int) "nothing loaded" 0 (Store.loaded st);
-      (match Cones.valid_max_cert Cones.Gamma ~n es with
-       | Ok (Some cert) ->
+      (match Cones.Oracle.valid_max_cert ~n es with
+       | Ok cert ->
          Alcotest.(check bool) "verdict re-derived correctly" true
            (Certificate.check cert)
-       | Ok None | Error _ -> Alcotest.fail "verdict flipped after tampering");
+       | Error _ -> Alcotest.fail "verdict flipped after tampering");
       let s = Stats.snapshot () in
       Alcotest.(check bool) "re-solved for real" true (s.Stats.lp_solves >= 1));
   Solver.clear ();
   Stats.reset ()
 
 let test_lazy_store_roundtrip () =
-  with_cone Cones.Lazy @@ fun () ->
   with_temp_store @@ fun path ->
   (* The lazy driver persists its Optimal per-round solves (the final
      restricted Farkas, any feasible refutation rounds) under its own
