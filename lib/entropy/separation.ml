@@ -14,18 +14,22 @@
          W-cone) yields λ over W ⊆ elemental family, so the assembled
          [Certificate.t] passes the unchanged exact [Certificate.check].
 
-   Intermediate rounds run in pure floats ([Simplex.solve_float]): the
-   per-round point only steers which cuts enter W, so it needs no exact
-   repair — which is where a naive lazy loop loses to the full driver,
-   paying one exact repair per round against the full driver's one per
-   decision.  Exact arithmetic appears only at terminal rounds, on the
-   small working set:
-     - float probe infeasible ⇒ certify: solve F(W) through the hybrid
+   Intermediate rounds run in pure floats on one incremental tableau per
+   decision ([Fsimplex.Tableau]): every cut is appended to it as it is
+   admitted and the dual simplex re-solves from the previous basis, so
+   a round costs the pivots its new rows need rather than a cold solve.
+   The per-round point only steers which cuts enter W, so it needs no
+   exact repair — which is where a naive lazy loop loses to the full
+   driver, paying one exact repair per round against the full driver's
+   one per decision.  Exact arithmetic appears only at terminal rounds,
+   on the small working set:
+     - float probe infeasible ⇒ certify: solve F(W′) through the hybrid
        engine and accept iff the assembled certificate passes the exact
        [Certificate.check] — that check proves validity unconditionally,
-       so the float infeasibility claim is never trusted.  F(W)
-       infeasible means the probe lied: fall through to one exact R(W)
-       round and keep cutting.
+       so the float infeasibility claim is never trusted.  W′ is the
+       working-set part of the support of the probe's Farkas row.  F(W′)
+       infeasible means the probe lied: drop the tableau (rebuilt cold
+       from W next round), run one exact R(W) round and keep cutting.
      - float probe optimal with no float-violated cut ⇒ one exact
        hybrid R(W) round: its exact point either passes the exact
        separation scan (genuine refuter) or yields exact cuts the float
@@ -52,8 +56,7 @@
          ⇒ x lies in Γn itself and genuinely refutes — refuters are
          only ever emitted from exact rounds.  Otherwise add a batch of
          the most-violated cuts — each with its symmetry orbit when the
-         orbit is small — and re-solve, warm-starting the float simplex
-         from the previous round's basis.
+         orbit is small — to W and to the float tableau, and re-solve.
 
    Every exact round that continues adds a cut (its point satisfies W
    exactly, so a violated member cannot already be in W), and a float
@@ -99,10 +102,10 @@ let gamma_sparse e = List.map (fun (s, c) -> (s - 1, c)) (Linexpr.terms e)
 
 (* Cone rows enter R(W) as [−a·h ≤ 0] rather than [a·h ≥ 0].  The
    polyhedron is identical, but the Le form with a zero right-hand side
-   starts slack-basic: only the k target rows carry phase-1 artificial
-   columns, so a probe's phase 1 walks a handful of pivots instead of
-   one per working-set row — the difference between the lazy driver
-   beating the full one and losing to it from n = 6 up. *)
+   starts slack-basic: in an exact round only the k target rows carry
+   phase-1 artificial columns, so phase 1 walks a handful of pivots
+   instead of one per working-set row, and the float tableau, all Le
+   rows, needs no artificial columns at all. *)
 let cone_row_sparse e =
   List.map (fun (s, c) -> (s - 1, Rat.neg c)) (Linexpr.terms e)
 
@@ -138,14 +141,18 @@ let cone_prow ~n d =
         (cone_row_sparse (Elemental.expr_of_desc ~n d))
         Simplex.Le Rat.zero)
 
-let cone_fconstr_tbl : (int * Elemental.desc, Simplex.constr) Hashtbl.t =
+(* A sparse row in the float probe's form: column indices and values
+   for [Fsimplex.Tableau.add_le]. *)
+let float_row pairs =
+  ( Array.of_list (List.map fst pairs),
+    Array.of_list (List.map (fun (_, c) -> Rat.to_float c) pairs) )
+
+let cone_frow_tbl : (int * Elemental.desc, int array * float array) Hashtbl.t =
   Hashtbl.create 2048
 
-let cone_fconstr ~n d =
-  memo_row cone_fconstr_tbl ~n d (fun () ->
-      Simplex.sparse_constr
-        (cone_row_sparse (Elemental.expr_of_desc ~n d))
-        Simplex.Le Rat.zero)
+let cone_frow ~n d =
+  memo_row cone_frow_tbl ~n d (fun () ->
+      float_row (cone_row_sparse (Elemental.expr_of_desc ~n d)))
 
 (* ---------------- seed ----------------
 
@@ -343,36 +350,42 @@ let run ~n ~stabilizer ~certify es =
       (fun e -> Problem.row (gamma_sparse e) Simplex.Le Rat.minus_one)
       es
   in
+  let k_targets = List.length es in
   let seen : (Elemental.desc, unit) Hashtbl.t = Hashtbl.create 64 in
   let w = ref [] in
-  (* The float probe's rows, newest first: cuts over the reversed target
-     rows.  Targets sit at fixed row positions and cuts are only ever
-     appended, so structural and slack columns keep their meaning across
-     rounds and the previous basis works as a warm hint verbatim (no
-     merge walk; artificial columns are masked out below). *)
-  let frows_rev = ref (List.rev_map
-      (fun e -> Simplex.sparse_constr (gamma_sparse e) Simplex.Le Rat.minus_one)
-      es)
+  (* The float probe: one tableau per decision holding the targets (rows
+     [0, k)) and then W in add order, so row [k + i] is the i-th
+     descriptor added.  Every admitted cut is appended as it arrives;
+     [None] marks a tableau dropped after an unreliable claim, rebuilt
+     cold from W at the next float round. *)
+  let append_cut t d =
+    let cols, vals = cone_frow ~n d in
+    Fsimplex.Tableau.add_le t cols vals 0.0
   in
-  let nrows = ref (List.length es) in
+  let fresh_tableau () =
+    let t = Fsimplex.Tableau.create ~num_vars in
+    List.iter
+      (fun e ->
+        let cols, vals = float_row (gamma_sparse e) in
+        Fsimplex.Tableau.add_le t cols vals (-1.0))
+      es;
+    List.iter (append_cut t) (List.rev !w);
+    t
+  in
+  let tab = ref None in
   let add_desc d =
     if Hashtbl.mem seen d then false
     else begin
       Hashtbl.add seen d ();
       w := d :: !w;
-      frows_rev := cone_fconstr ~n d :: !frows_rev;
-      incr nrows;
+      Option.iter (fun t -> append_cut t d) !tab;
       true
     end
   in
   List.iter (fun d -> ignore (add_desc d)) (seed_descs ~n);
-  let zero_obj = Array.make num_vars Rat.zero in
-  (* Warm hints, two chains: [fwarm] feeds the next float probe (kept to
-     structural + slack columns, which appending rows cannot renumber);
-     [prev] feeds the next exact round through the canonical-order merge
-     walk.  Cache hits yield no basis and break the exact chain — they
+  (* Warm hint for the next exact round, through the canonical-order
+     merge walk.  Cache hits yield no basis and break the chain — they
      also cost nothing to re-solve. *)
-  let fwarm = ref None in
   let prev = ref None in
   (* Add the [cut_batch] most-violated of [ranked] (pre-sorted by
      violation, ties broken by descriptor order, so the cut sequence —
@@ -418,64 +431,47 @@ let run ~n ~stabilizer ~certify es =
         (Printf.sprintf
            "separation failed to terminate within %d rounds at n=%d" limit n)
   in
-  let k_targets = List.length es in
-  (* Support of a float infeasibility claim: rows whose slack column is
-     nonbasic in the phase-1 terminal basis.  A Farkas proof over
-     [num_vars] unknowns needs at most [num_vars + 1] rows, so this is
-     usually a small fraction of W — the exact confirmation (or Farkas
-     assembly) then runs on the pruned system.  Purely a size heuristic:
-     if pruning dropped a needed row, the exact solve comes back
-     feasible and the loop falls back to the full working set. *)
-  let tight_working_set basis =
-    let bound = num_vars + !nrows in
-    let basic = Array.make bound false in
-    Array.iter
-      (fun c -> if c >= 0 && c < bound then basic.(c) <- true)
-      basis;
-    let j = ref 0 in
-    let keep =
-      List.filter
-        (fun _ ->
-          let slack = num_vars + k_targets + !j in
-          incr j;
-          not basic.(slack))
-        (List.rev !w)
-    in
-    if keep = [] then List.rev !w else keep
+  (* The working-set rows in the support of the probe's Farkas row.  A
+     Farkas proof over [num_vars] unknowns needs at most [num_vars + 1]
+     rows, so this is usually a small fraction of W — the exact
+     confirmation (or Farkas assembly) then runs on the pruned system.
+     Purely a size heuristic: if the float claim was wrong, the exact
+     solve says so and the loop falls back to the full working set. *)
+  let tight_working_set support =
+    let w_arr = Array.of_list (List.rev !w) in
+    List.filter_map
+      (fun i -> if i >= k_targets then Some w_arr.(i - k_targets) else None)
+      support
   in
   let rec loop round =
     check_limit round;
     Obs.Metrics.bump c_rounds;
-    let fprob =
-      { Simplex.num_vars;
-        objective = zero_obj;
-        constraints = List.rev !frows_rev }
+    let t =
+      match !tab with
+      | Some t -> t
+      | None ->
+        let t = fresh_tableau () in
+        tab := Some t;
+        t
     in
-    (* Keep only columns whose meaning survives appended rows: artificial
-       columns start at [num_vars + m] (every row is an inequality, one
-       slack each) and shift as rows arrive. *)
-    let keep_structural_and_slack basis =
-      let bound = num_vars + !nrows in
-      Some (Array.map (fun c -> if c < bound then c else -1) basis)
-    in
-    match Simplex.solve_float ?warm:!fwarm fprob with
-    | Simplex.Float_unknown ->
-      fwarm := None;
+    match Fsimplex.Tableau.reoptimize t with
+    | Fsimplex.Tableau.Unknown ->
+      tab := None;
       exact_round round
-    | Simplex.Float_infeasible basis ->
-      fwarm := keep_structural_and_slack basis;
-      let pruned = tight_working_set basis in
+    | Fsimplex.Tableau.Infeasible support ->
+      let pruned = tight_working_set support in
       (match certify with
        | Some f ->
          (match f pruned with
           | Some c -> Certified c
           | None ->
             (* The probe's infeasibility claim did not certify — an
-               exact round settles what is actually true of R(W). *)
+               exact round settles what is actually true of R(W), and
+               the drifted tableau is rebuilt. *)
+            tab := None;
             exact_round round)
        | None -> confirm_round pruned round)
-    | Simplex.Float_optimal (xf, basis) ->
-      fwarm := keep_structural_and_slack basis;
+    | Fsimplex.Tableau.Point xf ->
       let violated = ref [] in
       let descs, masks = scan_table ~n in
       let g m = if m = 0 then 0.0 else Array.unsafe_get xf (m - 1) in
@@ -530,8 +526,9 @@ let run ~n ~stabilizer ~certify es =
       Bagcqc_error.invariant ~where
         "pure feasibility system reported unbounded"
     | Simplex.Optimal _ ->
-      (* Pruning lost a needed row, or the probe's claim was wrong
-         outright — settle on the full working set. *)
+      (* The probe's claim was wrong — settle on the full working set,
+         with a rebuilt tableau. *)
+      tab := None;
       exact_round (round + 1)
   and exact_round round =
     check_limit round;
@@ -678,9 +675,10 @@ let valid_max_cert ~n es =
   | Certified cert -> Ok cert
   | Valid w_rev ->
     (* Reached only through an exact round's infeasibility (a probe that
-       went Float_unknown / cut-less optimal, or whose certify attempt
-       failed).  F(W) is then feasible by duality over the W-cone; both
-       empty means the two independently-built LPs disagree. *)
+       came back Unknown, or with a point but no new cut, or whose
+       certify attempt failed).  F(W) is then feasible by duality over
+       the W-cone; both empty means the two independently-built LPs
+       disagree. *)
     (match certify (List.rev w_rev) with
      | Some cert -> Ok cert
      | None ->

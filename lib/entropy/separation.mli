@@ -8,12 +8,14 @@
     set W of elemental inequalities (monotonicity + two submodularity
     slices), separate over the {e implicit} family
     ({!Elemental.eval_desc} — exact rationals, nothing materialized),
-    add the most-violated cut orbit-at-a-time, and re-solve
-    warm-starting the float simplex from the previous round's basis
-    ({!Bagcqc_lp.Simplex.solve_warm}).  Every per-round LP is routed
-    through {!Bagcqc_engine.Solver.solve_using}, so rounds hit the
-    sharded cache and the persistent store — across restarts {e and}
-    across symmetric instances.
+    add the most-violated cut orbit-at-a-time, and re-solve.  The
+    intermediate rounds run on one incremental float tableau per
+    decision ({!Bagcqc_lp.Fsimplex.Tableau}: cuts appended in place,
+    dual simplex from the previous basis); exact rounds warm-start from
+    the previous exact round's basis ({!Bagcqc_lp.Simplex.solve_warm})
+    and are routed through {!Bagcqc_engine.Solver.solve_using}, so they
+    hit the sharded cache and the persistent store — across restarts
+    {e and} across symmetric instances.
 
     Soundness does not rest on the cutting-plane loop: "valid" means the refutation LP
     over W ⊇'s cone is infeasible (a cone {e containing} Γn, so the

@@ -17,10 +17,12 @@
      per round instead of rediscovering each image one re-solve at a
      time.
 
-   The group is found by brute force over all n! permutations — fine
-   for the n ≤ 8 this engine targets (8! = 40320 cheap renamings, done
-   once per decide); beyond {!max_vars} we fall back to the trivial
-   group, which costs only the missed sharing. *)
+   Both come from one sweep, but not over all n! permutations: each
+   variable gets a permutation-invariant {e signature} (how it occurs in
+   every side), and only the renamings that list variables in signature
+   order are tried — one per ordering of each block of equal
+   signatures, usually a single candidate.  Beyond {!max_vars} we fall
+   back to the trivial group, which costs only the missed sharing. *)
 
 open Bagcqc_num
 
@@ -80,25 +82,57 @@ let rec permutations = function
           (permutations (List.filter (fun y -> y <> x) xs)))
       xs
 
-(* n! permutation arrays, memoized per n (n ≤ {!max_vars}, so at most a
-   few tables of ≤ 40320 arrays live at once): [analyze] runs once per
-   cone decide, and rebuilding 5040 arrays per decide at n = 7 costs
-   more than the sweep that uses them.  Same mutex discipline as the
-   [Elemental] table — the lazy driver is called from pool workers. *)
-let perms_mutex = Mutex.create ()
-let perms_table : (int, perm list) Hashtbl.t = Hashtbl.create 8
+(* Signature of variable [i]: per side, the sorted [(|S|, c_S)] list of
+   the terms S ∋ i; then the sides' lists sorted as a multiset.  Renaming
+   the instance by π gives π(i) the signature i had, so signatures are
+   invariant data of a variable's role. *)
+let compare_occ (k1, c1) (k2, c2) =
+  let c = compare (k1 : int) k2 in
+  if c <> 0 then c else Rat.compare c1 c2
 
-let all_perms n =
-  Mutex.lock perms_mutex;
-  Fun.protect ~finally:(fun () -> Mutex.unlock perms_mutex) @@ fun () ->
-  match Hashtbl.find_opt perms_table n with
-  | Some ps -> ps
-  | None ->
-    let ps =
-      List.map Array.of_list (permutations (List.init n (fun i -> i)))
-    in
-    Hashtbl.add perms_table n ps;
-    ps
+let compare_signature = List.compare (List.compare compare_occ)
+
+let signature es i =
+  List.map
+    (fun e ->
+      List.filter_map
+        (fun (s, c) ->
+          if Varset.mem i s then Some (Varset.cardinal s, c) else None)
+        (Linexpr.terms e)
+      |> List.sort compare_occ)
+    es
+  |> List.sort (List.compare compare_occ)
+
+(* Call [f p] for every renaming [p] (original → canonical variable)
+   that places variables in signature order: block b of equal signatures
+   fills positions [start_b, start_b + |b|) in any order.  [p] is reused
+   between calls; copy it to keep it. *)
+let iter_candidates ~n es f =
+  let sigs = Array.init n (signature es) in
+  let order =
+    List.stable_sort
+      (fun i j -> compare_signature sigs.(i) sigs.(j))
+      (List.init n Fun.id)
+  in
+  let rec blocks start = function
+    | [] -> []
+    | i :: _ as vars ->
+      let same, rest =
+        List.partition (fun j -> compare_signature sigs.(i) sigs.(j) = 0) vars
+      in
+      (start, same) :: blocks (start + List.length same) rest
+  in
+  let p = Array.make n 0 in
+  let rec go = function
+    | [] -> f p
+    | (start, vars) :: rest ->
+      List.iter
+        (fun ordering ->
+          List.iteri (fun k v -> p.(v) <- start + k) ordering;
+          go rest)
+        (permutations vars)
+  in
+  go (blocks 0 order)
 
 type analysis = {
   n : int;
@@ -134,26 +168,28 @@ let memo : analysis Atbl.t = Atbl.create 256
 let analyze_uncached ~n es =
   if n < 2 || n > max_vars then trivial ~n es
   else begin
-    (* One sweep finds both the minimal image and every permutation
-       attaining it; σ·π_min⁻¹ for each minimizer σ fixes the canonical
-       multiset, and every stabilizer element arises this way. *)
-    let best_key = ref (key_of es) in
+    (* One sweep over the candidates finds both the minimal image and
+       every candidate attaining it.  The candidate set is equivariant
+       (renaming the instance by σ renames its candidates by σ), so the
+       minimal image is still canonical for the whole orbit; and an
+       automorphism preserves signatures, so composing it with a
+       minimizer yields another candidate — σ·π_min⁻¹ over the
+       minimizers σ is therefore the whole stabilizer. *)
+    let best_key = ref None in
     let minimizers = ref [] in
-    List.iter
-      (fun p ->
+    iter_candidates ~n es (fun p ->
         let k = key_of (List.map (apply_expr p) es) in
-        let c = compare_key k !best_key in
+        let c = match !best_key with None -> -1 | Some b -> compare_key k b in
         if c < 0 then begin
-          best_key := k;
-          minimizers := [ p ]
+          best_key := Some k;
+          minimizers := [ Array.copy p ]
         end
-        else if c = 0 then minimizers := p :: !minimizers)
-      (all_perms n);
+        else if c = 0 then minimizers := Array.copy p :: !minimizers);
     let minimizers = List.rev !minimizers in
     let to_canon =
       match minimizers with
       | p :: _ -> p
-      | [] -> identity n (* unreachable: the sweep includes the identity *)
+      | [] -> identity n (* unreachable: there is always a candidate *)
     in
     let inv = inverse to_canon in
     let stabilizer =

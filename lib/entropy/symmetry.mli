@@ -2,10 +2,11 @@
 
     A max-inequality over [Γn] (or [Nn]/[Mn]) is invariant under
     renaming the [n] variables: the elemental family is closed under
-    permutation.  {!analyze} finds, by brute force over the [n!]
-    permutations ([n ≤ 8]), the canonical representative of an
+    permutation.  {!analyze} finds the canonical representative of an
     instance's orbit together with the stabilizer of that
-    representative.  The lazy cone driver ({!Separation}) solves the
+    representative ([n ≤ 8]), sweeping only the renamings that order
+    variables by a permutation-invariant signature — a product of
+    block factorials, usually one candidate, at most [n!].  The lazy cone driver ({!Separation}) solves the
     canonical instance — so the solver cache and the persistent store
     hit across symmetric variants — and uses the stabilizer to add
     separation cuts orbit-at-a-time. *)
@@ -14,8 +15,9 @@ type perm = int array
 (** [p.(i)] is the image of variable [i]; a bijection on [0..n-1]. *)
 
 val max_vars : int
-(** Largest [n] the brute-force sweep runs at (8; [8! = 40320]).  Above
-    it {!analyze} returns the trivial analysis — only sharing is lost. *)
+(** Largest [n] the candidate sweep runs at (8; at most [8! = 40320]
+    candidates, when every variable has the same signature).  Above it
+    {!analyze} returns the trivial analysis — only sharing is lost. *)
 
 val identity : int -> perm
 val is_identity : perm -> bool

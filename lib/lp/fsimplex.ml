@@ -1,8 +1,10 @@
-(* Floating-point two-phase simplex: the "float-first" half of the hybrid
-   LP pipeline (DESIGN.md §4f).
+(* Floating-point simplex, in two forms that never answer a query by
+   themselves: {!propose}, the "float-first" half of the hybrid LP
+   pipeline (DESIGN.md §4f), and {!Tableau}, the incremental probe of
+   the lazy Γn loop (§4i, at the end of this file).
 
-   This solver never answers a query by itself.  It runs the same
-   two-phase primal simplex as the exact engines — same column layout
+   {!propose} is a cold solve: the same two-phase primal simplex as the
+   exact engines — same column layout
    (via {!Lp_layout}), same Dantzig-with-Bland-fallback pricing, same
    minimum-ratio leaving rule with smallest-basis-column tie-break — but
    over machine floats with tolerance-based comparisons, and returns only
@@ -16,12 +18,14 @@
    overflow to [infinity] on ingestion of huge rationals, NaN out of
    inf/inf pivots, and cycling that Bland's rule cannot see through
    tolerances.  All three surface as a typed {!Bagcqc_error} with kind
-   [Overflow] (never a NaN silently poisoning the pricing loop, which
-   would make every comparison false and stall the solve): coefficients
-   are checked finite on ingestion, the touched rows are re-checked after
-   every pivot, and a pivot-count cap bounds the search. *)
+   [Overflow] from {!propose} and as [Unknown] from {!Tableau} — never a
+   NaN silently poisoning the pricing loop, which would make every
+   comparison false and stall the solve: coefficients are checked finite
+   on ingestion, the touched entries are re-checked after every pivot,
+   and a pivot-count cap bounds the search. *)
 
 open Bagcqc_num
+module Obs = Bagcqc_obs
 
 type proposal =
   | Optimal_basis of int array
@@ -191,7 +195,7 @@ let crash_warm rows basis ~ncols ~art_start ~budget warm =
       end)
     warm
 
-let propose_point ?warm p (lay : Lp_layout.layout) =
+let propose ?warm p (lay : Lp_layout.layout) =
   Bagcqc_error.protect @@ fun () ->
   let { Lp_layout.m; ncols; art_start; num_art; rows_data } = lay in
   try
@@ -284,20 +288,266 @@ let propose_point ?warm p (lay : Lp_layout.layout) =
     check_finite_row ~what:"objective" obj;
     let allowed j = j < art_start in
     match run_phase rows obj basis ~ncols ~allowed ~budget with
-    | `Unbounded -> (Unbounded_direction, None)
-    | `Optimal ->
-      (* The float primal point of the final basis: each basic structural
-         column reads its row's right-hand side, every nonbasic variable
-         is 0.  Heuristic data for cutting-plane separation — verdicts
-         still come only from exact repair of the proposed basis. *)
-      let point = Array.make p.Lp_layout.num_vars 0.0 in
-      Array.iteri
-        (fun i c ->
-          if c >= 0 && c < p.Lp_layout.num_vars then point.(c) <- rows.(i).(ncols))
-        basis;
-      (Optimal_basis (Array.copy basis), Some point)
+    | `Unbounded -> Unbounded_direction
+    | `Optimal -> Optimal_basis (Array.copy basis)
   with
   | Numerical msg -> Bagcqc_error.overflow ~where msg
-  | Infeasible_at basis -> (Infeasible_basis basis, None)
+  | Infeasible_at basis -> Infeasible_basis basis
 
-let propose ?warm p lay = Result.map fst (propose_point ?warm p lay)
+(* ---------------- incremental feasibility tableau ----------------
+
+   The float probe of the lazy Γn loop (DESIGN.md §4i): the system
+   {x ≥ 0, A·x ≤ b} grown one row at a time and re-solved by the dual
+   simplex from the previous basis.  Column layout: structural columns
+   [0, num_vars), then the slack of row i at [num_vars + i] — every row
+   is an inequality, so there are no artificial columns and appending a
+   row never renumbers an existing column.  The objective is zero, so
+   every basis is dual feasible: the all-slack start needs no phase 1,
+   the rows violated by the current basis (the E_ℓ ≤ −1 targets, then
+   freshly appended cuts) simply leave first, and each round costs the
+   pivots its new rows make necessary rather than a cold solve.
+
+   Rows are unboxed [float array]s of a shared allocated width, pivoted
+   in place over the nonzero columns of the pivot row only.  Like
+   {!propose}, nothing here is a verdict: a [Point] only steers which
+   cuts enter the working set, an [Infeasible] support only names the
+   rows an exact Farkas solve is attempted on. *)
+
+module Tableau = struct
+  type claim =
+    | Point of float array
+    | Infeasible of int list
+    | Unknown
+
+  type t = {
+    num_vars : int;
+    mutable m : int;
+    mutable width : int;  (* allocated row length, ≥ num_vars + m *)
+    mutable rows : float array array;
+    mutable rhs : float array;
+    mutable basis : int array;  (* row → basic column *)
+    mutable row_of : int array;  (* column → basic row, or −1 *)
+    mutable nz : int array;  (* work buffer: nonzero columns of a pivot row *)
+    mutable broken : bool;  (* a non-finite entry was seen *)
+  }
+
+  let c_probes = Obs.Metrics.counter "lp.float.probes"
+  let c_pivots = Obs.Metrics.counter "lp.float.pivots"
+
+  (* Entries this close to zero after an update are rounding residue of
+     an exact cancellation; flushing them keeps rows sparse and keeps
+     later ratio choices from dividing by noise. *)
+  let eps_drop = 1e-11
+
+  (* A row counts as violated below [−eps_row]: tighter than the
+     separation scan's violation threshold, so a cut the scan reports
+     violated is always one the probe saw as violated too. *)
+  let eps_row = 1e-9
+
+  let create ~num_vars =
+    let width = num_vars + 16 in
+    { num_vars; m = 0; width; rows = [||]; rhs = [||]; basis = [||];
+      row_of = Array.make width (-1); nz = Array.make width 0;
+      broken = false }
+
+  let grow_array a n fill =
+    let b = Array.make n fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+
+  (* Make room for one more row and its slack column. *)
+  let reserve t =
+    let ncols = t.num_vars + t.m + 1 in
+    if ncols > t.width then begin
+      let width = 2 * t.width in
+      t.rows <- Array.map (fun r -> grow_array r width 0.0) t.rows;
+      t.row_of <- grow_array t.row_of width (-1);
+      t.nz <- Array.make width 0;
+      t.width <- width
+    end;
+    if t.m >= Array.length t.rows then begin
+      let cap = max 16 (2 * t.m) in
+      t.rows <- grow_array t.rows cap [||];
+      t.rhs <- grow_array t.rhs cap 0.0;
+      t.basis <- grow_array t.basis cap (-1)
+    end
+
+  (* target ← target − f·src over src's nonzero columns, then zero the
+     eliminated column exactly. *)
+  let eliminate ~ncols target src c f =
+    for j = 0 to ncols - 1 do
+      let s = Array.unsafe_get src j in
+      if s <> 0.0 then begin
+        let v = Array.unsafe_get target j -. (f *. s) in
+        Array.unsafe_set target j (if Float.abs v < eps_drop then 0.0 else v)
+      end
+    done;
+    target.(c) <- 0.0
+
+  let add_le t cols vals rhs =
+    reserve t;
+    let r = t.m in
+    let slack = t.num_vars + r in
+    let row = Array.make t.width 0.0 in
+    let b = ref rhs in
+    if not (Float.is_finite rhs) then t.broken <- true;
+    Array.iteri
+      (fun k c ->
+        let v = vals.(k) in
+        if not (Float.is_finite v) then t.broken <- true;
+        row.(c) <- row.(c) +. v)
+      cols;
+    (* Express the row in the current basis: only the structural columns
+       it mentions can be basic with a nonzero entry (each tableau row is
+       zero on every other basic column), so at most |cols| updates. *)
+    Array.iter
+      (fun c ->
+        let k = t.row_of.(c) in
+        let f = row.(c) in
+        if k >= 0 && f <> 0.0 then begin
+          eliminate ~ncols:slack row t.rows.(k) c f;
+          b := !b -. (f *. t.rhs.(k))
+        end)
+      cols;
+    row.(slack) <- 1.0;
+    t.rows.(r) <- row;
+    t.rhs.(r) <- !b;
+    t.basis.(r) <- slack;
+    t.row_of.(slack) <- r;
+    t.m <- r + 1
+
+  let pivot t ~ncols r c =
+    Lp_layout.note_pivot ();
+    let row = t.rows.(r) in
+    let inv_p = 1.0 /. row.(c) in
+    let nnz = ref 0 in
+    for j = 0 to ncols - 1 do
+      let v = Array.unsafe_get row j in
+      if v <> 0.0 then begin
+        let v = v *. inv_p in
+        if not (Float.is_finite v) then raise (Numerical "non-finite pivot-row entry");
+        Array.unsafe_set row j v;
+        t.nz.(!nnz) <- j;
+        incr nnz
+      end
+    done;
+    row.(c) <- 1.0;
+    let br = t.rhs.(r) *. inv_p in
+    t.rhs.(r) <- br;
+    if not (Float.is_finite br) then raise (Numerical "non-finite right-hand side");
+    let nnz = !nnz in
+    for i = 0 to t.m - 1 do
+      if i <> r then begin
+        let target = t.rows.(i) in
+        let f = target.(c) in
+        if f <> 0.0 then begin
+          for k = 0 to nnz - 1 do
+            let j = Array.unsafe_get t.nz k in
+            let v = Array.unsafe_get target j -. (f *. Array.unsafe_get row j) in
+            if not (Float.is_finite v) then raise (Numerical "non-finite entry");
+            Array.unsafe_set target j (if Float.abs v < eps_drop then 0.0 else v)
+          done;
+          target.(c) <- 0.0;
+          let bi = t.rhs.(i) -. (f *. br) in
+          if not (Float.is_finite bi) then raise (Numerical "non-finite right-hand side");
+          t.rhs.(i) <- (if Float.abs bi < eps_drop then 0.0 else bi)
+        end
+      end
+    done;
+    t.row_of.(t.basis.(r)) <- -1;
+    t.basis.(r) <- c;
+    t.row_of.(c) <- r
+
+  (* The Farkas row of an infeasibility claim, as original row indices:
+     row r of the tableau is Σ_i y_i·(row i with its slack), and y_i is
+     read off slack column i — the nonbasic slacks with a nonzero entry,
+     plus the slack basic in r itself (coefficient 1).  Every other
+     basic slack has a zero entry. *)
+  let farkas_support t r =
+    let row = t.rows.(r) in
+    let acc = ref [] in
+    for i = t.m - 1 downto 0 do
+      let s = t.num_vars + i in
+      if t.basis.(r) = s
+         || (t.row_of.(s) < 0 && Float.abs row.(s) > eps_pivot)
+      then acc := i :: !acc
+    done;
+    !acc
+
+  let point t =
+    let x = Array.make t.num_vars 0.0 in
+    for r = 0 to t.m - 1 do
+      let c = t.basis.(r) in
+      if c < t.num_vars then x.(c) <- Float.max 0.0 t.rhs.(r)
+    done;
+    x
+
+  (* Dual simplex under a zero objective: every ratio test ties at 0,
+     so the leaving row is the most violated one and the entering column
+     the largest-magnitude negative entry of that row (the most stable
+     pivot).  Progress is measured by the total infeasibility; after
+     [degenerate_limit] pivots without a decrease both choices switch to
+     Bland's smallest-index rule, under which the dual simplex cannot
+     cycle.  The pivot budget catches what tolerances hide from Bland. *)
+  let reoptimize t =
+    Obs.Metrics.bump c_probes;
+    let pivots = ref 0 in
+    let result =
+      if t.broken then Unknown
+      else
+        try
+          let ncols = t.num_vars + t.m in
+          let budget = 200 + (50 * (t.m + ncols)) in
+          let bland = ref false in
+          let degenerate_run = ref 0 in
+          let last_infeas = ref infinity in
+          let rec iterate () =
+            let leave = ref (-1) and infeas = ref 0.0 in
+            for i = 0 to t.m - 1 do
+              let b = t.rhs.(i) in
+              if b < -.eps_row then begin
+                infeas := !infeas -. b;
+                if !leave < 0
+                   || (if !bland then t.basis.(i) < t.basis.(!leave)
+                       else b < t.rhs.(!leave))
+                then leave := i
+              end
+            done;
+            if !leave < 0 then Point (point t)
+            else begin
+              if !infeas < !last_infeas -. eps_row then degenerate_run := 0
+              else begin
+                incr degenerate_run;
+                if !degenerate_run > degenerate_limit then bland := true
+              end;
+              last_infeas := Float.min !last_infeas !infeas;
+              let r = !leave in
+              let row = t.rows.(r) in
+              let enter = ref (-1) and best = ref (-.eps_pivot) in
+              (try
+                 for j = 0 to ncols - 1 do
+                   let a = Array.unsafe_get row j in
+                   if a < !best && t.row_of.(j) < 0 then begin
+                     enter := j;
+                     if !bland then raise Exit;
+                     best := a
+                   end
+                 done
+               with Exit -> ());
+              if !enter < 0 then Infeasible (farkas_support t r)
+              else if !pivots >= budget then raise (Numerical "pivot budget")
+              else begin
+                incr pivots;
+                pivot t ~ncols r !enter;
+                iterate ()
+              end
+            end
+          in
+          iterate ()
+        with Numerical _ ->
+          t.broken <- true;
+          Unknown
+    in
+    Obs.Metrics.add c_pivots !pivots;
+    result
+end

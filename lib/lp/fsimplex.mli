@@ -1,7 +1,9 @@
-(** Floating-point simplex proposing a basis for exact repair.
+(** Floating-point simplex: a basis proposer for exact repair, and the
+    incremental probe tableau of the lazy Γn loop ({!Tableau}).
 
-    The "float" half of the hybrid LP pipeline (DESIGN.md §4f): runs the
-    same two-phase primal simplex as the exact engines — same
+    {!propose} is the "float" half of the hybrid LP pipeline (DESIGN.md
+    §4f): it runs the same two-phase primal simplex as the exact
+    engines — same
     {!Lp_layout} column layout, same pricing and ratio rules — over
     machine floats with tolerance-based comparisons, and returns only a
     {e basis proposal}.  {!Repair} reconstructs the exact rational
@@ -41,13 +43,44 @@ val propose :
     budget is exhausted (tolerance-masked cycling).  Callers treat any
     [Error] as "fall back to the exact engine". *)
 
-val propose_point :
-  ?warm:int array ->
-  Lp_layout.problem -> Lp_layout.layout ->
-  (proposal * float array option, Bagcqc_num.Bagcqc_error.t) result
-(** {!propose} that additionally returns, for [Optimal_basis], the float
-    primal values of the structural variables at the proposed vertex
-    ([None] otherwise).  The point is {e heuristic} data — a
-    cutting-plane loop reads it to pick the next cuts without paying for
-    an exact repair — and never a verdict: tolerances make it at best an
-    approximately feasible, approximately optimal point. *)
+(** Incremental float feasibility tableau: the probe of the lazy Γn
+    loop (DESIGN.md §4i).
+
+    Holds the system [{x ≥ 0, A·x ≤ b}] with one slack per row and no
+    artificial columns, grows it a row at a time, and re-solves it by
+    the dual simplex from the current basis.  Its answers are heuristic
+    data for a cutting-plane loop, {e never a verdict}: points steer
+    which cuts are added, infeasibility supports only choose the rows
+    an exact Farkas solve is attempted on. *)
+module Tableau : sig
+  type t
+
+  type claim =
+    | Point of float array
+        (** A basic point [x ≥ 0] of length [num_vars] satisfying every
+            row to within [1e-9]. *)
+    | Infeasible of int list
+        (** The support of the Farkas row that proves infeasibility:
+            the indices (in append order, ascending) of the rows with a
+            nonzero multiplier.  Those rows alone are infeasible in
+            floats. *)
+    | Unknown
+        (** Pivot budget exhausted or a non-finite entry.  The tableau
+            stays [Unknown] from then on; rebuild it. *)
+
+  val create : num_vars:int -> t
+  (** The empty system over [num_vars] nonnegative variables. *)
+
+  val add_le : t -> int array -> float array -> float -> unit
+  (** [add_le t cols vals rhs] appends [Σ_k vals.(k)·x_{cols.(k)} ≤ rhs]
+      ([cols] distinct, each below [num_vars]).  The row is reduced
+      against the current basis — one row update per basic column it
+      mentions — and its slack enters the basis, so the previous basis
+      stays dual feasible and the next {!reoptimize} starts from it. *)
+
+  val reoptimize : t -> claim
+  (** Dual simplex from the current basis until every row holds (a
+      [Point]) or a row proves infeasibility.  Bumps the
+      [lp.float.probes] counter once and adds its pivots to
+      [lp.float.pivots]. *)
+end

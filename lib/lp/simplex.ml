@@ -439,27 +439,6 @@ let solve_warm ?warm p =
 
 let solve p = fst (solve_warm p)
 
-(* ---- pure-float probe ----
-   The float half of the pipeline alone, with its primal point, and no
-   exact repair: a cutting-plane loop runs its intermediate rounds on
-   this (the point only steers which cuts get added next) and pays for
-   exact solves only at terminal rounds.  Never a verdict. *)
-
-type float_outcome =
-  | Float_optimal of float array * int array
-  | Float_infeasible of int array
-  | Float_unknown
-
-let c_float_probes = Obs.Metrics.counter "lp.float.probes"
-
-let solve_float ?warm p =
-  validate p;
-  Obs.Metrics.bump c_float_probes;
-  match Fsimplex.propose_point ?warm p (layout_of p) with
-  | Ok (Fsimplex.Optimal_basis b, Some x) -> Float_optimal (x, b)
-  | Ok (Fsimplex.Infeasible_basis b, _) -> Float_infeasible b
-  | Ok _ | Error _ -> Float_unknown
-
 let solve_result p = Bagcqc_error.protect (fun () -> solve p)
 
 let feasible ~num_vars constraints =

@@ -70,23 +70,6 @@ val solve_warm : ?warm:int array -> problem -> outcome * int array option
     exact repair ([None] on an exact fallback, which exposes no basis).
     Verdicts are identical to {!solve}. *)
 
-type float_outcome =
-  | Float_optimal of float array * int array
-      (** Float primal values of the structural variables at the proposed
-          vertex, and the basis (feed it back as [?warm]). *)
-  | Float_infeasible of int array
-      (** Phase 1 saw a clearly positive artificial sum; the basis is
-          returned for warm reuse. *)
-  | Float_unknown  (** Unbounded direction or numerical failure. *)
-
-val solve_float : ?warm:int array -> problem -> float_outcome
-(** The floating-point half of the hybrid pipeline alone — no exact
-    repair, no fallback, {e never a verdict}.  A cutting-plane loop runs
-    its intermediate rounds on this: the returned point only steers
-    which cuts are added next, so tolerance noise costs extra rounds,
-    never soundness; the loop's terminal rounds must re-derive their
-    verdicts exactly ({!solve} / a Farkas certificate). *)
-
 val solve_result : problem -> (outcome, Bagcqc_error.t) result
 (** {!solve} with internal invariant violations (a pivoting bug making a
     bounded phase-1 objective look unbounded, …) reified as a typed

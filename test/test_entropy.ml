@@ -508,6 +508,102 @@ let test_symmetry_canonicalization () =
   Alcotest.(check int) "stabilizer order of I(i;j) at n=3" 2
     (List.length a1.Symmetry.stabilizer)
 
+(* Reference for the signature-restricted sweep: the stabilizer of the
+   canonical side multiset by brute force over all n! renamings. *)
+let rec all_perms = function
+  | [] -> [ [] ]
+  | xs ->
+    List.concat_map
+      (fun x ->
+        List.map (fun rest -> x :: rest)
+          (all_perms (List.filter (fun y -> y <> x) xs)))
+      xs
+
+let compare_terms a b =
+  List.compare
+    (fun (m1, c1) (m2, c2) ->
+      let c = compare (m1 : int) m2 in
+      if c <> 0 then c else Rat.compare c1 c2)
+    a b
+
+let side_multiset es = List.sort compare_terms (List.map Linexpr.terms es)
+
+let same_multiset a b =
+  List.equal (fun x y -> compare_terms x y = 0) (side_multiset a)
+    (side_multiset b)
+
+let brute_stabilizer_order ~n es =
+  List.length
+    (List.filter
+       (fun p ->
+         let p = Array.of_list p in
+         same_multiset (List.map (Symmetry.apply_expr p) es) es)
+       (all_perms (List.init n Fun.id)))
+
+(* Random instances over n ≤ [max_n] variables with a random renaming:
+   a few sides, each a handful of random terms, half of them symmetrized
+   over a random variable subset so that non-trivial stabilizers and tied
+   signatures occur. *)
+let gen_sym_instance ~max_n =
+  QCheck.Gen.(
+    int_range 2 max_n >>= fun n ->
+    let full = (1 lsl n) - 1 in
+    let term = pair (int_range 1 full) (int_range (-2) 2) in
+    let side =
+      pair (list_size (int_range 1 4) term) (pair bool (int_range 0 full))
+      >|= fun (ts, (symm, sub)) ->
+      let base =
+        Linexpr.sum
+          (List.map (fun (m, c) -> Linexpr.term ~coeff:(q c) m) ts)
+      in
+      let vars = List.filter (fun i -> Varset.mem i sub) (List.init n Fun.id) in
+      if symm && List.length vars <= 3 then
+        Linexpr.sum
+          (List.map
+             (fun img ->
+               let p = Array.init n Fun.id in
+               List.iter2 (fun v w -> p.(v) <- w) vars img;
+               Symmetry.apply_expr p base)
+             (all_perms vars))
+      else base
+    in
+    pair (list_size (int_range 1 3) side) (shuffle_l (List.init n Fun.id))
+    >|= fun (es, pi) -> (n, es, Array.of_list pi))
+
+let print_sym_instance (n, es, pi) =
+  Format.asprintf "n=%d pi=[%s] sides=[%a]" n
+    (String.concat ";" (Array.to_list (Array.map string_of_int pi)))
+    (Format.pp_print_list
+       ~pp_sep:(fun f () -> Format.pp_print_string f "; ")
+       (Linexpr.pp ()))
+    es
+
+let prop_symmetry_canonical_invariant =
+  QCheck.Test.make ~name:"symmetry: canonical form is orbit-invariant"
+    ~count:300
+    (QCheck.make ~print:print_sym_instance (gen_sym_instance ~max_n:6))
+    (fun (n, es, pi) ->
+      let a = Symmetry.analyze ~n es in
+      let b = Symmetry.analyze ~n (List.map (Symmetry.apply_expr pi) es) in
+      same_multiset a.Symmetry.canonical b.Symmetry.canonical
+      && List.length a.Symmetry.stabilizer = List.length b.Symmetry.stabilizer
+      && List.for_all
+           (fun s ->
+             same_multiset
+               (List.map (Symmetry.apply_expr s) a.Symmetry.canonical)
+               a.Symmetry.canonical)
+           a.Symmetry.stabilizer)
+
+let prop_symmetry_stabilizer_complete =
+  QCheck.Test.make ~name:"symmetry: stabilizer order matches an n! sweep"
+    ~count:200
+    (* n ≤ 5 keeps the 5! brute-force sweep cheap. *)
+    (QCheck.make ~print:print_sym_instance (gen_sym_instance ~max_n:5))
+    (fun (n, es, _) ->
+      let a = Symmetry.analyze ~n es in
+      List.length a.Symmetry.stabilizer
+      = brute_stabilizer_order ~n a.Symmetry.canonical)
+
 (* The decisions the production driver and the oracle must agree on: a valid submodularity,
    a valid monotonicity, Zhang-Yeung (refuted over Γ4) and Ingleton
    (refuted over Γ4). *)
@@ -574,7 +670,8 @@ let qtests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_subset_enum_complete; prop_truncated_modular_is_polymatroid;
       prop_theorem_3_6; prop_counterexample_sound; prop_cone_chain;
-      prop_normalize_lemma_3_7; prop_modularize_lemma_3_7 ]
+      prop_normalize_lemma_3_7; prop_modularize_lemma_3_7;
+      prop_symmetry_canonical_invariant; prop_symmetry_stabilizer_complete ]
 
 let suite =
   [ ("varset basic", `Quick, test_varset_basic);

@@ -409,10 +409,186 @@ let test_hybrid_falls_back_on_overflow () =
     Alcotest.check rt "point" (Rat.inv huge) x.(0)
   | _ -> Alcotest.fail "expected optimal via exact fallback"
 
+(* ---------------- incremental float tableau ---------------- *)
+
+module Tableau = Fsimplex.Tableau
+
+let claim_kind = function
+  | Tableau.Point _ -> "point"
+  | Tableau.Infeasible _ -> "infeasible"
+  | Tableau.Unknown -> "unknown"
+
+let tableau_of ~num_vars rows =
+  let t = Tableau.create ~num_vars in
+  List.iter
+    (fun (pairs, rhs) ->
+      Tableau.add_le t
+        (Array.of_list (List.map fst pairs))
+        (Array.of_list (List.map (fun (_, c) -> Rat.to_float c) pairs))
+        (Rat.to_float rhs))
+    rows;
+  t
+
+let exact_claim ~num_vars rows =
+  Simplex.solve_exact
+    { Simplex.num_vars;
+      objective = Array.make num_vars Rat.zero;
+      constraints =
+        List.map (fun (pairs, rhs) -> Simplex.sparse_constr pairs Simplex.Le rhs)
+          rows }
+
+let test_tableau_small () =
+  let row pairs rhs = (List.map (fun (j, c) -> (j, q c)) pairs, q rhs) in
+  (* x ≥ 1 (as −x ≤ −1), x ≤ 3: feasible, and the point honors both. *)
+  let t = tableau_of ~num_vars:2 [ row [ (0, -1) ] (-1); row [ (0, 1) ] 3 ] in
+  (match Tableau.reoptimize t with
+   | Tableau.Point x ->
+     Alcotest.(check bool) "1 <= x <= 3" true (x.(0) >= 1.0 -. 1e-9 && x.(0) <= 3.0 +. 1e-9)
+   | c -> Alcotest.failf "expected a point, got %s" (claim_kind c));
+  (* Appending x + y ≤ 0 contradicts x ≥ 1: the Farkas row uses rows 0
+     and 2 only, not the slack x ≤ 3. *)
+  Tableau.add_le t [| 0; 1 |] [| 1.0; 1.0 |] 0.0;
+  (match Tableau.reoptimize t with
+   | Tableau.Infeasible support ->
+     Alcotest.(check (list int)) "Farkas support" [ 0; 2 ] support
+   | c -> Alcotest.failf "expected infeasible, got %s" (claim_kind c));
+  (* 0 ≤ −1 needs no pivot at all. *)
+  let t = tableau_of ~num_vars:1 [ ([], q (-1)) ] in
+  (match Tableau.reoptimize t with
+   | Tableau.Infeasible support ->
+     Alcotest.(check (list int)) "empty row support" [ 0 ] support
+   | c -> Alcotest.failf "expected infeasible, got %s" (claim_kind c));
+  (* A non-finite coefficient is never pivoted on. *)
+  let t = Tableau.create ~num_vars:1 in
+  Tableau.add_le t [| 0 |] [| Float.infinity |] (-1.0);
+  Alcotest.(check string) "non-finite row" "unknown"
+    (claim_kind (Tableau.reoptimize t))
+
+(* A random Γn working set at n ≤ 5, as the lazy loop builds it: k
+   target rows E_ℓ ≤ −1 (each a positive combination of elemental rows,
+   sometimes minus a term, so both verdicts occur) followed by a random
+   subset of the elemental family as cone rows −a·h ≤ 0.  Rows are
+   [(mask − 1, coeff)] pairs with their right-hand side. *)
+let random_gamma_rows st =
+  let module E = Bagcqc_entropy.Elemental in
+  let module L = Bagcqc_entropy.Linexpr in
+  let n = 2 + Random.State.int st 4 in
+  let num_vars = (1 lsl n) - 1 in
+  let family = Array.of_list (E.list ~n) in
+  let pick () = family.(Random.State.int st (Array.length family)) in
+  let pairs e = List.map (fun (m, c) -> (m - 1, c)) (L.terms e) in
+  let target () =
+    let body =
+      L.sum
+        (List.init (1 + Random.State.int st 4) (fun _ ->
+             L.scale (q (1 + Random.State.int st 3)) (pick ())))
+    in
+    let e =
+      if Random.State.bool st then body
+      else L.sub body (L.term (1 + Random.State.int st num_vars))
+    in
+    (pairs e, q (-1))
+  in
+  let targets = List.init (1 + Random.State.int st 2) (fun _ -> target ()) in
+  let density = 0.2 +. Random.State.float st 0.7 in
+  let cones =
+    Array.to_list family
+    |> List.filter (fun _ -> Random.State.float st 1.0 < density)
+    |> List.map (fun e -> (List.map (fun (j, c) -> (j, Rat.neg c)) (pairs e), q 0))
+  in
+  (num_vars, targets, targets @ cones)
+
+(* Split [xs] into 1–4 consecutive non-empty batches. *)
+let random_batches st xs =
+  let k = 1 + Random.State.int st 4 in
+  let len = List.length xs in
+  List.mapi (fun i x -> (min (k - 1) (i * k / max 1 len), x)) xs
+  |> List.fold_left
+       (fun acc (b, x) ->
+         match acc with
+         | (b', xs) :: rest when b' = b -> (b, x :: xs) :: rest
+         | _ -> (b, [ x ]) :: acc)
+       []
+  |> List.rev_map (fun (_, xs) -> List.rev xs)
+
+let prop_tableau_incremental_matches_cold =
+  QCheck.Test.make ~name:"tableau: batched appends claim what a cold tableau claims"
+    ~count:150 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed + 907 |] in
+      let num_vars, _, rows = random_gamma_rows st in
+      let t = Tableau.create ~num_vars in
+      let last = ref Tableau.Unknown in
+      List.iter
+        (fun batch ->
+          List.iter
+            (fun (pairs, rhs) ->
+              Tableau.add_le t
+                (Array.of_list (List.map fst pairs))
+                (Array.of_list (List.map (fun (_, c) -> Rat.to_float c) pairs))
+                (Rat.to_float rhs))
+            batch;
+          last := Tableau.reoptimize t)
+        (random_batches st rows);
+      let cold = Tableau.reoptimize (tableau_of ~num_vars rows) in
+      let exact =
+        match exact_claim ~num_vars rows with
+        | Simplex.Optimal _ -> "point"
+        | Simplex.Infeasible | Simplex.Unbounded -> "infeasible"
+      in
+      claim_kind !last = claim_kind cold && claim_kind cold = exact)
+
+let prop_tableau_point_feasible =
+  QCheck.Test.make ~name:"tableau: a point satisfies every row"
+    ~count:150 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed + 433 |] in
+      let num_vars, targets, rows = random_gamma_rows st in
+      (* Drop the targets now and then so feasible systems are common. *)
+      let rows =
+        if Random.State.bool st then rows
+        else List.filter (fun r -> not (List.memq r targets)) rows
+      in
+      match Tableau.reoptimize (tableau_of ~num_vars rows) with
+      | Tableau.Point x ->
+        Array.for_all (fun v -> v >= 0.0) x
+        && List.for_all
+             (fun (pairs, rhs) ->
+               let lhs =
+                 List.fold_left
+                   (fun acc (j, c) -> acc +. (Rat.to_float c *. x.(j)))
+                   0.0 pairs
+               in
+               lhs <= Rat.to_float rhs +. 1e-6)
+             rows
+      | Tableau.Infeasible _ | Tableau.Unknown -> true)
+
+let prop_tableau_support_is_infeasible =
+  QCheck.Test.make ~name:"tableau: the Farkas support is exactly infeasible"
+    ~count:150 QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed + 71 |] in
+      let num_vars, targets, rows = random_gamma_rows st in
+      match Tableau.reoptimize (tableau_of ~num_vars rows) with
+      | Tableau.Infeasible support ->
+        let rows_a = Array.of_list rows in
+        let k = List.length targets in
+        let kept =
+          targets
+          @ List.filter_map
+              (fun i -> if i >= k then Some rows_a.(i) else None)
+              support
+        in
+        (match exact_claim ~num_vars kept with
+         | Simplex.Infeasible -> true
+         | Simplex.Optimal _ | Simplex.Unbounded -> false)
+      | Tableau.Point _ | Tableau.Unknown -> true)
+
 let qtests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_solution_feasible; prop_engines_agree; prop_sparse_ingestion;
-      prop_hybrid_agrees ]
+      prop_hybrid_agrees; prop_tableau_incremental_matches_cold;
+      prop_tableau_point_feasible; prop_tableau_support_is_infeasible ]
 
 let suite =
   [ ("basic min", `Quick, test_basic_min);
@@ -428,5 +604,6 @@ let suite =
     ("dimension mismatch", `Quick, test_dimension_mismatch);
     ("sparse_constr validation", `Quick, test_sparse_constr_validation);
     ("float overflow is typed", `Quick, test_float_overflow_is_typed);
-    ("hybrid falls back on overflow", `Quick, test_hybrid_falls_back_on_overflow) ]
+    ("hybrid falls back on overflow", `Quick, test_hybrid_falls_back_on_overflow);
+    ("float tableau on small systems", `Quick, test_tableau_small) ]
   @ qtests
