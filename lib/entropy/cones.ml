@@ -243,18 +243,33 @@ let modular_backend =
 
 (* LP variables are the step coefficients c_W, W ⊊ V, indexed by the mask
    W (the full mask is excluded): E(Σ_W c_W h_W) = Σ_W c_W E(h_W) with
-   E(h_W) = Σ_{S ⊄ W} c_S. *)
+   E(h_W) = Σ_{S ⊄ W} c_S = total − Σ_{S ⊆ W} c_S.  One subset-sum (zeta)
+   transform gives the inner sums for every W at once: O(n·2^n)
+   additions, instead of a pass over the terms per mask. *)
 let normal_sparse ~n e =
-  let num_vars = (1 lsl n) - 1 in
-  let terms = Linexpr.terms e in
-  List.concat
-    (List.init num_vars (fun w ->
-         let coeff =
-           List.fold_left
-             (fun acc (s, c) -> if Varset.subset s w then acc else Rat.add acc c)
-             Rat.zero terms
-         in
-         if Rat.is_zero coeff then [] else [ (w, coeff) ]))
+  let size = 1 lsl n in
+  let below = Array.make size Rat.zero in
+  let total = ref Rat.zero in
+  List.iter
+    (fun (s, c) ->
+      below.(s) <- Rat.add below.(s) c;
+      total := Rat.add !total c)
+    (Linexpr.terms e);
+  for i = 0 to n - 1 do
+    let bit = 1 lsl i in
+    for w = 0 to size - 1 do
+      if w land bit <> 0 then begin
+        let v = below.(w lxor bit) in
+        if not (Rat.is_zero v) then below.(w) <- Rat.add below.(w) v
+      end
+    done
+  done;
+  let acc = ref [] in
+  for w = size - 2 downto 0 do
+    let coeff = Rat.sub !total below.(w) in
+    if not (Rat.is_zero coeff) then acc := (w, coeff) :: !acc
+  done;
+  !acc
 
 let normal_backend =
   { name = "normal";

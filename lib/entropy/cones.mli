@@ -69,6 +69,11 @@ val valid_shannon_many : n:int -> Linexpr.t list -> bool list
     expressions are deduplicated before the fan-out, so a batch with
     repeats solves each distinct inequality once. *)
 
+val normal_sparse : n:int -> Linexpr.t -> (int * Bagcqc_num.Rat.t) list
+(** The [Nn] refutation row of an expression: [(W, E(h_W))] for every
+    step function [h_W], [W ⊊ V] indexed by its mask, zero coefficients
+    dropped, ascending in [W]. *)
+
 val max_to_convex : n:int -> Linexpr.t list -> Bagcqc_num.Rat.t array option
 (** Theorem 6.1 of the paper, instantiated at the Shannon cone: a
     max-linear inequality [0 ≤ max_ℓ Eℓ] is valid over [Γn] iff there are

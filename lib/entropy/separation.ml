@@ -1,4 +1,4 @@
-(* Lazy constraint generation for the Shannon cone (ISSUE 9, ROADMAP 3).
+(* Lazy constraint generation for the Shannon cone (DESIGN.md §4i).
 
    The full Γn driver ([Cones.Oracle]) materializes all n + C(n,2)·2^(n−2)
    elemental inequalities into every LP — which is exactly why exact
@@ -9,46 +9,10 @@
      loop:
        solve  R(W) = { elem_d(h) ≥ 0 ∀d ∈ W,  Eℓ(h) ≤ −1 ∀ℓ }
        infeasible ⇒ the max-inequality is valid over the W-cone, a
-         superset of Γn, hence valid over Γn.  Certificate: the
-         restricted Farkas system F(W) (feasible by LP duality over the
-         W-cone) yields λ over W ⊆ elemental family, so the assembled
-         [Certificate.t] passes the unchanged exact [Certificate.check].
-
-   Intermediate rounds run in pure floats on one incremental tableau per
-   decision ([Fsimplex.Tableau]): every cut is appended to it as it is
-   admitted and the dual simplex re-solves from the previous basis, so
-   a round costs the pivots its new rows need rather than a cold solve.
-   The per-round point only steers which cuts enter W, so it needs no
-   exact repair — which is where a naive lazy loop loses to the full
-   driver, paying one exact repair per round against the full driver's
-   one per decision.  Exact arithmetic appears only at terminal rounds,
-   on the small working set:
-     - float probe infeasible ⇒ certify: solve F(W′) through the hybrid
-       engine and accept iff the assembled certificate passes the exact
-       [Certificate.check] — that check proves validity unconditionally,
-       so the float infeasibility claim is never trusted.  W′ is the
-       working-set part of the support of the probe's Farkas row.  F(W′)
-       infeasible means the probe lied: drop the tableau (rebuilt cold
-       from W next round), run one exact R(W) round and keep cutting.
-     - float probe optimal with no float-violated cut ⇒ one exact
-       hybrid R(W) round: its exact point either passes the exact
-       separation scan (genuine refuter) or yields exact cuts the float
-       scan missed.
-
-   One subtlety in F(W): the simplex keeps its variables implicitly
-   nonnegative, so R(W)'s feasible region is {h ≥ 0} ∩ W-cone ∩
-   {E ≤ −1} — still a superset of Γn (h(S) ≥ 0 is a Shannon
-   consequence), so verdicts are sound, but the h ≥ 0 facets can be
-   load-bearing for infeasibility while not lying in the cone spanned
-   by W.  The true Farkas dual therefore carries one extra multiplier
-   ν_S ≥ 0 per coordinate axiom h(S) ≥ 0:  Σλ·W + Σν_S·e_S = Σμ·E.
-   Certificates must cite only elemental inequalities, and h(S) ≥ 0 is
-   exactly the chain expansion  h(S) = Σ_t h(i_t | {i_1..i_{t−1}}),
-   h(i|B) = h(i|V∖i) + Σ_j I(i;j|·)  — a unit-coefficient sum of
-   elemental rows ([nonneg_decomp]).  So F(W) gets the ν columns and
-   certificate assembly expands each positive ν_S into those elemental
-   axioms, keeping the assembled certificate inside the contract of the
-   unchanged exact [Certificate.check].
+         superset of Γn, hence valid over Γn.  Certificate: a Farkas
+         combination of R(W)'s rows — λ over W ⊆ elemental family, μ
+         over the targets — assembled into a [Certificate.t] that
+         passes the unchanged exact [Certificate.check].
        feasible at x ⇒ scan the *implicit* elemental family for the
          most-violated inequality (≤ 4 lookups per member, nothing
          materialized; float evaluation on probe points, exact Rat
@@ -58,30 +22,73 @@
          the most-violated cuts — each with its symmetry orbit when the
          orbit is small — to W and to the float tableau, and re-solve.
 
+   Rounds run in pure floats on one incremental tableau per decision
+   ([Fsimplex.Tableau]): every cut is appended to it as it is admitted
+   and the dual simplex re-solves from the previous basis, so a round
+   costs the pivots its new rows need rather than a cold solve.  The
+   per-round point only steers which cuts enter W, so it needs no exact
+   repair.  Exact arithmetic appears only at terminal rounds:
+     - float probe infeasible ⇒ the tableau's violated row *is* a
+       Farkas combination: its slack columns hold one multiplier y_i per
+       row — targets (→ μ) and working-set rows (→ λ) — and its
+       structural part is the combination's value ν_S ≥ 0 on each
+       coordinate h(S).  [Repair.farkas] repairs y exactly on that
+       support (equations ν_S = 0 wherever the float combination
+       vanishes, plus Σμ = 1) and accepts only a unique, consistent,
+       nonnegative solution with ν ≥ 0.  The certificate path then
+       assembles the certificate and accepts it only if the exact
+       [Certificate.check] passes; the quick path needs only the
+       repair, which is itself an exact proof.  No LP is solved.  A
+       declined repair falls back to the restricted Farkas LP F(W′)
+       over the support's working-set rows W′ (certificate path), and
+       from there — or straight away on the quick path — to one exact
+       R(W) round on a rebuilt tableau.
+     - float probe optimal with no float-violated cut ⇒ one exact
+       hybrid R(W) round: its exact point either passes the exact
+       separation scan (genuine refuter) or yields exact cuts the float
+       scan missed.
+
+   One subtlety in every Farkas form here: the LPs keep their variables
+   implicitly nonnegative, so R(W)'s feasible region is {h ≥ 0} ∩
+   W-cone ∩ {E ≤ −1} — still a superset of Γn (h(S) ≥ 0 is a Shannon
+   consequence), so verdicts are sound, but the h ≥ 0 facets can be
+   load-bearing for infeasibility while not lying in the cone spanned
+   by W.  The true Farkas dual therefore carries one extra multiplier
+   ν_S ≥ 0 per coordinate axiom h(S) ≥ 0:  Σλ·W + Σν_S·e_S = Σμ·E.
+   Certificates must cite only elemental inequalities, and h(S) ≥ 0 is
+   exactly the chain expansion  h(S) = Σ_t h(i_t | {i_1..i_{t−1}}),
+   h(i|B) = h(i|V∖i) + Σ_j I(i;j|·)  — a unit-coefficient sum of
+   elemental rows ([nonneg_decomp]).  So F(W) gets the ν columns, the
+   probe's ν is its combination's coordinate part, and certificate
+   assembly expands each positive ν_S into those elemental axioms,
+   keeping the assembled certificate inside the contract of the
+   unchanged exact [Certificate.check].
+
    Every exact round that continues adds a cut (its point satisfies W
    exactly, so a violated member cannot already be in W), and a float
-   round that fails to add one escalates — possibly through one pruned
-   confirmation round — to an exact round, so at most three rounds are
-   spent per cut and the loop terminates within 3·|family| rounds; a
-   defensive invariant enforces the bound.
+   round that fails to add one escalates to an exact round, so at most
+   two rounds are spent per cut and the loop terminates within
+   2·|family| rounds; a defensive invariant enforces the bound.
 
    Symmetry: the instance is first canonicalized modulo variable
-   permutation ([Symmetry.analyze]), so every per-round LP — keyed on
+   permutation ([Symmetry.analyze]), so every exact-round LP — keyed on
    the canonical [Engine.Problem] — hits the sharded solver cache and
    the persistent store across all symmetric variants of a query.
    Verdicts are mapped back through the permutation: refuters by
    relabeling the point, certificates by renaming λ's axioms (the
    elemental family is closed under permutation).
 
-   Trust model: unchanged.  Every LP a verdict rests on goes through
-   the hybrid engine whose answers are exact after repair (float probes
-   decide nothing — they only choose cuts and when to attempt the
-   terminal solves); validity carries a Farkas certificate judged by
-   the same LP-independent [Certificate.check] as the full driver, and
-   refuters satisfy every elemental inequality by exact evaluation (the
-   exact separation scan found no violation).  The full-materialization
-   driver remains as the cross-checked reference ([Cones.Oracle], the
-   lazy_vs_full fuzz suite and the corpus audit). *)
+   Trust model: unchanged.  Float probes decide nothing — their points
+   choose cuts, their Farkas rows choose the structure of an exact
+   repair.  Every LP a verdict rests on goes through the hybrid engine
+   whose answers are exact after repair; validity carries a Farkas
+   certificate judged by the same LP-independent [Certificate.check] as
+   the full driver (the quick path's verdict rests on the same exact
+   Farkas identity, re-derived in [Rat]), and refuters satisfy every
+   elemental inequality by exact evaluation (the exact separation scan
+   found no violation).  The full-materialization driver remains as the
+   cross-checked reference ([Cones.Oracle], the lazy_vs_full fuzz suite
+   and the corpus audit). *)
 
 open Bagcqc_num
 open Bagcqc_lp
@@ -96,6 +103,8 @@ let c_cuts = Obs.Metrics.counter "cone.lazy.cuts"
 let c_fallbacks = Obs.Metrics.counter "cone.lazy.fallbacks"
 let c_orbit_cuts = Obs.Metrics.counter "cone.orbit.cuts"
 let c_canonicalized = Obs.Metrics.counter "cone.orbit.canonicalized"
+let c_probe_certs = Obs.Metrics.counter "cone.lazy.probe_certs"
+let c_probe_cert_fallbacks = Obs.Metrics.counter "cone.lazy.probe_cert_fallbacks"
 
 (* Same mask−1 variable indexing as the full gamma backend. *)
 let gamma_sparse e = List.map (fun (s, c) -> (s - 1, c)) (Linexpr.terms e)
@@ -132,14 +141,19 @@ let memo_row (tbl : (int * Elemental.desc, 'a) Hashtbl.t) ~n d
     Mutex.unlock row_memo_mutex;
     v
 
+let cone_sparse_tbl : (int * Elemental.desc, (int * Rat.t) list) Hashtbl.t =
+  Hashtbl.create 2048
+
+let cone_sparse ~n d =
+  memo_row cone_sparse_tbl ~n d (fun () ->
+      cone_row_sparse (Elemental.expr_of_desc ~n d))
+
 let cone_prow_tbl : (int * Elemental.desc, Problem.row) Hashtbl.t =
   Hashtbl.create 2048
 
 let cone_prow ~n d =
   memo_row cone_prow_tbl ~n d (fun () ->
-      Problem.row
-        (cone_row_sparse (Elemental.expr_of_desc ~n d))
-        Simplex.Le Rat.zero)
+      Problem.row (cone_sparse ~n d) Simplex.Le Rat.zero)
 
 (* A sparse row in the float probe's form: column indices and values
    for [Fsimplex.Tableau.add_le]. *)
@@ -151,8 +165,7 @@ let cone_frow_tbl : (int * Elemental.desc, int array * float array) Hashtbl.t =
   Hashtbl.create 2048
 
 let cone_frow ~n d =
-  memo_row cone_frow_tbl ~n d (fun () ->
-      float_row (cone_row_sparse (Elemental.expr_of_desc ~n d)))
+  memo_row cone_frow_tbl ~n d (fun () -> float_row (cone_sparse ~n d))
 
 (* ---------------- seed ----------------
 
@@ -287,9 +300,13 @@ let nonneg_decomp ~n s =
 
 (* ---------------- the separation loop ---------------- *)
 
+(* A row of the float probe, as a Farkas row names it: target ℓ or a
+   working-set cut. *)
+type claim_row = Target of int | Cut of Elemental.desc
+
 type 'a verdict =
   | Valid of Elemental.desc list  (* W at termination, reverse add order *)
-  | Certified of 'a  (* [certify] accepted W after a float-infeasible probe *)
+  | Certified of 'a  (* [certify] accepted a float-infeasible probe *)
   | Refuted_at of Rat.t array
 
 (* A float probe must clear this to count as a violation.  Pure
@@ -337,12 +354,11 @@ let scan_table ~n =
     t
 
 (* Run the loop on the *canonical* instance.  Returns the witness point
-   (refutation), the final working set (validity, confirmed by an exact
-   R(W) solve), or — when [certify] is provided — whatever it returned
-   for the final working set after a float-infeasible probe.  [certify]
-   receiving W in add order must prove validity on its own authority
-   (Farkas + exact certificate check); [None] sends the loop into an
-   exact round instead of trusting the probe. *)
+   (refutation), the final working set (validity, from an exact R(W)
+   round), or whatever [certify] returned for a float-infeasible probe's
+   Farkas row, given as (row, float multiplier) pairs.  [certify] must
+   prove validity on its own authority; [None] drops the tableau and
+   sends the loop into an exact round instead of trusting the probe. *)
 let run ~n ~stabilizer ~certify es =
   let num_vars = (1 lsl n) - 1 in
   let target_rows =
@@ -422,26 +438,24 @@ let run ~n ~stabilizer ~certify es =
     !added
   in
   (* Each exact round that continues adds a cut; a float round either
-     adds one or escalates, possibly through one pruned confirm round —
-     at most three rounds per cut, so 3·|family| bounds the loop. *)
-  let limit = (3 * Elemental.desc_count ~n) + 6 in
+     adds one or escalates to an exact round — at most two rounds per
+     cut, so 2·|family| bounds the loop. *)
+  let limit = (2 * Elemental.desc_count ~n) + 6 in
   let check_limit round =
     if round > limit then
       Bagcqc_error.invariant ~where
         (Printf.sprintf
            "separation failed to terminate within %d rounds at n=%d" limit n)
   in
-  (* The working-set rows in the support of the probe's Farkas row.  A
-     Farkas proof over [num_vars] unknowns needs at most [num_vars + 1]
-     rows, so this is usually a small fraction of W — the exact
-     confirmation (or Farkas assembly) then runs on the pruned system.
-     Purely a size heuristic: if the float claim was wrong, the exact
-     solve says so and the loop falls back to the full working set. *)
-  let tight_working_set support =
+  (* Name the rows of the probe's Farkas row: a Farkas proof over
+     [num_vars] unknowns needs at most [num_vars + 1] rows, so this is
+     usually a small fraction of W. *)
+  let claim_of ys =
     let w_arr = Array.of_list (List.rev !w) in
-    List.filter_map
-      (fun i -> if i >= k_targets then Some w_arr.(i - k_targets) else None)
-      support
+    List.map
+      (fun (i, y) ->
+        ((if i < k_targets then Target i else Cut w_arr.(i - k_targets)), y))
+      ys
   in
   let rec loop round =
     check_limit round;
@@ -458,19 +472,15 @@ let run ~n ~stabilizer ~certify es =
     | Fsimplex.Tableau.Unknown ->
       tab := None;
       exact_round round
-    | Fsimplex.Tableau.Infeasible support ->
-      let pruned = tight_working_set support in
-      (match certify with
-       | Some f ->
-         (match f pruned with
-          | Some c -> Certified c
-          | None ->
-            (* The probe's infeasibility claim did not certify — an
-               exact round settles what is actually true of R(W), and
-               the drifted tableau is rebuilt. *)
-            tab := None;
-            exact_round round)
-       | None -> confirm_round pruned round)
+    | Fsimplex.Tableau.Infeasible ys ->
+      (match certify (claim_of ys) with
+       | Some c -> Certified c
+       | None ->
+         (* The probe's claim did not certify — an exact round settles
+            what is actually true of R(W), and the drifted tableau is
+            rebuilt. *)
+         tab := None;
+         exact_round round)
     | Fsimplex.Tableau.Point xf ->
       let violated = ref [] in
       let descs, masks = scan_table ~n in
@@ -514,22 +524,6 @@ let run ~n ~stabilizer ~certify es =
       outcome
     in
     Solver.solve_using prob ~solver
-  and confirm_round pruned round =
-    check_limit round;
-    Obs.Metrics.bump c_rounds;
-    match solve_exact pruned with
-    | Simplex.Infeasible ->
-      (* R(W') ⊇ R(W) is already empty: the pruned subset alone proves
-         validity, and a downstream certificate only needs its rows. *)
-      Valid (List.rev pruned)
-    | Simplex.Unbounded ->
-      Bagcqc_error.invariant ~where
-        "pure feasibility system reported unbounded"
-    | Simplex.Optimal _ ->
-      (* The probe's claim was wrong — settle on the full working set,
-         with a rebuilt tableau. *)
-      tab := None;
-      exact_round (round + 1)
   and exact_round round =
     check_limit round;
     Obs.Metrics.bump c_rounds;
@@ -586,17 +580,37 @@ let refuter_of_point ~n ~(sym : Symmetry.analysis) x =
       let m = Symmetry.apply_mask sym.Symmetry.to_canon s in
       if Varset.is_empty m then Rat.zero else x.(m - 1))
 
-let valid_max_quick ~n es =
-  with_span ~n ~kind:"quick" es @@ fun () ->
-  Obs.Metrics.bump c_solves;
-  let sym = analyze ~n es in
-  match
-    run ~n ~stabilizer:sym.Symmetry.stabilizer ~certify:None
-      sym.Symmetry.canonical
-  with
-  | Valid _ -> true
-  | Certified () -> true
-  | Refuted_at _ -> false
+(* ---------------- certificates ---------------- *)
+
+(* The certificate for the caller's original sides [es] from multipliers
+   of the canonical instance: λ accumulates per elemental *descriptor* —
+   the cited rows directly, and each positive ν_S expanded through the
+   chain decomposition of h(S) ≥ 0 — sorted for a deterministic
+   rendering.  Renaming the canonical identity Σλ·a = Σμ·Eᶜ through π⁻¹
+   lands exactly on the original sides, and the renamed axioms stay
+   elemental (the family is closed under permutation), so
+   [Certificate.check] applies unchanged. *)
+let assemble ~n ~sym ~es ~lambda ~nu ~mu =
+  let tbl : (Elemental.desc, Rat.t ref) Hashtbl.t = Hashtbl.create 64 in
+  let bump d c =
+    match Hashtbl.find_opt tbl d with
+    | Some r -> r := Rat.add !r c
+    | None -> Hashtbl.add tbl d (ref c)
+  in
+  List.iter (fun (d, c) -> if Rat.sign c > 0 then bump d c) lambda;
+  List.iter
+    (fun (s, v) ->
+      if Rat.sign v > 0 then List.iter (fun d -> bump d v) (nonneg_decomp ~n s))
+    nu;
+  let inv = Symmetry.inverse sym.Symmetry.to_canon in
+  let lambda =
+    Hashtbl.fold (fun d r acc -> (d, !r) :: acc) tbl []
+    |> List.filter (fun (_, c) -> Rat.sign c > 0)
+    |> List.sort (fun (d1, _) (d2, _) -> Elemental.desc_compare d1 d2)
+    |> List.map (fun (d, c) ->
+           (Symmetry.apply_expr inv (Elemental.expr_of_desc ~n d), c))
+  in
+  Certificate.make ~n ~cone:"gamma" ~sides:es ~lambda ~mu
 
 (* Prove validity of the canonical instance over the working set
    [w_descs] (add order): solve the restricted Farkas system and accept
@@ -604,44 +618,16 @@ let valid_max_quick ~n es =
    means F(W) is infeasible — the caller's infeasibility claim for R(W)
    was wrong (or, from an exact round, genuinely contradictory). *)
 let certify_working_set ~n ~sym ~es w_descs =
-  let es_c = sym.Symmetry.canonical in
-  let inv = Symmetry.inverse sym.Symmetry.to_canon in
   let axioms = List.map (Elemental.expr_of_desc ~n) w_descs in
   let n_ax = List.length axioms in
   let k = List.length es in
   let nv = (1 lsl n) - 1 in
-  let fprob = farkas_of_axioms ~n axioms es_c in
+  let fprob = farkas_of_axioms ~n axioms sym.Symmetry.canonical in
   let assemble x =
-    (* λ accumulates per elemental *descriptor*: the W columns
-       directly, and each positive ν_S expanded through the chain
-       decomposition of h(S) ≥ 0.  Sorted for a deterministic
-       certificate rendering. *)
-    let tbl : (Elemental.desc, Rat.t ref) Hashtbl.t = Hashtbl.create 64 in
-    let bump d c =
-      match Hashtbl.find_opt tbl d with
-      | Some r -> r := Rat.add !r c
-      | None -> Hashtbl.add tbl d (ref c)
-    in
-    List.iteri (fun i d -> if Rat.sign x.(i) > 0 then bump d x.(i)) w_descs;
-    for s = 1 to nv do
-      let nu = x.(n_ax + k + s - 1) in
-      if Rat.sign nu > 0 then
-        List.iter (fun d -> bump d nu) (nonneg_decomp ~n s)
-    done;
-    let lambda =
-      Hashtbl.fold (fun d r acc -> (d, !r) :: acc) tbl []
-      |> List.filter (fun (_, c) -> Rat.sign c > 0)
-      |> List.sort (fun (d1, _) (d2, _) -> Elemental.desc_compare d1 d2)
-      |> List.map (fun (d, c) ->
-             (Symmetry.apply_expr inv (Elemental.expr_of_desc ~n d), c))
-    in
-    let mu = List.init k (fun l -> x.(n_ax + l)) in
-    (* Sides are the caller's original expressions: renaming the
-       canonical identity Σλ·a = Σμ·Eᶜ through π⁻¹ lands exactly on
-       them, and the renamed axioms stay elemental (the family is
-       closed under permutation), so [Certificate.check] applies
-       unchanged. *)
-    Certificate.make ~n ~cone:"gamma" ~sides:es ~lambda ~mu
+    assemble ~n ~sym ~es
+      ~lambda:(List.mapi (fun i d -> (d, x.(i))) w_descs)
+      ~nu:(List.init nv (fun s -> (s + 1, x.(n_ax + k + s))))
+      ~mu:(List.init k (fun l -> x.(n_ax + l)))
   in
   match Solver.feasible fprob with
   | None -> None
@@ -662,26 +648,142 @@ let certify_working_set ~n ~sym ~es w_descs =
            and the exact re-solve found no feasible point"
     end
 
+(* ---------------- certificate from the probe ----------------
+
+   The float probe's Farkas row, repaired exactly on its own support
+   ([Repair.farkas]): targets carry μ, cuts carry λ, and the
+   combination's coordinate part is ν.  Why a repair can decline, as
+   the fallback span's [fallback] attribute reports it. *)
+type decline = Repair_declined of Repair.farkas_reject | Check_failed
+
+let decline_name = function
+  | Repair_declined Repair.Negative_combination -> "negative_nu"
+  | Repair_declined r -> Repair.farkas_reject_name r
+  | Check_failed -> "check_failed"
+
+(* Exact (μ, λ, ν) for a claim over the canonical sides [es_c]: μ one
+   per side (zero off the support), λ per cited cut, ν per coordinate
+   mask. *)
+let repair_claim ~n es_c claim =
+  let es_a = Array.of_list es_c in
+  let rows =
+    Array.of_list
+      (List.map
+         (fun (r, _) ->
+           match r with
+           | Target l -> (gamma_sparse es_a.(l), Rat.minus_one)
+           | Cut d -> (cone_sparse ~n d, Rat.zero))
+         claim)
+  in
+  let ys = Array.of_list (List.map snd claim) in
+  match Repair.farkas ~num_vars:((1 lsl n) - 1) rows ys with
+  | Error r -> Error (Repair_declined r)
+  | Ok (y, combination) ->
+    let mu = Array.make (Array.length es_a) Rat.zero in
+    let lambda = ref [] in
+    List.iteri
+      (fun i (r, _) ->
+        match r with
+        | Target l -> mu.(l) <- y.(i)
+        | Cut d -> lambda := (d, y.(i)) :: !lambda)
+      claim;
+    Ok
+      ( Array.to_list mu,
+        !lambda,
+        List.map (fun (j, v) -> (j + 1, v)) combination )
+
+(* One probe-repair attempt, counted and spanned: [attempt] either
+   proves validity or names why it declined. *)
+let probe_attempt claim attempt =
+  Obs.Span.with_span ~name:"cone.lazy.probe_cert"
+    ~attrs:[ ("rows", Obs.Span.Int (List.length claim)) ]
+  @@ fun () ->
+  match attempt () with
+  | Ok _ as ok ->
+    Obs.Metrics.bump c_probe_certs;
+    ok
+  | Error r as e ->
+    Obs.Metrics.bump c_probe_cert_fallbacks;
+    if !Obs.Runtime.enabled then
+      Obs.Span.add_attr "fallback" (Obs.Span.Str (decline_name r));
+    e
+
+let claim_cuts claim =
+  List.filter_map (function Cut d, _ -> Some d | Target _, _ -> None) claim
+
+(* Certify a float-infeasible probe: the repaired multipliers, assembled
+   and accepted only if [Certificate.check] passes; on a decline, the
+   restricted Farkas LP F(W′) over the claim's cuts. *)
+let certify_claim ~n ~sym ~es claim =
+  match
+    probe_attempt claim (fun () ->
+        match repair_claim ~n sym.Symmetry.canonical claim with
+        | Error _ as e -> e
+        | Ok (mu, lambda, nu) ->
+          let cert = assemble ~n ~sym ~es ~lambda ~nu ~mu in
+          if Certificate.check cert then Ok cert else Error Check_failed)
+  with
+  | Ok cert -> Some cert
+  | Error _ -> certify_working_set ~n ~sym ~es (claim_cuts claim)
+
+(* ---------------- entry points ---------------- *)
+
+let valid_max_quick ~n es =
+  with_span ~n ~kind:"quick" es @@ fun () ->
+  Obs.Metrics.bump c_solves;
+  let sym = analyze ~n es in
+  (* Verdict only: an accepted repair is an exact Farkas proof by
+     itself, so no certificate is assembled. *)
+  let certify claim =
+    Result.to_option
+      (probe_attempt claim (fun () ->
+           Result.map ignore (repair_claim ~n sym.Symmetry.canonical claim)))
+  in
+  match
+    run ~n ~stabilizer:sym.Symmetry.stabilizer ~certify sym.Symmetry.canonical
+  with
+  | Valid _ | Certified () -> true
+  | Refuted_at _ -> false
+
 let valid_max_cert ~n es =
   with_span ~n ~kind:"cert" es @@ fun () ->
   Obs.Metrics.bump c_solves;
   let sym = analyze ~n es in
-  let certify = certify_working_set ~n ~sym ~es in
   match
-    run ~n ~stabilizer:sym.Symmetry.stabilizer ~certify:(Some certify)
-      sym.Symmetry.canonical
+    run ~n ~stabilizer:sym.Symmetry.stabilizer
+      ~certify:(certify_claim ~n ~sym ~es) sym.Symmetry.canonical
   with
   | Refuted_at x -> Error (refuter_of_point ~n ~sym x)
   | Certified cert -> Ok cert
   | Valid w_rev ->
     (* Reached only through an exact round's infeasibility (a probe that
        came back Unknown, or with a point but no new cut, or whose
-       certify attempt failed).  F(W) is then feasible by duality over
+       claim did not certify).  F(W) is then feasible by duality over
        the W-cone; both empty means the two independently-built LPs
        disagree. *)
-    (match certify (List.rev w_rev) with
+    (match certify_working_set ~n ~sym ~es (List.rev w_rev) with
      | Some cert -> Ok cert
      | None ->
        Bagcqc_error.invariant ~where
          "restricted Farkas LP infeasible though the restricted \
           refutation LP was infeasible too (duality violated)")
+
+(* ---------------- test surface ---------------- *)
+
+module Probe = struct
+  type row = claim_row = Target of int | Cut of Elemental.desc
+
+  let terminal_claim ~n es =
+    let sym = analyze ~n es in
+    match
+      run ~n ~stabilizer:sym.Symmetry.stabilizer ~certify:Option.some
+        sym.Symmetry.canonical
+    with
+    | Certified claim -> Some claim
+    | Valid _ | Refuted_at _ -> None
+
+  let repairs ~n es claim =
+    Result.is_ok (repair_claim ~n (analyze ~n es).Symmetry.canonical claim)
+
+  let certify ~n es claim = certify_claim ~n ~sym:(analyze ~n es) ~es claim
+end

@@ -9,22 +9,27 @@
     slices), separate over the {e implicit} family
     ({!Elemental.eval_desc} — exact rationals, nothing materialized),
     add the most-violated cut orbit-at-a-time, and re-solve.  The
-    intermediate rounds run on one incremental float tableau per
-    decision ({!Bagcqc_lp.Fsimplex.Tableau}: cuts appended in place,
-    dual simplex from the previous basis); exact rounds warm-start from
-    the previous exact round's basis ({!Bagcqc_lp.Simplex.solve_warm})
-    and are routed through {!Bagcqc_engine.Solver.solve_using}, so they
-    hit the sharded cache and the persistent store — across restarts
-    {e and} across symmetric instances.
+    rounds run on one incremental float tableau per decision
+    ({!Bagcqc_lp.Fsimplex.Tableau}: cuts appended in place, dual
+    simplex from the previous basis).
 
-    Soundness does not rest on the cutting-plane loop: "valid" means the refutation LP
-    over W ⊇'s cone is infeasible (a cone {e containing} Γn, so the
-    verdict transfers), and carries a Farkas certificate over W ⊆
-    elemental family that the unchanged exact
-    {!Certificate.check} judges; "refuted" returns a point that passed
-    the full separation scan, i.e. satisfies {e every} elemental
-    inequality.  The full-materialization driver {!Cones.Oracle} stays
-    as the cross-checked reference. *)
+    A valid decision normally ends on the tableau's Farkas row: its
+    multipliers are repaired exactly on their own support
+    ({!Bagcqc_lp.Repair.farkas}) and assembled into the certificate, so
+    no LP is solved at all.  Only a declined repair (counted in
+    [cone.lazy.probe_cert_fallbacks], its reason on the
+    [cone.lazy.probe_cert] span) pays for the restricted Farkas LP, and
+    only a probe without a usable answer pays for an exact refutation
+    round; those LPs go through {!Bagcqc_engine.Solver.solve_using}, so
+    they hit the sharded cache and the persistent store — across
+    restarts {e and} across symmetric instances.
+
+    Soundness does not rest on the cutting-plane loop or on the floats:
+    "valid" carries a Farkas certificate over W ⊆ elemental family that
+    the unchanged exact {!Certificate.check} judges; "refuted" returns a
+    point that passed the full separation scan, i.e. satisfies {e every}
+    elemental inequality.  The full-materialization driver
+    {!Cones.Oracle} stays as the cross-checked reference. *)
 
 val valid_max_cert :
   n:int -> Linexpr.t list -> (Certificate.t, Polymatroid.t) result
@@ -35,5 +40,28 @@ val valid_max_cert :
     with [es_ℓ(h) < 0] for all ℓ. *)
 
 val valid_max_quick : n:int -> Linexpr.t list -> bool
-(** Verdict only: runs the separation loop but skips the Farkas solve
-    and certificate packaging on the valid side. *)
+(** Verdict only: runs the separation loop, and on the valid side
+    accepts an exact repair of the probe's Farkas row without
+    assembling a certificate. *)
+
+(** The certificate path's internals, exposed for the tests. *)
+module Probe : sig
+  type row =
+    | Target of int  (** side [ℓ] of the canonical instance *)
+    | Cut of Elemental.desc  (** a working-set inequality *)
+
+  val terminal_claim : n:int -> Linexpr.t list -> (row * float) list option
+  (** Run the loop on the canonical form of [es] up to its first
+      float-infeasible probe and return that probe's Farkas row, as
+      (row, float multiplier) pairs; [None] if the loop ends another
+      way. *)
+
+  val repairs : n:int -> Linexpr.t list -> (row * float) list -> bool
+  (** Whether {!Bagcqc_lp.Repair.farkas} accepts the claim. *)
+
+  val certify :
+    n:int -> Linexpr.t list -> (row * float) list -> Certificate.t option
+  (** The production certificate step for a claim on [es]: the exact
+      repair, or on a decline the restricted Farkas LP over the claim's
+      cuts.  [None]: neither certifies. *)
+end

@@ -310,13 +310,14 @@ let propose ?warm p (lay : Lp_layout.layout) =
    Rows are unboxed [float array]s of a shared allocated width, pivoted
    in place over the nonzero columns of the pivot row only.  Like
    {!propose}, nothing here is a verdict: a [Point] only steers which
-   cuts enter the working set, an [Infeasible] support only names the
-   rows an exact Farkas solve is attempted on. *)
+   cuts enter the working set, and the multipliers of an [Infeasible]
+   claim only choose the structure an exact Farkas repair is attempted
+   on ({!Repair.farkas}). *)
 
 module Tableau = struct
   type claim =
     | Point of float array
-    | Infeasible of int list
+    | Infeasible of (int * float) list
     | Unknown
 
   type t = {
@@ -458,19 +459,19 @@ module Tableau = struct
     t.basis.(r) <- c;
     t.row_of.(c) <- r
 
-  (* The Farkas row of an infeasibility claim, as original row indices:
-     row r of the tableau is Σ_i y_i·(row i with its slack), and y_i is
-     read off slack column i — the nonbasic slacks with a nonzero entry,
-     plus the slack basic in r itself (coefficient 1).  Every other
-     basic slack has a zero entry. *)
-  let farkas_support t r =
+  (* The Farkas row of an infeasibility claim, as (original row index,
+     multiplier) pairs: row r of the tableau is Σ_i y_i·(row i with its
+     slack), and y_i is read off slack column i — the nonbasic slacks
+     with a nonzero entry, plus the slack basic in r itself (coefficient
+     1).  Every other basic slack has a zero entry. *)
+  let farkas_row t r =
     let row = t.rows.(r) in
     let acc = ref [] in
     for i = t.m - 1 downto 0 do
       let s = t.num_vars + i in
-      if t.basis.(r) = s
-         || (t.row_of.(s) < 0 && Float.abs row.(s) > eps_pivot)
-      then acc := i :: !acc
+      if t.basis.(r) = s then acc := (i, 1.0) :: !acc
+      else if t.row_of.(s) < 0 && Float.abs row.(s) > eps_pivot then
+        acc := (i, row.(s)) :: !acc
     done;
     !acc
 
@@ -534,7 +535,7 @@ module Tableau = struct
                    end
                  done
                with Exit -> ());
-              if !enter < 0 then Infeasible (farkas_support t r)
+              if !enter < 0 then Infeasible (farkas_row t r)
               else if !pivots >= budget then raise (Numerical "pivot budget")
               else begin
                 incr pivots;

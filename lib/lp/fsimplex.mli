@@ -50,8 +50,9 @@ val propose :
     artificial columns, grows it a row at a time, and re-solves it by
     the dual simplex from the current basis.  Its answers are heuristic
     data for a cutting-plane loop, {e never a verdict}: points steer
-    which cuts are added, infeasibility supports only choose the rows
-    an exact Farkas solve is attempted on. *)
+    which cuts are added, and the multipliers of an infeasibility claim
+    only choose the structure an exact Farkas repair
+    ({!Repair.farkas}) is attempted on. *)
 module Tableau : sig
   type t
 
@@ -59,11 +60,12 @@ module Tableau : sig
     | Point of float array
         (** A basic point [x ≥ 0] of length [num_vars] satisfying every
             row to within [1e-9]. *)
-    | Infeasible of int list
-        (** The support of the Farkas row that proves infeasibility:
-            the indices (in append order, ascending) of the rows with a
-            nonzero multiplier.  Those rows alone are infeasible in
-            floats. *)
+    | Infeasible of (int * float) list
+        (** The Farkas row that proves infeasibility in floats: one
+            [(i, y_i)] per row with a nonzero multiplier, ascending in
+            the row index [i] (append order).  In floats [y ≥ 0],
+            [y·A ≥ 0] and [y·b < 0]; {!Repair.farkas} turns the pairs
+            into an exact certificate or declines. *)
     | Unknown
         (** Pivot budget exhausted or a non-finite entry.  The tableau
             stays [Unknown] from then on; rebuild it. *)

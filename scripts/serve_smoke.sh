@@ -6,12 +6,15 @@
 #
 #   1. in-process protocol selftest (`serve --selftest`)
 #   2. cold check answered with a verified certificate
-#   3. cached re-check + stats (store gains exactly one entry)
+#   3. cached re-check + stats: the Contained check (certified from the
+#      float probe's Farkas row, no LP) appends nothing; a Not-contained
+#      check's Optimal LPs (its Nn LP among them) are appended
 #   4. malformed line and zero deadline answered with typed errors,
 #      connection and daemon both surviving
 #   5. graceful drain on SIGTERM: exit 0, socket file removed, trace
 #      artifact written and readable by `bagcqc report`
-#   6. warm restart: verdict served from the store with zero simplex pivots
+#   6. warm restart: both verdicts answered with zero simplex pivots, the
+#      Not-contained one from the store
 #   7. corrupted store entry: rejected (counted) on load, never served,
 #      and the re-check still answers correctly by re-solving
 #   8. telemetry surface: /metrics is valid Prometheus exposition
@@ -78,6 +81,7 @@ client() {
 }
 
 CHECK_CONTAINED='{"id":1,"op":"check","q1":"R(x,y), R(y,z), R(z,x)","q2":"R(u,v), R(u,w)","certificate":true}'
+CHECK_NOT_CONTAINED='{"id":2,"op":"check","q1":"R(x,y), R(x,z)","q2":"R(u,v), R(w,v)"}'
 STATS='{"id":"s","op":"stats"}'
 
 step "1: protocol selftest"
@@ -91,7 +95,11 @@ echo "$out" | grep -q '"certificate"' || fail "expected a certificate in: $out"
 
 step "3: cached re-check + stats"
 out=$(client "$CHECK_CONTAINED" "$STATS") || fail "client exited nonzero"
-echo "$out" | grep -q '"store_appends":1' || fail "expected one store append in: $out"
+echo "$out" | grep -q '"certificate"' || fail "expected a certificate in: $out"
+echo "$out" | grep -q '"store_appends":0' || fail "a Contained check should append nothing: $out"
+out=$(client "$CHECK_NOT_CONTAINED" "$STATS") || fail "client exited nonzero"
+echo "$out" | grep -q '"verdict":"not_contained"' || fail "expected a not_contained verdict, got: $out"
+echo "$out" | grep -q '"store_appends":[1-9]' || fail "expected store appends in: $out"
 
 step "4: malformed line and zero deadline get typed errors"
 out=$(client 'this is not JSON' \
@@ -111,10 +119,13 @@ stop_daemon
 
 step "6: warm restart serves the verdict from the store"
 start_daemon
-out=$(client "$CHECK_CONTAINED" "$STATS") || fail "client exited nonzero"
+out=$(client "$CHECK_CONTAINED" "$CHECK_NOT_CONTAINED" "$STATS") || fail "client exited nonzero"
 echo "$out" | grep -q '"verdict":"contained"' || fail "warm verdict wrong: $out"
-echo "$out" | grep -q '"store_loaded":1' || fail "expected one store entry loaded in: $out"
-echo "$out" | grep -q '"store_hits":1' || fail "expected a store hit in: $out"
+echo "$out" | grep -q '"certificate"' || fail "warm Contained check lacks its certificate: $out"
+echo "$out" | grep -q '"verdict":"not_contained"' || fail "warm verdict wrong: $out"
+echo "$out" | grep -q '"store_loaded":[1-9]' || fail "expected store entries loaded in: $out"
+echo "$out" | grep -q '"store_hits":[1-9]' || fail "expected a store hit in: $out"
+LOADED=$(echo "$out" | grep -o '"store_loaded":[0-9]*' | grep -o '[0-9]*$')
 echo "$out" | grep -q '"lp_pivots":0' || fail "warm check should not pivot: $out"
 stop_daemon
 
@@ -132,10 +143,10 @@ text = text[:m.start()] + ("3" if m.group() != "3" else "4") + text[m.end():]
 open(path, "w").write(text)
 EOF
 start_daemon
-out=$(client "$CHECK_CONTAINED" "$STATS") || fail "client exited nonzero"
-echo "$out" | grep -q '"verdict":"contained"' || fail "post-corruption verdict wrong: $out"
+out=$(client "$CHECK_NOT_CONTAINED" "$STATS") || fail "client exited nonzero"
+echo "$out" | grep -q '"verdict":"not_contained"' || fail "post-corruption verdict wrong: $out"
 echo "$out" | grep -q '"store_rejected":1' || fail "expected the corrupt entry rejected in: $out"
-echo "$out" | grep -q '"store_loaded":0' || fail "corrupt entry must not load: $out"
+echo "$out" | grep -q "\"store_loaded\":$((LOADED - 1))," || fail "corrupt entry must not load: $out"
 stop_daemon
 
 # Wait for the daemon's banner to announce the (ephemeral) metrics port.
@@ -167,6 +178,10 @@ grep -q '^bagcqc_serve_request_us_bucket{le="+Inf"}' "$METRICS" \
   || fail "serve.request_us histogram missing from /metrics"
 grep -q '^bagcqc_serve_queue_depth ' "$METRICS" || fail "queue-depth gauge missing"
 grep -q '^bagcqc_serve_in_flight ' "$METRICS" || fail "in-flight gauge missing"
+grep -q '^bagcqc_cone_lazy_probe_certs_total [1-9]' "$METRICS" \
+  || fail "the Contained check's probe certificate is not counted in /metrics"
+grep -q '^bagcqc_cone_lazy_probe_cert_fallbacks_total ' "$METRICS" \
+  || fail "probe-certificate fallback counter missing from /metrics"
 rate=$(grep '^bagcqc_rate_per_sec{counter="serve.requests",window="1m"}' "$METRICS" \
   | awk '{print $2}')
 [ -n "$rate" ] || fail "rolling 1m request rate missing from /metrics"

@@ -666,12 +666,121 @@ let test_valid_shannon_many_dedup () =
     (List.map (Cones.valid_shannon ~n:4) batch)
     (Cones.valid_shannon_many ~n:4 batch)
 
+(* ------------------------------------------------------------------ *)
+(* Certificates from the probe's Farkas row                             *)
+(* ------------------------------------------------------------------ *)
+
+let counter name = Bagcqc_obs.Metrics.count (Bagcqc_obs.Metrics.counter name)
+
+(* Two-sided Max-IIPs valid by construction: side 1 a positive
+   combination of 3–6 elemental rows, side 2 another combination minus
+   h(V), which need not hold on its own. *)
+let valid_by_construction ~n st =
+  let family = Array.of_list (Elemental.list ~n) in
+  let combo rows =
+    Linexpr.sum
+      (List.init rows (fun _ ->
+           Linexpr.scale
+             (Rat.of_ints (1 + Random.State.int st 3) (1 + Random.State.int st 2))
+             family.(Random.State.int st (Array.length family))))
+  in
+  [ combo (3 + Random.State.int st 4);
+    Linexpr.sub (combo (3 + Random.State.int st 4)) (Linexpr.term (Varset.full n)) ]
+
+let test_probe_certificates_solve_no_lp () =
+  let st = Random.State.make [| 2026 |] in
+  List.iter
+    (fun (n, count) ->
+      for _ = 1 to count do
+        let es = valid_by_construction ~n st in
+        Bagcqc_engine.Solver.clear ();
+        let solves = counter "lp.solves"
+        and lookups = counter "solver.cache.hits" + counter "solver.cache.misses"
+        and declined = counter "cone.lazy.probe_cert_fallbacks" in
+        (match Cones.valid_max_cert Cones.Gamma ~n es with
+         | Ok (Some cert) ->
+           Alcotest.(check bool) "certificate proves the instance" true
+             (Certificate.proves cert ~n es)
+         | Ok None | Error _ -> Alcotest.fail "valid by construction");
+        Alcotest.(check int) "no LP solved" solves (counter "lp.solves");
+        Alcotest.(check int) "solver cache untouched" lookups
+          (counter "solver.cache.hits" + counter "solver.cache.misses");
+        Alcotest.(check int) "no repair declined" declined
+          (counter "cone.lazy.probe_cert_fallbacks")
+      done)
+    [ (5, 12); (6, 6) ]
+
+let test_probe_repair_declines_to_fallback () =
+  let n = 4 in
+  let es = valid_by_construction ~n (Random.State.make [| 11 |]) in
+  let claim =
+    match Separation.Probe.terminal_claim ~n es with
+    | Some c -> c
+    | None -> Alcotest.fail "expected a float-infeasible probe"
+  in
+  Alcotest.(check bool) "the probe's own row repairs" true
+    (Separation.Probe.repairs ~n es claim);
+  (* Scaling every multiplier keeps the vanishing pattern: same repair. *)
+  Alcotest.(check bool) "scale-free" true
+    (Separation.Probe.repairs ~n es
+       (List.map (fun (r, y) -> (r, 3.0 *. y)) claim));
+  let declines name bad =
+    Alcotest.(check bool) (name ^ ": repair declines") false
+      (Separation.Probe.repairs ~n es bad);
+    let before = counter "cone.lazy.probe_cert_fallbacks" in
+    (match Separation.Probe.certify ~n es bad with
+     | Some cert ->
+       Alcotest.(check bool) (name ^ ": F(W') fallback proves the instance")
+         true (Certificate.proves cert ~n es)
+     | None -> Alcotest.failf "%s: the fallback did not certify" name);
+    Alcotest.(check int) (name ^ ": one fallback counted") (before + 1)
+      (counter "cone.lazy.probe_cert_fallbacks")
+  in
+  (* A multiplier knocked off its value no longer cancels on its row's
+     coordinates, so those equations are lost. *)
+  declines "perturbed multiplier"
+    (List.mapi (fun i (r, y) -> (r, if i = 1 then y +. 0.75 else y)) claim);
+  (* Without one of its rows the combination cannot vanish where the
+     floats said it does. *)
+  declines "dropped row" (List.filteri (fun i _ -> i <> 0) claim)
+
+(* The Nn row build before the zeta transform, one pass over the terms
+   per mask: the reference the transform must match bit for bit. *)
+let normal_sparse_reference ~n e =
+  let terms = Linexpr.terms e in
+  List.concat
+    (List.init ((1 lsl n) - 1) (fun w ->
+         let coeff =
+           List.fold_left
+             (fun acc (s, c) -> if Varset.subset s w then acc else Rat.add acc c)
+             Rat.zero terms
+         in
+         if Rat.is_zero coeff then [] else [ (w, coeff) ]))
+
+let prop_normal_sparse_matches_reference =
+  QCheck.Test.make ~name:"cones: zeta-transform Nn rows equal the per-mask sums"
+    ~count:300
+    QCheck.(pair (int_range 1 7) (small_list (triple small_nat (int_range (-5) 5) (int_range 1 4))))
+    (fun (n, raw) ->
+      let full = (1 lsl n) - 1 in
+      let e =
+        Linexpr.sum
+          (List.map
+             (fun (m, c, d) -> Linexpr.term ~coeff:(Rat.of_ints c d) (1 + (m mod full)))
+             raw)
+      in
+      List.equal
+        (fun (w1, c1) (w2, c2) ->
+          w1 = w2 && Rat.equal c1 c2 && Rat.to_string c1 = Rat.to_string c2)
+        (Cones.normal_sparse ~n e) (normal_sparse_reference ~n e))
+
 let qtests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_subset_enum_complete; prop_truncated_modular_is_polymatroid;
       prop_theorem_3_6; prop_counterexample_sound; prop_cone_chain;
       prop_normalize_lemma_3_7; prop_modularize_lemma_3_7;
-      prop_symmetry_canonical_invariant; prop_symmetry_stabilizer_complete ]
+      prop_symmetry_canonical_invariant; prop_symmetry_stabilizer_complete;
+      prop_normal_sparse_matches_reference ]
 
 let suite =
   [ ("varset basic", `Quick, test_varset_basic);
@@ -697,5 +806,7 @@ let suite =
     ("symmetry canonicalization", `Quick, test_symmetry_canonicalization);
     ("lazy engine agrees with full", `Quick, test_lazy_engine_agrees_with_full);
     ("lazy certificates check", `Quick, test_lazy_certificates_check);
-    ("valid_shannon_many dedup", `Quick, test_valid_shannon_many_dedup) ]
+    ("valid_shannon_many dedup", `Quick, test_valid_shannon_many_dedup);
+    ("probe certificates solve no LP", `Quick, test_probe_certificates_solve_no_lp);
+    ("probe repair declines to F(W')", `Quick, test_probe_repair_declines_to_fallback) ]
   @ qtests

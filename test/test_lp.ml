@@ -449,14 +449,17 @@ let test_tableau_small () =
      and 2 only, not the slack x ≤ 3. *)
   Tableau.add_le t [| 0; 1 |] [| 1.0; 1.0 |] 0.0;
   (match Tableau.reoptimize t with
-   | Tableau.Infeasible support ->
-     Alcotest.(check (list int)) "Farkas support" [ 0; 2 ] support
+   | Tableau.Infeasible ys ->
+     Alcotest.(check (list int)) "Farkas support" [ 0; 2 ] (List.map fst ys);
+     (* −x ≤ −1 plus x + y ≤ 0 sum to y ≤ −1: unit multipliers. *)
+     Alcotest.(check (list (float 1e-12))) "Farkas multipliers" [ 1.0; 1.0 ]
+       (List.map snd ys)
    | c -> Alcotest.failf "expected infeasible, got %s" (claim_kind c));
   (* 0 ≤ −1 needs no pivot at all. *)
   let t = tableau_of ~num_vars:1 [ ([], q (-1)) ] in
   (match Tableau.reoptimize t with
-   | Tableau.Infeasible support ->
-     Alcotest.(check (list int)) "empty row support" [ 0 ] support
+   | Tableau.Infeasible ys ->
+     Alcotest.(check (list int)) "empty row support" [ 0 ] (List.map fst ys)
    | c -> Alcotest.failf "expected infeasible, got %s" (claim_kind c));
   (* A non-finite coefficient is never pivoted on. *)
   let t = Tableau.create ~num_vars:1 in
@@ -563,6 +566,20 @@ let prop_tableau_point_feasible =
              rows
       | Tableau.Infeasible _ | Tableau.Unknown -> true)
 
+(* The exact multipliers [Repair.farkas] recovers from a float Farkas
+   row, re-verified here from scratch: y ≥ 0, y·A ≥ 0 and y·b < 0. *)
+let exact_farkas_holds ~num_vars rows y =
+  let rows = Array.of_list rows in
+  let comb = Array.make num_vars Rat.zero and yb = ref Rat.zero in
+  Array.iteri
+    (fun i (pairs, rhs) ->
+      List.iter (fun (j, c) -> comb.(j) <- Rat.add comb.(j) (Rat.mul y.(i) c)) pairs;
+      yb := Rat.add !yb (Rat.mul y.(i) rhs))
+    rows;
+  Array.for_all (fun v -> Rat.sign v >= 0) y
+  && Array.for_all (fun v -> Rat.sign v >= 0) comb
+  && Rat.sign !yb < 0
+
 let prop_tableau_support_is_infeasible =
   QCheck.Test.make ~name:"tableau: the Farkas support is exactly infeasible"
     ~count:150 QCheck.(int_bound 1_000_000)
@@ -570,18 +587,28 @@ let prop_tableau_support_is_infeasible =
       let st = Random.State.make [| seed + 71 |] in
       let num_vars, targets, rows = random_gamma_rows st in
       match Tableau.reoptimize (tableau_of ~num_vars rows) with
-      | Tableau.Infeasible support ->
+      | Tableau.Infeasible ys ->
         let rows_a = Array.of_list rows in
         let k = List.length targets in
         let kept =
           targets
           @ List.filter_map
-              (fun i -> if i >= k then Some rows_a.(i) else None)
-              support
+              (fun (i, _) -> if i >= k then Some rows_a.(i) else None)
+              ys
         in
+        let support = List.map (fun (i, _) -> rows_a.(i)) ys in
         (match exact_claim ~num_vars kept with
          | Simplex.Infeasible -> true
          | Simplex.Optimal _ | Simplex.Unbounded -> false)
+        &&
+        (match
+           Repair.farkas ~num_vars (Array.of_list support)
+             (Array.of_list (List.map snd ys))
+         with
+         | Ok (y, _) -> exact_farkas_holds ~num_vars support y
+         | Error r ->
+           QCheck.Test.fail_reportf "repair declined: %s"
+             (Repair.farkas_reject_name r))
       | Tableau.Point _ | Tableau.Unknown -> true)
 
 let qtests =

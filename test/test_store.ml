@@ -316,28 +316,46 @@ let test_farkas_tampered_entry_dropped () =
 
 let test_lazy_store_roundtrip () =
   with_temp_store @@ fun path ->
-  (* The lazy driver persists its Optimal per-round solves (the final
-     restricted Farkas, any feasible refutation rounds) under its own
-     pure-feasibility tags; a warm restart must re-verify them, serve
-     the Farkas from disk, and reach the same certified verdict.  The
-     valid side's terminal refutation LP is Infeasible, which the store
-     never persists (no proof object), so the warm run still pays that
-     one small re-solve — but not the Farkas. *)
-  let n = 3 in
-  let es =
-    [ Linexpr.mutual (Varset.singleton 0) (Varset.singleton 1)
-        (Varset.singleton 2) ]
+  (* A valid Γn decision is certified from the float probe's Farkas row
+     with no LP at all, so it leaves the store untouched.  A Γn
+     refutation still settles on exact rounds, and those Optimal
+     per-round solves persist under the lazy driver's pure-feasibility
+     tag: a warm restart must re-verify them, serve them from disk, and
+     reach the same refuted verdict. *)
+  let n = 4 in
+  let i a b c =
+    Linexpr.mutual (Varset.singleton a) (Varset.singleton b) (Varset.of_list c)
+  in
+  let valid = [ i 0 1 [ 2 ] ] in
+  let ingleton =
+    [ Linexpr.sub
+        (Linexpr.sum [ i 0 1 [ 2 ]; i 0 1 [ 3 ]; i 2 3 [] ])
+        (i 0 1 []) ]
+  in
+  let refuted () =
+    match Cones.valid_max_cert Cones.Gamma ~n ingleton with
+    | Error h ->
+      Alcotest.(check bool) "refuter violates Ingleton" true
+        (Rat.sign (Linexpr.eval (Polymatroid.value h) (List.hd ingleton)) < 0)
+    | Ok _ -> Alcotest.fail "Ingleton is not a Shannon inequality"
   in
   Solver.clear ();
   Stats.reset ();
   let cold_solves =
     with_attached path (fun _ ->
-        (match Cones.valid_max_cert Cones.Gamma ~n es with
+        (match Cones.valid_max_cert Cones.Gamma ~n valid with
          | Ok (Some cert) ->
            Alcotest.(check bool) "certificate checks" true
              (Certificate.check cert)
          | Ok None | Error _ -> Alcotest.fail "I(0;1|2) >= 0 must be valid");
-        (Stats.snapshot ()).Stats.lp_solves)
+        let s = Stats.snapshot () in
+        Alcotest.(check int) "valid: no LP solved" 0 s.Stats.lp_solves;
+        Alcotest.(check int) "valid: nothing appended" 0 s.Stats.store_appends;
+        refuted ();
+        let s = Stats.snapshot () in
+        Alcotest.(check bool) "refutation appended its rounds" true
+          (s.Stats.store_appends >= 1);
+        s.Stats.lp_solves)
   in
   Solver.clear ();
   Stats.reset ();
@@ -345,11 +363,7 @@ let test_lazy_store_roundtrip () =
       Alcotest.(check int) "lazy entries re-verified on load" 0
         (Store.rejected st);
       Alcotest.(check bool) "something persisted" true (Store.loaded st >= 1);
-      (match Cones.valid_max_cert Cones.Gamma ~n es with
-       | Ok (Some cert) ->
-         Alcotest.(check bool) "warm certificate checks" true
-           (Certificate.check cert)
-       | Ok None | Error _ -> Alcotest.fail "warm verdict flipped");
+      refuted ();
       let s = Stats.snapshot () in
       Alcotest.(check bool) "warm run solves less than cold" true
         (s.Stats.lp_solves < cold_solves);
