@@ -142,13 +142,18 @@ let show_lp { nv; obj; rows } =
 
 (* Two populations: raw random LPs (reusing [lp_case], which skews small
    and degenerate — the regime where float tolerances misjudge bases),
-   and Γn cone instances driven through the full Cones pipeline, whose
-   Farkas/refutation LPs are the workload the hybrid mode exists for.
-   Sides are raw [(mask, coeff)] term lists so failures print and shrink
-   structurally. *)
+   and cone instances driven through the full Cones pipeline: Γn, whose
+   Farkas/refutation LPs are the workload the hybrid mode exists for,
+   and Nn/Mn, whose generator presolve settles most instances before
+   their small refutation LP.  Sides are raw [(mask, coeff)] term lists
+   so failures print and shrink structurally. *)
 type hybrid_case =
   | Raw_lp of lp_case
-  | Cone_gamma of { n : int; sides : (int * Rat.t) list list }
+  | Cone of {
+      cone : Bagcqc_entropy.Cones.cone;
+      n : int;
+      sides : (int * Rat.t) list list;
+    }
 
 let cone_side rng ~n =
   let nterms = Rng.range rng 1 3 in
@@ -157,23 +162,32 @@ let cone_side rng ~n =
       let c = small_rat rng in
       (mask, (if Rat.is_zero c then Rat.one else c)))
 
+(* Half the cone cases are Γn at n = 2..3 with up to 3 sides; the rest
+   are Nn or Mn, whose decisions stay cheap up to n = 5 and 4 sides. *)
 let hybrid_case rng =
   if Rng.int rng 3 < 2 then Raw_lp (lp_case rng)
   else begin
-    let n = Rng.range rng 2 3 in
-    let k = Rng.range rng 1 3 in
-    Cone_gamma { n; sides = List.init k (fun _ -> cone_side rng ~n) }
+    let module Cones = Bagcqc_entropy.Cones in
+    let cone, (n_lo, n_hi), k_hi =
+      match Rng.int rng 4 with
+      | 0 -> (Cones.Normal, (1, 5), 4)
+      | 1 -> (Cones.Modular, (1, 5), 4)
+      | _ -> (Cones.Gamma, (2, 3), 3)
+    in
+    let n = Rng.range rng n_lo n_hi in
+    let k = Rng.range rng 1 k_hi in
+    Cone { cone; n; sides = List.init k (fun _ -> cone_side rng ~n) }
   end
 
 let shrink_hybrid = function
   | Raw_lp case -> List.map (fun c -> Raw_lp c) (shrink_lp case)
-  | Cone_gamma { n; sides } ->
+  | Cone ({ sides; _ } as c) ->
     let drop_side =
       if List.length sides <= 1 then []
       else
         List.mapi
           (fun i _ ->
-            Cone_gamma { n; sides = List.filteri (fun j _ -> j <> i) sides })
+            Cone { c with sides = List.filteri (fun j _ -> j <> i) sides })
           sides
     in
     let drop_term =
@@ -184,8 +198,8 @@ let shrink_hybrid = function
              else
                List.mapi
                  (fun t _ ->
-                   Cone_gamma
-                     { n;
+                   Cone
+                     { c with
                        sides =
                          List.mapi
                            (fun j s ->
@@ -199,8 +213,14 @@ let shrink_hybrid = function
 
 let show_hybrid = function
   | Raw_lp case -> "lp: " ^ show_lp case
-  | Cone_gamma { n; sides } ->
-    Printf.sprintf "gamma n=%d max(%s)" n
+  | Cone { cone; n; sides } ->
+    let name =
+      match cone with
+      | Bagcqc_entropy.Cones.Gamma -> "gamma"
+      | Normal -> "normal"
+      | Modular -> "modular"
+    in
+    Printf.sprintf "%s n=%d max(%s)" name n
       (String.concat " ; "
          (List.map
             (fun side ->
@@ -229,11 +249,12 @@ let lazy_case rng =
 let shrink_lazy { n; sides } =
   List.filter_map
     (function
-      | Cone_gamma { n; sides } -> Some { n; sides }
+      | Cone { n; sides; _ } -> Some { n; sides }
       | Raw_lp _ -> None)
-    (shrink_hybrid (Cone_gamma { n; sides }))
+    (shrink_hybrid (Cone { cone = Bagcqc_entropy.Cones.Gamma; n; sides }))
 
-let show_lazy { n; sides } = show_hybrid (Cone_gamma { n; sides })
+let show_lazy { n; sides } =
+  show_hybrid (Cone { cone = Bagcqc_entropy.Cones.Gamma; n; sides })
 
 (* ---------------- Boolean query pairs ---------------- *)
 

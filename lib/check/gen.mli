@@ -41,9 +41,15 @@ val show_lp : lp_case -> string
 type hybrid_case =
   | Raw_lp of lp_case
       (** a random LP, solved by [Simplex.solve] and [Simplex.solve_exact] *)
-  | Cone_gamma of { n : int; sides : (int * Rat.t) list list }
-      (** a Γn max-inequality as raw [(mask, coeff)] sides, decided by
-          [Cones.valid_max_cert] and [Cones.Oracle.valid_max_cert] *)
+  | Cone of {
+      cone : Bagcqc_entropy.Cones.cone;
+      n : int;
+      sides : (int * Rat.t) list list;
+    }
+      (** a max-inequality as raw [(mask, coeff)] sides, decided by
+          [Cones.valid_max_cert] and, at [Gamma],
+          [Cones.Oracle.valid_max_cert]; at [Normal] and [Modular],
+          [Cones.Oracle.refute_small] *)
 
 val hybrid_case : Rng.t -> hybrid_case
 val shrink_hybrid : hybrid_case -> hybrid_case list

@@ -155,9 +155,11 @@ let simplex_suite =
    verdict, its optimal points must be exactly feasible at exactly the
    reported value, and on cone instances the production Γn decision
    must agree with the exact materialized oracle, every certificate
-   passing the exact, LP-independent [Certificate.check].  The solver
-   cache is off and cleared around the cone runs so the two paths cannot
-   answer each other's queries from the cache. *)
+   passing the exact, LP-independent [Certificate.check]; the
+   production Nn/Mn decision must agree with the exact LP over the same
+   generator rows.  The solver cache is off and cleared around the cone
+   runs so the two paths cannot answer each other's queries from the
+   cache. *)
 
 let without_solver_cache f =
   let saved = !Bagcqc_engine.Solver.caching in
@@ -226,16 +228,62 @@ let check_hybrid_cone ~n sides =
   | Error _, Ok (Some _) ->
     Error "verdict mismatch: exact oracle refutes, production says valid"
 
+(* Nn and Mn: the production decision (generator presolve, then the
+   float-first LP) against the exact LP on the same generator rows.  A
+   refuter must lie in the cone and put every side at ≤ −1 exactly, as
+   both the presolve and the LP construct it. *)
+let check_small_cone cone ~n sides =
+  let module Cones = Bagcqc_entropy.Cones in
+  let module Polymatroid = Bagcqc_entropy.Polymatroid in
+  let module Linexpr = Bagcqc_entropy.Linexpr in
+  let es = List.map build_side sides in
+  without_solver_cache @@ fun () ->
+  let reference = Cones.Oracle.refute_small cone ~n es in
+  let production = Cones.valid_max_cert cone ~n es in
+  let quick = Cones.valid_max_quick cone ~n es in
+  let* () =
+    require (quick = Result.is_ok production)
+      "quick verdict %b disagrees with the full path" quick
+  in
+  let refutes tag h =
+    let* () =
+      require
+        (match cone with
+         | Cones.Modular -> Polymatroid.is_modular h
+         | Cones.Normal | Cones.Gamma -> Polymatroid.is_normal h)
+        "%s refuter is not in the cone" tag
+    in
+    require
+      (List.for_all
+         (fun e ->
+           Rat.compare (Linexpr.eval (Polymatroid.value h) e) Rat.minus_one
+           <= 0)
+         es)
+      "%s refuter leaves some side above -1" tag
+  in
+  match reference, production with
+  | None, Ok None -> Ok ()
+  | Some hr, Error hp ->
+    let* () = refutes "reference" hr in
+    refutes "production" hp
+  | _, Ok (Some _) -> Error "small cone returned a certificate"
+  | None, Error _ ->
+    Error "verdict mismatch: exact LP says valid, production refutes"
+  | Some _, Ok None ->
+    Error "verdict mismatch: exact LP refutes, production says valid"
+
 let check_hybrid = function
   | Gen.Raw_lp case -> check_hybrid_lp case
-  | Gen.Cone_gamma { n; sides } -> check_hybrid_cone ~n sides
+  | Gen.Cone { cone = Bagcqc_entropy.Cones.Gamma; n; sides } ->
+    check_hybrid_cone ~n sides
+  | Gen.Cone { cone; n; sides } -> check_small_cone cone ~n sides
 
 let float_vs_exact_suite =
   Runner.Suite
     { name = "float_vs_exact";
       doc =
-        "production (float-first) LP and Γn decision vs exact: verdicts, \
-         exact feasibility, certificate checks";
+        "production (float-first) LP and Γn/Nn/Mn decisions vs exact: \
+         verdicts, exact feasibility, certificate and refuter checks";
       gen = Gen.hybrid_case;
       show = Gen.show_hybrid;
       shrink = Gen.shrink_hybrid;

@@ -15,19 +15,12 @@ let check_range ~n es =
 let elemental ~n = Elemental.list ~n
 
 (* ------------------------------------------------------------------ *)
-(* Backends: each cone contributes how to {e build} its refutation LP  *)
-(* as a canonical engine problem; the driver below owns the            *)
-(* decide/refute control flow, and the engine owns solving and caching. *)
+(* A max-inequality is refuted over a cone K by a point of the          *)
+(* feasibility system {h ∈ K, Eℓ(h) ≤ −1 ∀ℓ}.  Γn is decided by the     *)
+(* lazy separation driver; the materialized Γn LPs below serve only the *)
+(* reference oracle and the store verifier.  Nn and Mn are decided on   *)
+(* their generators, with a small LP only as fallback.                  *)
 (* ------------------------------------------------------------------ *)
-
-type backend = {
-  name : string;
-  refutation : n:int -> Linexpr.t list -> Problem.t;
-      (* Feasibility system for {h ∈ K, Eℓ(h) ≤ −1 ∀ℓ} — a point refutes
-         the max-inequality over the cone. *)
-  refuter_of_point : n:int -> Rat.t array -> Polymatroid.t;
-      (* Reconstruct the refuting set function from an LP point. *)
-}
 
 (* ---------------- Γn ---------------- *)
 
@@ -208,16 +201,26 @@ let gamma_refutation ~n es =
   in
   Problem.make ~tag:"gamma/refute" ~num_vars (cone_rows @ target_rows)
 
-let gamma_backend =
-  { name = "gamma";
-    refutation = gamma_refutation;
-    refuter_of_point = (fun ~n x -> Polymatroid.make n (fun s -> x.(s - 1))) }
+(* ---------------- Nn and Mn: cones of their generators ---------------- *)
 
-(* ---------------- Mn ---------------- *)
+(* Nn is the conic hull of the 2^n − 1 step functions h_W (W ⊊ V), Mn
+   that of the n basic modular functions.  A side is linear, so its value
+   at Σ_g c_g·g is Σ_g c_g·E(g): everything about these cones is read off
+   the side-by-generator matrix A_ℓg = Eℓ(g), built as one sparse row per
+   side.  The refutation LP is {c ≥ 0 : A·c ≤ −1} over generator
+   weights. *)
+type small = {
+  name : string;
+  tag : string;
+  generators : n:int -> int;
+  row : n:int -> Linexpr.t -> (int * Rat.t) list;
+      (* [(g, E(g))] for every generator with E(g) ≠ 0, ascending in g. *)
+  refuter : n:int -> Rat.t array -> Polymatroid.t;
+      (* Σ_g c_g·g for non-negative generator weights c. *)
+}
 
-(* LP variables are the n per-variable weights: E(h_w) = Σ_S c_S Σ_{i∈S}
-   w_i, so the coefficient of w_i is the total weight of terms
-   containing i. *)
+(* Mn: the generator of variable i is h(X) = [i ∈ X], so
+   E(h_i) = Σ_S c_S [i ∈ S] is the total weight of terms containing i. *)
 let modular_sparse ~n e =
   let row = Array.make n Rat.zero in
   List.iter
@@ -228,23 +231,16 @@ let modular_sparse ~n e =
     (List.init n (fun i ->
          if Rat.is_zero row.(i) then [] else [ (i, row.(i)) ]))
 
-let modular_backend =
+let modular =
   { name = "modular";
-    refutation =
-      (fun ~n es ->
-        Problem.make ~tag:"modular/refute" ~num_vars:n
-          (List.map
-             (fun e ->
-               Problem.row (modular_sparse ~n e) Simplex.Le Rat.minus_one)
-             es));
-    refuter_of_point = (fun ~n:_ w -> Polymatroid.modular_of_weights w) }
+    tag = "modular/refute";
+    generators = (fun ~n -> n);
+    row = modular_sparse;
+    refuter = (fun ~n:_ w -> Polymatroid.modular_of_weights w) }
 
-(* ---------------- Nn ---------------- *)
-
-(* LP variables are the step coefficients c_W, W ⊊ V, indexed by the mask
-   W (the full mask is excluded): E(Σ_W c_W h_W) = Σ_W c_W E(h_W) with
-   E(h_W) = Σ_{S ⊄ W} c_S = total − Σ_{S ⊆ W} c_S.  One subset-sum (zeta)
-   transform gives the inner sums for every W at once: O(n·2^n)
+(* Nn: generators are indexed by the mask W (the full mask is excluded),
+   and E(h_W) = Σ_{S ⊄ W} c_S = total − Σ_{S ⊆ W} c_S.  One subset-sum
+   (zeta) transform gives the inner sums for every W at once: O(n·2^n)
    additions, instead of a pass over the terms per mask. *)
 let normal_sparse ~n e =
   let size = 1 lsl n in
@@ -271,15 +267,12 @@ let normal_sparse ~n e =
   done;
   !acc
 
-let normal_backend =
+let normal =
   { name = "normal";
-    refutation =
-      (fun ~n es ->
-        Problem.make ~tag:"normal/refute" ~num_vars:((1 lsl n) - 1)
-          (List.map
-             (fun e -> Problem.row (normal_sparse ~n e) Simplex.Le Rat.minus_one)
-             es));
-    refuter_of_point =
+    tag = "normal/refute";
+    generators = (fun ~n -> (1 lsl n) - 1);
+    row = normal_sparse;
+    refuter =
       (fun ~n c ->
         let coeffs = ref [] in
         Array.iteri
@@ -287,42 +280,105 @@ let normal_backend =
           c;
         Polymatroid.normal_of_steps n !coeffs) }
 
-(* ---------------- driver ---------------- *)
+let small_of_cone = function
+  | Normal -> normal
+  | Modular -> modular
+  | Gamma -> invalid_arg "Cones: Γn is not given by generators"
 
 (* Problem construction (cone axioms → canonical LP rows) is its own
    span: for the materialized Γn family it can rival the solve itself on
    larger n. *)
-let build_span b ~kind ~n es build =
+let build_span name ~kind ~n es build =
   Obs.Span.with_span ~name:"cone.build"
     ~attrs:
-      [ ("backend", Obs.Span.Str b.name);
+      [ ("backend", Obs.Span.Str name);
         ("kind", Obs.Span.Str kind);
         ("n", Obs.Span.Int n);
         ("sides", Obs.Span.Int (List.length es)) ]
     build
 
-let backend_of_cone = function
-  | Gamma -> gamma_backend
-  | Normal -> normal_backend
-  | Modular -> modular_backend
+let small_refutation b ~n es rows =
+  build_span b.name ~kind:"refutation" ~n es (fun () ->
+      Problem.make ~tag:b.tag ~num_vars:(b.generators ~n)
+        (List.map (fun r -> Problem.row r Simplex.Le Rat.minus_one) rows))
 
-let refute_with feasible b ~n es =
-  let prob = build_span b ~kind:"refutation" ~n es (fun () -> b.refutation ~n es) in
-  Option.map (b.refuter_of_point ~n) (feasible prob)
+(* The generator presolve: exact sign tests on A, before any LP.
+   - A row with no negative entry is a side that is ≥ 0 on every
+     generator, hence on their conic hull: valid.
+   - A column g that is negative in every row refutes on its own: with
+     c = max_ℓ (−1/A_ℓg) = 1/min_ℓ |A_ℓg|, every side is c·A_ℓg ≤ −1
+     at c·g.  The smallest such c wins, ties going to the lowest g.
+   Anything else needs a genuine combination of generators: the LP. *)
+type presolved = Holds | One_generator of int * Rat.t | Needs_lp
+
+(* The columns of [cands] ([(g, min |A_ℓg|)] so far, ascending) that are
+   also negative in [row], with their minima updated. *)
+let meet_negative cands row =
+  let rec go acc cands row =
+    match cands, row with
+    | [], _ | _, [] -> List.rev acc
+    | (g, m) :: cs, (h, a) :: rs ->
+      if g < h then go acc cs row
+      else if h < g then go acc cands rs
+      else if Rat.sign a < 0 then go ((g, Rat.min m (Rat.neg a)) :: acc) cs rs
+      else go acc cs rs
+  in
+  go [] cands row
+
+let presolve rows =
+  if List.exists (List.for_all (fun (_, a) -> Rat.sign a >= 0)) rows then Holds
+  else
+    let negatives =
+      List.filter_map (fun (g, a) ->
+          if Rat.sign a < 0 then Some (g, Rat.neg a) else None)
+    in
+    match rows with
+    | [] -> Needs_lp
+    | r :: rs ->
+      (match List.fold_left meet_negative (negatives r) rs with
+       | [] -> Needs_lp
+       | first :: rest ->
+         let g, m =
+           List.fold_left
+             (fun (g, m) (g', m') -> if Rat.compare m' m > 0 then (g', m') else (g, m))
+             first rest
+         in
+         One_generator (g, Rat.inv m))
+
+let c_presolve_valid = Obs.Metrics.counter "cone.presolve.valid"
+let c_presolve_refuted = Obs.Metrics.counter "cone.presolve.refuted"
+let c_presolve_lp = Obs.Metrics.counter "cone.presolve.lp"
+
+(* Decide [0 ≤ max_ℓ Eℓ] over Nn or Mn: the presolve, then the
+   refutation LP built from the same rows. *)
+let decide_small cone ~n es =
+  let b = small_of_cone cone in
+  let rows = List.map (b.row ~n) es in
+  match presolve rows with
+  | Holds ->
+    Obs.Metrics.bump c_presolve_valid;
+    Ok ()
+  | One_generator (g, c) ->
+    Obs.Metrics.bump c_presolve_refuted;
+    let x = Array.make (b.generators ~n) Rat.zero in
+    x.(g) <- c;
+    Error (b.refuter ~n x)
+  | Needs_lp ->
+    Obs.Metrics.bump c_presolve_lp;
+    (match Solver.feasible (small_refutation b ~n es rows) with
+     | None -> Ok ()
+     | Some x -> Error (b.refuter ~n x))
+
+(* ---------------- driver ---------------- *)
 
 (* Γn decides through the lazy separation driver — the only cone whose
-   axiom family explodes with n.  Nn/Mn LPs are small ([n] or [2^n − 1]
-   variables, one row per side) and solve directly, without a
-   certificate. *)
+   axiom family explodes with n, and the only one with a certificate. *)
 let valid_max_cert cone ~n es =
   check_range ~n es;
   match es, cone with
   | [], _ -> Error (Polymatroid.zero n)
   | _, Gamma -> Result.map Option.some (Separation.valid_max_cert ~n es)
-  | _, (Normal | Modular) -> (
-    match refute_with Solver.feasible (backend_of_cone cone) ~n es with
-    | None -> Ok None
-    | Some h -> Error h)
+  | _, (Normal | Modular) -> Result.map (fun () -> None) (decide_small cone ~n es)
 
 let valid_max cone ~n es = Result.map ignore (valid_max_cert cone ~n es)
 
@@ -331,8 +387,7 @@ let valid_max_quick cone ~n es =
   match es, cone with
   | [], _ -> false
   | _, Gamma -> Separation.valid_max_quick ~n es
-  | _, (Normal | Modular) ->
-    refute_with Solver.feasible (backend_of_cone cone) ~n es = None
+  | _, (Normal | Modular) -> Result.is_ok (decide_small cone ~n es)
 
 let valid cone ~n e = valid_max cone ~n [ e ]
 
@@ -403,7 +458,7 @@ module Oracle = struct
         "feasibility problem reported unbounded"
 
   let build_farkas ~n es =
-    build_span gamma_backend ~kind:"farkas" ~n es (fun () -> farkas ~n es)
+    build_span "gamma" ~kind:"farkas" ~n es (fun () -> farkas ~n es)
 
   let valid_max_cert ~n es =
     check_range ~n es;
@@ -421,8 +476,12 @@ module Oracle = struct
          let mu = List.mapi (fun l _ -> x.(n_elem + l)) es in
          Ok (Certificate.make ~n ~cone:"gamma" ~sides:es ~lambda ~mu)
        | None ->
-         (match refute_with feasible gamma_backend ~n es with
-          | Some h -> Error h
+         let refutation =
+           build_span "gamma" ~kind:"refutation" ~n es (fun () ->
+               gamma_refutation ~n es)
+         in
+         (match feasible refutation with
+          | Some x -> Error (Polymatroid.make n (fun s -> x.(s - 1)))
           | None ->
             (* LP duality (Theorem 6.1 at Γn): the Farkas system is
                infeasible iff the refutation system has a point.  Both
@@ -435,4 +494,10 @@ module Oracle = struct
   let valid_max_quick ~n es =
     check_range ~n es;
     es <> [] && feasible (fst (build_farkas ~n es)) <> None
+
+  let refute_small cone ~n es =
+    check_range ~n es;
+    let b = small_of_cone cone in
+    Option.map (b.refuter ~n)
+      (feasible (small_refutation b ~n es (List.map (b.row ~n) es)))
 end

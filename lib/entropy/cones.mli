@@ -19,9 +19,16 @@
 
     One production path per cone: [Γn] is decided by the lazy
     separation driver ({!Separation}, DESIGN.md §4i) on the float-first
-    LP, and [Nn]/[Mn] by one small refutation LP each.  The materialized
-    Γn driver on exact LP survives only as the reference {!Oracle} for
-    the fuzz suites and the corpus audit. *)
+    LP.  [Nn] and [Mn] are conic hulls of finitely many generators (the
+    step functions, the basic modular functions), so they are decided
+    on the side-by-generator matrix: exact sign tests settle a side
+    that is non-negative on every generator (valid) and a generator on
+    which every side is negative (refuted by a multiple of it); only
+    the rest solve the small refutation LP built from the same rows
+    (counters [cone.presolve.valid], [cone.presolve.refuted],
+    [cone.presolve.lp]).  The materialized Γn driver on exact LP
+    survives only as the reference {!Oracle} for the fuzz suites and
+    the corpus audit. *)
 
 open Bagcqc_engine
 
@@ -51,8 +58,8 @@ val valid_max : cone -> n:int -> Linexpr.t list -> (unit, Polymatroid.t) result
 (** {!valid_max_cert} with the certificate dropped. *)
 
 val valid_max_quick : cone -> n:int -> Linexpr.t list -> bool
-(** Like {!valid_max} but boolean only: no refuter extraction and no
-    certificate packaging. *)
+(** Like {!valid_max} but boolean only: no certificate packaging, and
+    over [Γn] no refuter extraction. *)
 
 val valid : cone -> n:int -> Linexpr.t -> (unit, Polymatroid.t) result
 (** Validity of a single linear inequality [0 ≤ E(h)] over the cone. *)
@@ -70,7 +77,7 @@ val valid_shannon_many : n:int -> Linexpr.t list -> bool list
     repeats solves each distinct inequality once. *)
 
 val normal_sparse : n:int -> Linexpr.t -> (int * Bagcqc_num.Rat.t) list
-(** The [Nn] refutation row of an expression: [(W, E(h_W))] for every
+(** The [Nn] generator row of an expression: [(W, E(h_W))] for every
     step function [h_W], [W ⊊ V] indexed by its mask, zero coefficients
     dropped, ascending in [W]. *)
 
@@ -95,7 +102,8 @@ val shannon_certificate : n:int -> Linexpr.t -> (Linexpr.t * Bagcqc_num.Rat.t) l
     ({!Bagcqc_lp.Simplex.solve_exact}) through the solver cache and any
     attached store.  Too slow for production from n ≈ 6 up; kept as the
     independent reference the [lazy_vs_full] fuzz suite and the tests
-    compare the production driver against. *)
+    compare the production driver against.  {!refute_small} is the
+    LP-only reference for the [Nn]/[Mn] generator presolve. *)
 module Oracle : sig
   val farkas : n:int -> Linexpr.t list -> Problem.t * Linexpr.t list
   (** The validity-certificate LP: feasible iff the max-inequality is
@@ -110,4 +118,12 @@ module Oracle : sig
 
   val valid_max_quick : n:int -> Linexpr.t list -> bool
   (** {!valid_max_quick} at [Gamma]: the Farkas feasibility solve alone. *)
+
+  val refute_small : cone -> n:int -> Linexpr.t list -> Polymatroid.t option
+  (** [Nn] or [Mn] without the generator presolve: the refutation LP
+      over the same generator rows, solved by the exact simplex.
+      [Some h] is the refuter read off the LP point, [None] means the
+      max-inequality is valid over the cone.
+      @raise Invalid_argument at [Gamma] or on an out-of-range
+      variable. *)
 end

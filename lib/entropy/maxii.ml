@@ -89,8 +89,9 @@ let decide t =
     in
     combine_verdict t normal gamma
   else
-    (* Cheapest first: the Nn refutation LP is tiny (one row per side), and
-       a normal refuter is entropic, settling the instance outright. *)
+    (* Cheapest first: Nn is read off its generators (an LP with one row
+       per side only as fallback), and a normal refuter is entropic,
+       settling the instance outright. *)
     match valid_over Cones.Normal t with
     | Error h_normal -> Invalid h_normal
     | Ok () -> combine_verdict t (Ok ()) (Cones.valid_max_cert Cones.Gamma ~n:t.n (sides t))

@@ -8,7 +8,8 @@
 #   2. cold check answered with a verified certificate
 #   3. cached re-check + stats: the Contained check (certified from the
 #      float probe's Farkas row, no LP) appends nothing; a Not-contained
-#      check's Optimal LPs (its Nn LP among them) are appended
+#      check's Optimal LPs are appended (its two Eq. 8 sides defeat the
+#      Nn generator presolve, so its Nn LP is among them)
 #   4. malformed line and zero deadline answered with typed errors,
 #      connection and daemon both surviving
 #   5. graceful drain on SIGTERM: exit 0, socket file removed, trace
@@ -19,8 +20,10 @@
 #      and the re-check still answers correctly by re-solving
 #   8. telemetry surface: /metrics is valid Prometheus exposition
 #      (validated by `bagcqc promlint`) with serve latency histograms,
-#      queue/in-flight gauges and rolling 1m rates; /healthz answers ok;
-#      the slow request's access-log line carries its span subtree
+#      queue/in-flight gauges, rolling 1m rates and the three Nn
+#      presolve outcomes (each driven once); /healthz answers ok; the
+#      slow request's access-log line carries its span subtree; the
+#      trace's counters in `bagcqc report` show the presolve outcomes
 #   9. /readyz flips to 503 during a SIGTERM drain (observed while a
 #      burst of cold checks is still being answered) and the drain
 #      still answers every admitted request
@@ -82,6 +85,10 @@ client() {
 
 CHECK_CONTAINED='{"id":1,"op":"check","q1":"R(x,y), R(y,z), R(z,x)","q2":"R(u,v), R(u,w)","certificate":true}'
 CHECK_NOT_CONTAINED='{"id":2,"op":"check","q1":"R(x,y), R(x,z)","q2":"R(u,v), R(w,v)"}'
+# Nn settled by the generator presolve: one step function refutes the
+# first pair, one side is non-negative on every generator in the second.
+CHECK_ONE_GENERATOR='{"id":6,"op":"check","q1":"T(x), S(x,y)","q2":"T(u)"}'
+CHECK_ONE_SIDE='{"id":7,"op":"check","q1":"R(x,y)","q2":"R(u,v), R(u,w)"}'
 STATS='{"id":"s","op":"stats"}'
 
 step "1: protocol selftest"
@@ -160,12 +167,17 @@ metrics_port() {
   return 1
 }
 
-step "8: telemetry surface (/metrics, /healthz, access log with spans)"
+step "8: telemetry surface (/metrics, /healthz, access log with spans, report)"
 : >"$LOG"
-start_daemon --metrics-port 0 --access-log "$ACCESS" --slow-ms 0.001
+METRICS_TRACE="$DIR/metrics-trace.json"
+start_daemon --metrics-port 0 --access-log "$ACCESS" --slow-ms 0.001 \
+  --trace "$METRICS_TRACE"
 PORT=$(metrics_port) || fail "daemon never announced a metrics port"
-out=$(client "$CHECK_CONTAINED") || fail "client exited nonzero"
-echo "$out" | grep -q '"verdict":"contained"' || fail "telemetry check wrong: $out"
+out=$(client "$CHECK_CONTAINED" "$CHECK_ONE_GENERATOR" "$CHECK_ONE_SIDE") \
+  || fail "client exited nonzero"
+[ "$(echo "$out" | grep -c '"verdict":"contained"')" -eq 2 ] \
+  || fail "telemetry checks wrong: $out"
+echo "$out" | grep -q '"verdict":"not_contained"' || fail "telemetry check wrong: $out"
 curl -sf "http://127.0.0.1:$PORT/healthz" | grep -q ok || fail "/healthz not ok"
 curl -sf "http://127.0.0.1:$PORT/readyz" | grep -q ready || fail "/readyz not ready"
 # Let the rolling windows take a sample past the coalescing gap so the
@@ -182,6 +194,10 @@ grep -q '^bagcqc_cone_lazy_probe_certs_total [1-9]' "$METRICS" \
   || fail "the Contained check's probe certificate is not counted in /metrics"
 grep -q '^bagcqc_cone_lazy_probe_cert_fallbacks_total ' "$METRICS" \
   || fail "probe-certificate fallback counter missing from /metrics"
+for outcome in valid refuted lp; do
+  grep -q "^bagcqc_cone_presolve_${outcome}_total [1-9]" "$METRICS" \
+    || fail "Nn presolve outcome '$outcome' not counted in /metrics"
+done
 rate=$(grep '^bagcqc_rate_per_sec{counter="serve.requests",window="1m"}' "$METRICS" \
   | awk '{print $2}')
 [ -n "$rate" ] || fail "rolling 1m request rate missing from /metrics"
@@ -194,6 +210,12 @@ grep '"slow":true' "$ACCESS" | grep -q '"spans":' \
 grep '"slow":true' "$ACCESS" | grep -q '"pivots":' \
   || fail "slow request's access line lacks its pivot count"
 stop_daemon
+REPORT="$DIR/report.txt"
+"$BIN" report "$METRICS_TRACE" >"$REPORT" || fail "bagcqc report failed"
+for outcome in valid refuted lp; do
+  grep -q "cone\.presolve\.${outcome} " "$REPORT" \
+    || fail "Nn presolve outcome '$outcome' missing from bagcqc report"
+done
 
 step "9: /readyz flips to 503 during the SIGTERM drain"
 : >"$LOG"

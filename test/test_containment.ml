@@ -375,6 +375,57 @@ let qtests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_decide_sound; prop_locality_normal; prop_certificates_verify ]
 
+(* ---------------- Nn on its generators ---------------- *)
+
+let counter name = Bagcqc_obs.Metrics.count (Bagcqc_obs.Metrics.counter name)
+
+(* One decision's path through the Nn generator presolve: the number of
+   Eq. 8 sides, and the (valid, refuted, lp) counter deltas. *)
+let presolve_path q1 q2 =
+  let names = [ "cone.presolve.valid"; "cone.presolve.refuted"; "cone.presolve.lp" ] in
+  let before = List.map counter names in
+  let verdict = Containment.decide q1 q2 in
+  let deltas = List.map2 (fun name b -> counter name - b) names before in
+  (List.length (Maxii.sides (Containment.eq8 q1 q2)), deltas, verdict)
+
+let test_presolve_outcomes () =
+  let p = Parser.parse in
+  let not_contained name ~card_p ~hom2 = function
+    | Containment.Not_contained w ->
+      Alcotest.(check (pair int int)) (name ^ ": witness counts") (card_p, hom2)
+        (w.Containment.card_p, w.Containment.hom2)
+    | _ -> Alcotest.failf "%s: expected Not_contained" name
+  in
+  let contained name = function
+    | Containment.Contained cert -> cert_ok cert
+    | _ -> Alcotest.failf "%s: expected Contained" name
+  in
+  let path = Alcotest.(pair int (list int)) in
+  (* Refuted by one generator: T(x), S(x,y) is not contained in T(u). *)
+  let q1 = p "T(x), S(x,y)" and q2 = p "T(u)" in
+  let k, deltas, v = presolve_path q1 q2 in
+  Alcotest.check path "one-generator refutation" (1, [ 0; 1; 0 ]) (k, deltas);
+  not_contained "T,S vs T" ~card_p:2 ~hom2:1 v;
+  (match Maxii.valid_over Cones.Normal (Containment.eq8 q1 q2) with
+   | Error h ->
+     Alcotest.(check (option int)) "refuter is one step function" (Some 1)
+       (Option.map List.length (Polymatroid.normal_decomposition h))
+   | Ok () -> Alcotest.fail "T,S vs T must be refuted over Nn");
+  (* Valid by one side: edge ⊑ vee. *)
+  let k, deltas, v = presolve_path (p "R(x,y)") vee in
+  Alcotest.check path "one-side validity" (1, [ 1; 0; 0 ]) (k, deltas);
+  contained "edge vs vee" v;
+  (* LP fallbacks, verdicts as before the presolve. *)
+  let k, deltas, v = presolve_path (p "R(x,y), R(x,z)") (p "R(u,v), R(w,v)") in
+  Alcotest.check path "serve-smoke pair falls back" (2, [ 0; 0; 1 ]) (k, deltas);
+  not_contained "R(x,y),R(x,z) vs R(u,v),R(w,v)" ~card_p:16 ~hom2:8 v;
+  let k, deltas, v = presolve_path triangle vee in
+  Alcotest.check path "triangle vs vee falls back" (3, [ 0; 0; 1 ]) (k, deltas);
+  contained "triangle vs vee" v;
+  let k, deltas, v = presolve_path ex35_q1 ex35_q2 in
+  Alcotest.check path "Example 3.5 falls back" (2, [ 0; 0; 1 ]) (k, deltas);
+  not_contained "Example 3.5" ~card_p:16 ~hom2:8 v
+
 let suite =
   [ ("classify", `Quick, test_classify);
     ("Example 4.3 (vee)", `Quick, test_example_4_3_vee);
@@ -385,5 +436,6 @@ let suite =
     ("eq8 requires boolean", `Quick, test_eq8_requires_boolean);
     ("scale_steps", `Quick, test_scale_steps);
     ("witness from normal (Ex 3.5)", `Quick, test_witness_from_normal_direct);
+    ("Nn presolve outcomes", `Quick, test_presolve_outcomes);
     ("domination", `Quick, test_domination); ("witness theory (Thm 3.4)", `Quick, test_witness_theorem_3_4); ("set semantics contrast", `Quick, test_set_semantics_contrast); ("locality (Ex E.2, Lemma E.1)", `Quick, test_locality_property) ]
   @ qtests

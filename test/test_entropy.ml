@@ -774,13 +774,67 @@ let prop_normal_sparse_matches_reference =
           w1 = w2 && Rat.equal c1 c2 && Rat.to_string c1 = Rat.to_string c2)
         (Cones.normal_sparse ~n e) (normal_sparse_reference ~n e))
 
+(* ------------------------------------------------------------------ *)
+(* Nn and Mn on their generators                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* The generator presolve settles an Nn/Mn decision without an LP when
+   one side is non-negative on every generator or one generator makes
+   every side negative; the production verdict must equal the exact LP
+   over the same rows either way, and every refuter must lie in the
+   cone with every side at most −1 exactly.  The solver cache is off so
+   the reference cannot be answered from the production path's solve. *)
+let prop_small_cones_match_lp =
+  let gen =
+    QCheck.Gen.(
+      let* n = int_range 1 5 in
+      let term = pair (int_range 1 ((1 lsl n) - 1)) (pair (int_range (-4) 4) (int_range 1 3)) in
+      let* sides = list_size (int_range 1 4) (list_size (int_range 1 4) term) in
+      return (n, sides))
+  in
+  let side terms =
+    Linexpr.sum (List.map (fun (m, (c, d)) -> Linexpr.term ~coeff:(qf c d) m) terms)
+  in
+  QCheck.Test.make ~name:"cones: Nn/Mn generator presolve agrees with the exact LP"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (n, sides) ->
+         Printf.sprintf "n=%d %s" n
+           (String.concat " | "
+              (List.map (fun t -> Format.asprintf "%a" (Linexpr.pp ()) (side t)) sides)))
+       gen)
+    (fun (n, sides) ->
+      let es = List.map side sides in
+      let saved = !Bagcqc_engine.Solver.caching in
+      Bagcqc_engine.Solver.caching := false;
+      Fun.protect ~finally:(fun () -> Bagcqc_engine.Solver.caching := saved)
+      @@ fun () ->
+      List.for_all
+        (fun (cone, in_cone) ->
+          let reference = Cones.Oracle.refute_small cone ~n es in
+          let quick = Cones.valid_max_quick cone ~n es in
+          let refutes h =
+            in_cone h
+            && List.for_all
+                 (fun e -> Rat.compare (Polymatroid.eval h e) Rat.minus_one <= 0)
+                 es
+          in
+          quick = Option.is_none reference
+          &&
+          match Cones.valid_max cone ~n es, reference with
+          | Ok (), None -> true
+          | Error h, Some h_ref -> refutes h && refutes h_ref
+          | Ok (), Some _ | Error _, None -> false)
+        [ (Cones.Normal, Polymatroid.is_normal);
+          (Cones.Modular, Polymatroid.is_modular) ])
+
 let qtests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_subset_enum_complete; prop_truncated_modular_is_polymatroid;
       prop_theorem_3_6; prop_counterexample_sound; prop_cone_chain;
       prop_normalize_lemma_3_7; prop_modularize_lemma_3_7;
       prop_symmetry_canonical_invariant; prop_symmetry_stabilizer_complete;
-      prop_normal_sparse_matches_reference ]
+      prop_normal_sparse_matches_reference; prop_small_cones_match_lp ]
 
 let suite =
   [ ("varset basic", `Quick, test_varset_basic);

@@ -372,6 +372,46 @@ let test_lazy_store_roundtrip () =
   Solver.clear ();
   Stats.reset ()
 
+(* The serve smoke's store steps rest on the Not-contained pair
+   R(x,y), R(x,z) ⊑? R(u,v), R(w,v) still solving its Nn LP: its two
+   Eq. 8 sides defeat the generator presolve, so the refutation LP runs
+   and its Optimal point is appended, then served from disk after a
+   restart. *)
+let test_nn_fallback_appends () =
+  with_temp_store @@ fun path ->
+  let module Parser = Bagcqc_cq.Parser in
+  let module Containment = Bagcqc_core.Containment in
+  let ineq =
+    Containment.eq8 (Parser.parse "R(x,y), R(x,z)") (Parser.parse "R(u,v), R(w,v)")
+  in
+  let lp_fallbacks () =
+    Bagcqc_obs.Metrics.count (Bagcqc_obs.Metrics.counter "cone.presolve.lp")
+  in
+  let refuted () =
+    Alcotest.(check bool) "refuted over Nn" true
+      (Result.is_error (Maxii.valid_over Cones.Normal ineq))
+  in
+  Solver.clear ();
+  Stats.reset ();
+  let before = lp_fallbacks () in
+  with_attached path (fun _ ->
+      refuted ();
+      Alcotest.(check int) "presolve fell back to the LP" (before + 1)
+        (lp_fallbacks ());
+      let s = Stats.snapshot () in
+      Alcotest.(check int) "one LP solved" 1 s.Stats.lp_solves;
+      Alcotest.(check int) "its point appended" 1 s.Stats.store_appends);
+  Solver.clear ();
+  Stats.reset ();
+  with_attached path (fun st ->
+      Alcotest.(check int) "entry re-verified on load" 1 (Store.loaded st);
+      refuted ();
+      let s = Stats.snapshot () in
+      Alcotest.(check int) "warm: no LP solved" 0 s.Stats.lp_solves;
+      Alcotest.(check int) "warm: served from the store" 1 s.Stats.store_hits);
+  Solver.clear ();
+  Stats.reset ()
+
 (* ---------------- compaction ---------------- *)
 
 let test_compact_dedups_and_drops () =
@@ -465,6 +505,8 @@ let suite =
       `Quick test_farkas_tampered_entry_dropped;
     Alcotest.test_case "lazy: per-round entries persist and re-verify"
       `Quick test_lazy_store_roundtrip;
+    Alcotest.test_case "Nn fallback: serve-smoke pair appends its LP" `Quick
+      test_nn_fallback_appends;
     Alcotest.test_case "compact: dedups, drops rot, survives reopen" `Quick
       test_compact_dedups_and_drops;
     Alcotest.test_case "compact: last verified entry per key wins" `Quick
