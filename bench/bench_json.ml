@@ -78,14 +78,12 @@ let run_points ~reps sizes f =
 let shannon_target n =
   Linexpr.sub (Linexpr.term (Varset.full n)) (Linexpr.term (vs [ 0 ]))
 
-(* LP timing must bypass the engine's solve cache: with it on, every rep
-   after the first is a table lookup and the baselines stop measuring the
-   simplex at all. *)
+(* Decision timing must start from an empty decision memo: otherwise
+   every rep after the first is a table lookup and the baselines stop
+   measuring the pipeline at all.  LPs are never memoized. *)
 let without_cache f =
-  let saved = !Solver.caching in
-  Solver.caching := false;
   Solver.clear ();
-  Fun.protect ~finally:(fun () -> Solver.caching := saved) f
+  f ()
 
 let ingleton =
   let i_pair a b x = Linexpr.mutual (vs [ a ]) (vs [ b ]) (vs x) in
@@ -114,7 +112,6 @@ let lp_suite ~smoke =
      [ingleton_gamma_full] is an invalid inequality, so it exercises both
      the failed certificate LP and the primal refuter LP. *)
   let oracle =
-    without_cache @@ fun () ->
     [ { id = "e11_gamma_sparse";
         points =
           run_points ~reps ns (fun n () ->
@@ -133,7 +130,6 @@ let lp_suite ~smoke =
      the exact check. *)
   let lazy_ns = if smoke then [ 2; 3 ] else [ 2; 3; 4; 5; 6; 7 ] in
   let lazy_engine =
-    without_cache @@ fun () ->
     [ { id = "e11_gamma_lazy";
         points =
           run_points ~reps lazy_ns (fun n () ->
@@ -150,8 +146,7 @@ let lp_suite ~smoke =
   in
   (* Solver-only decide points: the Farkas LP is built once per size and
      the thunk times nothing but the simplex, so the exact/hybrid ratio
-     here is the honest speedup of the float-first front end.  Neither
-     solver consults the engine cache, so no cache guard is needed. *)
+     here is the honest speedup of the float-first front end. *)
   let decide_points =
     let decide ~id solve sizes =
       { id;
@@ -166,8 +161,8 @@ let lp_suite ~smoke =
         (if smoke then [ 3 ] else [ 4; 5; 6 ]) ]
   in
   (* Repeated full decide on the same pair, with and without the engine's
-     LP cache: the cached variant is warmed by time_samples' warm-up call,
-     so every measured rep answers its solves from the cache. *)
+     decision memo: the cached variant is warmed by time_samples' warm-up
+     call, so every measured rep is a memo hit. *)
   let decide_sizes = if smoke then [ 3 ] else [ 3; 4; 5 ] in
   let cache_pair =
     [ { id = "decide_path_repeat_uncached";
@@ -284,9 +279,9 @@ let par_suite ~smoke =
    serialization together; the recorded figure is burst time divided by
    burst size — per-request service time under full pipelining, the
    reciprocal of requests/second.  Two ids bracket the cold-vs-warm
-   axis: [serve_burst_cold] wipes tier 0 before every burst with no
-   store attached, so each burst pays full LP solves;
-   [serve_burst_warm_store] also wipes tier 0 but serves from a
+   axis: [serve_burst_cold] wipes the decision memo (tier 0) before
+   every burst with no store attached, so each burst decides afresh;
+   [serve_burst_warm_store] also wipes tier 0 but serves its LPs from a
    pre-populated persistent store, so the delta between the ids is the
    solve work a restarted daemon avoids by warm-starting from disk.
    The timed bursts run with obs recording off (like every other

@@ -24,8 +24,8 @@ open Cmdliner
 let stats_arg =
   Arg.(value & flag & info [ "stats" ]
          ~doc:"After the command finishes, print solver-engine counters to \
-               stderr: LP solves and pivots, LP-cache and elemental-table \
-               hits/misses, homomorphism enumerations, and wall time per \
+               stderr: LP solves and pivots, decision-cache and \
+               elemental-table hits/misses, homomorphism enumerations, and wall time per \
                pipeline stage.")
 
 let trace_arg =

@@ -157,19 +157,8 @@ let simplex_suite =
    must agree with the exact materialized oracle, every certificate
    passing the exact, LP-independent [Certificate.check]; the
    production Nn/Mn decision must agree with the exact LP over the same
-   generator rows.  The solver cache is off and cleared around the cone
-   runs so the two paths cannot answer each other's queries from the
-   cache. *)
-
-let without_solver_cache f =
-  let saved = !Bagcqc_engine.Solver.caching in
-  Bagcqc_engine.Solver.caching := false;
-  Bagcqc_engine.Solver.clear ();
-  Fun.protect
-    ~finally:(fun () ->
-      Bagcqc_engine.Solver.caching := saved;
-      Bagcqc_engine.Solver.clear ())
-    f
+   generator rows.  The engine caches decisions, not LPs, so the two
+   paths cannot answer each other's LPs from a cache. *)
 
 let outcome_name = function
   | Simplex.Optimal _ -> "Optimal"
@@ -208,7 +197,6 @@ let check_hybrid_cone ~n sides =
   let module Cones = Bagcqc_entropy.Cones in
   let module Certificate = Bagcqc_entropy.Certificate in
   let es = List.map build_side sides in
-  without_solver_cache @@ fun () ->
   let ve = Cones.Oracle.valid_max_cert ~n es in
   let vh = Cones.valid_max_cert Cones.Gamma ~n es in
   match ve, vh with
@@ -237,7 +225,6 @@ let check_small_cone cone ~n sides =
   let module Polymatroid = Bagcqc_entropy.Polymatroid in
   let module Linexpr = Bagcqc_entropy.Linexpr in
   let es = List.map build_side sides in
-  without_solver_cache @@ fun () ->
   let reference = Cones.Oracle.refute_small cone ~n es in
   let production = Cones.valid_max_cert cone ~n es in
   let quick = Cones.valid_max_quick cone ~n es in
@@ -306,7 +293,6 @@ let check_lazy_vs_full ({ n; sides } : Gen.lazy_case) =
   let module Polymatroid = Bagcqc_entropy.Polymatroid in
   let module Linexpr = Bagcqc_entropy.Linexpr in
   let es = List.map build_side sides in
-  without_solver_cache @@ fun () ->
   let vf = Cones.Oracle.valid_max_cert ~n es in
   let vl = Cones.valid_max_cert Cones.Gamma ~n es in
   let qf = Cones.Oracle.valid_max_quick ~n es in
@@ -373,14 +359,23 @@ let decide_at jobs q1 q2 =
     ~finally:(fun () -> Bagcqc_par.Pool.set_jobs prev)
     (fun () -> Containment.decide q1 q2)
 
+(* Each of the two decisions starts from an empty decision memo, or the
+   parallel one would be a memo hit and its path would go untested; a
+   third, memo-hit decision must then return the parallel verdict. *)
 let check_decide (q1, q2) =
+  Bagcqc_engine.Solver.clear ();
   let v1 = decide_at 1 q1 q2 in
+  Bagcqc_engine.Solver.clear ();
   let v2 = decide_at 2 q1 q2 in
+  let v3 = decide_at 1 q1 q2 in
   let* () =
     require
       (String.equal (verdict_name v1) (verdict_name v2))
       "verdicts differ: sequential %s, parallel %s" (verdict_name v1)
       (verdict_name v2)
+  in
+  let* () =
+    require (v3 == v2) "the memo-hit decision is not the memoized verdict"
   in
   let sound tag = function
     | Containment.Contained cert ->

@@ -48,10 +48,8 @@ let require_boolean q =
   if not (Query.is_boolean q) then
     invalid_arg "Containment: queries must be Boolean (use decide_with_heads)"
 
-let eq8 ?(dedup = true) ?decs q1 q2 =
-  require_boolean q1;
-  require_boolean q2;
-  let q1 = Query.dedup_atoms q1 and q2 = Query.dedup_atoms q2 in
+(* Eq. 8 on queries whose duplicate atoms are already gone. *)
+let eq8_deduped ?(dedup = true) ?decs q1 q2 =
   let decs = match decs with Some ds -> ds | None -> [ canonical_dec q2 ] in
   let homs = Hom.enumerate_between q2 q1 in
   let sides =
@@ -81,6 +79,11 @@ let eq8 ?(dedup = true) ?decs q1 q2 =
   in
   Maxii.conditional ~n:(Query.nvars q1) ~q:Rat.one sides
 
+let eq8 ?dedup ?decs q1 q2 =
+  require_boolean q1;
+  require_boolean q2;
+  eq8_deduped ?dedup ?decs (Query.dedup_atoms q1) (Query.dedup_atoms q2)
+
 let scale_steps coeffs =
   let lcm_den =
     List.fold_left
@@ -108,7 +111,9 @@ let verify_witness ?(annotate = true) q1 q2 p =
   let hom2 = Hom.count ~limit:card q2 db in
   if hom2 < card then Some (card, hom2) else None
 
-let witness_from_normal ?(max_factors = 14) q1 q2 h =
+let default_max_factors = 14
+
+let witness_from_normal ?(max_factors = default_max_factors) q1 q2 h =
   match Polymatroid.normal_decomposition h with
   | None -> None
   | Some coeffs ->
@@ -133,25 +138,49 @@ let witness_from_normal ?(max_factors = 14) q1 q2 h =
     in
     try_k 1
 
-let decide ?max_factors q1 q2 =
-  require_boolean q1;
-  require_boolean q2;
-  Bagcqc_obs.Span.with_span ~name:"containment.decide"
-    ~attrs:
-      [ ("vars1", Bagcqc_obs.Span.Int (Query.nvars q1));
-        ("vars2", Bagcqc_obs.Span.Int (Query.nvars q2)) ]
-  @@ fun () ->
-  let verdict_attr v =
-    Bagcqc_obs.Span.add_attr "verdict" (Bagcqc_obs.Span.Str v)
-  in
-  let q1 = Query.dedup_atoms q1 and q2 = Query.dedup_atoms q2 in
-  let ineq = Stats.time_stage "eq8" (fun () -> eq8 q1 q2) in
+(* Tier 0 of the engine cache: one verdict per de-duplicated pair and
+   witness budget.  Names are part of the key because a witness database
+   is annotated with Q1's variable names; every verdict is immutable
+   through its public interface, so hits share it without copying.  The
+   hash is computed once per decision: the table hashes a key on every
+   lookup, insertion and in-flight update. *)
+type decision_key = { hash : int; max_factors : int; q1 : Query.t; q2 : Query.t }
+
+(* A fold over both queries, then [Hashtbl.hash] to spread the low bits
+   the shards and buckets index by.  [Hashtbl.hash] on the pair itself
+   would stop at its traversal limits and lump thousands of pairs
+   together. *)
+let decision_key ~max_factors q1 q2 =
+  let mix h x = (h * 16777619) lxor x in
+  { hash = Hashtbl.hash (mix (mix max_factors (Query.hash q1)) (Query.hash q2));
+    max_factors; q1; q2 }
+
+module Decisions =
+  Solver.Memo
+    (struct
+      type t = decision_key
+
+      let equal a b =
+        a.hash = b.hash && a.max_factors = b.max_factors
+        && Query.identical a.q1 b.q1 && Query.identical a.q2 b.q2
+
+      let hash k = k.hash
+    end)
+    (struct
+      type t = verdict
+    end)
+
+let verdict_name = function
+  | Contained _ -> "contained"
+  | Not_contained _ -> "not_contained"
+  | Unknown _ -> "unknown"
+
+(* The paper's pipeline on a de-duplicated pair, uncached. *)
+let decide_fresh ~max_factors q1 q2 =
+  let ineq = Stats.time_stage "eq8" (fun () -> eq8_deduped q1 q2) in
   match Stats.time_stage "maxii" (fun () -> Maxii.decide ineq) with
-  | Maxii.Valid cert ->
-    verdict_attr "contained";
-    Contained cert
+  | Maxii.Valid cert -> Contained cert
   | Maxii.Unknown refuter ->
-    verdict_attr "unknown";
     Unknown
       { reason =
           "Eq. 8 fails over the Shannon cone but holds over the normal cone: \
@@ -161,18 +190,32 @@ let decide ?max_factors q1 q2 =
   | Maxii.Invalid h_normal ->
     (match
        Stats.time_stage "witness" (fun () ->
-           witness_from_normal ?max_factors q1 q2 h_normal)
+           witness_from_normal ~max_factors q1 q2 h_normal)
      with
-     | Some w ->
-       verdict_attr "not_contained";
-       Not_contained w
+     | Some w -> Not_contained w
      | None ->
-       verdict_attr "unknown";
        Unknown
          { reason =
              "a normal refuter of Eq. 8 exists but realizing it as a witness \
               database exceeded the max_factors budget";
            refuter = Some h_normal })
+
+let decide ?max_factors q1 q2 =
+  require_boolean q1;
+  require_boolean q2;
+  Bagcqc_obs.Span.with_span ~name:"containment.decide"
+    ~attrs:
+      [ ("vars1", Bagcqc_obs.Span.Int (Query.nvars q1));
+        ("vars2", Bagcqc_obs.Span.Int (Query.nvars q2)) ]
+  @@ fun () ->
+  let max_factors = Option.value max_factors ~default:default_max_factors in
+  let q1 = Query.dedup_atoms q1 and q2 = Query.dedup_atoms q2 in
+  let v =
+    Decisions.find_or_compute (decision_key ~max_factors q1 q2) (fun () ->
+        decide_fresh ~max_factors q1 q2)
+  in
+  Bagcqc_obs.Span.add_attr "verdict" (Bagcqc_obs.Span.Str (verdict_name v));
+  v
 
 let decide_result ?max_factors q1 q2 =
   Bagcqc_error.protect (fun () -> decide ?max_factors q1 q2)

@@ -38,7 +38,7 @@ type verdict =
       (** proved by Theorem 4.2 over the Shannon cone; the certificate
           re-derives Eq. 8's validity by exact arithmetic alone
           ({!Bagcqc_entropy.Certificate.check}), independent of the LP
-          solver and its cache *)
+          solver and the engine cache *)
   | Not_contained of witness  (** explicit counterexample, verified *)
   | Unknown of { reason : string; refuter : Polymatroid.t option }
 
@@ -73,6 +73,13 @@ val decide : ?max_factors:int -> Query.t -> Query.t -> verdict
     [max_factors] (default 14) bounds the witness search: the candidate
     relation is a domain product of at most that many two-row step
     relations, i.e. at most [2^max_factors] rows.
+
+    Verdicts are memoized in tier 0 of the engine cache
+    ({!Bagcqc_engine.Solver.Memo}) under [(max_factors, q1, q2)] after
+    de-duplication, variable names included: a repeated check returns
+    the same (immutable) verdict without Eq. 8 or either cone, and
+    counts a [solver.cache.hits].  {!Bagcqc_engine.Solver.clear} empties
+    the memo; a decision that raises caches nothing.
     @raise Invalid_argument if either query is not Boolean. *)
 
 val decide_result :
@@ -87,7 +94,8 @@ val decide_many : ?max_factors:int -> (Query.t * Query.t) list -> verdict list
     pool ({!Bagcqc_par.Pool}); order is preserved and each verdict equals
     what {!decide} returns on that pair (per-instance solver counters
     included — each instance runs the sequential pipeline on one
-    worker).  This is the engine behind [check --batch]. *)
+    worker, and repeated pairs are decided once through the memo's
+    in-flight dedup).  This is the engine behind [check --batch]. *)
 
 val decide_with_heads : ?max_factors:int -> Query.t -> Query.t -> verdict
 (** Containment for queries with head variables, via the Boolean

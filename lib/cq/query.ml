@@ -74,20 +74,30 @@ let atom_vars a =
 
 let all_vars q = Varset.full q.nvars
 
+let args_equal x y =
+  let n = Array.length x in
+  n = Array.length y
+  &&
+  let rec go i = i >= n || (x.(i) = y.(i) && go (i + 1)) in
+  go 0
+
+let same_atom a b = String.equal a.rel b.rel && args_equal a.args b.args
+
+(* Quadratic, but queries are short and the common case (no duplicate)
+   returns [q] itself without allocating. *)
 let dedup_atoms q =
-  let seen = Hashtbl.create 16 in
-  let atoms =
-    List.filter
-      (fun a ->
-        let key = (a.rel, Array.to_list a.args) in
-        if Hashtbl.mem seen key then false
-        else begin
-          Hashtbl.add seen key ();
-          true
-        end)
-      q.atoms
+  let rec has_dup = function
+    | [] -> false
+    | a :: rest -> List.exists (same_atom a) rest || has_dup rest
   in
-  { q with atoms }
+  if not (has_dup q.atoms) then q
+  else
+    let rec keep seen = function
+      | [] -> List.rev seen
+      | a :: rest ->
+        keep (if List.exists (same_atom a) seen then seen else a :: seen) rest
+    in
+    { q with atoms = keep [] q.atoms }
 
 let connected_components q =
   (* Union-find over variables, merged within each atom. *)
@@ -129,11 +139,24 @@ let power k q =
   go q 1
 
 let equal a b =
-  a.head = b.head && a.nvars = b.nvars
-  && List.length a.atoms = List.length b.atoms
-  && List.for_all2
-       (fun x y -> x.rel = y.rel && x.args = y.args)
-       a.atoms b.atoms
+  a.head = b.head && a.nvars = b.nvars && List.equal same_atom a.atoms b.atoms
+
+let identical a b =
+  a == b
+  || equal a b
+     && (let rec names i =
+           i >= a.nvars || (String.equal a.names.(i) b.names.(i) && names (i + 1))
+         in
+         names 0)
+
+(* FNV-style fold, as in [Value.hash]; names are left out, so the hash
+   is consistent with both [equal] and [identical]. *)
+let hash q =
+  let mix h x = (h * 16777619) lxor x in
+  List.fold_left
+    (fun h a -> Array.fold_left mix (mix h (Hashtbl.hash a.rel)) a.args)
+    (mix 0x811c9dc5 q.nvars) q.atoms
+  land max_int
 
 let pp fmt q =
   Format.fprintf fmt "Q(%s) :- "

@@ -15,6 +15,9 @@ type atom = {
   rel : string;          (** relation symbol *)
   args : int array;      (** position [i] holds variable [args.(i)] *)
 }
+(** Queries are values: an atom's [args] must not be mutated once the
+    atom has been passed to {!make} or returned by {!atoms} (decided
+    pairs are memo keys, see {!Bagcqc_core.Containment.decide}). *)
 
 type t
 
@@ -57,6 +60,14 @@ val power : int -> t -> t
 
 val equal : t -> t -> bool
 (** Structural equality (same indices, names ignored). *)
+
+val identical : t -> t -> bool
+(** Structural equality {e including} variable names: the queries print
+    the same and build the same (name-annotated) databases. *)
+
+val hash : t -> int
+(** Non-negative hash over the variable count, relation names and
+    argument indices, consistent with {!equal} and {!identical}. *)
 
 val pp : Format.formatter -> t -> unit
 (** Datalog-ish rendering, e.g. [Q(x) :- R(x,y), S(y,y)]. *)

@@ -16,7 +16,7 @@
       distinct encodings with coincidentally equal matrices never collide.
 
     Structural {!equal}/{!hash} over this normal form key the
-    {!Solver} memo table. *)
+    persistent {!Store}. *)
 
 open Bagcqc_num
 open Bagcqc_lp

@@ -1,172 +1,151 @@
 open Bagcqc_lp
 module Obs = Bagcqc_obs
 
-module Table = Hashtbl.Make (struct
-  type t = Problem.t
+(* ---------------- tier 0: the sharded memo ---------------- *)
 
-  let equal = Problem.equal
-  let hash = Problem.hash
-end)
-
-let caching = ref true
-
-(* The memo table is sharded by problem hash so concurrent solves from
-   pool workers contend only when they touch the same slice of the key
-   space.  Each shard carries its own mutex, its resident problems, an
-   in-flight set, and the hash-collision probe state.
-
-   This sharded table is tier 0 of a two-tier cache: on a tier-0 miss
-   the attached persistent [Store] (tier 1) is consulted before the
-   simplex runs, and fresh solves are recorded back to it.  With no
-   store attached (the default) the code path and every counter are
-   exactly the single-tier behaviour.
-
-   In-flight dedup keeps (hits, misses) exactly equal to a sequential
-   run: when two domains race on the same problem, the first to arrive
-   registers it in-flight and counts the miss; the others block on the
-   shard condition and count a hit once the outcome lands — just as the
-   second of two sequential identical solves would have.  Without the
-   dedup both would miss and solve, and the counter-equality property
-   (test_par) would fail. *)
-type shard = {
-  m : Mutex.t;
-  cond : Condition.t; (* signalled when an in-flight solve resolves *)
-  table : Simplex.outcome Table.t;
-  in_flight : unit Table.t;
-  hash_seen : (int, int) Hashtbl.t;
-}
-
-let nshards = 16
-
-let shards =
-  Array.init nshards (fun _ ->
-      { m = Mutex.create (); cond = Condition.create ();
-        table = Table.create 64; in_flight = Table.create 8;
-        hash_seen = Hashtbl.create 64 })
-
-let shard_of problem = shards.(Problem.hash problem land (nshards - 1))
-
-(* Hash-collision probe: on every cache-miss store we record how many
-   problems with the same [Problem.hash] were already resident.  A healthy
-   hash keeps this histogram pinned at bucket 0; mass in higher buckets
-   means distinct canonical problems are sharing hash values and the memo
-   table is degrading toward a list scan. *)
-let h_hash_collisions = Obs.Metrics.histogram "solver.cache.hash_collisions"
+(* Every memo instance registers how to empty and measure itself, so
+   [clear] and [cache_size] reach tables whose key types this library
+   cannot name.  Registration happens at functor application, i.e. at
+   module initialisation, before any parallel region. *)
+let registry : ((unit -> unit) * (unit -> int)) list ref = ref []
 
 let clear () =
   if Bagcqc_par.Pool.in_parallel_region () then
     invalid_arg
       "Solver.clear: cannot drop the memo cache inside a parallel region \
        (clear between regions; see Bagcqc_par.Pool initialization order)";
-  Array.iter
-    (fun s ->
-      Mutex.lock s.m;
-      Table.reset s.table;
-      Table.reset s.in_flight;
-      Hashtbl.reset s.hash_seen;
-      Mutex.unlock s.m)
-    shards
+  List.iter (fun (clear, _) -> clear ()) !registry
 
-let cache_size () =
-  Array.fold_left
-    (fun acc s ->
-      Mutex.lock s.m;
-      let n = Table.length s.table in
-      Mutex.unlock s.m;
-      acc + n)
-    0 shards
+let cache_size () = List.fold_left (fun acc (_, size) -> acc + size ()) 0 !registry
 
-(* Pull-published: walking 16 shard mutexes per memoized solve would be
-   silly, so the serving layer refreshes this gauge on its ticker/scrape
-   path instead. *)
+(* Pull-published: walking 16 shard mutexes per decision would be silly,
+   so the serving layer refreshes this gauge on its ticker/scrape path
+   instead. *)
 let g_cache_size = Obs.Metrics.gauge "solver.cache.size"
 let publish_gauges () = Obs.Metrics.set_gauge g_cache_size (cache_size ())
 
-(* The memo table owns its outcome values; hand callers copies so a
-   caller mutating a solution array cannot poison later hits. *)
-let copy_outcome = function
-  | Simplex.Optimal (v, x) -> Simplex.Optimal (v, Array.copy x)
-  | (Simplex.Unbounded | Simplex.Infeasible) as o -> o
+(* Hash-collision probe: on every store into a memo we record how many
+   keys with the same hash were already resident.  A healthy hash keeps
+   this histogram pinned at bucket 0; mass in higher buckets means
+   distinct keys are sharing hash values and the table is degrading
+   toward a list scan. *)
+let h_hash_collisions = Obs.Metrics.histogram "solver.cache.hash_collisions"
 
-(* Wrap any solving function with the pivot-delta accounting every
-   cache miss performs, so custom solvers (the lazy cone driver's
+module Memo (K : Hashtbl.HashedType) (V : sig type t end) = struct
+  module Table = Hashtbl.Make (K)
+
+  (* The table is sharded by key hash so concurrent callers on pool
+     workers contend only when they touch the same slice of the key
+     space.  Each shard carries its own mutex, its resident values, an
+     in-flight set, and the hash-collision probe state.
+
+     In-flight dedup keeps (hits, misses) exactly equal to a sequential
+     run: when two domains race on the same key, the first to arrive
+     registers it in-flight and counts the miss; the others block on the
+     shard condition and count a hit once the value lands — just as the
+     second of two sequential identical calls would have.  Without the
+     dedup both would miss and compute, and the counter-equality
+     property (test_par) would fail. *)
+  type shard = {
+    m : Mutex.t;
+    cond : Condition.t; (* signalled when an in-flight computation resolves *)
+    table : V.t Table.t;
+    in_flight : unit Table.t;
+    hash_seen : (int, int) Hashtbl.t;
+  }
+
+  let nshards = 16
+
+  let shards =
+    Array.init nshards (fun _ ->
+        { m = Mutex.create (); cond = Condition.create ();
+          table = Table.create 64; in_flight = Table.create 8;
+          hash_seen = Hashtbl.create 64 })
+
+  let () =
+    registry :=
+      ( (fun () ->
+          Array.iter
+            (fun s ->
+              Mutex.lock s.m;
+              Table.reset s.table;
+              Table.reset s.in_flight;
+              Hashtbl.reset s.hash_seen;
+              Mutex.unlock s.m)
+            shards),
+        fun () ->
+          Array.fold_left
+            (fun acc s ->
+              Mutex.lock s.m;
+              let n = Table.length s.table in
+              Mutex.unlock s.m;
+              acc + n)
+            0 shards )
+      :: !registry
+
+  (* Called with the shard mutex held. *)
+  let note_store s h =
+    if !Obs.Runtime.enabled then begin
+      let prior = Option.value ~default:0 (Hashtbl.find_opt s.hash_seen h) in
+      Obs.Metrics.observe h_hash_collisions prior;
+      Hashtbl.replace s.hash_seen h (prior + 1)
+    end
+
+  let find_or_compute key compute =
+    let h = K.hash key in
+    let s = shards.(h land (nshards - 1)) in
+    Mutex.lock s.m;
+    let rec resolve () =
+      match Table.find_opt s.table key with
+      | Some v ->
+        Stats.note_cache_hit ();
+        Mutex.unlock s.m;
+        Obs.Span.add_attr "cache" (Obs.Span.Str "hit");
+        v
+      | None ->
+        if Table.mem s.in_flight key then begin
+          (* Another domain is already computing exactly this key; wait
+             for it and take the hit instead of duplicating the work. *)
+          Condition.wait s.cond s.m;
+          resolve ()
+        end
+        else begin
+          Table.replace s.in_flight key ();
+          Stats.note_cache_miss ();
+          Mutex.unlock s.m;
+          match compute () with
+          | v ->
+            Mutex.lock s.m;
+            Table.replace s.table key v;
+            note_store s h;
+            Table.remove s.in_flight key;
+            Condition.broadcast s.cond;
+            Mutex.unlock s.m;
+            v
+          | exception e ->
+            (* Un-register so a waiter can take over the computation
+               rather than block forever on a value that will never
+               land; nothing is cached. *)
+            Mutex.lock s.m;
+            Table.remove s.in_flight key;
+            Condition.broadcast s.cond;
+            Mutex.unlock s.m;
+            raise e
+        end
+    in
+    resolve ()
+end
+
+(* ---------------- LP solves: tier 1 and accounting ---------------- *)
+
+(* Wrap any solving function with the pivot-delta accounting every real
+   solve performs, so custom solvers (the lazy cone driver's
    warm-started rounds) count in [Stats] exactly like the default. *)
 let instrument solver problem =
   let p0 = Simplex.pivot_count () in
   let outcome = solver problem in
   Stats.note_solve ~pivots:(Simplex.pivot_count () - p0);
   outcome
-
-(* Called with the shard mutex held. *)
-let note_store s problem =
-  if !Obs.Runtime.enabled then begin
-    let h = Problem.hash problem in
-    let prior = Option.value ~default:0 (Hashtbl.find_opt s.hash_seen h) in
-    Obs.Metrics.observe h_hash_collisions prior;
-    Hashtbl.replace s.hash_seen h (prior + 1)
-  end
-
-let solve_cached ~solver problem =
-  let s = shard_of problem in
-  Mutex.lock s.m;
-  let rec resolve () =
-    match Table.find_opt s.table problem with
-    | Some outcome ->
-      Stats.note_cache_hit ();
-      Mutex.unlock s.m;
-      Obs.Span.add_attr "cache" (Obs.Span.Str "hit");
-      copy_outcome outcome
-    | None ->
-      if Table.mem s.in_flight problem then begin
-        (* Another domain is already solving exactly this problem; wait
-           for it and take the hit instead of duplicating the solve. *)
-        Condition.wait s.cond s.m;
-        resolve ()
-      end
-      else begin
-        Table.replace s.in_flight problem ();
-        Stats.note_cache_miss ();
-        Mutex.unlock s.m;
-        (* Tier 1: the persistent store, when attached.  Consulted only
-           on a tier-0 miss and outside the shard mutex (it does its own
-           locking and possibly file work); in-flight registration above
-           means racing domains still agree on exactly one resolver. *)
-        let store = Store.attached () in
-        let from_store =
-          match store with
-          | None -> None
-          | Some st -> Store.lookup st problem
-        in
-        match
-          (match from_store with
-           | Some outcome ->
-             Obs.Span.add_attr "cache" (Obs.Span.Str "store");
-             outcome
-           | None ->
-             Obs.Span.add_attr "cache" (Obs.Span.Str "miss");
-             let outcome = instrument solver problem in
-             Option.iter (fun st -> Store.record st problem outcome) store;
-             outcome)
-        with
-        | outcome ->
-          Mutex.lock s.m;
-          Table.replace s.table problem outcome;
-          note_store s problem;
-          Table.remove s.in_flight problem;
-          Condition.broadcast s.cond;
-          Mutex.unlock s.m;
-          copy_outcome outcome
-        | exception e ->
-          (* Un-register so a waiter can take over as the solver rather
-             than block forever on an outcome that will never land. *)
-          Mutex.lock s.m;
-          Table.remove s.in_flight problem;
-          Condition.broadcast s.cond;
-          Mutex.unlock s.m;
-          raise e
-      end
-  in
-  resolve ()
 
 let solve_using problem ~solver =
   Obs.Span.with_span ~name:"solver.solve"
@@ -175,16 +154,19 @@ let solve_using problem ~solver =
         ("rows", Obs.Span.Int (Problem.num_rows problem));
         ("vars", Obs.Span.Int (Problem.num_vars problem)) ]
   @@ fun () ->
-  if not !caching then begin
-    Obs.Span.add_attr "cache" (Obs.Span.Str "off");
-    instrument solver problem
-  end
-  else solve_cached ~solver problem
+  let store = Store.attached () in
+  match Option.bind store (fun st -> Store.lookup st problem) with
+  | Some outcome ->
+    Obs.Span.add_attr "cache" (Obs.Span.Str "store");
+    outcome
+  | None ->
+    Obs.Span.add_attr "cache" (Obs.Span.Str "miss");
+    let outcome = instrument solver problem in
+    Option.iter (fun st -> Store.record st problem outcome) store;
+    outcome
 
 let solve problem =
   solve_using problem ~solver:(fun p -> Simplex.solve (Problem.to_simplex p))
-
-let solve_result problem = Bagcqc_num.Bagcqc_error.protect (fun () -> solve problem)
 
 let feasible problem =
   match solve problem with

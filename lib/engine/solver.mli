@@ -1,67 +1,69 @@
-(** Memoizing LP solver: the single chokepoint between the decision
-    procedures and the simplex.
+(** The engine's cache tiers and its single chokepoint to the simplex.
 
-    Every solve is keyed on the canonical {!Problem} IR; structurally
-    identical systems (the same cone check reached through renamed
-    homomorphism sides, repeated [decide] calls on the same pair, …) are
-    answered from the memo table without touching the simplex.  Counters
-    flow into {!Stats} either way.
+    {b Tier 0} is a sharded in-memory memo of {e decisions}, keyed by
+    what callers ask about rather than by the LPs a decision happens to
+    build: {!Bagcqc_core.Containment.decide} instantiates {!Memo} on the
+    de-duplicated query pair, so a repeated check skips Eq. 8 and both
+    cones.  Lookups bump the [solver.cache.hits]/[solver.cache.misses]
+    counters ({!Stats}), and {!clear} empties every instance.
 
-    Cached solutions are returned as fresh copies, so callers may treat
-    the arrays as their own.
+    {b Tier 1} is the optional persistent {!Store} of LP solutions.  When
+    one is attached ({!Store.attach}, [check --store], [serve]), every
+    {!solve_using} consults it before running the simplex, and fresh
+    [Optimal] solves are appended to it — restarts and sibling processes
+    start warm.  Store entries are re-verified in exact arithmetic on
+    load, so the engine never trusts the disk (see {!Store}).
 
-    The table is sharded by problem hash (per-shard mutex), so [solve]
-    is safe from pool workers; racing solves of the same problem are
-    deduplicated in-flight, keeping hit/miss counters exactly equal to a
-    sequential run.  Lifecycle mutation ({!clear}) must happen between
-    parallel regions — see the initialization order in
-    {!Bagcqc_par.Pool}.
-
-    The sharded table is {e tier 0}.  When a persistent {!Store} is
-    attached ({!Store.attach}, [check --store], [serve]), a tier-0 miss
-    consults it before running the simplex, and fresh [Optimal] solves
-    are appended to it — restarts and sibling processes start warm.
-    Store entries are re-verified in exact arithmetic on load, so the
-    cache never trusts the disk (see {!Store}). *)
+    Both tiers are safe from pool workers.  Lifecycle mutation
+    ({!clear}) must happen between parallel regions — see the
+    initialization order in {!Bagcqc_par.Pool}. *)
 
 open Bagcqc_num
 open Bagcqc_lp
 
-val caching : bool ref
-(** Memoization switch, on by default.  Benchmarks that want to time the
-    underlying simplex (not the table lookup) flip it off around the
-    measured region and restore it with [Fun.protect]; library code
-    never writes here. *)
+(** {2 Tier 0: the memo} *)
 
-val solve : Problem.t -> Simplex.outcome
-(** Cached {!Simplex.solve} on the lowered problem. *)
-
-val solve_using :
-  Problem.t -> solver:(Problem.t -> Simplex.outcome) -> Simplex.outcome
-(** {!solve} with a caller-supplied solving function, run only on a
-    genuine miss of both cache tiers — the lazy cone driver routes its
-    warm-started per-round LPs through this so they share the memo
-    table, the persistent store, in-flight dedup and the [Stats]
-    pivot accounting with every other solve.  The function must return
-    an outcome valid for the problem {e as given} (same variable
-    order); warm-start state may live in its closure. *)
-
-val solve_result : Problem.t -> (Simplex.outcome, Bagcqc_error.t) result
-(** {!solve} with internal invariant violations reified as a typed
-    [Error] (see {!Simplex.solve_result}). *)
-
-val feasible : Problem.t -> Rat.t array option
-(** Cached feasibility: [Some x] is a point of the polyhedron.  The
-    problem's objective is ignored (pass a pure feasibility problem). *)
+module Memo (K : Hashtbl.HashedType) (V : sig type t end) : sig
+  val find_or_compute : K.t -> (unit -> V.t) -> V.t
+  (** [find_or_compute k f]: the value memoized under [k], else [f ()]
+      memoized under [k].  Racing calls on the same key are deduplicated
+      in flight (one computes, the others wait and count a hit), keeping
+      hit/miss counters exactly equal to a sequential run.  An exception
+      from [f] is re-raised and caches nothing; a waiter then takes over
+      the computation.  Values are shared between callers, not copied:
+      [V.t] must be immutable through its public interface. *)
+end
+(** A sharded memo table registered with {!clear}, {!cache_size} and the
+    [solver.cache.hash_collisions] histogram.  Apply it at module
+    initialisation, before any parallel region. *)
 
 val clear : unit -> unit
-(** Drop every memoized solve from tier 0 (does not touch {!Stats} or an
+(** Drop every memoized value from tier 0 (does not touch {!Stats} or an
     attached {!Store}).
     @raise Invalid_argument when called inside a parallel region. *)
 
 val cache_size : unit -> int
-(** Number of distinct problems currently memoized. *)
+(** Number of values currently memoized in tier 0. *)
 
 val publish_gauges : unit -> unit
 (** Refresh the [solver.cache.size] gauge from {!cache_size} — called by
-    the serving layer's ticker and metrics scrape, not per solve. *)
+    the serving layer's ticker and metrics scrape, not per decision. *)
+
+(** {2 LP solves} *)
+
+val solve : Problem.t -> Simplex.outcome
+(** {!Simplex.solve} on the lowered problem, behind the attached store. *)
+
+val solve_using :
+  Problem.t -> solver:(Problem.t -> Simplex.outcome) -> Simplex.outcome
+(** {!solve} with a caller-supplied solving function, run only when the
+    attached store (if any) cannot answer — the lazy cone driver routes
+    its warm-started per-round LPs through this so they share the
+    persistent store and the [Stats] pivot accounting with every other
+    solve.  The function must return an outcome valid for the problem
+    {e as given} (same variable order); warm-start state may live in its
+    closure. *)
+
+val feasible : Problem.t -> Rat.t array option
+(** Feasibility: [Some x] is a point of the polyhedron.  The problem's
+    objective is ignored (pass a pure feasibility problem). *)

@@ -200,7 +200,7 @@ let pp fmt s =
   Format.fprintf fmt "engine stats:@.";
   Format.fprintf fmt "  LP solves:          %d (%d pivots)@." s.lp_solves
     s.lp_pivots;
-  Format.fprintf fmt "  LP cache:           %d hits / %d misses (%.0f%% hit rate)@."
+  Format.fprintf fmt "  decision cache:     %d hits / %d misses (%.0f%% hit rate)@."
     s.cache_hits s.cache_misses (100.0 *. cache_hit_rate s);
   Format.fprintf fmt "  elemental tables:   %d hits / %d generated@."
     s.elemental_hits s.elemental_misses;

@@ -11,8 +11,8 @@
 type snapshot = {
   lp_solves : int;        (** simplex invocations actually performed *)
   lp_pivots : int;        (** Gaussian pivots across those solves *)
-  cache_hits : int;       (** LP solves answered from the engine cache *)
-  cache_misses : int;     (** LP solves that went to the simplex *)
+  cache_hits : int;       (** decisions answered from the tier-0 memo *)
+  cache_misses : int;     (** decisions the memo had to compute *)
   elemental_hits : int;   (** memoized elemental-family lookups *)
   elemental_misses : int; (** elemental families actually generated *)
   hom_enumerations : int; (** homomorphism enumeration/counting passes *)
@@ -22,8 +22,8 @@ type snapshot = {
   hybrid_repair_failures : int;
       (** proposals whose exact repair was rejected *)
   hybrid_fallbacks : int; (** solves re-run on the exact simplex *)
-  store_hits : int;       (** tier-0 misses answered by the persistent store *)
-  store_misses : int;     (** tier-0 misses the store could not answer *)
+  store_hits : int;       (** LP solves answered by the persistent store *)
+  store_misses : int;     (** LP solves the store could not answer *)
   store_appends : int;    (** fresh solves appended to the store *)
   store_loaded : int;     (** store entries verified and indexed at open *)
   store_rejected : int;
@@ -69,7 +69,8 @@ val time_stage : string -> (unit -> 'a) -> 'a
     recorded regardless. *)
 
 val cache_hit_rate : snapshot -> float
-(** [hits / (hits + misses)], or 0 when no cached solve was attempted. *)
+(** [hits / (hits + misses)], or 0 when no memoized decision was
+    attempted. *)
 
 val fallback_rate : snapshot -> float
 (** [hybrid_fallbacks / hybrid_float_solves], or 0 when the float-first

@@ -297,8 +297,8 @@ let record t problem outcome =
   match outcome with
   | Simplex.Unbounded | Simplex.Infeasible ->
     (* No independently checkable proof object exists for these (the
-       simplex emits no infeasibility certificate), so they stay tier-0
-       only — see the trust model in the interface. *)
+       simplex emits no infeasibility certificate), so they are never
+       persisted — see the trust model in the interface. *)
     ()
   | Simplex.Optimal (v, x) ->
     Mutex.lock t.m;

@@ -1,9 +1,9 @@
 (** Persistent, certificate-verified tier of the solver cache.
 
-    The sharded in-memory table in {!Solver} is tier 0; this module is
-    the optional tier 1: an append-only log of solved problems keyed by
-    the canonical {!Problem} normal form, with an in-memory index built
-    at {!open_} time.  It is what makes restarts warm and lets a fleet
+    {!Solver}'s in-memory tier 0 memoizes decisions; this module is the
+    optional tier 1, one level down: an append-only log of solved LPs
+    keyed by the canonical {!Problem} normal form, with an in-memory
+    index built at {!open_} time.  It is what makes restarts warm and lets a fleet
     of workers share verdicts through a file.
 
     {2 Trust model: verify on load, never on faith}
@@ -120,8 +120,8 @@ val register_verifier : tag:string -> (Problem.t -> Rat.t array -> bool) -> unit
     two-tier wiring used by [serve] and [check --store]. *)
 
 val attach : t -> unit
-(** Make this store tier 1 of {!Solver}'s cache (replacing any previous
-    attachment).
+(** Make this store the one every {!Solver.solve_using} consults
+    (replacing any previous attachment).
     @raise Invalid_argument inside a parallel region. *)
 
 val detach : unit -> unit

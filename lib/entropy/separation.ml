@@ -72,8 +72,8 @@
 
    Symmetry: the instance is first canonicalized modulo variable
    permutation ([Symmetry.analyze]), so every exact-round LP — keyed on
-   the canonical [Engine.Problem] — hits the sharded solver cache and
-   the persistent store across all symmetric variants of a query.
+   the canonical [Engine.Problem] — hits the persistent store across
+   all symmetric variants of a query.
    Verdicts are mapped back through the permutation: refuters by
    relabeling the point, certificates by renaming λ's axioms (the
    elemental family is closed under permutation).
@@ -400,7 +400,7 @@ let run ~n ~stabilizer ~certify es =
   in
   List.iter (fun d -> ignore (add_desc d)) (seed_descs ~n);
   (* Warm hint for the next exact round, through the canonical-order
-     merge walk.  Cache hits yield no basis and break the chain — they
+     merge walk.  Store hits yield no basis and break the chain — they
      also cost nothing to re-solve. *)
   let prev = ref None in
   (* Add the [cut_batch] most-violated of [ranked] (pre-sorted by
@@ -635,8 +635,8 @@ let certify_working_set ~n ~sym ~es w_descs =
     let cert = assemble x in
     (* Defense in depth (DESIGN.md §4f/§4i): accept only certificates
        that pass the exact check; a rejection is a solver bug repaired
-       by an exact re-solve (bypassing the solver cache, which holds the
-       rejected point), never an uncertified answer. *)
+       by an exact re-solve (bypassing the store, which may have served
+       the rejected point), never an uncertified answer. *)
     if Certificate.check cert then Some cert
     else begin
       Obs.Metrics.bump c_fallbacks;

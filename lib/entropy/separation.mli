@@ -21,7 +21,7 @@
     [cone.lazy.probe_cert] span) pays for the restricted Farkas LP, and
     only a probe without a usable answer pays for an exact refutation
     round; those LPs go through {!Bagcqc_engine.Solver.solve_using}, so
-    they hit the sharded cache and the persistent store — across
+    they hit the persistent store, when one is attached — across
     restarts {e and} across symmetric instances.
 
     Soundness does not rest on the cutting-plane loop or on the floats:

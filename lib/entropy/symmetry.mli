@@ -7,9 +7,9 @@
     representative ([n ≤ 8]), sweeping only the renamings that order
     variables by a permutation-invariant signature — a product of
     block factorials, usually one candidate, at most [n!].  The lazy cone driver ({!Separation}) solves the
-    canonical instance — so the solver cache and the persistent store
-    hit across symmetric variants — and uses the stabilizer to add
-    separation cuts orbit-at-a-time. *)
+    canonical instance — so the persistent store hits across symmetric
+    variants — and uses the stabilizer to add separation cuts
+    orbit-at-a-time. *)
 
 type perm = int array
 (** [p.(i)] is the image of variable [i]; a bijection on [0..n-1]. *)

@@ -37,7 +37,9 @@ let of_int_rows ~arity rows =
   of_list ~arity
     (List.map (fun r -> Array.of_list (List.map (fun i -> Value.Int i) r)) rows)
 
-let to_list p = RSet.elements p.rows
+(* Rows are copied out: a relation is a value, and one held by a cached
+   verdict must not change under a caller that mutates a row it got. *)
+let to_list p = List.map Array.copy (RSet.elements p.rows)
 
 let add row p =
   check_row ~arity:p.arity row;

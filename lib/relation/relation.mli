@@ -30,7 +30,8 @@ val of_int_rows : arity:int -> int list list -> t
 (** Convenience: rows of machine integers. *)
 
 val to_list : t -> Value.t array list
-(** Rows in a deterministic (lexicographic) order. *)
+(** Rows in a deterministic (lexicographic) order, as fresh arrays:
+    mutating one does not change the relation. *)
 
 val add : Value.t array -> t -> t
 val mem : Value.t array -> t -> bool

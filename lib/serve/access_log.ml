@@ -79,7 +79,9 @@ let subtree span_id =
 (* Per-request pivots and cache tier, recovered from span attributes:
    pivot counts sum across the subtree's simplex spans; the cache tier
    reported is the deepest tier the request had to reach ("miss" — a
-   fresh solve — over "store" over "memo"). *)
+   fresh LP solve — over "store" — an LP served from disk — over
+   "memo" — the whole decision served from the memo).  A decision
+   computed without any LP reports none. *)
 let pivots_of spans =
   List.fold_left
     (fun acc sp ->

@@ -88,7 +88,7 @@ let render ?(now = 0.0) ~addr reply =
      pr "\n"
    | _ -> ());
   let n key = num (field reply key) in
-  pr "memo cache  hits %s  misses %s  hit %s\n"
+  pr "decisions   hits %s  misses %s  hit %s\n"
     (human (n "cache_hits")) (human (n "cache_misses"))
     (pct (n "cache_hits") (n "cache_hits" +. n "cache_misses"));
   pr "store       hits %s  misses %s  hit %s   appends %s  loaded %s  rejected %s\n"

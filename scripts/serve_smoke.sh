@@ -6,8 +6,9 @@
 #
 #   1. in-process protocol selftest (`serve --selftest`)
 #   2. cold check answered with a verified certificate
-#   3. cached re-check + stats: the Contained check (certified from the
-#      float probe's Farkas row, no LP) appends nothing; a Not-contained
+#   3. cached re-check + stats: re-checking the Contained pair is a
+#      decision-memo hit (cache_hits >= 1, lp_solves unchanged) that still
+#      carries its certificate and appends nothing; a Not-contained
 #      check's Optimal LPs are appended (its two Eq. 8 sides defeat the
 #      Nn generator presolve, so its Nn LP is among them)
 #   4. malformed line and zero deadline answered with typed errors,
@@ -101,9 +102,18 @@ echo "$out" | grep -q '"verdict":"contained"' || fail "expected a contained verd
 echo "$out" | grep -q '"certificate"' || fail "expected a certificate in: $out"
 
 step "3: cached re-check + stats"
-out=$(client "$CHECK_CONTAINED" "$STATS") || fail "client exited nonzero"
+# stats_field NAME LINE: the integer value of NAME in one stats reply.
+stats_field() { echo "$2" | grep -o "\"$1\":[0-9]*" | grep -o '[0-9]*$'; }
+out=$(client "$STATS" "$CHECK_CONTAINED" "$STATS") || fail "client exited nonzero"
 echo "$out" | grep -q '"certificate"' || fail "expected a certificate in: $out"
-echo "$out" | grep -q '"store_appends":0' || fail "a Contained check should append nothing: $out"
+before=$(echo "$out" | sed -n 1p)
+after=$(echo "$out" | sed -n 3p)
+echo "$after" | grep -q '"store_appends":0' || fail "a Contained check should append nothing: $out"
+[ "$(stats_field cache_hits "$after")" -ge 1 ] \
+  && [ "$(stats_field cache_hits "$after")" -eq $(( $(stats_field cache_hits "$before") + 1 )) ] \
+  || fail "the re-check should be a decision-memo hit: $out"
+[ "$(stats_field lp_solves "$after")" = "$(stats_field lp_solves "$before")" ] \
+  || fail "a memo hit must solve no LP: $out"
 out=$(client "$CHECK_NOT_CONTAINED" "$STATS") || fail "client exited nonzero"
 echo "$out" | grep -q '"verdict":"not_contained"' || fail "expected a not_contained verdict, got: $out"
 echo "$out" | grep -q '"store_appends":[1-9]' || fail "expected store appends in: $out"

@@ -380,12 +380,23 @@ let qtests =
 let counter name = Bagcqc_obs.Metrics.count (Bagcqc_obs.Metrics.counter name)
 
 (* One decision's path through the Nn generator presolve: the number of
-   Eq. 8 sides, and the (valid, refuted, lp) counter deltas. *)
+   Eq. 8 sides, and the (valid, refuted, lp) counter deltas.  The memo is
+   cleared first (earlier tests may have decided the pair), and a repeat
+   must then be a memo hit that touches no cone. *)
 let presolve_path q1 q2 =
   let names = [ "cone.presolve.valid"; "cone.presolve.refuted"; "cone.presolve.lp" ] in
-  let before = List.map counter names in
-  let verdict = Containment.decide q1 q2 in
-  let deltas = List.map2 (fun name b -> counter name - b) names before in
+  let deltas_of f =
+    let before = List.map counter names in
+    let v = f () in
+    (v, List.map2 (fun name b -> counter name - b) names before)
+  in
+  Bagcqc_engine.Solver.clear ();
+  let verdict, deltas = deltas_of (fun () -> Containment.decide q1 q2) in
+  let hits = counter "solver.cache.hits" in
+  let again, repeat_deltas = deltas_of (fun () -> Containment.decide q1 q2) in
+  Alcotest.(check bool) "repeat is a memo hit" true
+    (again == verdict && counter "solver.cache.hits" = hits + 1);
+  Alcotest.(check (list int)) "repeat touches no cone" [ 0; 0; 0 ] repeat_deltas;
   (List.length (Maxii.sides (Containment.eq8 q1 q2)), deltas, verdict)
 
 let test_presolve_outcomes () =

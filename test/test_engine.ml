@@ -1,6 +1,6 @@
-(* The solver-engine layer: canonical problem IR, the LP solve cache and
-   its copy-on-hit discipline, instrumentation counters, the independent
-   certificate verifier, and the cone backends. *)
+(* The solver-engine layer: canonical problem IR, the decision memo and
+   its shared-immutable-verdict discipline, instrumentation counters, the
+   independent certificate verifier, and the cone backends. *)
 
 open Bagcqc_num
 open Bagcqc_lp
@@ -48,75 +48,179 @@ let test_problem_validation () =
     (raises_invalid (fun () ->
          Problem.make ~tag:"t" ~num_vars:1 ~objective:[ (5, q 1) ] []))
 
-(* ---------------- solve cache ---------------- *)
+(* ---------------- decision memo ---------------- *)
+
+module Containment = Bagcqc_core.Containment
+module Parser = Bagcqc_cq.Parser
+module Relation = Bagcqc_relation.Relation
+module Value = Bagcqc_relation.Value
+
+let homs () = (Stats.snapshot ()).Stats.hom_enumerations
+
+let witness_of = function
+  | Containment.Not_contained w -> w
+  | _ -> Alcotest.fail "expected Not_contained"
 
 let test_solver_cache () =
   Solver.clear ();
   Stats.reset ();
-  let p =
-    Problem.make ~tag:"test/cache" ~num_vars:2
-      [ Problem.row [ (0, q 1); (1, q 1) ] Simplex.Ge (q 1);
-        Problem.row [ (0, q 1) ] Simplex.Le (q 2) ]
-  in
-  let x1 =
-    match Solver.feasible p with
-    | Some x -> x
-    | None -> Alcotest.fail "system is feasible"
-  in
+  let q1 = Parser.parse "R(x,y), R(x,z)" and q2 = Parser.parse "R(u,v), R(w,v)" in
+  let w1 = witness_of (Containment.decide q1 q2) in
   let s1 = Stats.snapshot () in
-  Alcotest.(check int) "first solve misses" 1 s1.Stats.cache_misses;
+  Alcotest.(check int) "first decision misses" 1 s1.Stats.cache_misses;
   Alcotest.(check int) "no hit yet" 0 s1.Stats.cache_hits;
-  Alcotest.(check bool) "a real solve happened" true (s1.Stats.lp_solves >= 1);
-  (* A structurally equal problem built independently must hit. *)
-  let p' =
-    Problem.make ~tag:"test/cache" ~num_vars:2
-      [ Problem.row [ (0, q 1) ] Simplex.Le (q 2);
-        Problem.row [ (1, q 1); (0, q 1) ] Simplex.Ge (q 1) ]
-  in
-  ignore (Solver.feasible p');
+  Alcotest.(check bool) "a real decision happened" true
+    (s1.Stats.hom_enumerations >= 1);
+  (* The same pair parsed again, with a duplicate atom that decide drops
+     before the lookup, must hit without Eq. 8. *)
+  let q1' = Parser.parse "R(x,y), R(x,z), R(x,y)"
+  and q2' = Parser.parse "R(u,v), R(w,v)" in
+  let w2 = witness_of (Containment.decide q1' q2') in
   let s2 = Stats.snapshot () in
-  Alcotest.(check int) "second solve hits" 1 s2.Stats.cache_hits;
+  Alcotest.(check int) "second decision hits" 1 s2.Stats.cache_hits;
   Alcotest.(check int) "no extra miss" 1 s2.Stats.cache_misses;
+  Alcotest.(check int) "no hom enumeration on a hit" s1.Stats.hom_enumerations
+    s2.Stats.hom_enumerations;
   Alcotest.(check int) "one entry" 1 (Solver.cache_size ());
   Alcotest.(check bool) "hit rate is 1/2" true
     (abs_float (Stats.cache_hit_rate s2 -. 0.5) < 1e-9);
-  (* Copy-on-hit: mutating a returned solution must not poison the
-     table. *)
-  x1.(0) <- q 99;
-  (match Solver.feasible p with
-   | Some x3 ->
-     Alcotest.(check bool) "cache not poisoned" false (Rat.equal x3.(0) (q 99))
-   | None -> Alcotest.fail "still feasible");
-  (* With caching off, solves bypass the table entirely. *)
-  let saved = !Solver.caching in
-  Solver.caching := false;
-  Fun.protect ~finally:(fun () -> Solver.caching := saved) @@ fun () ->
-  let before = (Stats.snapshot ()).Stats.lp_solves in
-  ignore (Solver.feasible p);
+  Alcotest.(check bool) "the hit shares the verdict" true (w1 == w2);
+  (* A verdict is immutable through its interface: mutating the rows a
+     caller got out of the witness must not poison later hits. *)
+  let rows = Relation.to_list w1.Containment.p in
+  List.iter (fun row -> row.(0) <- Value.Int 99) rows;
+  let w3 = witness_of (Containment.decide q1 q2) in
+  Alcotest.(check bool) "cache not poisoned" false
+    (Relation.mem (List.hd rows) w3.Containment.p);
+  Alcotest.(check (option (pair int int))) "memoized witness still verifies"
+    (Some (w3.Containment.card_p, w3.Containment.hom2))
+    (Containment.verify_witness q1 q2 w3.Containment.p);
+  (* After a clear the pair is decided afresh. *)
+  Solver.clear ();
+  Alcotest.(check int) "clear empties the memo" 0 (Solver.cache_size ());
+  let before = homs () in
+  ignore (Containment.decide q1 q2);
   let s4 = Stats.snapshot () in
-  Alcotest.(check int) "uncached solve went to the simplex" (before + 1)
-    s4.Stats.lp_solves;
-  Alcotest.(check int) "hits unchanged" 2 s4.Stats.cache_hits
+  Alcotest.(check int) "decided afresh after clear" 2 s4.Stats.cache_misses;
+  Alcotest.(check bool) "Eq. 8 ran again" true (homs () > before)
 
-let test_cones_share_cache () =
-  (* The same cone check issued twice — e.g. across repeated decide calls
-     — must be answered from the cache the second time.  A valid Γn check
-     is certified from the float probe without any LP, so the shared LP
-     is a refutation's exact round: reversed monotonicity. *)
+let test_entry_points_share_memo () =
+  (* The same pair reached through different entry points (decide_result,
+     a batch, a repeated batch element) is answered from the memo; a
+     renamed pair is a different key, because its witness database is
+     annotated with its own variable names. *)
   Solver.clear ();
   Stats.reset ();
-  let e = Linexpr.sub (Linexpr.term (vs [ 0 ])) (Linexpr.term (vs [ 0; 1 ])) in
-  Alcotest.(check bool) "reversed monotonicity is not Shannon" false
-    (Cones.valid_shannon ~n:2 e);
+  let q1 = Parser.parse "R(x,y), R(x,z)" and q2 = Parser.parse "R(u,v), R(w,v)" in
+  (match Containment.decide_result q1 q2 with
+   | Ok (Containment.Not_contained _) -> ()
+   | _ -> Alcotest.fail "expected Not_contained");
   let s1 = Stats.snapshot () in
-  Alcotest.(check bool) "cold run misses" true (s1.Stats.cache_misses >= 1);
-  Alcotest.(check bool) "renamed copy also refuted" false
-    (Cones.valid_shannon ~n:2 (Linexpr.rename (fun v -> v) e));
+  Alcotest.(check int) "cold run misses" 1 s1.Stats.cache_misses;
+  let vs = Containment.decide_many [ (q1, q2); (q1, q2) ] in
   let s2 = Stats.snapshot () in
-  Alcotest.(check int) "warm run adds no miss" s1.Stats.cache_misses
-    s2.Stats.cache_misses;
-  Alcotest.(check bool) "warm run hits" true
-    (s2.Stats.cache_hits > s1.Stats.cache_hits)
+  Alcotest.(check int) "warm batch adds no miss" 1 s2.Stats.cache_misses;
+  Alcotest.(check int) "warm batch hits twice" 2 s2.Stats.cache_hits;
+  Alcotest.(check bool) "batch verdicts are the memoized one" true
+    (match vs with [ a; b ] -> a == b | _ -> false);
+  let r1 = Parser.parse "R(a,b), R(a,c)" in
+  let w = witness_of (Containment.decide r1 q2) in
+  let s3 = Stats.snapshot () in
+  Alcotest.(check int) "renamed pair misses" 2 s3.Stats.cache_misses;
+  let tagged_with name =
+    List.exists
+      (fun (_, rel) ->
+        List.exists
+          (Array.exists (function Value.Tag (v, _) -> v = name | _ -> false))
+          (Relation.to_list rel))
+      (Bagcqc_cq.Database.relations w.Containment.db)
+  in
+  Alcotest.(check bool) "renamed witness carries its own names" true
+    (tagged_with "a" && not (tagged_with "x"))
+
+let test_memo_budget_is_keyed () =
+  (* The witness budget is part of the key: one factor cannot realize
+     this pair's normal refuter, the default budget can. *)
+  Solver.clear ();
+  Stats.reset ();
+  let q1 = Parser.parse "R(x,y), R(x,z)" and q2 = Parser.parse "R(u,v), R(w,v)" in
+  (match Containment.decide ~max_factors:1 q1 q2 with
+   | Containment.Unknown { refuter = Some _; _ } -> ()
+   | _ -> Alcotest.fail "one factor: expected Unknown (budget)");
+  let w = witness_of (Containment.decide q1 q2) in
+  Alcotest.(check (option (pair int int))) "default budget: verified witness"
+    (Some (w.Containment.card_p, w.Containment.hom2))
+    (Containment.verify_witness q1 q2 w.Containment.p);
+  ignore (Containment.decide ~max_factors:14 q1 q2);
+  let s = Stats.snapshot () in
+  Alcotest.(check (pair int int)) "two keys; the explicit default hits" (2, 1)
+    (s.Stats.cache_misses, s.Stats.cache_hits);
+  Alcotest.(check int) "two entries" 2 (Solver.cache_size ())
+
+(* The check-10k corpus holds 5101 distinct pairs.  Deciding all of them
+   must leave 5101 entries, each stored without meeting a resident key
+   of the same hash: the hash-collision histogram stays at 0. *)
+let test_memo_hash_quality () =
+  let insts =
+    match Bagcqc_check.Corpus.load "../corpus/check-10k.jsonl" with
+    | Ok (_, insts) -> insts
+    | Error msg -> Alcotest.fail msg
+  in
+  let was = Bagcqc_obs.enabled () in
+  if not was then Bagcqc_obs.enable ();
+  Fun.protect ~finally:(fun () -> if not was then Bagcqc_obs.disable ())
+  @@ fun () ->
+  Solver.clear ();
+  Bagcqc_obs.Metrics.reset ();
+  List.iter
+    (fun inst ->
+      match inst.Bagcqc_check.Corpus.payload with
+      | Bagcqc_check.Corpus.Check_pair { q1; q2 } ->
+        ignore (Containment.decide q1 q2)
+      | Bagcqc_check.Corpus.Iip_sides _ -> Alcotest.fail "not a containment pair")
+    insts;
+  Alcotest.(check int) "distinct pairs memoized" 5101 (Solver.cache_size ());
+  let h =
+    List.assoc "solver.cache.hash_collisions"
+      (Bagcqc_obs.Metrics.snapshot ()).Bagcqc_obs.Metrics.histograms
+  in
+  Alcotest.(check (pair int int)) "5101 stores, no colliding hash" (5101, 0)
+    (h.Bagcqc_obs.Metrics.count, h.Bagcqc_obs.Metrics.max_value);
+  Solver.clear ()
+
+module Flaky =
+  Solver.Memo
+    (struct
+      type t = int
+
+      let equal = Int.equal
+      let hash = Hashtbl.hash
+    end)
+    (struct
+      type t = int
+    end)
+
+let test_memo_exception_not_cached () =
+  (* A decision that raises leaves no entry: the arity clash between the
+     two queries' R fails inside the pipeline, after the lookup. *)
+  Solver.clear ();
+  let q1 = Parser.parse "R(x)" and q2 = Parser.parse "R(u,v)" in
+  for _ = 1 to 2 do
+    Alcotest.(check bool) "the decision raises" true
+      (match Containment.decide q1 q2 with
+       | _ -> false
+       | exception Invalid_argument _ -> true);
+    Alcotest.(check int) "no entry left behind" 0 (Solver.cache_size ())
+  done;
+  (* The same at the table: the next call computes afresh and caches. *)
+  Alcotest.(check bool) "raising compute propagates" true
+    (match Flaky.find_or_compute 1 (fun () -> failwith "boom") with
+     | _ -> false
+     | exception Failure _ -> true);
+  Alcotest.(check int) "nothing memoized" 0 (Solver.cache_size ());
+  Alcotest.(check int) "retry computes" 7 (Flaky.find_or_compute 1 (fun () -> 7));
+  Alcotest.(check int) "then hits" 7 (Flaky.find_or_compute 1 (fun () -> 8));
+  Solver.clear ()
 
 (* ---------------- stats ---------------- *)
 
@@ -232,7 +336,10 @@ let suite =
   [ ("problem canonicalization", `Quick, test_problem_canonical);
     ("problem validation", `Quick, test_problem_validation);
     ("solve cache", `Quick, test_solver_cache);
-    ("cone checks share the cache", `Quick, test_cones_share_cache);
+    ("entry points share the memo", `Quick, test_entry_points_share_memo);
+    ("memo keys the witness budget", `Quick, test_memo_budget_is_keyed);
+    ("a raising decision caches nothing", `Quick, test_memo_exception_not_cached);
+    ("memo keys of check-10k hash apart", `Quick, test_memo_hash_quality);
     ("stats stages", `Quick, test_stats_stages);
     ("certificate check and tamper", `Quick, test_certificate_check_and_tamper);
     ("multi-side certificate", `Quick, test_certificate_multi_side);

@@ -805,10 +805,6 @@ let prop_small_cones_match_lp =
        gen)
     (fun (n, sides) ->
       let es = List.map side sides in
-      let saved = !Bagcqc_engine.Solver.caching in
-      Bagcqc_engine.Solver.caching := false;
-      Fun.protect ~finally:(fun () -> Bagcqc_engine.Solver.caching := saved)
-      @@ fun () ->
       List.for_all
         (fun (cone, in_cone) ->
           let reference = Cones.Oracle.refute_small cone ~n es in

@@ -90,7 +90,7 @@ let test_nested_runs_sequentially () =
 
 let test_lifecycle_guards () =
   with_jobs 4 @@ fun () ->
-  (* Pool sizing, obs recording flips, and solver-cache clears must all
+  (* Pool sizing, obs recording flips, and decision-memo clears must all
      refuse to run inside a parallel region. *)
   let raises f =
     match f () with
@@ -219,11 +219,12 @@ let prop_batch_par_eq_seq =
           | _ -> true)
         seq par)
 
-(* The serve daemon's concurrency contract, at the solver layer: N
-   identical requests landing together cost exactly as many LP solves as
-   one request (the sharded cache's in-flight dedup), and every caller
-   gets byte-identical, certificate-verified verdicts — under both the
-   sequential and the parallel scheduler. *)
+(* The serve daemon's concurrency contract, at the decision memo: N
+   identical requests landing together are decided once — one memo miss,
+   N − 1 hits, exactly as many LP solves as one request (the memo's
+   in-flight dedup) — and every caller gets byte-identical,
+   certificate-verified verdicts, under both the sequential and the
+   parallel scheduler. *)
 let prop_identical_requests_one_solve =
   QCheck.Test.make
     ~name:"decide_many: N identical requests, one solve, identical verdicts"
@@ -246,7 +247,10 @@ let prop_identical_requests_one_solve =
             with_jobs jobs (fun () ->
                 Containment.decide_many ~max_factors:8 pairs)
           in
-          (Stats.snapshot ()).Stats.lp_solves = single_solves
+          let s = Stats.snapshot () in
+          s.Stats.lp_solves = single_solves
+          && s.Stats.cache_misses = 1
+          && s.Stats.cache_hits = List.length pairs - 1
           && List.for_all
                (fun v ->
                  verdict_tag v = verdict_tag single
@@ -267,9 +271,9 @@ let prop_identical_requests_one_solve =
 (* ------------------------------------------------------------------ *)
 
 (* The batch and Hom paths promise exact counter parity: each instance
-   runs the sequential pipeline on one worker, and the sharded solver
-   cache dedups in-flight problems so (hits, misses) match a one-by-one
-   run.  (Maxii's speculative Normal∥Gamma path is exempt by design: it
+   runs the sequential pipeline on one worker, and the decision memo
+   dedups in-flight pairs so (hits, misses) match a one-by-one run — the
+   batch repeats its first pair, which must be one hit either way.  (Maxii's speculative Normal∥Gamma path is exempt by design: it
    may solve LPs the sequential short-circuit skips.) *)
 let batch_pairs =
   let q s = Parser.parse s in
@@ -305,6 +309,8 @@ let test_batch_counter_parity () =
     counters_of (fun () ->
         with_jobs 4 (fun () -> Containment.decide_many batch_pairs))
   in
+  let _, seq_hits, _, _ = seq in
+  Alcotest.(check int) "the repeated pair is one memo hit" 1 seq_hits;
   let pp (s, h, m, e) = Printf.sprintf "solves=%d hits=%d misses=%d homs=%d" s h m e in
   Alcotest.(check string) "lp_solves / cache hits+misses / hom_enumerations"
     (pp seq) (pp par)

@@ -1,9 +1,9 @@
 (* The persistent solver-cache tier: append-only log round-trips, crash
    tolerance (truncated tails), verify-on-load (corrupt and forged
    entries rejected, never served), the optimality policy (entries with
-   a real objective need a semantic verifier), and the two-tier wiring
-   through Solver — a warm store answers tier-0 misses without touching
-   the simplex. *)
+   a real objective need a semantic verifier), and the wiring through
+   Solver — a warm store answers LP solves without touching the
+   simplex. *)
 
 open Bagcqc_num
 open Bagcqc_lp
@@ -187,7 +187,7 @@ let test_objective_needs_verifier () =
   Alcotest.(check int) "not loaded" 0 (Store.loaded st2);
   Store.close st2
 
-(* ---------------- two-tier wiring through Solver ---------------- *)
+(* ---------------- store wiring through Solver ---------------- *)
 
 let with_attached path f =
   let st = Store.open_ path in
@@ -201,7 +201,7 @@ let with_attached path f =
 let test_solver_warm_start () =
   with_temp_store @@ fun path ->
   let p = feas_problem () in
-  (* Cold run with the store attached: miss both tiers, solve, append. *)
+  (* Cold run with the store attached: miss the store, solve, append. *)
   Solver.clear ();
   Stats.reset ();
   with_attached path (fun _ ->
@@ -211,8 +211,8 @@ let test_solver_warm_start () =
       Alcotest.(check int) "cold: store consulted, missed" 1
         s.Stats.store_misses;
       Alcotest.(check int) "cold: solve appended" 1 s.Stats.store_appends);
-  (* Warm restart: drop tier 0, reopen the store; the solve must be
-     served from disk without touching the simplex. *)
+  (* Warm restart: reopen the store; the solve must be served from disk
+     without touching the simplex. *)
   Solver.clear ();
   Stats.reset ();
   with_attached path (fun st ->
@@ -225,14 +225,16 @@ let test_solver_warm_start () =
       let s = Stats.snapshot () in
       Alcotest.(check int) "warm: zero simplex runs" 0 s.Stats.lp_solves;
       Alcotest.(check int) "warm: one store hit" 1 s.Stats.store_hits;
-      (* Tier 0 was populated by the store hit: a second solve is a
-         plain memory hit, no second store lookup. *)
+      (* LPs are not memoized in memory: a second solve is answered by
+         the store again, still without the simplex, and appends
+         nothing. *)
       ignore (Solver.solve p);
       let s2 = Stats.snapshot () in
-      Alcotest.(check int) "warm: tier-0 hit after install" 1
-        s2.Stats.cache_hits;
-      Alcotest.(check int) "warm: store not re-consulted" 1
-        s2.Stats.store_hits);
+      Alcotest.(check int) "warm: second solve from the store" 2
+        s2.Stats.store_hits;
+      Alcotest.(check int) "warm: still zero simplex runs" 0
+        s2.Stats.lp_solves;
+      Alcotest.(check int) "warm: nothing appended" 0 s2.Stats.store_appends);
   Solver.clear ();
   Stats.reset ()
 
@@ -487,7 +489,7 @@ let test_compact_idempotent_and_missing () =
 
 let suite =
   [ Alcotest.test_case "store: record/reopen round-trip" `Quick test_roundtrip;
-    Alcotest.test_case "store: infeasible outcomes stay tier-0 only" `Quick
+    Alcotest.test_case "store: infeasible never persisted" `Quick
       test_infeasible_not_persisted;
     Alcotest.test_case "store: truncated tail ignored and healed" `Quick
       test_truncated_tail_ignored;
