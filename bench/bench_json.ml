@@ -431,7 +431,7 @@ let serve_suite ~smoke =
 let stats_workload () =
   let was_enabled = Obs.enabled () in
   if not was_enabled then Obs.enable ();
-  Stats.reset ();
+  Obs.Metrics.reset ();
   Solver.clear ();
   let tri = Parser.parse "R(x,y), R(y,z), R(z,x)" in
   let vee = Parser.parse "R(x,y), R(x,z)" in
@@ -446,7 +446,7 @@ let stats_workload () =
      nonzero on every emitted run. *)
   ignore (Cones.valid_max_cert Cones.Gamma ~n:4 [ shannon_target 4 ]);
   ignore (Cones.valid Cones.Gamma ~n:4 ingleton);
-  let engine = Stats.snapshot () in
+  let engine = (Obs.Metrics.snapshot ()).Obs.Metrics.counters in
   (* The engine counters above are frozen; the serve burst runs after
      that snapshot (so it cannot shift them) but inside the recording
      window, filling the serve.queue_us/solve_us histograms for the
@@ -456,28 +456,11 @@ let stats_workload () =
   if not was_enabled then Obs.disable ();
   snap
 
-let emit_stats buf (s : Stats.snapshot) =
-  let pf fmt = Printf.bprintf buf fmt in
-  pf
-    ",\n  \"stats\": { \"lp_solves\": %d, \"lp_pivots\": %d, \
-     \"cache_hits\": %d, \"cache_misses\": %d, \"cache_hit_rate\": %.4f, \
-     \"elemental_hits\": %d, \"elemental_misses\": %d, \
-     \"hom_enumerations\": %d, \"hybrid_float_solves\": %d, \
-     \"hybrid_repairs\": %d, \"hybrid_repair_failures\": %d, \
-     \"hybrid_fallbacks\": %d, \"hybrid_fallback_rate\": %.4f, \
-     \"lazy_solves\": %d, \"lazy_rounds\": %d, \"lazy_cuts\": %d, \
-     \"lazy_fallback_rate\": %.4f, \"orbit_cuts\": %d, \
-     \"orbit_canonicalized\": %d }"
-    s.Stats.lp_solves s.Stats.lp_pivots s.Stats.cache_hits
-    s.Stats.cache_misses
-    (Stats.cache_hit_rate s)
-    s.Stats.elemental_hits s.Stats.elemental_misses s.Stats.hom_enumerations
-    s.Stats.hybrid_float_solves s.Stats.hybrid_repairs
-    s.Stats.hybrid_repair_failures s.Stats.hybrid_fallbacks
-    (Stats.fallback_rate s)
-    s.Stats.lazy_solves s.Stats.lazy_rounds s.Stats.lazy_cuts
-    (Stats.lazy_fallback_rate s)
-    s.Stats.orbit_cuts s.Stats.orbit_canonicalized
+(* Every registry counter under its own name, sorted. *)
+let emit_stats buf counters =
+  Printf.bprintf buf ",\n  \"stats\": { %s }"
+    (String.concat ", "
+       (List.map (fun (name, v) -> Printf.sprintf "%S: %d" name v) counters))
 
 let emit_histograms buf (m : Obs.Metrics.snapshot) =
   let pf fmt = Printf.bprintf buf fmt in
@@ -576,11 +559,12 @@ let run ~path ~only ~smoke =
     | Hom | Par -> None
   in
   (match stats with
-   | Some (s, _) ->
+   | Some (counters, _) ->
+     let hits = List.assoc "solver.cache.hits" counters in
+     let lookups = hits + List.assoc "solver.cache.misses" counters in
      Format.printf "engine cache hit rate on the stats workload: %.0f%% (%d/%d)@."
-       (100. *. Stats.cache_hit_rate s)
-       s.Stats.cache_hits
-       (s.Stats.cache_hits + s.Stats.cache_misses)
+       (100. *. float_of_int hits /. float_of_int (max 1 lookups))
+       hits lookups
    | None -> ());
   let buf = Buffer.create 2048 in
   emit buf suites stats;

@@ -7,7 +7,6 @@
    fuzz-repro-<suite>.txt, and the exit code is 1. *)
 
 open Bagcqc_check
-open Bagcqc_engine
 module Obs = Bagcqc_obs
 open Cmdliner
 
@@ -35,9 +34,10 @@ let seed_arg =
 let stats_arg =
   Arg.(value & flag
        & info [ "stats" ]
-           ~doc:"Print solver-engine counters (LP solves, pivots, cache \
-                 traffic) to stderr after the run — the suites drive the \
-                 real pipeline, so the counters show what was exercised.")
+           ~doc:"Print the span tree, every nonzero counter (LP solves, \
+                 pivots, cache traffic, ...) and histogram percentiles to \
+                 stderr after the run — the suites drive the real \
+                 pipeline, so the counters show what was exercised.")
 
 let trace_arg =
   Arg.(value & opt (some string) None
@@ -50,12 +50,8 @@ let repro_path suite = Printf.sprintf "fuzz-repro-%s.txt" suite
 let run suite iters seed stats trace =
   (* The decide suite manages the pool level itself; start sequential. *)
   Bagcqc_par.Pool.set_jobs 1;
-  Stats.reset ();
-  if stats || trace <> None then begin
-    Obs.enable ();
-    Obs.reset ()
-  end
-  else Obs.disable ();
+  if stats || trace <> None then Obs.enable () else Obs.disable ();
+  Obs.reset ();
   let code =
     Obs.Span.with_span ~name:"cli.fuzz" @@ fun () ->
     let selected =
@@ -109,7 +105,7 @@ let run suite iters seed stats trace =
       if !failed then 1 else 0
   in
   (match trace with Some path -> Obs.Export.write path | None -> ());
-  if stats then Format.eprintf "%a@?" Stats.pp (Stats.snapshot ());
+  if stats then Format.eprintf "%a@?" Obs.pp_stats ();
   code
 
 let cmd =

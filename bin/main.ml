@@ -23,10 +23,13 @@ open Cmdliner
 
 let stats_arg =
   Arg.(value & flag & info [ "stats" ]
-         ~doc:"After the command finishes, print solver-engine counters to \
-               stderr: LP solves and pivots, decision-cache and \
-               elemental-table hits/misses, homomorphism enumerations, and wall time per \
-               pipeline stage.")
+         ~doc:"After the command finishes, print to stderr the span tree \
+               (wall time per pipeline stage: eq8, maxii, witness, and the \
+               LP and cone work inside them), every nonzero counter by its \
+               registry name (LP solves and pivots, decision-cache, store \
+               and elemental-table traffic, homomorphism enumerations, \
+               presolve and lazy-cone outcomes) and histogram \
+               percentiles.")
 
 let trace_arg =
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
@@ -50,15 +53,11 @@ let jobs_arg =
    contract of {!Bagcqc_obs} (pool size, then enable/reset, then work). *)
 let with_obs ~cmd ?jobs stats trace run =
   Option.iter Bagcqc_par.Pool.set_jobs jobs;
-  Stats.reset ();
-  if stats || trace <> None then begin
-    Obs.enable ();
-    Obs.reset ()
-  end
-  else Obs.disable ();
+  if stats || trace <> None then Obs.enable () else Obs.disable ();
+  Obs.reset ();
   let code = Obs.Span.with_span ~name:("cli." ^ cmd) run in
   (match trace with Some path -> Obs.Export.write path | None -> ());
-  if stats then Format.eprintf "%a@?" Stats.pp (Stats.snapshot ());
+  if stats then Format.eprintf "%a@?" Obs.pp_stats ();
   code
 
 let store_arg =

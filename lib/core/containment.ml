@@ -177,8 +177,12 @@ let verdict_name = function
 
 (* The paper's pipeline on a de-duplicated pair, uncached. *)
 let decide_fresh ~max_factors q1 q2 =
-  let ineq = Stats.time_stage "eq8" (fun () -> eq8_deduped q1 q2) in
-  match Stats.time_stage "maxii" (fun () -> Maxii.decide ineq) with
+  let ineq =
+    Bagcqc_obs.Span.with_span ~name:"eq8" (fun () -> eq8_deduped q1 q2)
+  in
+  match
+    Bagcqc_obs.Span.with_span ~name:"maxii" (fun () -> Maxii.decide ineq)
+  with
   | Maxii.Valid cert -> Contained cert
   | Maxii.Unknown refuter ->
     Unknown
@@ -189,7 +193,7 @@ let decide_fresh ~max_factors q1 q2 =
         refuter = Some refuter }
   | Maxii.Invalid h_normal ->
     (match
-       Stats.time_stage "witness" (fun () ->
+       Bagcqc_obs.Span.with_span ~name:"witness" (fun () ->
            witness_from_normal ~max_factors q1 q2 h_normal)
      with
      | Some w -> Not_contained w

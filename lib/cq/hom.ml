@@ -8,6 +8,7 @@ exception Limit_reached
    The distribution tells apart index-driven runs (mass near 1) from
    degenerate cross-product scans (mass near the relation sizes). *)
 let h_candidates = Obs.Metrics.histogram "hom.candidates"
+let c_enumerations = Obs.Metrics.counter "hom.enumerations"
 
 (* Tuples hash/compare element-wise through Value so hash tables never fall
    back on polymorphic comparison (which walks arbitrary Value structure). *)
@@ -181,7 +182,7 @@ let iter_homs_body ?root_slice q db yield =
   go ~root:true (List.init natoms (fun i -> (i, Array.length rows.(i))))
 
 let iter_homs q db yield =
-  Bagcqc_engine.Stats.note_hom_enumeration ();
+  Obs.Metrics.bump c_enumerations;
   Obs.Span.with_span ~name:"hom.enumerate"
     ~attrs:
       [ ("vars", Obs.Span.Int (Query.nvars q));
@@ -215,7 +216,7 @@ let slices_for q db =
   end
 
 let with_enumeration_span q f =
-  Bagcqc_engine.Stats.note_hom_enumeration ();
+  Obs.Metrics.bump c_enumerations;
   Obs.Span.with_span ~name:"hom.enumerate"
     ~attrs:
       [ ("vars", Obs.Span.Int (Query.nvars q));

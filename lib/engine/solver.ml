@@ -31,6 +31,9 @@ let publish_gauges () = Obs.Metrics.set_gauge g_cache_size (cache_size ())
    toward a list scan. *)
 let h_hash_collisions = Obs.Metrics.histogram "solver.cache.hash_collisions"
 
+let c_cache_hits = Obs.Metrics.counter "solver.cache.hits"
+let c_cache_misses = Obs.Metrics.counter "solver.cache.misses"
+
 module Memo (K : Hashtbl.HashedType) (V : sig type t end) = struct
   module Table = Hashtbl.Make (K)
 
@@ -98,7 +101,7 @@ module Memo (K : Hashtbl.HashedType) (V : sig type t end) = struct
     let rec resolve () =
       match Table.find_opt s.table key with
       | Some v ->
-        Stats.note_cache_hit ();
+        Obs.Metrics.bump c_cache_hits;
         Mutex.unlock s.m;
         Obs.Span.add_attr "cache" (Obs.Span.Str "hit");
         v
@@ -111,7 +114,7 @@ module Memo (K : Hashtbl.HashedType) (V : sig type t end) = struct
         end
         else begin
           Table.replace s.in_flight key ();
-          Stats.note_cache_miss ();
+          Obs.Metrics.bump c_cache_misses;
           Mutex.unlock s.m;
           match compute () with
           | v ->
@@ -138,13 +141,18 @@ end
 
 (* ---------------- LP solves: tier 1 and accounting ---------------- *)
 
+let c_lp_solves = Obs.Metrics.counter "lp.solves"
+let c_lp_pivots = Obs.Metrics.counter "lp.pivots"
+
 (* Wrap any solving function with the pivot-delta accounting every real
    solve performs, so custom solvers (the lazy cone driver's
-   warm-started rounds) count in [Stats] exactly like the default. *)
+   warm-started rounds) count in [lp.solves]/[lp.pivots] exactly like
+   the default. *)
 let instrument solver problem =
   let p0 = Simplex.pivot_count () in
   let outcome = solver problem in
-  Stats.note_solve ~pivots:(Simplex.pivot_count () - p0);
+  Obs.Metrics.bump c_lp_solves;
+  Obs.Metrics.add c_lp_pivots (Simplex.pivot_count () - p0);
   outcome
 
 let solve_using problem ~solver =

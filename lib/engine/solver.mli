@@ -5,7 +5,7 @@
     build: {!Bagcqc_core.Containment.decide} instantiates {!Memo} on the
     de-duplicated query pair, so a repeated check skips Eq. 8 and both
     cones.  Lookups bump the [solver.cache.hits]/[solver.cache.misses]
-    counters ({!Stats}), and {!clear} empties every instance.
+    counters, and {!clear} empties every instance.
 
     {b Tier 1} is the optional persistent {!Store} of LP solutions.  When
     one is attached ({!Store.attach}, [check --store], [serve]), every
@@ -38,8 +38,8 @@ end
     initialisation, before any parallel region. *)
 
 val clear : unit -> unit
-(** Drop every memoized value from tier 0 (does not touch {!Stats} or an
-    attached {!Store}).
+(** Drop every memoized value from tier 0 (does not touch the counters
+    or an attached {!Store}).
     @raise Invalid_argument when called inside a parallel region. *)
 
 val cache_size : unit -> int
@@ -59,8 +59,8 @@ val solve_using :
 (** {!solve} with a caller-supplied solving function, run only when the
     attached store (if any) cannot answer — the lazy cone driver routes
     its warm-started per-round LPs through this so they share the
-    persistent store and the [Stats] pivot accounting with every other
-    solve.  The function must return an outcome valid for the problem
+    persistent store and the [lp.solves]/[lp.pivots] counters with every
+    other solve.  The function must return an outcome valid for the problem
     {e as given} (same variable order); warm-start state may live in its
     closure. *)
 

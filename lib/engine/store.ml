@@ -10,8 +10,7 @@ module Table = Hashtbl.Make (struct
   let hash = Problem.hash
 end)
 
-(* Store traffic is part of the cache story [--stats] tells, so the
-   counters live in the same obs registry the Stats snapshot reads. *)
+(* Store traffic is part of the cache story [--stats] tells. *)
 let c_hits = Obs.Metrics.counter "solver.store.hits"
 let c_misses = Obs.Metrics.counter "solver.store.misses"
 let c_appends = Obs.Metrics.counter "solver.store.appends"

@@ -444,7 +444,7 @@ let shannon_certificate ~n e =
 module Oracle = struct
   let farkas = gamma_farkas
 
-  (* Exact simplex, but through the solver so cache, store and [Stats]
+  (* Exact simplex, but through the solver so store and [lp.*] counter
      accounting behave as for any other solve. *)
   let feasible prob =
     match

@@ -1,8 +1,8 @@
 (** Deciding (max-)information inequalities over polyhedral cones
     [Γn ⊇ Nn ⊇ Mn] by exact linear programming — routed through the
     solver engine ({!Bagcqc_engine.Solver}), so LPs share the persistent
-    store when one is attached, and instrumented via
-    {!Bagcqc_engine.Stats}.
+    store when one is attached, and instrumented through named
+    {!Bagcqc_obs.Metrics} counters ([lp.*], [cone.*]).
 
     This is the computational engine behind the paper's decidability
     results: Theorem 3.6 shows certain max-inequalities are "essentially

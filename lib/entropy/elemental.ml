@@ -1,5 +1,4 @@
 open Bagcqc_num
-open Bagcqc_engine
 
 (* ---------------- implicit (descriptor) view ----------------
 
@@ -75,6 +74,8 @@ end)
    generates (one miss) and the rest block until the entry lands (hits) —
    the same hit/miss totals a sequential run would record. *)
 let table_mutex = Mutex.create ()
+let c_hits = Bagcqc_obs.Metrics.counter "elemental.hits"
+let c_misses = Bagcqc_obs.Metrics.counter "elemental.misses"
 
 let table : (int, Linexpr.t list * unit Eset.t) Hashtbl.t = Hashtbl.create 8
 
@@ -83,11 +84,11 @@ let entry ~n =
   Fun.protect ~finally:(fun () -> Mutex.unlock table_mutex) @@ fun () ->
   match Hashtbl.find_opt table n with
   | Some e ->
-    Stats.note_elemental_hit ();
+    Bagcqc_obs.Metrics.bump c_hits;
     e
   | None ->
     ignore (Varset.full n) (* range check, even for n = 0 *);
-    Stats.note_elemental_miss ();
+    Bagcqc_obs.Metrics.bump c_misses;
     let es =
       Bagcqc_obs.Span.with_span ~name:"elemental.generate"
         ~attrs:[ ("n", Bagcqc_obs.Span.Int n) ]

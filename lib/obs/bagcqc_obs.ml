@@ -44,3 +44,5 @@ let reset () =
   Span.reset ();
   Metrics.reset ();
   Window.reset ()
+
+let pp_stats fmt () = Report.pp fmt (Report.of_json (Export.chrome ()))

@@ -14,9 +14,10 @@
       reader behind the [report] CLI subcommand.
 
     With tracing {e disabled} (the default) every span entry point is a
-    single branch; counters stay live (they are what {!Bagcqc_engine.Stats}
-    snapshots), and histogram call sites are expected to gate themselves
-    on {!enabled}.
+    single branch; counters stay live (one integer store per event, read
+    by name from the registry by every surface: [--stats], the serve
+    [stats] verb, [/metrics], trace export), and histogram call sites are
+    expected to gate themselves on {!enabled}.
 
     {2 Initialization order under parallelism}
 
@@ -53,3 +54,9 @@ val disable : unit -> unit
 val reset : unit -> unit
 (** Fresh trace: clear spans (ring, ids, epoch), zero all metrics and
     drop window samples.  Idempotent. *)
+
+val pp_stats : Format.formatter -> unit -> unit
+(** The [--stats] rendering of the current obs state: {!Report.pp} of the
+    trace {!Export.chrome} would write — the span tree (when tracing is
+    enabled), every nonzero counter and gauge, and histogram
+    percentiles. *)

@@ -206,15 +206,39 @@ let http_handler t path =
 
 (* ---------------- stats verb ---------------- *)
 
+(* The flat counter keys the verb has always carried, under their wire
+   names, for readers that predate the "counters" object (perfbench's
+   serve_load, scripts/serve_smoke.sh, the selftest, outside clients).
+   Every registry counter is also in "counters" by name. *)
+let wire_aliases =
+  [ ("requests", "serve.requests"); ("replies", "serve.replies");
+    ("errors", "serve.errors"); ("overloaded", "serve.overloaded");
+    ("deadline_expired", "serve.deadline_expired");
+    ("connections", "serve.connections"); ("lp_solves", "lp.solves");
+    ("lp_pivots", "lp.pivots"); ("cache_hits", "solver.cache.hits");
+    ("cache_misses", "solver.cache.misses");
+    ("store_hits", "solver.store.hits");
+    ("store_misses", "solver.store.misses");
+    ("store_appends", "solver.store.appends");
+    ("store_loaded", "solver.store.loaded");
+    ("store_rejected", "solver.store.rejected");
+    ("lazy_solves", "cone.lazy.solves"); ("lazy_rounds", "cone.lazy.rounds");
+    ("lazy_cuts", "cone.lazy.cuts"); ("lazy_fallbacks", "cone.lazy.fallbacks");
+    ("orbit_cuts", "cone.orbit.cuts");
+    ("orbit_canonicalized", "cone.orbit.canonicalized") ]
+
 let stats_fields t =
   publish_gauges t;
   Obs.Window.tick_all ();
-  let s = Stats.snapshot () in
+  let snap = Obs.Metrics.snapshot () in
   Mutex.lock t.qm;
   let queue_depth = Queue.length t.queue in
   let draining = t.draining in
   Mutex.unlock t.qm;
   let num n = Json.Num (float_of_int n) in
+  let count name =
+    Option.value ~default:0 (List.assoc_opt name snap.Obs.Metrics.counters)
+  in
   let latency =
     List.map
       (fun (name, h) ->
@@ -226,7 +250,9 @@ let stats_fields t =
               ("p90", num (Obs.Metrics.percentile h 0.90));
               ("p99", num (Obs.Metrics.percentile h 0.99));
               ("max", num h.Obs.Metrics.max_value) ] ))
-      s.Stats.hists
+      (List.filter
+         (fun (_, h) -> h.Obs.Metrics.count > 0)
+         snap.Obs.Metrics.histograms)
   in
   let rates =
     List.map
@@ -243,28 +269,12 @@ let stats_fields t =
     ("cache_size", num (Solver.cache_size ()));
     ("draining", Json.Bool draining);
     ("histograms", Json.Obj latency);
-    ("rates_per_sec", Json.Obj rates);
-    ("requests", num (Obs.Metrics.count c_requests));
-    ("replies", num (Obs.Metrics.count c_replies));
-    ("errors", num (Obs.Metrics.count c_errors));
-    ("overloaded", num (Obs.Metrics.count c_overloaded));
-    ("deadline_expired", num (Obs.Metrics.count c_deadline));
-    ("connections", num (Obs.Metrics.count c_connections));
-    ("lp_solves", num s.Stats.lp_solves);
-    ("lp_pivots", num s.Stats.lp_pivots);
-    ("cache_hits", num s.Stats.cache_hits);
-    ("cache_misses", num s.Stats.cache_misses);
-    ("store_hits", num s.Stats.store_hits);
-    ("store_misses", num s.Stats.store_misses);
-    ("store_appends", num s.Stats.store_appends);
-    ("store_loaded", num s.Stats.store_loaded);
-    ("store_rejected", num s.Stats.store_rejected);
-    ("lazy_solves", num s.Stats.lazy_solves);
-    ("lazy_rounds", num s.Stats.lazy_rounds);
-    ("lazy_cuts", num s.Stats.lazy_cuts);
-    ("lazy_fallbacks", num s.Stats.lazy_fallbacks);
-    ("orbit_cuts", num s.Stats.orbit_cuts);
-    ("orbit_canonicalized", num s.Stats.orbit_canonicalized) ]
+    ("rates_per_sec", Json.Obj rates) ]
+  @ List.map (fun (key, name) -> (key, num (count name))) wire_aliases
+  @ [ ( "counters",
+        Json.Obj
+          (List.map (fun (name, v) -> (name, num v)) snap.Obs.Metrics.counters)
+      ) ]
 
 (* ---------------- dispatcher ---------------- *)
 

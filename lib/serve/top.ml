@@ -43,28 +43,23 @@ let render ?(now = 0.0) ~addr reply =
   (match field reply "ok" with
    | Some (Json.Bool true) -> ()
    | _ -> pr "  (stats request failed)\n");
-  pr "jobs %d   queue %d   in-flight %d   lp-cache %d   draining %s\n\n"
+  pr "jobs %d   queue %d   in-flight %d   decision cache %d   draining %s\n\n"
     (int_field reply "jobs") (int_field reply "queue_depth")
     (int_field reply "in_flight") (int_field reply "cache_size")
     (if bool_field reply "draining" then "YES" else "no");
+  (* Every counter total by its registry name. *)
+  let counters = Option.value ~default:(Json.Obj []) (field reply "counters") in
+  let n name = num (field counters name) in
   (* Rolling rates next to lifetime totals, one row per windowed counter. *)
-  let totals =
-    [ ("serve.requests", "requests"); ("serve.replies", "replies");
-      ("serve.errors", "errors"); ("solver.cache.hits", "cache_hits");
-      ("solver.cache.misses", "cache_misses");
-      ("solver.store.hits", "store_hits");
-      ("solver.store.misses", "store_misses");
-      ("lp.solves", "lp_solves") ]
-  in
   (match field reply "rates_per_sec" with
    | Some (Json.Obj rates) when rates <> [] ->
      pr "%-26s %10s %9s %9s\n" "counter" "total" "1m/s" "5m/s";
      List.iter
        (fun (name, r) ->
          let total =
-           match List.assoc_opt name totals with
-           | Some key -> human (num (field reply key))
-           | None -> "-"
+           match field counters name with
+           | Some (Json.Num v) -> human v
+           | _ -> "-"
          in
          pr "%-26s %10s %9.2f %9.2f\n" name total
            (num (field r "1m")) (num (field r "5m")))
@@ -87,18 +82,17 @@ let render ?(now = 0.0) ~addr reply =
        hists;
      pr "\n"
    | _ -> ());
-  let n key = num (field reply key) in
-  pr "decisions   hits %s  misses %s  hit %s\n"
-    (human (n "cache_hits")) (human (n "cache_misses"))
-    (pct (n "cache_hits") (n "cache_hits" +. n "cache_misses"));
+  let hits = n "solver.cache.hits" and misses = n "solver.cache.misses" in
+  pr "decisions   hits %s  misses %s  hit %s\n" (human hits) (human misses)
+    (pct hits (hits +. misses));
+  let hits = n "solver.store.hits" and misses = n "solver.store.misses" in
   pr "store       hits %s  misses %s  hit %s   appends %s  loaded %s  rejected %s\n"
-    (human (n "store_hits")) (human (n "store_misses"))
-    (pct (n "store_hits") (n "store_hits" +. n "store_misses"))
-    (human (n "store_appends")) (human (n "store_loaded"))
-    (human (n "store_rejected"));
+    (human hits) (human misses) (pct hits (hits +. misses))
+    (human (n "solver.store.appends")) (human (n "solver.store.loaded"))
+    (human (n "solver.store.rejected"));
   pr "service     overloaded %s  deadline-expired %s  connections %s\n"
-    (human (n "overloaded")) (human (n "deadline_expired"))
-    (human (n "connections"));
+    (human (n "serve.overloaded")) (human (n "serve.deadline_expired"))
+    (human (n "serve.connections"));
   Buffer.contents b
 
 let stats_request = Json.Obj [ ("id", Json.Str "top"); ("op", Json.Str "stats") ]

@@ -8,7 +8,8 @@
 #   2. cold check answered with a verified certificate
 #   3. cached re-check + stats: re-checking the Contained pair is a
 #      decision-memo hit (cache_hits >= 1, lp_solves unchanged) that still
-#      carries its certificate and appends nothing; a Not-contained
+#      carries its certificate and appends nothing, and the reply's
+#      "counters" object shows cone.lazy.probe_certs >= 1; a Not-contained
 #      check's Optimal LPs are appended (its two Eq. 8 sides defeat the
 #      Nn generator presolve, so its Nn LP is among them)
 #   4. malformed line and zero deadline answered with typed errors,
@@ -114,6 +115,11 @@ echo "$after" | grep -q '"store_appends":0' || fail "a Contained check should ap
   || fail "the re-check should be a decision-memo hit: $out"
 [ "$(stats_field lp_solves "$after")" = "$(stats_field lp_solves "$before")" ] \
   || fail "a memo hit must solve no LP: $out"
+# The reply's "counters" object carries every registry counter by name,
+# including ones no flat key aliases: step 2's cold Contained check was
+# certified from the lazy Γn float probe.
+[ "$(stats_field 'cone\.lazy\.probe_certs' "$after")" -ge 1 ] \
+  || fail "stats counters should show cone.lazy.probe_certs >= 1: $out"
 out=$(client "$CHECK_NOT_CONTAINED" "$STATS") || fail "client exited nonzero"
 echo "$out" | grep -q '"verdict":"not_contained"' || fail "expected a not_contained verdict, got: $out"
 echo "$out" | grep -q '"store_appends":[1-9]' || fail "expected store appends in: $out"

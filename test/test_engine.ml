@@ -55,7 +55,8 @@ module Parser = Bagcqc_cq.Parser
 module Relation = Bagcqc_relation.Relation
 module Value = Bagcqc_relation.Value
 
-let homs () = (Stats.snapshot ()).Stats.hom_enumerations
+let count name = Bagcqc_obs.Metrics.count (Bagcqc_obs.Metrics.counter name)
+let homs () = count "hom.enumerations"
 
 let witness_of = function
   | Containment.Not_contained w -> w
@@ -63,27 +64,26 @@ let witness_of = function
 
 let test_solver_cache () =
   Solver.clear ();
-  Stats.reset ();
+  Bagcqc_obs.Metrics.reset ();
   let q1 = Parser.parse "R(x,y), R(x,z)" and q2 = Parser.parse "R(u,v), R(w,v)" in
   let w1 = witness_of (Containment.decide q1 q2) in
-  let s1 = Stats.snapshot () in
-  Alcotest.(check int) "first decision misses" 1 s1.Stats.cache_misses;
-  Alcotest.(check int) "no hit yet" 0 s1.Stats.cache_hits;
-  Alcotest.(check bool) "a real decision happened" true
-    (s1.Stats.hom_enumerations >= 1);
+  Alcotest.(check int) "first decision misses" 1 (count "solver.cache.misses");
+  Alcotest.(check int) "no hit yet" 0 (count "solver.cache.hits");
+  let homs1 = homs () in
+  Alcotest.(check bool) "a real decision happened" true (homs1 >= 1);
   (* The same pair parsed again, with a duplicate atom that decide drops
      before the lookup, must hit without Eq. 8. *)
   let q1' = Parser.parse "R(x,y), R(x,z), R(x,y)"
   and q2' = Parser.parse "R(u,v), R(w,v)" in
   let w2 = witness_of (Containment.decide q1' q2') in
-  let s2 = Stats.snapshot () in
-  Alcotest.(check int) "second decision hits" 1 s2.Stats.cache_hits;
-  Alcotest.(check int) "no extra miss" 1 s2.Stats.cache_misses;
-  Alcotest.(check int) "no hom enumeration on a hit" s1.Stats.hom_enumerations
-    s2.Stats.hom_enumerations;
+  Alcotest.(check int) "second decision hits" 1 (count "solver.cache.hits");
+  Alcotest.(check int) "no extra miss" 1 (count "solver.cache.misses");
+  Alcotest.(check int) "no hom enumeration on a hit" homs1 (homs ());
   Alcotest.(check int) "one entry" 1 (Solver.cache_size ());
+  let hits = count "solver.cache.hits" in
+  let lookups = hits + count "solver.cache.misses" in
   Alcotest.(check bool) "hit rate is 1/2" true
-    (abs_float (Stats.cache_hit_rate s2 -. 0.5) < 1e-9);
+    (abs_float ((float_of_int hits /. float_of_int lookups) -. 0.5) < 1e-9);
   Alcotest.(check bool) "the hit shares the verdict" true (w1 == w2);
   (* A verdict is immutable through its interface: mutating the rows a
      caller got out of the witness must not poison later hits. *)
@@ -100,8 +100,8 @@ let test_solver_cache () =
   Alcotest.(check int) "clear empties the memo" 0 (Solver.cache_size ());
   let before = homs () in
   ignore (Containment.decide q1 q2);
-  let s4 = Stats.snapshot () in
-  Alcotest.(check int) "decided afresh after clear" 2 s4.Stats.cache_misses;
+  Alcotest.(check int) "decided afresh after clear" 2
+    (count "solver.cache.misses");
   Alcotest.(check bool) "Eq. 8 ran again" true (homs () > before)
 
 let test_entry_points_share_memo () =
@@ -110,23 +110,21 @@ let test_entry_points_share_memo () =
      renamed pair is a different key, because its witness database is
      annotated with its own variable names. *)
   Solver.clear ();
-  Stats.reset ();
+  Bagcqc_obs.Metrics.reset ();
   let q1 = Parser.parse "R(x,y), R(x,z)" and q2 = Parser.parse "R(u,v), R(w,v)" in
   (match Containment.decide_result q1 q2 with
    | Ok (Containment.Not_contained _) -> ()
    | _ -> Alcotest.fail "expected Not_contained");
-  let s1 = Stats.snapshot () in
-  Alcotest.(check int) "cold run misses" 1 s1.Stats.cache_misses;
+  Alcotest.(check int) "cold run misses" 1 (count "solver.cache.misses");
   let vs = Containment.decide_many [ (q1, q2); (q1, q2) ] in
-  let s2 = Stats.snapshot () in
-  Alcotest.(check int) "warm batch adds no miss" 1 s2.Stats.cache_misses;
-  Alcotest.(check int) "warm batch hits twice" 2 s2.Stats.cache_hits;
+  Alcotest.(check int) "warm batch adds no miss" 1
+    (count "solver.cache.misses");
+  Alcotest.(check int) "warm batch hits twice" 2 (count "solver.cache.hits");
   Alcotest.(check bool) "batch verdicts are the memoized one" true
     (match vs with [ a; b ] -> a == b | _ -> false);
   let r1 = Parser.parse "R(a,b), R(a,c)" in
   let w = witness_of (Containment.decide r1 q2) in
-  let s3 = Stats.snapshot () in
-  Alcotest.(check int) "renamed pair misses" 2 s3.Stats.cache_misses;
+  Alcotest.(check int) "renamed pair misses" 2 (count "solver.cache.misses");
   let tagged_with name =
     List.exists
       (fun (_, rel) ->
@@ -142,7 +140,7 @@ let test_memo_budget_is_keyed () =
   (* The witness budget is part of the key: one factor cannot realize
      this pair's normal refuter, the default budget can. *)
   Solver.clear ();
-  Stats.reset ();
+  Bagcqc_obs.Metrics.reset ();
   let q1 = Parser.parse "R(x,y), R(x,z)" and q2 = Parser.parse "R(u,v), R(w,v)" in
   (match Containment.decide ~max_factors:1 q1 q2 with
    | Containment.Unknown { refuter = Some _; _ } -> ()
@@ -152,9 +150,8 @@ let test_memo_budget_is_keyed () =
     (Some (w.Containment.card_p, w.Containment.hom2))
     (Containment.verify_witness q1 q2 w.Containment.p);
   ignore (Containment.decide ~max_factors:14 q1 q2);
-  let s = Stats.snapshot () in
   Alcotest.(check (pair int int)) "two keys; the explicit default hits" (2, 1)
-    (s.Stats.cache_misses, s.Stats.cache_hits);
+    (count "solver.cache.misses", count "solver.cache.hits");
   Alcotest.(check int) "two entries" 2 (Solver.cache_size ())
 
 (* The check-10k corpus holds 5101 distinct pairs.  Deciding all of them
@@ -222,28 +219,46 @@ let test_memo_exception_not_cached () =
   Alcotest.(check int) "then hits" 7 (Flaky.find_or_compute 1 (fun () -> 8));
   Solver.clear ()
 
-(* ---------------- stats ---------------- *)
+(* ---------------- stage spans ---------------- *)
 
-let test_stats_stages () =
-  Stats.reset ();
-  let r = Stats.time_stage "outer" (fun () -> Stats.time_stage "inner" (fun () -> 7)) in
+(* The report tree of the live obs state, as [--stats] prints it. *)
+let live_report () = Bagcqc_obs.Report.of_json (Bagcqc_obs.Export.chrome ())
+
+let test_stage_spans () =
+  let module Obs = Bagcqc_obs in
+  Obs.enable ();
+  Obs.reset ();
+  Fun.protect ~finally:Obs.disable @@ fun () ->
+  let r =
+    Obs.Span.with_span ~name:"outer" (fun () ->
+        Obs.Span.with_span ~name:"inner" (fun () -> 7))
+  in
   Alcotest.(check int) "stage result threads through" 7 r;
-  let s = Stats.snapshot () in
-  let names = List.map fst s.Stats.stages in
-  Alcotest.(check (list string)) "buckets in first-use order"
-    [ "outer"; "inner" ] names;
+  (* Exceptions still close the stage's span. *)
+  (try Obs.Span.with_span ~name:"boom" (fun () -> failwith "x")
+   with Failure _ -> ());
+  Alcotest.(check int) "no span left open" 0 (Obs.Span.open_depth ());
+  let rec preorder nodes =
+    List.concat_map (fun nd -> nd :: preorder nd.Obs.Report.kids) nodes
+  in
+  let nodes = preorder (live_report ()).Obs.Report.roots in
+  Alcotest.(check (list string)) "stages in first-use order"
+    [ "outer"; "inner"; "boom" ]
+    (List.map (fun nd -> nd.Obs.Report.name) nodes);
   List.iter
-    (fun (_, dt) -> Alcotest.(check bool) "non-negative time" true (dt >= 0.))
-    s.Stats.stages;
-  (* Exceptions still record the stage. *)
-  (try Stats.time_stage "boom" (fun () -> failwith "x") with Failure _ -> ());
-  let s' = Stats.snapshot () in
-  Alcotest.(check bool) "exceptional stage recorded" true
-    (List.mem_assoc "boom" s'.Stats.stages);
-  Stats.reset ();
-  let z = Stats.snapshot () in
-  Alcotest.(check int) "reset zeroes counters" 0 z.Stats.cache_hits;
-  Alcotest.(check int) "reset clears stages" 0 (List.length z.Stats.stages)
+    (fun nd ->
+      Alcotest.(check bool) "non-negative time" true (nd.Obs.Report.dur_us >= 0.))
+    nodes;
+  (* A reset zeroes counters and clears the spans. *)
+  Solver.clear ();
+  let q1 = Parser.parse "R(x,y), R(x,z)" and q2 = Parser.parse "R(u,v), R(w,v)" in
+  ignore (Containment.decide q1 q2);
+  ignore (Containment.decide q1 q2);
+  Alcotest.(check int) "a hit before the reset" 1 (count "solver.cache.hits");
+  Obs.reset ();
+  Alcotest.(check int) "reset zeroes counters" 0 (count "solver.cache.hits");
+  Alcotest.(check int) "reset clears spans" 0
+    (Obs.Report.span_count (live_report ()))
 
 (* ---------------- certificates ---------------- *)
 
@@ -340,7 +355,7 @@ let suite =
     ("memo keys the witness budget", `Quick, test_memo_budget_is_keyed);
     ("a raising decision caches nothing", `Quick, test_memo_exception_not_cached);
     ("memo keys of check-10k hash apart", `Quick, test_memo_hash_quality);
-    ("stats stages", `Quick, test_stats_stages);
+    ("stage spans", `Quick, test_stage_spans);
     ("certificate check and tamper", `Quick, test_certificate_check_and_tamper);
     ("multi-side certificate", `Quick, test_certificate_multi_side);
     ("cone backends", `Quick, test_cone_backends) ]

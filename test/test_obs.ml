@@ -1,7 +1,7 @@
 (* The obs layer: span nesting and self-time, the disabled fast path,
    histogram bucket boundaries, ring-buffer eviction, the trace
    export → report round-trip, snapshot-merge algebra, and the
-   Stats.time_stage re-entrancy fix. *)
+   pipeline stages as spans in the report tree. *)
 
 open Bagcqc_engine
 module Obs = Bagcqc_obs
@@ -64,7 +64,8 @@ let test_disabled_fast_path () =
   Alcotest.(check int) "thunk result passes through" 42 r;
   Alcotest.(check int) "nothing recorded while disabled" 0
     (List.length (Obs.Span.closed ()));
-  (* Counters stay live even when tracing is off — Stats depends on it. *)
+  (* Counters stay live even when tracing is off — `--stats`, the serve
+     `stats` verb and /metrics read them untraced. *)
   let c = Obs.Metrics.counter "test.disabled_counter" in
   Obs.Metrics.bump c;
   Alcotest.(check int) "counters are always on" 1 (Obs.Metrics.count c)
@@ -285,46 +286,79 @@ let test_report_metrics_match_snapshot () =
     (List.assoc "test.export_hist" r.Obs.Report.metrics.Obs.Metrics.histograms
      = List.assoc "test.export_hist" live.Obs.Metrics.histograms)
 
-(* ---------------- Stats as a view over obs ---------------- *)
+(* ---------------- pipeline stages as spans ---------------- *)
 
-let test_stats_time_stage_reentrant () =
-  Stats.reset ();
-  (* A self-nested stage must count wall time once, not twice: the inner
-     activation's duration is already inside the outer one.  With the
-     old implementation this totalled inner + outer > elapsed. *)
-  let t0 = Unix.gettimeofday () in
-  Stats.time_stage "reentrant" (fun () ->
-      Stats.time_stage "reentrant" (fun () ->
-          ignore (Sys.opaque_identity (Array.init 10000 Fun.id))));
-  let elapsed = Unix.gettimeofday () -. t0 in
-  let total = List.assoc "reentrant" (Stats.snapshot ()).Stats.stages in
-  Alcotest.(check bool) "accumulates at most once the elapsed time" true
-    (total <= elapsed +. 1e-6);
-  Alcotest.(check bool) "still records nonzero time" true (total > 0.0);
-  (* Distinct names keep nesting inclusively, as documented. *)
-  Stats.reset ();
-  Stats.time_stage "outer" (fun () ->
-      Stats.time_stage "inner" (fun () ->
-          ignore (Sys.opaque_identity (Array.init 1000 Fun.id))));
-  let s = Stats.snapshot () in
-  Alcotest.(check bool) "inner <= outer" true
-    (List.assoc "inner" s.Stats.stages <= List.assoc "outer" s.Stats.stages
-     +. 1e-6)
+(* The report tree of the live obs state, as [--stats] prints it. *)
+let live_report () = Obs.Report.of_json (Obs.Export.chrome ())
 
-let test_stats_stage_exception () =
-  Stats.reset ();
-  (try Stats.time_stage "fails" (fun () -> failwith "boom")
-   with Failure _ -> ());
-  Alcotest.(check bool) "stage recorded despite the exception" true
-    (List.mem_assoc "fails" (Stats.snapshot ()).Stats.stages)
+let names nodes = List.map (fun nd -> nd.Obs.Report.name) nodes
 
-let test_stats_spans () =
-  (* time_stage doubles as a span emitter when tracing is on. *)
+let test_self_nested_stage () =
   with_tracing @@ fun () ->
-  Stats.reset () (* note: resets metrics, not the span ring *);
-  Stats.time_stage "eq8" (fun () -> ());
-  Alcotest.(check (list string)) "stage emitted as a span" [ "eq8" ]
-    (List.map (fun s -> s.Obs.Span.name) (Obs.Span.closed ()))
+  (* A self-nested stage counts its wall time once: the inner activation
+     is a child of the outer one, so the top level holds one eq8 whose
+     inclusive time is at most the elapsed time. *)
+  let t0 = Obs.Runtime.now () in
+  Obs.Span.with_span ~name:"eq8" (fun () ->
+      Obs.Span.with_span ~name:"eq8" (fun () ->
+          ignore (Sys.opaque_identity (Array.init 10000 Fun.id))));
+  let elapsed_us = (Obs.Runtime.now () -. t0) *. 1e6 in
+  (match (live_report ()).Obs.Report.roots with
+   | [ outer ] ->
+     Alcotest.(check string) "one top-level stage" "eq8" outer.Obs.Report.name;
+     Alcotest.(check bool) "accumulates at most once the elapsed time" true
+       (outer.Obs.Report.dur_us <= elapsed_us);
+     Alcotest.(check bool) "still records nonzero time" true
+       (outer.Obs.Report.dur_us > 0.0);
+     Alcotest.(check (list string)) "the inner activation is its child"
+       [ "eq8" ] (names outer.Obs.Report.kids)
+   | roots -> Alcotest.failf "expected one root span, got %d" (List.length roots));
+  (* Distinct names keep nesting inclusively. *)
+  Obs.reset ();
+  Obs.Span.with_span ~name:"outer" (fun () ->
+      Obs.Span.with_span ~name:"inner" (fun () ->
+          ignore (Sys.opaque_identity (Array.init 1000 Fun.id))));
+  match (live_report ()).Obs.Report.roots with
+  | [ { Obs.Report.name = "outer"; dur_us; kids = [ inner ]; _ } ] ->
+    Alcotest.(check bool) "inner <= outer" true (inner.Obs.Report.dur_us <= dur_us)
+  | _ -> Alcotest.fail "expected outer > inner"
+
+let test_raising_stage () =
+  with_tracing @@ fun () ->
+  (try Obs.Span.with_span ~name:"fails" (fun () -> failwith "boom")
+   with Failure _ -> ());
+  Alcotest.(check int) "no span left open" 0 (Obs.Span.open_depth ());
+  Alcotest.(check (list string)) "stage recorded despite the exception"
+    [ "fails" ] (names (live_report ()).Obs.Report.roots)
+
+let test_decide_stage_spans () =
+  (* A fresh decision opens its pipeline stages as spans, in the order
+     they ran; a memo hit opens none.  The ring capacity persists across
+     tests, so size it to hold every span of the witness search. *)
+  with_tracing ~ring_capacity:(1 lsl 16) @@ fun () ->
+  let module Containment = Bagcqc_core.Containment in
+  let module Parser = Bagcqc_cq.Parser in
+  Solver.clear ();
+  Fun.protect ~finally:Solver.clear @@ fun () ->
+  let q1 = Parser.parse "R(x,y), R(x,z)" and q2 = Parser.parse "R(u,v), R(w,v)" in
+  ignore (Containment.decide q1 q2);
+  ignore (Containment.decide q1 q2);
+  (* At jobs > 1 Maxii speculates on a pool worker, whose spans root in
+     that worker's own tree. *)
+  let decides =
+    List.filter
+      (fun nd -> nd.Obs.Report.name = "containment.decide")
+      (live_report ()).Obs.Report.roots
+  in
+  match decides with
+  | [ fresh; hit ] ->
+    Alcotest.(check (list string)) "stages of a fresh decision"
+      [ "eq8"; "maxii"; "witness" ] (names fresh.Obs.Report.kids);
+    Alcotest.(check (list string)) "a memo hit runs no stage" []
+      (names hit.Obs.Report.kids)
+  | roots ->
+    Alcotest.failf "expected two containment.decide roots, got %s"
+      (String.concat ", " (names roots))
 
 let suite =
   [ Alcotest.test_case "span nesting, parents, self-time" `Quick
@@ -346,11 +380,11 @@ let suite =
       test_roundtrip_jsonl;
     Alcotest.test_case "report metrics equal the live snapshot" `Quick
       test_report_metrics_match_snapshot;
-    Alcotest.test_case "time_stage counts re-entrant stages once" `Quick
-      test_stats_time_stage_reentrant;
-    Alcotest.test_case "time_stage records on exception" `Quick
-      test_stats_stage_exception;
-    Alcotest.test_case "time_stage emits spans when tracing" `Quick
-      test_stats_spans ]
+    Alcotest.test_case "self-nested stage counted once" `Quick
+      test_self_nested_stage;
+    Alcotest.test_case "raising stage closes its span" `Quick
+      test_raising_stage;
+    Alcotest.test_case "decide emits stage spans" `Quick
+      test_decide_stage_spans ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_merge_commutative; prop_merge_associative; prop_json_roundtrip ]

@@ -11,6 +11,8 @@ module Pool = Bagcqc_par.Pool
 module Obs = Bagcqc_obs
 open Bagcqc_engine
 
+let count name = Obs.Metrics.count (Obs.Metrics.counter name)
+
 let with_jobs n f =
   let saved = Pool.jobs () in
   Pool.set_jobs n;
@@ -235,22 +237,21 @@ let prop_identical_requests_one_solve =
       if not was then Obs.enable ();
       Fun.protect ~finally:(fun () -> if not was then Obs.disable ())
       @@ fun () ->
-      Stats.reset ();
+      Obs.Metrics.reset ();
       Solver.clear ();
       let single = with_jobs 1 (fun () -> Containment.decide ~max_factors:8 q1 q2) in
-      let single_solves = (Stats.snapshot ()).Stats.lp_solves in
+      let single_solves = count "lp.solves" in
       List.for_all
         (fun jobs ->
-          Stats.reset ();
+          Obs.Metrics.reset ();
           Solver.clear ();
           let verdicts =
             with_jobs jobs (fun () ->
                 Containment.decide_many ~max_factors:8 pairs)
           in
-          let s = Stats.snapshot () in
-          s.Stats.lp_solves = single_solves
-          && s.Stats.cache_misses = 1
-          && s.Stats.cache_hits = List.length pairs - 1
+          count "lp.solves" = single_solves
+          && count "solver.cache.misses" = 1
+          && count "solver.cache.hits" = List.length pairs - 1
           && List.for_all
                (fun v ->
                  verdict_tag v = verdict_tag single
@@ -284,14 +285,13 @@ let batch_pairs =
     (q "R(x,y), R(y,z), R(z,w)", q "R(x,y), R(y,z)") ]
 
 let counters_of f =
-  Stats.reset ();
+  Obs.Metrics.reset ();
   Solver.clear ();
   ignore (f ());
-  let s = Stats.snapshot () in
-  ( s.Stats.lp_solves,
-    s.Stats.cache_hits,
-    s.Stats.cache_misses,
-    s.Stats.hom_enumerations )
+  ( count "lp.solves",
+    (count "solver.cache.hits"),
+    (count "solver.cache.misses"),
+    (count "hom.enumerations") )
 
 let with_obs_enabled f =
   let was = Obs.enabled () in

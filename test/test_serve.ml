@@ -2,6 +2,7 @@
    session against an in-process server. *)
 
 open Bagcqc_serve
+module Obs = Bagcqc_obs
 module Json = Bagcqc_obs.Json
 
 let kind_t =
@@ -113,10 +114,137 @@ let test_selftest () =
         "deadline exceeded"; "extended stats"; "graceful drain" ]
       steps
 
+(* ---------------- one counter, every surface ---------------- *)
+
+(* The stats verb's flat keys as readers outside the registry know them
+   (perfbench's serve_load, serve_smoke.sh, scripts), and the registry
+   counter behind each counter-valued one. *)
+let flat_keys =
+  [ "jobs"; "queue_depth"; "in_flight"; "cache_size"; "draining";
+    "histograms"; "rates_per_sec" ]
+
+let counter_keys =
+  [ ("requests", "serve.requests"); ("replies", "serve.replies");
+    ("errors", "serve.errors"); ("overloaded", "serve.overloaded");
+    ("deadline_expired", "serve.deadline_expired");
+    ("connections", "serve.connections"); ("lp_solves", "lp.solves");
+    ("lp_pivots", "lp.pivots"); ("cache_hits", "solver.cache.hits");
+    ("cache_misses", "solver.cache.misses");
+    ("store_hits", "solver.store.hits");
+    ("store_misses", "solver.store.misses");
+    ("store_appends", "solver.store.appends");
+    ("store_loaded", "solver.store.loaded");
+    ("store_rejected", "solver.store.rejected");
+    ("lazy_solves", "cone.lazy.solves"); ("lazy_rounds", "cone.lazy.rounds");
+    ("lazy_cuts", "cone.lazy.cuts"); ("lazy_fallbacks", "cone.lazy.fallbacks");
+    ("orbit_cuts", "cone.orbit.cuts");
+    ("orbit_canonicalized", "cone.orbit.canonicalized") ]
+
+(* One [stats] reply from an in-process daemon, drained afterwards. *)
+let stats_reply () =
+  let sock = Filename.temp_file "bagcqc_test" ".sock" in
+  Sys.remove sock;
+  let cfg =
+    { (Server.default_config (Protocol.Unix_path sock)) with banner = false }
+  in
+  let server = Thread.create Server.run cfg in
+  let c = Client.connect ~retry_ms:5000 (Protocol.Unix_path sock) in
+  let reply =
+    Fun.protect
+      ~finally:(fun () ->
+        ignore
+          (Client.request c
+             (Json.Obj [ ("id", Json.Null); ("op", Json.Str "shutdown") ]));
+        ignore (Client.recv_line c);
+        Client.close c;
+        Thread.join server)
+      (fun () ->
+        Client.request c (Json.Obj [ ("id", Json.Null); ("op", Json.Str "stats") ]))
+  in
+  match reply with
+  | Some r -> r
+  | None -> Alcotest.fail "no stats reply"
+
+let test_one_declaration_every_surface () =
+  let c = Obs.Metrics.counter "test.one_decl" in
+  Obs.Metrics.bump c;
+  let rendered = Format.asprintf "%a" Obs.pp_stats () in
+  Alcotest.(check bool) "--stats lists it" true
+    (List.exists
+       (fun line ->
+         List.filter (( <> ) "") (String.split_on_char ' ' line)
+         = [ "test.one_decl"; "1" ])
+       (String.split_on_char '\n' rendered));
+  (* Distinct values behind the flat keys, so a key wired to the wrong
+     counter cannot read equal by accident. *)
+  List.iteri
+    (fun i (_, name) -> Obs.Metrics.add (Obs.Metrics.counter name) (1000 * (i + 1)))
+    counter_keys;
+  let reply = stats_reply () in
+  let counters = Json.member "counters" reply in
+  Alcotest.(check (option (float 0.0))) "the stats verb's counters carry it"
+    (Some 1.0)
+    (Option.map Json.as_num (Json.find_opt "test.one_decl" counters));
+  (match Obs.Prom.parse (Obs.Prom.encode (Obs.Metrics.snapshot ())) with
+   | Ok e ->
+     Alcotest.(check (option (float 0.0))) "/metrics exposes it" (Some 1.0)
+       (Obs.Prom.find_sample e "bagcqc_test_one_decl_total" [])
+   | Error msg -> Alcotest.fail msg);
+  (* The flat keys stay wire-compatible: the same 28 names, each counter
+     key equal to its registry counter. *)
+  let flat =
+    List.filter
+      (fun k -> not (List.mem k [ "id"; "ok"; "counters" ]))
+      (List.map fst (Json.as_obj reply))
+  in
+  Alcotest.(check (list string)) "flat key set"
+    (List.sort compare (flat_keys @ List.map fst counter_keys))
+    (List.sort compare flat);
+  Alcotest.(check int) "28 flat keys" 28 (List.length flat);
+  List.iter
+    (fun (key, name) ->
+      Alcotest.(check (float 0.0)) key
+        (Json.as_num (Json.member name counters))
+        (Json.as_num (Json.member key reply)))
+    counter_keys
+
+let test_top_reads_registry_names () =
+  (* `top` reads every total from the "counters" object by registry
+     name, the flat aliases not at all. *)
+  let num n = Json.Num n in
+  let reply =
+    Json.Obj
+      [ ("ok", Json.Bool true); ("cache_size", num 4.0);
+        ("cache_hits", num 99.0);
+        ("rates_per_sec",
+         Json.Obj
+           [ ("solver.cache.hits", Json.Obj [ ("1m", num 0.5); ("5m", num 0.1) ]) ]);
+        ("counters",
+         Json.Obj
+           [ ("solver.cache.hits", num 3.0); ("solver.cache.misses", num 1.0);
+             ("serve.connections", num 2.0) ]) ]
+  in
+  let frame = Top.render ~addr:"test" reply in
+  let has line =
+    List.mem line (List.map String.trim (String.split_on_char '\n' frame))
+  in
+  Alcotest.(check bool) "decision cache size in the header" true
+    (has "jobs 0   queue 0   in-flight 0   decision cache 4   draining no");
+  Alcotest.(check bool) "rate row total by registry name" true
+    (has "solver.cache.hits                   3      0.50      0.10");
+  Alcotest.(check bool) "decision ledger by registry name" true
+    (has "decisions   hits 3  misses 1  hit 75.0%");
+  Alcotest.(check bool) "service ledger by registry name" true
+    (has "service     overloaded 0  deadline-expired 0  connections 2")
+
 let suite =
   [ Alcotest.test_case "parse check defaults" `Quick test_parse_check;
     Alcotest.test_case "parse check options" `Quick test_parse_options;
     Alcotest.test_case "parse typed errors" `Quick test_parse_errors;
     Alcotest.test_case "error kind names" `Quick test_kind_names_roundtrip;
     Alcotest.test_case "reply shapes" `Quick test_reply_shapes;
-    Alcotest.test_case "end-to-end selftest" `Quick test_selftest ]
+    Alcotest.test_case "end-to-end selftest" `Quick test_selftest;
+    Alcotest.test_case "one counter on every surface" `Quick
+      test_one_declaration_every_surface;
+    Alcotest.test_case "top reads registry names" `Quick
+      test_top_reads_registry_names ]

@@ -9,8 +9,10 @@ open Bagcqc_num
 open Bagcqc_lp
 open Bagcqc_engine
 open Bagcqc_entropy
+module Obs = Bagcqc_obs
 
 let q = Rat.of_int
+let count name = Obs.Metrics.count (Obs.Metrics.counter name)
 
 let with_temp_store f =
   let path = Filename.temp_file "bagcqc_store" ".log" in
@@ -203,18 +205,18 @@ let test_solver_warm_start () =
   let p = feas_problem () in
   (* Cold run with the store attached: miss the store, solve, append. *)
   Solver.clear ();
-  Stats.reset ();
+  Obs.Metrics.reset ();
   with_attached path (fun _ ->
       ignore (Solver.solve p);
-      let s = Stats.snapshot () in
-      Alcotest.(check int) "cold: one real solve" 1 s.Stats.lp_solves;
+      Alcotest.(check int) "cold: one real solve" 1 (count "lp.solves");
       Alcotest.(check int) "cold: store consulted, missed" 1
-        s.Stats.store_misses;
-      Alcotest.(check int) "cold: solve appended" 1 s.Stats.store_appends);
+        (count "solver.store.misses");
+      Alcotest.(check int) "cold: solve appended" 1
+        (count "solver.store.appends"));
   (* Warm restart: reopen the store; the solve must be served from disk
      without touching the simplex. *)
   Solver.clear ();
-  Stats.reset ();
+  Obs.Metrics.reset ();
   with_attached path (fun st ->
       Alcotest.(check int) "warm: entry re-verified on load" 1
         (Store.loaded st);
@@ -222,21 +224,20 @@ let test_solver_warm_start () =
       (match outcome with
        | Simplex.Optimal _ -> ()
        | _ -> Alcotest.fail "expected Optimal");
-      let s = Stats.snapshot () in
-      Alcotest.(check int) "warm: zero simplex runs" 0 s.Stats.lp_solves;
-      Alcotest.(check int) "warm: one store hit" 1 s.Stats.store_hits;
+      Alcotest.(check int) "warm: zero simplex runs" 0 (count "lp.solves");
+      Alcotest.(check int) "warm: one store hit" 1 (count "solver.store.hits");
       (* LPs are not memoized in memory: a second solve is answered by
          the store again, still without the simplex, and appends
          nothing. *)
       ignore (Solver.solve p);
-      let s2 = Stats.snapshot () in
       Alcotest.(check int) "warm: second solve from the store" 2
-        s2.Stats.store_hits;
+        (count "solver.store.hits");
       Alcotest.(check int) "warm: still zero simplex runs" 0
-        s2.Stats.lp_solves;
-      Alcotest.(check int) "warm: nothing appended" 0 s2.Stats.store_appends);
+        (count "lp.solves");
+      Alcotest.(check int) "warm: nothing appended" 0
+        (count "solver.store.appends"));
   Solver.clear ();
-  Stats.reset ()
+  Obs.Metrics.reset ()
 
 (* The two Farkas roundtrip tests below exercise the full-family
    "gamma/farkas" store verifier, which only the reference oracle's
@@ -251,14 +252,14 @@ let test_farkas_certificate_verified_roundtrip () =
   let n = 2 in
   let es = [ Linexpr.mutual (Varset.singleton 0) (Varset.singleton 1) Varset.empty ] in
   Solver.clear ();
-  Stats.reset ();
+  Obs.Metrics.reset ();
   with_attached path (fun _ ->
       match Cones.Oracle.valid_max_cert ~n es with
       | Ok cert ->
         Alcotest.(check bool) "certificate checks" true (Certificate.check cert)
       | Error _ -> Alcotest.fail "I(0;1) >= 0 must be Shannon-valid");
   Solver.clear ();
-  Stats.reset ();
+  Obs.Metrics.reset ();
   with_attached path (fun st ->
       Alcotest.(check int) "farkas entry re-verified via Certificate.check" 1
         (Store.loaded st);
@@ -268,20 +269,19 @@ let test_farkas_certificate_verified_roundtrip () =
          Alcotest.(check bool) "warm certificate checks" true
            (Certificate.check cert)
        | Error _ -> Alcotest.fail "warm verdict flipped");
-      let s = Stats.snapshot () in
       Alcotest.(check int) "warm verdict with zero simplex runs" 0
-        s.Stats.lp_solves;
+        (count "lp.solves");
       Alcotest.(check bool) "served from the store" true
-        (s.Stats.store_hits >= 1));
+        (count "solver.store.hits" >= 1));
   Solver.clear ();
-  Stats.reset ()
+  Obs.Metrics.reset ()
 
 let test_farkas_tampered_entry_dropped () =
   with_temp_store @@ fun path ->
   let n = 2 in
   let es = [ Linexpr.mutual (Varset.singleton 0) (Varset.singleton 1) Varset.empty ] in
   Solver.clear ();
-  Stats.reset ();
+  Obs.Metrics.reset ();
   with_attached path (fun _ -> ignore (Cones.Oracle.valid_max_cert ~n es));
   (* Tamper with the recorded Farkas point (first rational in the point
      array): the entry must be dropped on load and the warm run must
@@ -302,7 +302,7 @@ let test_farkas_tampered_entry_dropped () =
   Bytes.set b at (if Bytes.get b at = '9' then '8' else '9');
   write_file path (Bytes.to_string b);
   Solver.clear ();
-  Stats.reset ();
+  Obs.Metrics.reset ();
   with_attached path (fun st ->
       Alcotest.(check int) "tampered entry rejected" 1 (Store.rejected st);
       Alcotest.(check int) "nothing loaded" 0 (Store.loaded st);
@@ -311,10 +311,9 @@ let test_farkas_tampered_entry_dropped () =
          Alcotest.(check bool) "verdict re-derived correctly" true
            (Certificate.check cert)
        | Error _ -> Alcotest.fail "verdict flipped after tampering");
-      let s = Stats.snapshot () in
-      Alcotest.(check bool) "re-solved for real" true (s.Stats.lp_solves >= 1));
+      Alcotest.(check bool) "re-solved for real" true (count "lp.solves" >= 1));
   Solver.clear ();
-  Stats.reset ()
+  Obs.Metrics.reset ()
 
 let test_lazy_store_roundtrip () =
   with_temp_store @@ fun path ->
@@ -342,7 +341,7 @@ let test_lazy_store_roundtrip () =
     | Ok _ -> Alcotest.fail "Ingleton is not a Shannon inequality"
   in
   Solver.clear ();
-  Stats.reset ();
+  Obs.Metrics.reset ();
   let cold_solves =
     with_attached path (fun _ ->
         (match Cones.valid_max_cert Cones.Gamma ~n valid with
@@ -350,29 +349,27 @@ let test_lazy_store_roundtrip () =
            Alcotest.(check bool) "certificate checks" true
              (Certificate.check cert)
          | Ok None | Error _ -> Alcotest.fail "I(0;1|2) >= 0 must be valid");
-        let s = Stats.snapshot () in
-        Alcotest.(check int) "valid: no LP solved" 0 s.Stats.lp_solves;
-        Alcotest.(check int) "valid: nothing appended" 0 s.Stats.store_appends;
+        Alcotest.(check int) "valid: no LP solved" 0 (count "lp.solves");
+        Alcotest.(check int) "valid: nothing appended" 0
+          (count "solver.store.appends");
         refuted ();
-        let s = Stats.snapshot () in
         Alcotest.(check bool) "refutation appended its rounds" true
-          (s.Stats.store_appends >= 1);
-        s.Stats.lp_solves)
+          (count "solver.store.appends" >= 1);
+        count "lp.solves")
   in
   Solver.clear ();
-  Stats.reset ();
+  Obs.Metrics.reset ();
   with_attached path (fun st ->
       Alcotest.(check int) "lazy entries re-verified on load" 0
         (Store.rejected st);
       Alcotest.(check bool) "something persisted" true (Store.loaded st >= 1);
       refuted ();
-      let s = Stats.snapshot () in
       Alcotest.(check bool) "warm run solves less than cold" true
-        (s.Stats.lp_solves < cold_solves);
+        (count "lp.solves" < cold_solves);
       Alcotest.(check bool) "served from the store" true
-        (s.Stats.store_hits >= 1));
+        (count "solver.store.hits" >= 1));
   Solver.clear ();
-  Stats.reset ()
+  Obs.Metrics.reset ()
 
 (* The serve smoke's store steps rest on the Not-contained pair
    R(x,y), R(x,z) ⊑? R(u,v), R(w,v) still solving its Nn LP: its two
@@ -386,33 +383,31 @@ let test_nn_fallback_appends () =
   let ineq =
     Containment.eq8 (Parser.parse "R(x,y), R(x,z)") (Parser.parse "R(u,v), R(w,v)")
   in
-  let lp_fallbacks () =
-    Bagcqc_obs.Metrics.count (Bagcqc_obs.Metrics.counter "cone.presolve.lp")
-  in
+  let lp_fallbacks () = count "cone.presolve.lp" in
   let refuted () =
     Alcotest.(check bool) "refuted over Nn" true
       (Result.is_error (Maxii.valid_over Cones.Normal ineq))
   in
   Solver.clear ();
-  Stats.reset ();
+  Obs.Metrics.reset ();
   let before = lp_fallbacks () in
   with_attached path (fun _ ->
       refuted ();
       Alcotest.(check int) "presolve fell back to the LP" (before + 1)
         (lp_fallbacks ());
-      let s = Stats.snapshot () in
-      Alcotest.(check int) "one LP solved" 1 s.Stats.lp_solves;
-      Alcotest.(check int) "its point appended" 1 s.Stats.store_appends);
+      Alcotest.(check int) "one LP solved" 1 (count "lp.solves");
+      Alcotest.(check int) "its point appended" 1
+        (count "solver.store.appends"));
   Solver.clear ();
-  Stats.reset ();
+  Obs.Metrics.reset ();
   with_attached path (fun st ->
       Alcotest.(check int) "entry re-verified on load" 1 (Store.loaded st);
       refuted ();
-      let s = Stats.snapshot () in
-      Alcotest.(check int) "warm: no LP solved" 0 s.Stats.lp_solves;
-      Alcotest.(check int) "warm: served from the store" 1 s.Stats.store_hits);
+      Alcotest.(check int) "warm: no LP solved" 0 (count "lp.solves");
+      Alcotest.(check int) "warm: served from the store" 1
+        (count "solver.store.hits"));
   Solver.clear ();
-  Stats.reset ()
+  Obs.Metrics.reset ()
 
 (* ---------------- compaction ---------------- *)
 
