@@ -169,25 +169,11 @@ let cone_frow ~n d =
 
 (* ---------------- seed ----------------
 
-   All monotonicity rows plus two submodularity slices per pair:
-   unconditioned I(i;j) and fully-conditioned I(i;j | V∖{i,j}).  Small
-   (n + 2·C(n,2) rows), and in practice enough that many valid
-   inequalities finish in one round. *)
-let seed_descs ~n =
-  let acc = ref [] in
-  for i = n - 1 downto 0 do
-    acc := Elemental.Mono i :: !acc
-  done;
-  let full = Varset.full n in
-  for i = n - 1 downto 0 do
-    for j = n - 1 downto i + 1 do
-      let rest = Varset.diff full (Varset.of_list [ i; j ]) in
-      acc := Elemental.Submod (i, j, Varset.empty) :: !acc;
-      if not (Varset.is_empty rest) then
-        acc := Elemental.Submod (i, j, rest) :: !acc
-    done
-  done;
-  !acc
+   The n monotonicity rows h(V) ≥ h(V∖i) only; submodularity is left
+   to the scan.  Under the incremental probe a seeded row the targets do
+   not need is a slack row that every pivot must still update, and the
+   scan admits the slices a target does need within a round or two. *)
+let seed_descs ~n = List.init n (fun i -> Elemental.Mono i)
 
 (* ---------------- warm-start bookkeeping ----------------
 
@@ -421,15 +407,13 @@ let run ~n ~stabilizer ~certify es =
            if add_desc d then begin
              incr added;
              incr taken;
-             let orbit = Symmetry.orbit_desc stabilizer d in
-             if List.compare_length_with orbit orbit_cap <= 0 then
-               List.iter
-                 (fun d' ->
-                   if add_desc d' then begin
-                     incr added;
-                     incr orbit_added
-                   end)
-                 orbit
+             Option.iter
+               (List.iter (fun d' ->
+                    if add_desc d' then begin
+                      incr added;
+                      incr orbit_added
+                    end))
+               (Symmetry.orbit_desc ~cap:orbit_cap stabilizer d)
            end)
          ranked
      with Exit -> ());

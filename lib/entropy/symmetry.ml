@@ -52,9 +52,20 @@ let apply_desc p = function
     Elemental.Submod (min i' j', max i' j', apply_mask p w)
 
 (* Orbit of a descriptor under a set of permutations, deduplicated and
-   in a deterministic order. *)
-let orbit_desc perms d =
-  List.sort_uniq Elemental.desc_compare (List.map (fun p -> apply_desc p d) perms)
+   in a deterministic order, or [None] once it exceeds [cap] members: a
+   stabilizer can hold (n−1)! permutations, and rejecting a large orbit
+   must not cost a walk and a sort over all of them. *)
+let orbit_desc ~cap perms d =
+  let exception Too_big in
+  let add acc p =
+    let d' = apply_desc p d in
+    if List.exists (fun x -> Elemental.desc_compare x d' = 0) acc then acc
+    else if List.compare_length_with acc cap >= 0 then raise Too_big
+    else d' :: acc
+  in
+  match List.fold_left add [] perms with
+  | orbit -> Some (List.sort Elemental.desc_compare orbit)
+  | exception Too_big -> None
 
 (* ---------------- canonicalization ---------------- *)
 

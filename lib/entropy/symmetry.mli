@@ -30,9 +30,10 @@ val apply_desc : perm -> Elemental.desc -> Elemental.desc
     permutation, so the result names an elemental inequality (with the
     [Submod] endpoints re-normalized to [i < j]). *)
 
-val orbit_desc : perm list -> Elemental.desc -> Elemental.desc list
+val orbit_desc : cap:int -> perm list -> Elemental.desc -> Elemental.desc list option
 (** Deduplicated orbit of a descriptor, in {!Elemental.desc_compare}
-    order. *)
+    order, or [None] as soon as it has more than [cap] members (the
+    walk stops there). *)
 
 type analysis = {
   n : int;

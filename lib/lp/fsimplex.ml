@@ -298,21 +298,25 @@ let propose ?warm p (lay : Lp_layout.layout) =
 
    The float probe of the lazy Γn loop (DESIGN.md §4i): the system
    {x ≥ 0, A·x ≤ b} grown one row at a time and re-solved by the dual
-   simplex from the previous basis.  Column layout: structural columns
+   simplex from the previous basis.  Variables: structurals
    [0, num_vars), then the slack of row i at [num_vars + i] — every row
    is an inequality, so there are no artificial columns and appending a
-   row never renumbers an existing column.  The objective is zero, so
-   every basis is dual feasible: the all-slack start needs no phase 1,
-   the rows violated by the current basis (the E_ℓ ≤ −1 targets, then
+   row never renumbers a variable.  The objective is zero, so every
+   basis is dual feasible: the all-slack start needs no phase 1, the
+   rows violated by the current basis (the E_ℓ ≤ −1 targets, then
    freshly appended cuts) simply leave first, and each round costs the
    pivots its new rows make necessary rather than a cold solve.
 
-   Rows are unboxed [float array]s of a shared allocated width, pivoted
-   in place over the nonzero columns of the pivot row only.  Like
-   {!propose}, nothing here is a verdict: a [Point] only steers which
-   cuts enter the working set, and the multipliers of an [Infeasible]
-   claim only choose the structure an exact Farkas repair is attempted
-   on ({!Repair.farkas}). *)
+   Dictionary (condensed) form: row r reads
+     x_{basic r} + Σ_k T[r][k]·x_{nonbasic k} = rhs[r],
+   and exactly [num_vars] variables are nonbasic at any time, so every
+   row is [num_vars] floats wide whatever the row count.  Rows live in
+   one flat row-major [float array] whose capacity doubles in rows only;
+   [pos] sends a basic variable to its row and a nonbasic one to its
+   column.  Like {!propose}, nothing here is a verdict: a [Point] only
+   steers which cuts enter the working set, and the multipliers of an
+   [Infeasible] claim only choose the structure an exact Farkas repair
+   is attempted on ({!Repair.farkas}). *)
 
 module Tableau = struct
   type claim =
@@ -321,19 +325,20 @@ module Tableau = struct
     | Unknown
 
   type t = {
-    num_vars : int;
+    num_vars : int;  (* also the row width: the nonbasic count *)
     mutable m : int;
-    mutable width : int;  (* allocated row length, ≥ num_vars + m *)
-    mutable rows : float array array;
+    mutable a : float array;  (* row r at [r·num_vars, (r+1)·num_vars) *)
     mutable rhs : float array;
-    mutable basis : int array;  (* row → basic column *)
-    mutable row_of : int array;  (* column → basic row, or −1 *)
-    mutable nz : int array;  (* work buffer: nonzero columns of a pivot row *)
+    mutable basic : int array;  (* row → basic variable *)
+    nonbasic : int array;  (* column → nonbasic variable *)
+    mutable pos : int array;  (* variable → row r ≥ 0, or column k as −k−1 *)
+    nz : int array;  (* work buffer: nonzero columns of a pivot row *)
     mutable broken : bool;  (* a non-finite entry was seen *)
   }
 
   let c_probes = Obs.Metrics.counter "lp.float.probes"
   let c_pivots = Obs.Metrics.counter "lp.float.pivots"
+  let h_probe_pivots = Obs.Metrics.histogram "lp.float.probe_pivots"
 
   (* Entries this close to zero after an update are rounding residue of
      an exact cancellation; flushing them keeps rows sparse and keeps
@@ -346,150 +351,144 @@ module Tableau = struct
   let eps_row = 1e-9
 
   let create ~num_vars =
-    let width = num_vars + 16 in
-    { num_vars; m = 0; width; rows = [||]; rhs = [||]; basis = [||];
-      row_of = Array.make width (-1); nz = Array.make width 0;
-      broken = false }
+    let cap = 16 in
+    { num_vars; m = 0; a = Array.make (cap * num_vars) 0.0;
+      rhs = Array.make cap 0.0; basic = Array.make cap (-1);
+      nonbasic = Array.init num_vars Fun.id;
+      pos = Array.append (Array.init num_vars (fun v -> -v - 1)) (Array.make cap 0);
+      nz = Array.make num_vars 0; broken = false }
 
   let grow_array a n fill =
     let b = Array.make n fill in
     Array.blit a 0 b 0 (Array.length a);
     b
 
-  (* Make room for one more row and its slack column. *)
+  (* Make room for one more row and its slack. *)
   let reserve t =
-    let ncols = t.num_vars + t.m + 1 in
-    if ncols > t.width then begin
-      let width = 2 * t.width in
-      t.rows <- Array.map (fun r -> grow_array r width 0.0) t.rows;
-      t.row_of <- grow_array t.row_of width (-1);
-      t.nz <- Array.make width 0;
-      t.width <- width
-    end;
-    if t.m >= Array.length t.rows then begin
-      let cap = max 16 (2 * t.m) in
-      t.rows <- grow_array t.rows cap [||];
+    let cap = Array.length t.rhs in
+    if t.m >= cap then begin
+      let cap = 2 * cap in
+      t.a <- grow_array t.a (cap * t.num_vars) 0.0;
       t.rhs <- grow_array t.rhs cap 0.0;
-      t.basis <- grow_array t.basis cap (-1)
+      t.basic <- grow_array t.basic cap (-1);
+      t.pos <- grow_array t.pos (t.num_vars + cap) 0
     end
 
-  (* target ← target − f·src over src's nonzero columns, then zero the
-     eliminated column exactly. *)
-  let eliminate ~ncols target src c f =
-    for j = 0 to ncols - 1 do
-      let s = Array.unsafe_get src j in
+  (* Row r ← row r − f·(row q), without its right-hand side. *)
+  let sub_row t r q f =
+    let w = t.num_vars in
+    let a = t.a and ro = r * w and qo = q * w in
+    for k = 0 to w - 1 do
+      let s = Array.unsafe_get a (qo + k) in
       if s <> 0.0 then begin
-        let v = Array.unsafe_get target j -. (f *. s) in
-        Array.unsafe_set target j (if Float.abs v < eps_drop then 0.0 else v)
+        let v = Array.unsafe_get a (ro + k) -. (f *. s) in
+        Array.unsafe_set a (ro + k) (if Float.abs v < eps_drop then 0.0 else v)
       end
-    done;
-    target.(c) <- 0.0
+    done
 
+  (* The new row's slack is basic in it.  A nonbasic structural adds its
+     coefficient in place; a basic one is substituted by its row — at
+     most |cols| row operations. *)
   let add_le t cols vals rhs =
     reserve t;
-    let r = t.m in
-    let slack = t.num_vars + r in
-    let row = Array.make t.width 0.0 in
+    let r = t.m and w = t.num_vars in
     let b = ref rhs in
     if not (Float.is_finite rhs) then t.broken <- true;
     Array.iteri
-      (fun k c ->
-        let v = vals.(k) in
+      (fun i c ->
+        let v = vals.(i) in
         if not (Float.is_finite v) then t.broken <- true;
-        row.(c) <- row.(c) +. v)
-      cols;
-    (* Express the row in the current basis: only the structural columns
-       it mentions can be basic with a nonzero entry (each tableau row is
-       zero on every other basic column), so at most |cols| updates. *)
-    Array.iter
-      (fun c ->
-        let k = t.row_of.(c) in
-        let f = row.(c) in
-        if k >= 0 && f <> 0.0 then begin
-          eliminate ~ncols:slack row t.rows.(k) c f;
-          b := !b -. (f *. t.rhs.(k))
+        let p = t.pos.(c) in
+        if p < 0 then begin
+          let o = (r * w) - p - 1 in
+          t.a.(o) <- t.a.(o) +. v
+        end
+        else if v <> 0.0 then begin
+          sub_row t r p v;
+          b := !b -. (v *. t.rhs.(p))
         end)
       cols;
-    row.(slack) <- 1.0;
-    t.rows.(r) <- row;
     t.rhs.(r) <- !b;
-    t.basis.(r) <- slack;
-    t.row_of.(slack) <- r;
+    t.basic.(r) <- w + r;
+    t.pos.(w + r) <- r;
     t.m <- r + 1
 
-  let pivot t ~ncols r c =
+  (* Exchange basic(r) with nonbasic(k): row r is solved for the entering
+     variable, column k takes the leaving one, and every other row with
+     f = T[i][k] ≠ 0 becomes row i − f·(new row r), so T[i][k] = −f/p. *)
+  let pivot t r k =
     Lp_layout.note_pivot ();
-    let row = t.rows.(r) in
-    let inv_p = 1.0 /. row.(c) in
+    let w = t.num_vars and a = t.a in
+    let ro = r * w in
+    let inv_p = 1.0 /. a.(ro + k) in
+    a.(ro + k) <- 1.0 (* the leaving variable's entry, inv_p once scaled *);
     let nnz = ref 0 in
-    for j = 0 to ncols - 1 do
-      let v = Array.unsafe_get row j in
+    for j = 0 to w - 1 do
+      let v = Array.unsafe_get a (ro + j) in
       if v <> 0.0 then begin
         let v = v *. inv_p in
         if not (Float.is_finite v) then raise (Numerical "non-finite pivot-row entry");
-        Array.unsafe_set row j v;
+        Array.unsafe_set a (ro + j) v;
         t.nz.(!nnz) <- j;
         incr nnz
       end
     done;
-    row.(c) <- 1.0;
     let br = t.rhs.(r) *. inv_p in
     t.rhs.(r) <- br;
     if not (Float.is_finite br) then raise (Numerical "non-finite right-hand side");
-    let nnz = !nnz in
+    let nnz = !nnz and nz = t.nz and rhs = t.rhs in
     for i = 0 to t.m - 1 do
-      if i <> r then begin
-        let target = t.rows.(i) in
-        let f = target.(c) in
-        if f <> 0.0 then begin
-          for k = 0 to nnz - 1 do
-            let j = Array.unsafe_get t.nz k in
-            let v = Array.unsafe_get target j -. (f *. Array.unsafe_get row j) in
-            if not (Float.is_finite v) then raise (Numerical "non-finite entry");
-            Array.unsafe_set target j (if Float.abs v < eps_drop then 0.0 else v)
-          done;
-          target.(c) <- 0.0;
-          let bi = t.rhs.(i) -. (f *. br) in
-          if not (Float.is_finite bi) then raise (Numerical "non-finite right-hand side");
-          t.rhs.(i) <- (if Float.abs bi < eps_drop then 0.0 else bi)
-        end
+      let io = i * w in
+      let f = Array.unsafe_get a (io + k) in
+      if f <> 0.0 && i <> r then begin
+        Array.unsafe_set a (io + k) 0.0;
+        for q = 0 to nnz - 1 do
+          let j = Array.unsafe_get nz q in
+          let v = Array.unsafe_get a (io + j) -. (f *. Array.unsafe_get a (ro + j)) in
+          if not (Float.is_finite v) then raise (Numerical "non-finite entry");
+          Array.unsafe_set a (io + j) (if Float.abs v < eps_drop then 0.0 else v)
+        done;
+        let bi = rhs.(i) -. (f *. br) in
+        if not (Float.is_finite bi) then raise (Numerical "non-finite right-hand side");
+        rhs.(i) <- (if Float.abs bi < eps_drop then 0.0 else bi)
       end
     done;
-    t.row_of.(t.basis.(r)) <- -1;
-    t.basis.(r) <- c;
-    t.row_of.(c) <- r
+    let leaving = t.basic.(r) and entering = t.nonbasic.(k) in
+    t.basic.(r) <- entering;
+    t.pos.(entering) <- r;
+    t.nonbasic.(k) <- leaving;
+    t.pos.(leaving) <- -k - 1
 
   (* The Farkas row of an infeasibility claim, as (original row index,
-     multiplier) pairs: row r of the tableau is Σ_i y_i·(row i with its
-     slack), and y_i is read off slack column i — the nonbasic slacks
-     with a nonzero entry, plus the slack basic in r itself (coefficient
-     1).  Every other basic slack has a zero entry. *)
+     multiplier) pairs: row r is Σ_i y_i·(row i with its slack), and y_i
+     is the coefficient of slack i in it — 1 if the slack is basic in r,
+     [T[r][k]] if it is nonbasic at column k, 0 if basic elsewhere. *)
   let farkas_row t r =
-    let row = t.rows.(r) in
     let acc = ref [] in
     for i = t.m - 1 downto 0 do
-      let s = t.num_vars + i in
-      if t.basis.(r) = s then acc := (i, 1.0) :: !acc
-      else if t.row_of.(s) < 0 && Float.abs row.(s) > eps_pivot then
-        acc := (i, row.(s)) :: !acc
+      let p = t.pos.(t.num_vars + i) in
+      if p = r then acc := (i, 1.0) :: !acc
+      else if p < 0 then begin
+        let y = t.a.((r * t.num_vars) - p - 1) in
+        if Float.abs y > eps_pivot then acc := (i, y) :: !acc
+      end
     done;
     !acc
 
   let point t =
     let x = Array.make t.num_vars 0.0 in
     for r = 0 to t.m - 1 do
-      let c = t.basis.(r) in
-      if c < t.num_vars then x.(c) <- Float.max 0.0 t.rhs.(r)
+      let v = t.basic.(r) in
+      if v < t.num_vars then x.(v) <- Float.max 0.0 t.rhs.(r)
     done;
     x
 
   (* Dual simplex under a zero objective: every ratio test ties at 0,
      so the leaving row is the most violated one and the entering column
-     the largest-magnitude negative entry of that row (the most stable
-     pivot).  Progress is measured by the total infeasibility; after
-     [degenerate_limit] pivots without a decrease both choices switch to
-     Bland's smallest-index rule, under which the dual simplex cannot
-     cycle.  The pivot budget catches what tolerances hide from Bland. *)
+     its most negative entry (the most stable pivot), ties to the
+     smallest variable id.  There is no anti-cycling rule: the pivot
+     budget is the only guard, and exhausting it yields [Unknown], which
+     the caller answers with an exact round. *)
   let reoptimize t =
     Obs.Metrics.bump c_probes;
     let pivots = ref 0 in
@@ -497,49 +496,33 @@ module Tableau = struct
       if t.broken then Unknown
       else
         try
-          let ncols = t.num_vars + t.m in
-          let budget = 200 + (50 * (t.m + ncols)) in
-          let bland = ref false in
-          let degenerate_run = ref 0 in
-          let last_infeas = ref infinity in
+          let w = t.num_vars in
+          let budget = 200 + (50 * (t.m + w + t.m)) (* rows + variables *) in
           let rec iterate () =
-            let leave = ref (-1) and infeas = ref 0.0 in
+            let leave = ref (-1) in
             for i = 0 to t.m - 1 do
               let b = t.rhs.(i) in
-              if b < -.eps_row then begin
-                infeas := !infeas -. b;
-                if !leave < 0
-                   || (if !bland then t.basis.(i) < t.basis.(!leave)
-                       else b < t.rhs.(!leave))
-                then leave := i
-              end
+              if b < -.eps_row && (!leave < 0 || b < t.rhs.(!leave)) then leave := i
             done;
             if !leave < 0 then Point (point t)
             else begin
-              if !infeas < !last_infeas -. eps_row then degenerate_run := 0
-              else begin
-                incr degenerate_run;
-                if !degenerate_run > degenerate_limit then bland := true
-              end;
-              last_infeas := Float.min !last_infeas !infeas;
               let r = !leave in
-              let row = t.rows.(r) in
+              let ro = r * w in
               let enter = ref (-1) and best = ref (-.eps_pivot) in
-              (try
-                 for j = 0 to ncols - 1 do
-                   let a = Array.unsafe_get row j in
-                   if a < !best && t.row_of.(j) < 0 then begin
-                     enter := j;
-                     if !bland then raise Exit;
-                     best := a
-                   end
-                 done
-               with Exit -> ());
+              for k = 0 to w - 1 do
+                let v = Array.unsafe_get t.a (ro + k) in
+                if v < !best
+                   || (v = !best && !enter >= 0 && t.nonbasic.(k) < t.nonbasic.(!enter))
+                then begin
+                  enter := k;
+                  best := v
+                end
+              done;
               if !enter < 0 then Infeasible (farkas_row t r)
               else if !pivots >= budget then raise (Numerical "pivot budget")
               else begin
                 incr pivots;
-                pivot t ~ncols r !enter;
+                pivot t r !enter;
                 iterate ()
               end
             end
@@ -550,5 +533,6 @@ module Tableau = struct
           Unknown
     in
     Obs.Metrics.add c_pivots !pivots;
+    Obs.Metrics.observe h_probe_pivots !pivots;
     result
 end

@@ -508,6 +508,18 @@ let test_symmetry_canonicalization () =
   Alcotest.(check int) "stabilizer order of I(i;j) at n=3" 2
     (List.length a1.Symmetry.stabilizer)
 
+(* The orbit walk stops once the orbit passes the cap: under all of
+   S_3, Mono 1 has the 3-member orbit {Mono 0, Mono 1, Mono 2}. *)
+let test_symmetry_orbit_cap () =
+  let s3 =
+    [ [| 0; 1; 2 |]; [| 0; 2; 1 |]; [| 1; 0; 2 |]; [| 1; 2; 0 |]; [| 2; 0; 1 |];
+      [| 2; 1; 0 |] ]
+  in
+  let orbit cap = Symmetry.orbit_desc ~cap s3 (Elemental.Mono 1) in
+  Alcotest.(check bool) "cap 3 keeps the orbit, sorted" true
+    (orbit 3 = Some [ Elemental.Mono 0; Elemental.Mono 1; Elemental.Mono 2 ]);
+  Alcotest.(check bool) "cap 2 rejects it" true (orbit 2 = None)
+
 (* Reference for the signature-restricted sweep: the stabilizer of the
    canonical side multiset by brute force over all n! renamings. *)
 let rec all_perms = function
@@ -744,6 +756,63 @@ let test_probe_repair_declines_to_fallback () =
      floats said it does. *)
   declines "dropped row" (List.filteri (fun i _ -> i <> 0) claim)
 
+(* The seeded two-sided Max-IIPs of perfbench's shannon workload
+   ([Inputs.shannon]), copied because perfbench is not a library: side 1
+   a positive combination of 3–6 elemental rows, side 2 another such
+   combination minus h(V), row counts cycling with the index. *)
+let shannon_family ~seed ~n ~count =
+  let module Rng = Bagcqc_check.Rng in
+  let elems = Cones.elemental ~n in
+  let hv = Linexpr.term (Varset.full n) in
+  List.init count (fun i ->
+      let rng = Rng.derive seed i in
+      let combo rows =
+        List.fold_left
+          (fun acc _ ->
+            let c = Rat.of_ints (Rng.range rng 1 3) (Rng.range rng 1 2) in
+            Linexpr.add acc (Linexpr.scale c (Rng.choose rng elems)))
+          Linexpr.zero
+          (List.init rows Fun.id)
+      in
+      let side1 = combo (3 + (i mod 4)) in
+      let side2 = Linexpr.sub (combo (3 + (i / 4 mod 4))) hv in
+      [ side1; side2 ])
+
+let decides_valid_with_checked_cert ~n es =
+  match Maxii.decide (Maxii.general ~n es) with
+  | Maxii.Valid cert ->
+    Alcotest.(check bool) "certificate checks" true (Certificate.check cert);
+    Alcotest.(check bool) "certificate proves the instance" true
+      (Certificate.proves cert ~n es)
+  | Maxii.Invalid _ | Maxii.Unknown _ -> Alcotest.fail "valid by construction"
+
+(* The largest single reoptimize since the last [Metrics.reset]. *)
+let max_probe_pivots () =
+  match
+    List.assoc_opt "lp.float.probe_pivots"
+      (Bagcqc_obs.Metrics.snapshot ()).Bagcqc_obs.Metrics.histograms
+  with
+  | Some h -> h.Bagcqc_obs.Metrics.max_value
+  | None -> 0
+
+(* The float probe has no anti-cycling rule, only its pivot budget: a
+   stall shows as one reoptimize running to thousands of pivots.  The
+   cap is twice the largest reoptimize measured on this family (106). *)
+let test_probe_no_stall_n7 () =
+  Bagcqc_obs.Metrics.reset ();
+  List.iter
+    (fun es ->
+      Bagcqc_engine.Solver.clear ();
+      decides_valid_with_checked_cert ~n:7 es)
+    (shannon_family ~seed:42 ~n:7 ~count:40);
+  let worst = max_probe_pivots () in
+  if worst > 212 then Alcotest.failf "a reoptimize took %d pivots (cap 212)" worst
+
+let test_first_n8_decision () =
+  Bagcqc_engine.Solver.clear ();
+  decides_valid_with_checked_cert ~n:8
+    (List.hd (shannon_family ~seed:42 ~n:8 ~count:1))
+
 (* The Nn row build before the zeta transform, one pass over the terms
    per mask: the reference the transform must match bit for bit. *)
 let normal_sparse_reference ~n e =
@@ -854,9 +923,12 @@ let suite =
     ("modularize basic", `Quick, test_modularize_basic);
     ("elemental membership", `Quick, test_is_elemental_membership);
     ("symmetry canonicalization", `Quick, test_symmetry_canonicalization);
+    ("symmetry orbit cap", `Quick, test_symmetry_orbit_cap);
     ("lazy engine agrees with full", `Quick, test_lazy_engine_agrees_with_full);
     ("lazy certificates check", `Quick, test_lazy_certificates_check);
     ("valid_shannon_many dedup", `Quick, test_valid_shannon_many_dedup);
     ("probe certificates solve no LP", `Quick, test_probe_certificates_solve_no_lp);
-    ("probe repair declines to F(W')", `Quick, test_probe_repair_declines_to_fallback) ]
+    ("probe repair declines to F(W')", `Quick, test_probe_repair_declines_to_fallback);
+    ("probe does not stall at n=7", `Quick, test_probe_no_stall_n7);
+    ("first exact n=8 decision", `Quick, test_first_n8_decision) ]
   @ qtests

@@ -467,15 +467,41 @@ let test_tableau_small () =
   Alcotest.(check string) "non-finite row" "unknown"
     (claim_kind (Tableau.reoptimize t))
 
-(* A random Γn working set at n ≤ 5, as the lazy loop builds it: k
+(* Each reoptimize is one observation of [lp.float.probe_pivots], and
+   the observations sum to the [lp.float.pivots] it added. *)
+let test_tableau_probe_pivots_histogram () =
+  let module M = Bagcqc_obs.Metrics in
+  let hist () =
+    Option.value ~default:M.empty_hist
+      (List.assoc_opt "lp.float.probe_pivots" (M.snapshot ()).M.histograms)
+  in
+  let pivots () = M.count (M.counter "lp.float.pivots") in
+  let h0 = hist () and p0 = pivots () in
+  let row pairs rhs = (List.map (fun (j, c) -> (j, q c)) pairs, q rhs) in
+  let t =
+    tableau_of ~num_vars:3
+      [ row [ (0, -1); (1, -1) ] (-2); row [ (1, -1); (2, -1) ] (-2) ]
+  in
+  let k = 4 in
+  for i = 1 to k do
+    if i = 3 then Tableau.add_le t [| 0; 2 |] [| -1.0; -1.0 |] (-3.0);
+    ignore (Tableau.reoptimize t)
+  done;
+  let h1 = hist () in
+  Alcotest.(check int) "one observation per reoptimize" k (h1.M.count - h0.M.count);
+  Alcotest.(check bool) "some pivots were taken" true (pivots () > p0);
+  Alcotest.(check int) "observations sum to the pivot delta" (pivots () - p0)
+    (h1.M.sum - h0.M.sum)
+
+(* A random Γn working set at n ≤ [max_n], as the lazy loop builds it: k
    target rows E_ℓ ≤ −1 (each a positive combination of elemental rows,
    sometimes minus a term, so both verdicts occur) followed by a random
    subset of the elemental family as cone rows −a·h ≤ 0.  Rows are
    [(mask − 1, coeff)] pairs with their right-hand side. *)
-let random_gamma_rows st =
+let random_gamma_rows ?(max_n = 5) st =
   let module E = Bagcqc_entropy.Elemental in
   let module L = Bagcqc_entropy.Linexpr in
-  let n = 2 + Random.State.int st 4 in
+  let n = 2 + Random.State.int st (max_n - 1) in
   let num_vars = (1 lsl n) - 1 in
   let family = Array.of_list (E.list ~n) in
   let pick () = family.(Random.State.int st (Array.length family)) in
@@ -519,7 +545,7 @@ let prop_tableau_incremental_matches_cold =
     ~count:150 QCheck.(int_bound 1_000_000)
     (fun seed ->
       let st = Random.State.make [| seed + 907 |] in
-      let num_vars, _, rows = random_gamma_rows st in
+      let num_vars, _, rows = random_gamma_rows ~max_n:6 st in
       let t = Tableau.create ~num_vars in
       let last = ref Tableau.Unknown in
       List.iter
@@ -546,7 +572,7 @@ let prop_tableau_point_feasible =
     ~count:150 QCheck.(int_bound 1_000_000)
     (fun seed ->
       let st = Random.State.make [| seed + 433 |] in
-      let num_vars, targets, rows = random_gamma_rows st in
+      let num_vars, targets, rows = random_gamma_rows ~max_n:6 st in
       (* Drop the targets now and then so feasible systems are common. *)
       let rows =
         if Random.State.bool st then rows
@@ -632,5 +658,6 @@ let suite =
     ("sparse_constr validation", `Quick, test_sparse_constr_validation);
     ("float overflow is typed", `Quick, test_float_overflow_is_typed);
     ("hybrid falls back on overflow", `Quick, test_hybrid_falls_back_on_overflow);
-    ("float tableau on small systems", `Quick, test_tableau_small) ]
+    ("float tableau on small systems", `Quick, test_tableau_small);
+    ("float tableau pivots histogram", `Quick, test_tableau_probe_pivots_histogram) ]
   @ qtests
