@@ -50,11 +50,10 @@ bench-json: build
 	dune exec bench/main.exe -- --json BENCH_hom.json --only hom
 
 # End-to-end daemon smoke (what CI's serve-smoke job runs): a real
-# `bagcqc serve` process with a persistent store, driven over its Unix
-# socket by `bagcqc client` — cold and cached checks, typed protocol
-# errors, SIGTERM drain, a warm restart answered from the store with
-# zero simplex pivots, and a corrupted store entry rejected by
-# verify-on-load.  See scripts/serve_smoke.sh.
+# `bagcqc serve` process driven over its Unix socket by `bagcqc client`
+# — cold and cached checks, typed protocol errors, SIGTERM drain, a
+# restart on the same socket path, the telemetry endpoints and the
+# /readyz flip mid-drain.  See scripts/serve_smoke.sh.
 serve-smoke: build
 	scripts/serve_smoke.sh
 

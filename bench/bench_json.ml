@@ -278,12 +278,8 @@ let par_suite ~smoke =
    thread, the admission queue, the dispatcher's pool fan-out and reply
    serialization together; the recorded figure is burst time divided by
    burst size — per-request service time under full pipelining, the
-   reciprocal of requests/second.  Two ids bracket the cold-vs-warm
-   axis: [serve_burst_cold] wipes the decision memo (tier 0) before
-   every burst with no store attached, so each burst decides afresh;
-   [serve_burst_warm_store] also wipes tier 0 but serves its LPs from a
-   pre-populated persistent store, so the delta between the ids is the
-   solve work a restarted daemon avoids by warm-starting from disk.
+   reciprocal of requests/second.  [serve_burst_cold] wipes the
+   decision memo before every burst, so each burst decides afresh.
    The timed bursts run with obs recording off (like every other
    suite); [serve_metrics_burst] below reruns the workload inside the
    report block's recording window so the serve.queue_us/serve.solve_us
@@ -302,7 +298,7 @@ let serve_request_lines =
     String.concat ", "
       (List.init k (fun i -> Printf.sprintf "R(x%d,x%d)" i (i + 1)))
   in
-  (* Nine distinct instances (so tier 0 dedups nothing within a burst),
+  (* Nine distinct instances (so the memo dedups nothing within a burst),
      same shape family as par_batch_decide. *)
   List.mapi check
     (List.concat_map
@@ -362,7 +358,7 @@ let serve_suite ~smoke =
     for _ = 1 to 3 do
       serve_burst c
     done;
-    (* warm-up; for the warm id this also populates the store *)
+    (* warm-up *)
     let samples =
       List.init reps (fun _ ->
           Solver.clear ();
@@ -382,18 +378,6 @@ let serve_suite ~smoke =
       points =
         List.map (fun jobs -> with_serve_server ~jobs time_bursts) jobs_sizes
     };
-    { id = "serve_burst_warm_store";
-      points =
-        List.map
-          (fun jobs ->
-            let store_path = Filename.temp_file "bagcqc-bench-store" ".log" in
-            Fun.protect
-              ~finally:(fun () ->
-                try Sys.remove store_path with Sys_error _ -> ())
-            @@ fun () ->
-            Store.with_store store_path @@ fun () ->
-            with_serve_server ~jobs time_bursts)
-          jobs_sizes };
     (* serve_burst_cold with the full telemetry surface armed: metrics
        endpoint live on an ephemeral port (its ticker sampling gauges
        and windows 4×/s), an access log writing every request line, and

@@ -5,8 +5,8 @@
      gen    write a seeded corpus file (same seed => byte-identical)
      run    bulk-decide a corpus — in-process over the domain pool, or
             against a live `bagcqc serve` daemon over its socket —
-            reporting decisions/sec, p50/p99 latency and cache/store hit
-            rates per stratum as one JSONL record
+            reporting decisions/sec, p50/p99 latency and decision-cache
+            hit rates per stratum as one JSONL record
      audit  correctness sweep: every instance decided by the production
             path at jobs 1 and 4, every verdict compared against the
             corpus label, every certificate re-checked with the exact
@@ -73,7 +73,6 @@ let decide_payload payload =
 let counter_names =
   [
     "solver.cache.hits"; "solver.cache.misses";
-    "solver.store.hits"; "solver.store.misses"; "solver.store.appends";
     "lp.solves"; "lp.pivots"; "lp.hybrid.fallbacks";
     "cone.lazy.solves"; "cone.lazy.cuts";
   ]
@@ -103,8 +102,6 @@ type stratum_result = {
 let stratum_json s =
   let hits = lookup "solver.cache.hits" s.s_counters
   and misses = lookup "solver.cache.misses" s.s_counters in
-  let st_hits = lookup "solver.store.hits" s.s_counters
-  and st_misses = lookup "solver.store.misses" s.s_counters in
   Json.Obj
     [
       ("stratum", Json.Str s.s_name);
@@ -118,7 +115,6 @@ let stratum_json s =
       ("max_us", num (if s.s_hist.Metrics.count = 0 then 0 else s.s_hist.Metrics.max_value));
       ("mean_us", Json.Num (Metrics.mean s.s_hist));
       ("cache_hit_rate", Json.Num (rate hits misses));
-      ("store_hit_rate", Json.Num (rate st_hits st_misses));
       ("counters", Json.Obj (List.map (fun (n, v) -> (n, num v)) s.s_counters));
       ("mismatches", num (List.length s.s_mismatches));
       ("cert_failures", num (List.length s.s_cert_failures));
@@ -452,7 +448,7 @@ let take limit insts =
 (* ---------------- run subcommand ---------------- *)
 
 let run_cmd =
-  let run corpus_path jobs label out append limit store socket port host window =
+  let run corpus_path jobs label out append limit socket port host window =
     let header, insts = load_corpus corpus_path in
     let insts = take limit insts in
     apply_config ~jobs;
@@ -475,19 +471,11 @@ let run_cmd =
       if summary.r_mismatches > 0 || summary.r_cert_failures > 0 then 1 else 0
     in
     match (socket, port) with
-    | None, None ->
-      let body () = finish "inproc" `Inproc in
-      (match store with
-      | None -> body ()
-      | Some path -> Bagcqc_engine.Store.with_store path body)
+    | None, None -> finish "inproc" `Inproc
     | Some _, Some _ ->
       prerr_endline "sweep run: --socket and --port are mutually exclusive";
       2
     | socket, port ->
-      if store <> None then begin
-        prerr_endline "sweep run: --store applies to in-process sweeps only";
-        exit 2
-      end;
       let addr =
         match (socket, port) with
         | Some path, None -> Bagcqc_serve.Protocol.Unix_path path
@@ -508,9 +496,6 @@ let run_cmd =
   let jobs_arg =
     Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N"
            ~doc:"Domain-pool size for the in-process sweep.")
-  and store_arg =
-    Arg.(value & opt (some string) None & info [ "store" ] ~docv:"PATH"
-           ~doc:"Attach the persistent solve store at PATH for the sweep.")
   and socket_arg =
     Arg.(value & opt (some string) None & info [ "socket" ] ~docv:"PATH"
            ~doc:"Drive a live daemon over this Unix socket instead of \
@@ -529,7 +514,7 @@ let run_cmd =
     (Cmd.info "run"
        ~doc:"Sweep a corpus and report throughput/latency per stratum")
     Term.(const run $ corpus_arg $ jobs_arg $ label_arg $ out_arg $ append_arg
-          $ limit_arg $ store_arg $ socket_arg $ port_arg $ host_arg
+          $ limit_arg $ socket_arg $ port_arg $ host_arg
           $ window_arg)
 
 (* ---------------- audit subcommand ---------------- *)

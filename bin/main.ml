@@ -14,7 +14,6 @@
      promlint validate a Prometheus text exposition (e.g. /metrics) *)
 
 open Bagcqc_num
-open Bagcqc_engine
 open Bagcqc_entropy
 open Bagcqc_cq
 open Bagcqc_core
@@ -26,8 +25,8 @@ let stats_arg =
          ~doc:"After the command finishes, print to stderr the span tree \
                (wall time per pipeline stage: eq8, maxii, witness, and the \
                LP and cone work inside them), every nonzero counter by its \
-               registry name (LP solves and pivots, decision-cache, store \
-               and elemental-table traffic, homomorphism enumerations, \
+               registry name (LP solves and pivots, decision-cache and \
+               elemental-table traffic, homomorphism enumerations, \
                presolve and lazy-cone outcomes) and histogram \
                percentiles.")
 
@@ -59,22 +58,6 @@ let with_obs ~cmd ?jobs stats trace run =
   (match trace with Some path -> Obs.Export.write path | None -> ());
   if stats then Format.eprintf "%a@?" Obs.pp_stats ();
   code
-
-let store_arg =
-  Arg.(value & opt (some string) None
-       & info [ "store" ] ~docv:"PATH"
-           ~env:(Cmd.Env.info "BAGCQC_STORE"
-                   ~doc:"Default value of $(b,--store).")
-           ~doc:"Persistent solve store: an append-only log of LP solves \
-                 keyed by the canonical problem.  Opened (and created on \
-                 first use) before solving starts; every entry is \
-                 re-verified with exact arithmetic when the file is loaded \
-                 — corrupt or forged entries are dropped, never served.  \
-                 Warm runs answer repeated LP problems from the store \
-                 without re-solving (visible under $(b,--stats)).")
-
-let with_store_opt store f =
-  match store with None -> f () | Some path -> Store.with_store path f
 
 let query_conv =
   let parse s =
@@ -194,10 +177,9 @@ let run_batch ~max_factors file =
     if !unknowns > 0 then 2 else 0
 
 let check_cmd =
-  let run q1 q2 batch max_factors store jobs stats trace print_cert =
+  let run q1 q2 batch max_factors jobs stats trace print_cert =
     with_obs ~cmd:"check" ?jobs stats trace
     @@ fun () ->
-    with_store_opt store @@ fun () ->
     match batch, q1, q2 with
     | Some file, None, None -> run_batch ~max_factors file
     | Some _, _, _ ->
@@ -245,7 +227,7 @@ let check_cmd =
   in
   let term =
     Term.(const run $ q1_opt_arg $ q2_opt_arg $ batch_arg $ max_factors_arg
-          $ store_arg $ jobs_arg $ stats_arg $ trace_arg $ certificate_arg)
+          $ jobs_arg $ stats_arg $ trace_arg $ certificate_arg)
   in
   Cmd.v
     (Cmd.info "check"
@@ -493,7 +475,7 @@ let addr_of socket port host =
 
 let serve_cmd =
   let run socket port host max_queue deadline_ms metrics_port access_log
-      log_sample slow_ms store selftest jobs stats trace =
+      log_sample slow_ms selftest jobs stats trace =
     with_obs ~cmd:"serve" ?jobs stats trace
     @@ fun () ->
     (* Slow-request capture reconstructs each request's span subtree, so
@@ -502,7 +484,6 @@ let serve_cmd =
       Obs.enable ();
       Obs.reset ()
     end;
-    with_store_opt store @@ fun () ->
     if selftest then begin
       match Bagcqc_serve.Selftest.run ~verbose:true () with
       | Ok steps ->
@@ -585,14 +566,12 @@ let serve_cmd =
              over a Unix or TCP socket, fanned out over the domain pool, \
              with typed errors, per-request deadlines, bounded admission \
              and graceful drain on SIGTERM or a 'shutdown' request.  With \
-             $(b,--store), solved LPs persist across restarts (entries are \
-             re-verified with exact arithmetic on load).  With \
              $(b,--metrics-port), exposes Prometheus metrics and health \
              endpoints; with $(b,--access-log), structured request logging \
              with slow-request span capture.")
     Term.(const run $ socket_arg $ port_arg $ host_arg $ max_queue_arg
           $ deadline_arg $ metrics_port_arg $ access_log_arg $ log_sample_arg
-          $ slow_ms_arg $ store_arg $ selftest_arg $ jobs_arg $ stats_arg
+          $ slow_ms_arg $ selftest_arg $ jobs_arg $ stats_arg
           $ trace_arg)
 
 let client_cmd =
@@ -709,71 +688,13 @@ let promlint_cmd =
              _sum/_count present.  Exits 0 when clean.")
     Term.(const run $ path_arg)
 
-let store_cmd =
-  let path_arg =
-    Arg.(required & pos 0 (some string) None & info [] ~docv:"PATH"
-           ~doc:"Store file (the argument of --store / BAGCQC_STORE).")
-  in
-  let compact_cmd =
-    let run path =
-      match Store.compact path with
-      | exception Sys_error msg ->
-        Format.eprintf "store compact: %s@." msg;
-        2
-      | c ->
-        Format.printf
-          "store compact: %s: kept %d, dropped %d duplicate%s and %d \
-           unverified%s@."
-          path c.Store.kept c.Store.duplicates
-          (if c.Store.duplicates = 1 then "" else "s")
-          c.Store.dropped
-          (if c.Store.had_truncated_tail then " (plus a truncated tail)"
-           else "");
-        0
-    in
-    Cmd.v
-      (Cmd.info "compact"
-         ~doc:"Rewrite an append-only store log keeping the last verified \
-               entry per canonical problem, dropping rejected records, \
-               duplicates and crash tails, and atomically rename the \
-               rewrite over the original.  Run it offline — not while a \
-               daemon is appending to the same file.")
-      Term.(const run $ path_arg)
-  in
-  let stats_cmd =
-    let run path =
-      let t = Store.open_ path in
-      Fun.protect
-        ~finally:(fun () -> Store.close t)
-        (fun () ->
-          Format.printf
-            "store stats: %s: %d verified entr%s (%d rejected, %s tail)@."
-            path (Store.size t)
-            (if Store.size t = 1 then "y" else "ies")
-            (Store.rejected t)
-            (if Store.truncated t > 0 then "truncated" else "clean");
-          if Store.rejected t > 0 then 1 else 0)
-    in
-    Cmd.v
-      (Cmd.info "stats"
-         ~doc:"Load a store file through the verify-on-load pipeline and \
-               report how many entries survive; exits 1 when any entry \
-               was rejected (a signal the file is worth compacting).")
-      Term.(const run $ path_arg)
-  in
-  Cmd.group
-    (Cmd.info "store"
-       ~doc:"Maintenance for the persistent solve store: compaction and \
-             verification statistics.")
-    [ compact_cmd; stats_cmd ]
-
 let main_cmd =
   Cmd.group
     (Cmd.info "bagcqc" ~version:"1.0.0"
        ~doc:"Bag query containment via information inequalities \
              (Abo Khamis–Kolaitis–Ngo–Suciu, PODS 2020).")
     [ check_cmd; classify_cmd; eq8_cmd; iip_cmd; reduce_cmd; homcount_cmd;
-      report_cmd; serve_cmd; client_cmd; top_cmd; promlint_cmd; store_cmd ]
+      report_cmd; serve_cmd; client_cmd; top_cmd; promlint_cmd ]
 
 let () =
   (* Typed internal-invariant errors (Bagcqc_error) escape as a dedicated

@@ -138,7 +138,7 @@ let witness_from_normal ?(max_factors = default_max_factors) q1 q2 h =
     in
     try_k 1
 
-(* Tier 0 of the engine cache: one verdict per de-duplicated pair and
+(* The engine's decision memo: one verdict per de-duplicated pair and
    witness budget.  Names are part of the key because a witness database
    is annotated with Q1's variable names; every verdict is immutable
    through its public interface, so hits share it without copying.  The

@@ -74,7 +74,7 @@ val decide : ?max_factors:int -> Query.t -> Query.t -> verdict
     relation is a domain product of at most that many two-row step
     relations, i.e. at most [2^max_factors] rows.
 
-    Verdicts are memoized in tier 0 of the engine cache
+    Verdicts are memoized in the engine's decision memo
     ({!Bagcqc_engine.Solver.Memo}) under [(max_factors, q1, q2)] after
     de-duplication, variable names included: a repeated check returns
     the same (immutable) verdict without Eq. 8 or either cone, and

@@ -84,57 +84,6 @@ let rows_list p =
           r.op, r.rhs))
        p.rows)
 
-let compare a b =
-  let c = Stdlib.compare a.tag b.tag in
-  if c <> 0 then c
-  else
-    let c = Stdlib.compare a.num_vars b.num_vars in
-    if c <> 0 then c
-    else
-      let rec cmp_obj x y =
-        match (x, y) with
-        | [], [] -> 0
-        | [], _ -> -1
-        | _, [] -> 1
-        | (j, c1) :: xs, (k, c2) :: ys ->
-          let c = Stdlib.compare j k in
-          if c <> 0 then c
-          else
-            let c = Rat.compare c1 c2 in
-            if c <> 0 then c else cmp_obj xs ys
-      in
-      let c = cmp_obj a.objective b.objective in
-      if c <> 0 then c
-      else
-        let c = Stdlib.compare (Array.length a.rows) (Array.length b.rows) in
-        if c <> 0 then c
-        else
-          let rec rows i =
-            if i >= Array.length a.rows then 0
-            else
-              let c = compare_row a.rows.(i) b.rows.(i) in
-              if c <> 0 then c else rows (i + 1)
-          in
-          rows 0
-
-let equal a b = compare a b = 0
-
-(* FNV-style mixing over the canonical structure; Rat.hash is structural,
-   so equal problems hash equal. *)
-let hash p =
-  let mix h x = (h * 16777619) lxor x in
-  let h = ref (mix (Hashtbl.hash p.tag) p.num_vars) in
-  List.iter (fun (j, c) -> h := mix (mix !h j) (Rat.hash c)) p.objective;
-  Array.iter
-    (fun r ->
-      h := mix !h (op_rank r.op);
-      h := mix !h (Rat.hash r.rhs);
-      Array.iteri
-        (fun k j -> h := mix (mix !h j) (Rat.hash r.vals.(k)))
-        r.cols)
-    p.rows;
-  !h land max_int
-
 let to_simplex p =
   let objective = Array.make p.num_vars Rat.zero in
   List.iter (fun (j, c) -> objective.(j) <- c) p.objective;

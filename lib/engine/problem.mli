@@ -1,22 +1,19 @@
-(** Canonical LP problem IR — the cache key of the solver engine.
+(** Canonical LP problem IR of the solver engine.
 
     Every decision procedure in this repro bottoms out in "is this
-    polyhedron empty / what is this optimum", and structurally identical
-    systems recur constantly (the same cone check across renamed
-    homomorphism sides, across tree decompositions, across repeated
-    [decide] calls).  This module gives those systems one normal form:
+    polyhedron empty / what is this optimum".  This module gives those
+    systems one normal form, so a system's row order does not depend on
+    how its builder happened to list the constraints:
 
     - rows are sparse [(column, coefficient)] forms with zero
       coefficients dropped, columns strictly increasing, and duplicate
       columns summed;
     - the row {e set} is sorted under a total order, so two problems that
-      list the same constraints in different orders are equal;
+      list the same constraints in different orders have the same
+      {!rows_list};
     - the objective is a sparse sorted form (empty = pure feasibility);
-    - a [tag] names the cone/backend family that built the problem, so
-      distinct encodings with coincidentally equal matrices never collide.
-
-    Structural {!equal}/{!hash} over this normal form key the
-    persistent {!Store}. *)
+    - a [tag] names the cone/backend family that built the problem (it
+      labels the [solver.solve] span). *)
 
 open Bagcqc_num
 open Bagcqc_lp
@@ -43,14 +40,7 @@ val objective : t -> (int * Rat.t) list
 (** The canonical sparse objective (empty for feasibility problems). *)
 
 val rows_list : t -> ((int * Rat.t) list * Simplex.op * Rat.t) list
-(** The canonical rows as [(pairs, op, rhs)] triples, in row order.
-    Feeding these (and {!objective}) back through {!row}/{!make}
-    reconstructs a problem {!equal} to this one — the serialization
-    contract of the persistent {!Store}. *)
-
-val equal : t -> t -> bool
-val compare : t -> t -> int
-val hash : t -> int
+(** The canonical rows as [(pairs, op, rhs)] triples, in row order. *)
 
 val to_simplex : t -> Simplex.problem
 (** Lower to the solver's representation (dense objective, sparse

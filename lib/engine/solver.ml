@@ -1,7 +1,7 @@
 open Bagcqc_lp
 module Obs = Bagcqc_obs
 
-(* ---------------- tier 0: the sharded memo ---------------- *)
+(* ---------------- the sharded decision memo ---------------- *)
 
 (* Every memo instance registers how to empty and measure itself, so
    [clear] and [cache_size] reach tables whose key types this library
@@ -139,7 +139,7 @@ module Memo (K : Hashtbl.HashedType) (V : sig type t end) = struct
     resolve ()
 end
 
-(* ---------------- LP solves: tier 1 and accounting ---------------- *)
+(* ---------------- LP solves and accounting ---------------- *)
 
 let c_lp_solves = Obs.Metrics.counter "lp.solves"
 let c_lp_pivots = Obs.Metrics.counter "lp.pivots"
@@ -162,16 +162,8 @@ let solve_using problem ~solver =
         ("rows", Obs.Span.Int (Problem.num_rows problem));
         ("vars", Obs.Span.Int (Problem.num_vars problem)) ]
   @@ fun () ->
-  let store = Store.attached () in
-  match Option.bind store (fun st -> Store.lookup st problem) with
-  | Some outcome ->
-    Obs.Span.add_attr "cache" (Obs.Span.Str "store");
-    outcome
-  | None ->
-    Obs.Span.add_attr "cache" (Obs.Span.Str "miss");
-    let outcome = instrument solver problem in
-    Option.iter (fun st -> Store.record st problem outcome) store;
-    outcome
+  Obs.Span.add_attr "cache" (Obs.Span.Str "miss");
+  instrument solver problem
 
 let solve problem =
   solve_using problem ~solver:(fun p -> Simplex.solve (Problem.to_simplex p))

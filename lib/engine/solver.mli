@@ -1,27 +1,22 @@
-(** The engine's cache tiers and its single chokepoint to the simplex.
+(** The engine's decision memo and its single chokepoint to the simplex.
 
-    {b Tier 0} is a sharded in-memory memo of {e decisions}, keyed by
+    The memo is a sharded in-memory table of {e decisions}, keyed by
     what callers ask about rather than by the LPs a decision happens to
     build: {!Bagcqc_core.Containment.decide} instantiates {!Memo} on the
     de-duplicated query pair, so a repeated check skips Eq. 8 and both
     cones.  Lookups bump the [solver.cache.hits]/[solver.cache.misses]
-    counters, and {!clear} empties every instance.
+    counters, and {!clear} empties every instance.  LPs themselves are
+    not cached: every {!solve_using} runs its solver and is counted in
+    [lp.solves]/[lp.pivots].
 
-    {b Tier 1} is the optional persistent {!Store} of LP solutions.  When
-    one is attached ({!Store.attach}, [check --store], [serve]), every
-    {!solve_using} consults it before running the simplex, and fresh
-    [Optimal] solves are appended to it — restarts and sibling processes
-    start warm.  Store entries are re-verified in exact arithmetic on
-    load, so the engine never trusts the disk (see {!Store}).
-
-    Both tiers are safe from pool workers.  Lifecycle mutation
-    ({!clear}) must happen between parallel regions — see the
-    initialization order in {!Bagcqc_par.Pool}. *)
+    The memo is safe from pool workers.  Lifecycle mutation ({!clear})
+    must happen between parallel regions — see the initialization order
+    in {!Bagcqc_par.Pool}. *)
 
 open Bagcqc_num
 open Bagcqc_lp
 
-(** {2 Tier 0: the memo} *)
+(** {2 The memo} *)
 
 module Memo (K : Hashtbl.HashedType) (V : sig type t end) : sig
   val find_or_compute : K.t -> (unit -> V.t) -> V.t
@@ -38,12 +33,11 @@ end
     initialisation, before any parallel region. *)
 
 val clear : unit -> unit
-(** Drop every memoized value from tier 0 (does not touch the counters
-    or an attached {!Store}).
+(** Drop every memoized value (does not touch the counters).
     @raise Invalid_argument when called inside a parallel region. *)
 
 val cache_size : unit -> int
-(** Number of values currently memoized in tier 0. *)
+(** Number of values currently memoized. *)
 
 val publish_gauges : unit -> unit
 (** Refresh the [solver.cache.size] gauge from {!cache_size} — called by
@@ -52,17 +46,16 @@ val publish_gauges : unit -> unit
 (** {2 LP solves} *)
 
 val solve : Problem.t -> Simplex.outcome
-(** {!Simplex.solve} on the lowered problem, behind the attached store. *)
+(** {!Simplex.solve} on the lowered problem, counted like {!solve_using}. *)
 
 val solve_using :
   Problem.t -> solver:(Problem.t -> Simplex.outcome) -> Simplex.outcome
-(** {!solve} with a caller-supplied solving function, run only when the
-    attached store (if any) cannot answer — the lazy cone driver routes
-    its warm-started per-round LPs through this so they share the
-    persistent store and the [lp.solves]/[lp.pivots] counters with every
-    other solve.  The function must return an outcome valid for the problem
-    {e as given} (same variable order); warm-start state may live in its
-    closure. *)
+(** {!solve} with a caller-supplied solving function, under a
+    [solver.solve] span and counted in [lp.solves]/[lp.pivots] — the
+    lazy cone driver routes its warm-started per-round LPs through this
+    so they are accounted like every other solve.  The function must
+    return an outcome valid for the problem {e as given} (same variable
+    order); warm-start state may live in its closure. *)
 
 val feasible : Problem.t -> Rat.t array option
 (** Feasibility: [Some x] is a point of the polyhedron.  The problem's

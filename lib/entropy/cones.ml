@@ -18,8 +18,8 @@ let elemental ~n = Elemental.list ~n
 (* A max-inequality is refuted over a cone K by a point of the          *)
 (* feasibility system {h ∈ K, Eℓ(h) ≤ −1 ∀ℓ}.  Γn is decided by the     *)
 (* lazy separation driver; the materialized Γn LPs below serve only the *)
-(* reference oracle and the store verifier.  Nn and Mn are decided on   *)
-(* their generators, with a small LP only as fallback.                  *)
+(* reference oracle.  Nn and Mn are decided on their generators, with a *)
+(* small LP only as fallback.                                           *)
 (* ------------------------------------------------------------------ *)
 
 (* ---------------- Γn ---------------- *)
@@ -64,128 +64,6 @@ let gamma_farkas ~n es =
           Simplex.Eq Rat.one ]
   in
   (Problem.make ~tag:"gamma/farkas" ~num_vars rows, elems)
-
-(* ---- store verifier: reconstruct the certificate a stored Farkas
-   point encodes, and let the exact [Certificate.check] judge it ---- *)
-
-(* A persistent-store entry for a "gamma/farkas" problem claims that the
-   recorded point is a Farkas certificate for *some* max-inequality.
-   The canonical row sort of [Problem] forgot which Eq-0 row belongs to
-   which mask S, so we first re-derive that correspondence: the λ-part
-   of row S is the column pattern [(i, elemᵢ(S))], which is distinct per
-   mask for the elemental family (it spans the dual space).  We match
-   rows to masks by that pattern, read each side Eℓ back off the negated
-   μ-part coefficients, assemble the [Certificate], and accept the entry
-   only if [Certificate.check] passes — the same exact, LP-independent
-   judge the live pipeline uses.  Any structural surprise (ambiguous
-   pattern, stray op, bad convexity row) conservatively rejects: a
-   rejection only costs a re-solve, never soundness. *)
-let farkas_certificate_of_point prob x =
-  let exception Bad in
-  try
-    let nrows = Problem.num_rows prob in
-    let rec log2 k acc =
-      if k = 1 then acc
-      else if k land 1 = 1 || k <= 0 then raise Bad
-      else log2 (k lsr 1) (acc + 1)
-    in
-    let n = log2 nrows 0 in
-    if n < 1 || n > Varset.max_vars then raise Bad;
-    if Problem.objective prob <> [] then raise Bad;
-    let elems = Elemental.list ~n in
-    let n_elem = List.length elems in
-    let k = Problem.num_vars prob - n_elem in
-    if k < 1 || Array.length x <> n_elem + k then raise Bad;
-    (* Signature of each mask's λ-column pattern, ascending in i. *)
-    let nmasks = 1 lsl n in
-    let lam_pattern = Array.make nmasks [] in
-    List.iteri
-      (fun i e ->
-        List.iter
-          (fun (s, c) -> lam_pattern.(s) <- (i, c) :: lam_pattern.(s))
-          (Linexpr.terms e))
-      elems;
-    let sig_of pairs =
-      let b = Buffer.create 64 in
-      List.iter
-        (fun (i, c) ->
-          Buffer.add_string b (string_of_int i);
-          Buffer.add_char b ':';
-          Buffer.add_string b (Rat.to_string c);
-          Buffer.add_char b ';')
-        pairs;
-      Buffer.contents b
-    in
-    let masks_by_sig : (string, int list ref) Hashtbl.t =
-      Hashtbl.create nmasks
-    in
-    for s = 1 to nmasks - 1 do
-      let key = sig_of (List.rev lam_pattern.(s)) in
-      match Hashtbl.find_opt masks_by_sig key with
-      | Some l -> l := s :: !l
-      | None -> Hashtbl.add masks_by_sig key (ref [ s ])
-    done;
-    let sides = Array.make k Linexpr.zero in
-    let convexity_seen = ref false in
-    List.iter
-      (fun (pairs, op, rhs) ->
-        if op <> Simplex.Eq then raise Bad;
-        if Rat.equal rhs Rat.one then begin
-          (* The convexity row Σ μℓ = 1: exactly the k μ-columns, unit
-             coefficients, exactly once. *)
-          if !convexity_seen then raise Bad;
-          convexity_seen := true;
-          if List.length pairs <> k then raise Bad;
-          List.iteri
-            (fun l (j, c) ->
-              if j <> n_elem + l || not (Rat.equal c Rat.one) then raise Bad)
-            pairs
-        end
-        else if Rat.is_zero rhs then begin
-          let lam_part, mu_part =
-            List.partition (fun (j, _) -> j < n_elem) pairs
-          in
-          let key = sig_of lam_part in
-          let s =
-            match Hashtbl.find_opt masks_by_sig key with
-            | Some ({ contents = s :: rest } as l) ->
-              l := rest;
-              s
-            | Some { contents = [] } | None -> raise Bad
-          in
-          List.iter
-            (fun (j, c) ->
-              let l = j - n_elem in
-              if l < 0 || l >= k then raise Bad;
-              (* The builder wrote −Eℓ(S) into column n_elem+l. *)
-              sides.(l) <-
-                Linexpr.add sides.(l)
-                  (Linexpr.term ~coeff:(Rat.neg c) s))
-            mu_part
-        end
-        else raise Bad)
-      (Problem.rows_list prob);
-    if not !convexity_seen then raise Bad;
-    (* Every mask matched exactly once: (2^n − 1) Eq-0 rows popped one
-       mask each, so all per-signature pools must now be empty. *)
-    Hashtbl.iter
-      (fun _ l -> if !l <> [] then raise Bad)
-      masks_by_sig;
-    let lambda =
-      List.filteri (fun _ (_, l) -> Rat.sign l > 0)
-        (List.mapi (fun i e -> (e, x.(i))) elems)
-    in
-    let mu = List.init k (fun l -> x.(n_elem + l)) in
-    Some
-      (Certificate.make ~n ~cone:"gamma" ~sides:(Array.to_list sides)
-         ~lambda ~mu)
-  with _ -> None
-
-let () =
-  Store.register_verifier ~tag:"gamma/farkas" (fun prob x ->
-      match farkas_certificate_of_point prob x with
-      | Some cert -> Certificate.check cert
-      | None -> false)
 
 let gamma_refutation ~n es =
   let num_vars = (1 lsl n) - 1 in
@@ -444,8 +322,8 @@ let shannon_certificate ~n e =
 module Oracle = struct
   let farkas = gamma_farkas
 
-  (* Exact simplex, but through the solver so store and [lp.*] counter
-     accounting behave as for any other solve. *)
+  (* Exact simplex, but through the solver so [lp.*] counter accounting
+     behaves as for any other solve. *)
   let feasible prob =
     match
       Solver.solve_using prob ~solver:(fun p ->

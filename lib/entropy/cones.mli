@@ -1,8 +1,7 @@
 (** Deciding (max-)information inequalities over polyhedral cones
     [Γn ⊇ Nn ⊇ Mn] by exact linear programming — routed through the
-    solver engine ({!Bagcqc_engine.Solver}), so LPs share the persistent
-    store when one is attached, and instrumented through named
-    {!Bagcqc_obs.Metrics} counters ([lp.*], [cone.*]).
+    solver engine ({!Bagcqc_engine.Solver}) and instrumented through
+    named {!Bagcqc_obs.Metrics} counters ([lp.*], [cone.*]).
 
     This is the computational engine behind the paper's decidability
     results: Theorem 3.6 shows certain max-inequalities are "essentially
@@ -100,8 +99,8 @@ val shannon_certificate : n:int -> Linexpr.t -> (Linexpr.t * Bagcqc_num.Rat.t) l
 
     The materialized Γn driver: every LP carries the whole elemental
     family and is solved by the exact simplex
-    ({!Bagcqc_lp.Simplex.solve_exact}) through the solver cache and any
-    attached store.  Too slow for production from n ≈ 6 up; kept as the
+    ({!Bagcqc_lp.Simplex.solve_exact}) through the solver's [lp.*]
+    accounting.  Too slow for production from n ≈ 6 up; kept as the
     independent reference the [lazy_vs_full] fuzz suite and the tests
     compare the production driver against.  {!refute_small} is the
     LP-only reference for the [Nn]/[Mn] generator presolve. *)
@@ -110,8 +109,7 @@ module Oracle : sig
   (** The validity-certificate LP: feasible iff the max-inequality is
       valid over Γn, with solutions laid out as multipliers [λ] over the
       returned elemental list followed by one convex weight [μℓ] per
-      side.  Tagged ["gamma/farkas"]; the persistent store re-verifies
-      entries of this tag through {!Certificate.check}. *)
+      side.  Tagged ["gamma/farkas"]. *)
 
   val valid_max_cert :
     n:int -> Linexpr.t list -> (Certificate.t, Polymatroid.t) result

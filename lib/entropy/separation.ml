@@ -71,9 +71,8 @@
    2·|family| rounds; a defensive invariant enforces the bound.
 
    Symmetry: the instance is first canonicalized modulo variable
-   permutation ([Symmetry.analyze]), so every exact-round LP — keyed on
-   the canonical [Engine.Problem] — hits the persistent store across
-   all symmetric variants of a query.
+   permutation ([Symmetry.analyze]), so all symmetric variants of a
+   query take the same rounds and build the same LPs.
    Verdicts are mapped back through the permutation: refuters by
    relabeling the point, certificates by renaming λ's axioms (the
    elemental family is closed under permutation).
@@ -223,11 +222,7 @@ let warm_hint ~num_vars prev prob =
 (* ---------------- restricted Farkas ----------------
 
    [Cones.Oracle.farkas] with the axiom columns drawn from W instead of
-   the full family, under its own tag: entries persisted from this
-   problem shape are pure-feasibility (verified point-wise by the store
-   on load) and must not be offered to the full-family
-   "gamma/farkas" semantic verifier, whose column layout they do not
-   share.
+   the full family, under its own tag (its column layout differs).
 
    Column layout: λ over the W axioms, then the k convex weights μ,
    then one ν_S per coordinate mask S — the dual multipliers of the
@@ -386,16 +381,15 @@ let run ~n ~stabilizer ~certify es =
   in
   List.iter (fun d -> ignore (add_desc d)) (seed_descs ~n);
   (* Warm hint for the next exact round, through the canonical-order
-     merge walk.  Store hits yield no basis and break the chain — they
-     also cost nothing to re-solve. *)
+     merge walk. *)
   let prev = ref None in
   (* Add the [cut_batch] most-violated of [ranked] (pre-sorted by
      violation, ties broken by descriptor order, so the cut sequence —
-     and with it every per-round system, cache key and store line — is
-     deterministic per build), plus small symmetry orbits.  Unbounded
-     orbit expansion is a trap: a highly symmetric target has stabilizer
-     orbits of size up to (n−1)!, and materializing one recreates the
-     full-family row count the lazy driver exists to avoid. *)
+     and with it every per-round system — is deterministic per build),
+     plus small symmetry orbits.  Unbounded orbit expansion is a trap:
+     a highly symmetric target has stabilizer orbits of size up to
+     (n−1)!, and materializing one recreates the full-family row count
+     the lazy driver exists to avoid. *)
   let cut_batch = 2 * n in
   let orbit_cap = 2 * n in
   let add_ranked ranked =
@@ -619,8 +613,7 @@ let certify_working_set ~n ~sym ~es w_descs =
     let cert = assemble x in
     (* Defense in depth (DESIGN.md §4f/§4i): accept only certificates
        that pass the exact check; a rejection is a solver bug repaired
-       by an exact re-solve (bypassing the store, which may have served
-       the rejected point), never an uncertified answer. *)
+       by an exact re-solve, never an uncertified answer. *)
     if Certificate.check cert then Some cert
     else begin
       Obs.Metrics.bump c_fallbacks;

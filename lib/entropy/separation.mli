@@ -21,8 +21,7 @@
     [cone.lazy.probe_cert] span) pays for the restricted Farkas LP, and
     only a probe without a usable answer pays for an exact refutation
     round; those LPs go through {!Bagcqc_engine.Solver.solve_using}, so
-    they hit the persistent store, when one is attached — across
-    restarts {e and} across symmetric instances.
+    they are counted in [lp.solves]/[lp.pivots].
 
     Soundness does not rest on the cutting-plane loop or on the floats:
     "valid" carries a Farkas certificate over W ⊆ elemental family that

@@ -6,10 +6,9 @@
    that twice:
 
    - {e canonicalization}: before solving, rename the instance to the
-     lexicographically least member of its orbit.  Every LP the lazy
-     driver builds is then keyed on the canonical instance, so the
-     sharded solver cache and the persistent store hit across all n!
-     symmetric variants of a query.
+     lexicographically least member of its orbit.  The lazy driver then
+     solves the canonical instance, so all n! symmetric variants of a
+     query take the same rounds, cuts and pivots.
 
    - {e orbit cuts}: the stabilizer of the canonical instance maps
      violated elemental inequalities to violated (or about-to-be

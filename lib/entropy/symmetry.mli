@@ -7,8 +7,8 @@
     representative ([n ≤ 8]), sweeping only the renamings that order
     variables by a permutation-invariant signature — a product of
     block factorials, usually one candidate, at most [n!].  The lazy cone driver ({!Separation}) solves the
-    canonical instance — so the persistent store hits across symmetric
-    variants — and uses the stabilizer to add separation cuts
+    canonical instance — so symmetric variants take the same path —
+    and uses the stabilizer to add separation cuts
     orbit-at-a-time. *)
 
 type perm = int array
@@ -17,7 +17,8 @@ type perm = int array
 val max_vars : int
 (** Largest [n] the candidate sweep runs at (8; at most [8! = 40320]
     candidates, when every variable has the same signature).  Above it
-    {!analyze} returns the trivial analysis — only sharing is lost. *)
+    {!analyze} returns the trivial analysis — only the orbit cuts are
+    lost. *)
 
 val identity : int -> perm
 val is_identity : perm -> bool

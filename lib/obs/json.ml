@@ -1,9 +1,8 @@
 (* Minimal JSON: the repo's one and only JSON dialect.  The build
    environment has no JSON library, so this module serves every JSON
    consumer and producer in the tree: the trace exporters and the report
-   reader, the bench comparator (bench/compare.ml), the persistent solve
-   store (lib/engine/store.ml) and the serve wire protocol
-   (lib/serve/protocol.ml). *)
+   reader, the bench comparator (bench/compare.ml) and the serve wire
+   protocol (lib/serve/protocol.ml). *)
 
 type t =
   | Obj of (string * t) list

@@ -79,9 +79,8 @@ let subtree span_id =
 (* Per-request pivots and cache tier, recovered from span attributes:
    pivot counts sum across the subtree's simplex spans; the cache tier
    reported is the deepest tier the request had to reach ("miss" — a
-   fresh LP solve — over "store" — an LP served from disk — over
-   "memo" — the whole decision served from the memo).  A decision
-   computed without any LP reports none. *)
+   fresh LP solve — over "memo" — the whole decision served from the
+   memo).  A decision computed without any LP reports none. *)
 let pivots_of spans =
   List.fold_left
     (fun acc sp ->
@@ -106,7 +105,6 @@ let cache_tier_of spans =
       spans
   in
   if List.mem "miss" seen then Some "miss"
-  else if List.mem "store" seen then Some "store"
   else if List.mem "hit" seen then Some "memo"
   else None
 

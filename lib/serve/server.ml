@@ -27,8 +27,8 @@ let g_open_conns = Obs.Metrics.gauge "serve.open_connections"
    rates (decisions/sec, fallback and hit rates) via `stats`//metrics. *)
 let windowed_counters =
   [ "serve.requests"; "serve.replies"; "serve.errors";
-    "solver.cache.hits"; "solver.cache.misses"; "solver.store.hits";
-    "solver.store.misses"; "lp.solves"; "lp.hybrid.float_solves";
+    "solver.cache.hits"; "solver.cache.misses"; "lp.solves";
+    "lp.hybrid.float_solves";
     "lp.hybrid.fallbacks"; "cone.lazy.solves"; "cone.lazy.cuts" ]
 
 type config = {
@@ -217,11 +217,6 @@ let wire_aliases =
     ("connections", "serve.connections"); ("lp_solves", "lp.solves");
     ("lp_pivots", "lp.pivots"); ("cache_hits", "solver.cache.hits");
     ("cache_misses", "solver.cache.misses");
-    ("store_hits", "solver.store.hits");
-    ("store_misses", "solver.store.misses");
-    ("store_appends", "solver.store.appends");
-    ("store_loaded", "solver.store.loaded");
-    ("store_rejected", "solver.store.rejected");
     ("lazy_solves", "cone.lazy.solves"); ("lazy_rounds", "cone.lazy.rounds");
     ("lazy_cuts", "cone.lazy.cuts"); ("lazy_fallbacks", "cone.lazy.fallbacks");
     ("orbit_cuts", "cone.orbit.cuts");

@@ -1,9 +1,9 @@
 (* `bagcqc top` — a live terminal dashboard over the daemon's stats verb.
 
    One strict request/reply client polls `stats` every interval and
-   redraws a frame: service gauges (queue depth, in-flight, cache and
-   store sizes), rolling 1m/5m rates for the windowed counters, latency
-   histogram percentiles, and the cache/store hit ledger.  Everything
+   redraws a frame: service gauges (queue depth, in-flight, cache
+   size), rolling 1m/5m rates for the windowed counters, latency
+   histogram percentiles, and the decision-cache hit ledger.  Everything
    shown is computed server-side from the same registry /metrics reads;
    this module only renders the JSON.
 
@@ -85,11 +85,6 @@ let render ?(now = 0.0) ~addr reply =
   let hits = n "solver.cache.hits" and misses = n "solver.cache.misses" in
   pr "decisions   hits %s  misses %s  hit %s\n" (human hits) (human misses)
     (pct hits (hits +. misses));
-  let hits = n "solver.store.hits" and misses = n "solver.store.misses" in
-  pr "store       hits %s  misses %s  hit %s   appends %s  loaded %s  rejected %s\n"
-    (human hits) (human misses) (pct hits (hits +. misses))
-    (human (n "solver.store.appends")) (human (n "solver.store.loaded"))
-    (human (n "solver.store.rejected"));
   pr "service     overloaded %s  deadline-expired %s  connections %s\n"
     (human (n "serve.overloaded")) (human (n "serve.deadline_expired"))
     (human (n "serve.connections"));

@@ -2,7 +2,7 @@
 
     Polls [stats] every interval and redraws one frame: queue depth and
     in-flight gauges, rolling 1m/5m counter rates, latency-histogram
-    percentiles and the cache/store hit ledger.  All numbers are
+    percentiles and the decision-cache hit ledger.  All numbers are
     computed server-side; this module renders the reply JSON. *)
 
 val render : ?now:float -> addr:string -> Bagcqc_obs.Json.t -> string

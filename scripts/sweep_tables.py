@@ -9,7 +9,7 @@ Reads one or more JSONL files whose records look like
      "mismatches":0,"cert_failures":0,"counters":{...},
      "strata":[{"stratum":...,"count":...,"dps":...,"p50_us":...,
                 "p99_us":...,"max_us":...,"mean_us":...,
-                "cache_hit_rate":...,"store_hit_rate":...,
+                "cache_hit_rate":...,
                 "mismatches":0,"cert_failures":0,...}, ...]}
 
 and prints, per record, a summary line plus a per-stratum table ready to
@@ -78,17 +78,17 @@ def record_table(rec):
         rows.append([
             s["stratum"], s["count"], fmt_dps(s["dps"]),
             fmt_us(s["p50_us"]), fmt_us(s["p99_us"]), fmt_us(s["max_us"]),
-            fmt_rate(s["cache_hit_rate"]), fmt_rate(s["store_hit_rate"]),
+            fmt_rate(s["cache_hit_rate"]),
             s["mismatches"], s["cert_failures"],
         ])
     rows.append([
         "**overall**", rec["total"], fmt_dps(rec["dps"]), "", "", "",
-        fmt_rate(rec["cache_hit_rate"]), "",
+        fmt_rate(rec["cache_hit_rate"]),
         rec["mismatches"], rec["cert_failures"],
     ])
     return table(
         ["stratum", "count", "dec/s", "p50", "p99", "max",
-         "cache hit", "store hit", "mism.", "cert fail"],
+         "cache hit", "mism.", "cert fail"],
         rows)
 
 

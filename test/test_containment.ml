@@ -430,6 +430,15 @@ let test_presolve_outcomes () =
   let k, deltas, v = presolve_path (p "R(x,y), R(x,z)") (p "R(u,v), R(w,v)") in
   Alcotest.check path "serve-smoke pair falls back" (2, [ 0; 0; 1 ]) (k, deltas);
   not_contained "R(x,y),R(x,z) vs R(u,v),R(w,v)" ~card_p:16 ~hom2:8 v;
+  (* Nn alone on that pair's Eq. 8 (a decision may also run Γn
+     speculatively when jobs > 1): the fallback is exactly one LP. *)
+  let lp_before = counter "cone.presolve.lp" and solves = counter "lp.solves" in
+  Alcotest.(check bool) "serve-smoke pair refuted over Nn" true
+    (Result.is_error
+       (Maxii.valid_over Cones.Normal
+          (Containment.eq8 (p "R(x,y), R(x,z)") (p "R(u,v), R(w,v)"))));
+  Alcotest.(check (pair int int)) "one Nn LP" (lp_before + 1, solves + 1)
+    (counter "cone.presolve.lp", counter "lp.solves");
   let k, deltas, v = presolve_path triangle vee in
   Alcotest.check path "triangle vs vee falls back" (3, [ 0; 0; 1 ]) (k, deltas);
   contained "triangle vs vee" v;

@@ -17,7 +17,7 @@ let raises_invalid f =
 
 let test_problem_canonical () =
   (* Row order, term order, duplicate columns and zero coefficients all
-     normalize away; the memo table must see one key. *)
+     normalize away: both listings canonicalize to the same rows. *)
   let r1 = Problem.row [ (0, q 1); (1, q 2) ] Simplex.Le (q 3) in
   let r1' =
     Problem.row [ (1, q 1); (0, q 1); (1, q 1); (2, q 0) ] Simplex.Le (q 3)
@@ -25,18 +25,35 @@ let test_problem_canonical () =
   let r2 = Problem.row [ (2, q 1) ] Simplex.Ge (q 0) in
   let p1 = Problem.make ~tag:"t" ~num_vars:3 [ r1; r2 ] in
   let p2 = Problem.make ~tag:"t" ~num_vars:3 [ r2; r1' ] in
-  Alcotest.(check bool) "structurally equal" true (Problem.equal p1 p2);
-  Alcotest.(check int) "hashes agree" (Problem.hash p1) (Problem.hash p2);
-  Alcotest.(check int) "compare agrees" 0 (Problem.compare p1 p2);
+  let rows p =
+    List.map
+      (fun (pairs, op, rhs) ->
+        ( List.map (fun (j, c) -> (j, Rat.to_string c)) pairs,
+          (match op with Simplex.Le -> "<=" | Simplex.Ge -> ">=" | Simplex.Eq -> "="),
+          Rat.to_string rhs ))
+      (Problem.rows_list p)
+  in
+  let row_t = Alcotest.(list (triple (list (pair int string)) string string)) in
+  Alcotest.check row_t "row order invariant" (rows p1) (rows p2);
+  Alcotest.check row_t "duplicates summed, zeros dropped"
+    [ ([ (0, "1"); (1, "2") ], "<=", "3"); ([ (2, "1") ], ">=", "0") ]
+    (rows p1);
   Alcotest.(check int) "rows counted" 2 (Problem.num_rows p1);
   (* The tag keeps distinct encodings apart even on equal matrices. *)
   let p3 = Problem.make ~tag:"u" ~num_vars:3 [ r1; r2 ] in
-  Alcotest.(check bool) "tag distinguishes" false (Problem.equal p1 p3);
+  Alcotest.(check bool) "tag distinguishes" false
+    (Problem.tag p1 = Problem.tag p3);
+  Alcotest.check row_t "same rows under another tag" (rows p1) (rows p3);
   (* And so does the objective. *)
   let p4 =
-    Problem.make ~tag:"t" ~num_vars:3 ~objective:[ (0, q 1) ] [ r1; r2 ]
+    Problem.make ~tag:"t" ~num_vars:3 ~objective:[ (0, q 1); (1, q 0) ]
+      [ r1; r2 ]
   in
-  Alcotest.(check bool) "objective distinguishes" false (Problem.equal p1 p4)
+  let obj p = List.map (fun (j, c) -> (j, Rat.to_string c)) (Problem.objective p) in
+  Alcotest.(check (list (pair int string))) "feasibility objective empty" []
+    (obj p1);
+  Alcotest.(check (list (pair int string))) "objective distinguishes"
+    [ (0, "1") ] (obj p4)
 
 let test_problem_validation () =
   Alcotest.(check bool) "negative column rejected" true
@@ -327,8 +344,8 @@ let test_certificate_multi_side () =
 
 let test_cone_backends () =
   (* Every cone decides a valid and a refuted inequality; only Γn carries
-     a certificate, and the reference oracle's Farkas LP keeps the tag the
-     store verifier is registered under. *)
+     a certificate, and the reference oracle's Farkas LP keeps its own
+     tag. *)
   let h1 = Linexpr.term (vs [ 0 ]) in
   List.iter
     (fun (name, cone, certifies) ->

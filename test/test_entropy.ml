@@ -700,25 +700,31 @@ let valid_by_construction ~n st =
     Linexpr.sub (combo (3 + Random.State.int st 4)) (Linexpr.term (Varset.full n)) ]
 
 let test_probe_certificates_solve_no_lp () =
+  let certified_without_lp ~n es =
+    Bagcqc_engine.Solver.clear ();
+    let solves = counter "lp.solves"
+    and lookups = counter "solver.cache.hits" + counter "solver.cache.misses"
+    and declined = counter "cone.lazy.probe_cert_fallbacks" in
+    (match Cones.valid_max_cert Cones.Gamma ~n es with
+     | Ok (Some cert) ->
+       Alcotest.(check bool) "certificate proves the instance" true
+         (Certificate.proves cert ~n es)
+     | Ok None | Error _ -> Alcotest.fail "valid by construction");
+    Alcotest.(check int) "no LP solved" solves (counter "lp.solves");
+    Alcotest.(check int) "solver cache untouched" lookups
+      (counter "solver.cache.hits" + counter "solver.cache.misses");
+    Alcotest.(check int) "no repair declined" declined
+      (counter "cone.lazy.probe_cert_fallbacks")
+  in
+  (* A single elemental inequality, I(0;1|2) ≥ 0 at n = 4. *)
+  certified_without_lp ~n:4
+    [ Linexpr.mutual (Varset.singleton 0) (Varset.singleton 1)
+        (Varset.singleton 2) ];
   let st = Random.State.make [| 2026 |] in
   List.iter
     (fun (n, count) ->
       for _ = 1 to count do
-        let es = valid_by_construction ~n st in
-        Bagcqc_engine.Solver.clear ();
-        let solves = counter "lp.solves"
-        and lookups = counter "solver.cache.hits" + counter "solver.cache.misses"
-        and declined = counter "cone.lazy.probe_cert_fallbacks" in
-        (match Cones.valid_max_cert Cones.Gamma ~n es with
-         | Ok (Some cert) ->
-           Alcotest.(check bool) "certificate proves the instance" true
-             (Certificate.proves cert ~n es)
-         | Ok None | Error _ -> Alcotest.fail "valid by construction");
-        Alcotest.(check int) "no LP solved" solves (counter "lp.solves");
-        Alcotest.(check int) "solver cache untouched" lookups
-          (counter "solver.cache.hits" + counter "solver.cache.misses");
-        Alcotest.(check int) "no repair declined" declined
-          (counter "cone.lazy.probe_cert_fallbacks")
+        certified_without_lp ~n (valid_by_construction ~n st)
       done)
     [ (5, 12); (6, 6) ]
 

@@ -130,11 +130,6 @@ let counter_keys =
     ("connections", "serve.connections"); ("lp_solves", "lp.solves");
     ("lp_pivots", "lp.pivots"); ("cache_hits", "solver.cache.hits");
     ("cache_misses", "solver.cache.misses");
-    ("store_hits", "solver.store.hits");
-    ("store_misses", "solver.store.misses");
-    ("store_appends", "solver.store.appends");
-    ("store_loaded", "solver.store.loaded");
-    ("store_rejected", "solver.store.rejected");
     ("lazy_solves", "cone.lazy.solves"); ("lazy_rounds", "cone.lazy.rounds");
     ("lazy_cuts", "cone.lazy.cuts"); ("lazy_fallbacks", "cone.lazy.fallbacks");
     ("orbit_cuts", "cone.orbit.cuts");
@@ -190,7 +185,7 @@ let test_one_declaration_every_surface () =
      Alcotest.(check (option (float 0.0))) "/metrics exposes it" (Some 1.0)
        (Obs.Prom.find_sample e "bagcqc_test_one_decl_total" [])
    | Error msg -> Alcotest.fail msg);
-  (* The flat keys stay wire-compatible: the same 28 names, each counter
+  (* The flat keys stay wire-compatible: the same 23 names, each counter
      key equal to its registry counter. *)
   let flat =
     List.filter
@@ -200,7 +195,7 @@ let test_one_declaration_every_surface () =
   Alcotest.(check (list string)) "flat key set"
     (List.sort compare (flat_keys @ List.map fst counter_keys))
     (List.sort compare flat);
-  Alcotest.(check int) "28 flat keys" 28 (List.length flat);
+  Alcotest.(check int) "23 flat keys" 23 (List.length flat);
   List.iter
     (fun (key, name) ->
       Alcotest.(check (float 0.0)) key
