@@ -97,8 +97,7 @@ let path k =
     (List.init k (fun i -> Query.atom "R" [ i; i + 1 ]))
 
 (* The certificate (Farkas) LP over the full elemental family for the
-   n-variable Shannon monotonicity target, as a raw simplex problem: the
-   "decide point" workload that the float-first engine exists for,
+   n-variable Shannon monotonicity target, as a raw simplex problem:
    measured below without the surrounding elemental-family construction
    and axiom bookkeeping. *)
 let gamma_farkas_problem n =
@@ -122,7 +121,7 @@ let lp_suite ~smoke =
               Cones.Oracle.valid_max_cert ~n [ ingleton ]) } ]
   in
   (* Production Γn frontier: the e11 workload under the lazy separation
-     driver (float-first LP underneath), pushed to n=7 — a size the
+     driver (exact LP underneath), pushed to n=7 — a size the
      materialized family has never reached in bench time.  [ingleton_gamma_lazy] times the refuted path, where
      the loop must run the implicit separation oracle to a genuine Γn
      refuter; [cert_gamma_lazy] times validity *with* certificate
@@ -144,21 +143,14 @@ let lp_suite ~smoke =
             (fun n () ->
               Cones.valid_max_cert Cones.Gamma ~n [ shannon_target n ]) } ]
   in
-  (* Solver-only decide points: the Farkas LP is built once per size and
-     the thunk times nothing but the simplex, so the exact/hybrid ratio
-     here is the honest speedup of the float-first front end. *)
+  (* Solver-only decide point: the full-family Farkas LP is built once
+     per size and the thunk times nothing but the simplex. *)
   let decide_points =
-    let decide ~id solve sizes =
-      { id;
+    [ { id = "lp_decide_gamma_exact";
         points =
-          run_points ~reps sizes (fun n ->
+          run_points ~reps (if smoke then [ 3 ] else [ 4; 5 ]) (fun n ->
               let sp = gamma_farkas_problem n in
-              fun () -> solve sp) }
-    in
-    [ decide ~id:"lp_decide_gamma_exact" Simplex.solve_exact
-        (if smoke then [ 3 ] else [ 4; 5 ]);
-      decide ~id:"lp_decide_gamma_hybrid" Simplex.solve
-        (if smoke then [ 3 ] else [ 4; 5; 6 ]) ]
+              fun () -> Simplex.solve sp) } ]
   in
   (* Repeated full decide on the same pair, with and without the engine's
      decision memo: the cached variant is warmed by time_samples' warm-up

@@ -73,7 +73,7 @@ let decide_payload payload =
 let counter_names =
   [
     "solver.cache.hits"; "solver.cache.misses";
-    "lp.solves"; "lp.pivots"; "lp.hybrid.fallbacks";
+    "lp.solves"; "lp.pivots";
     "cone.lazy.solves"; "cone.lazy.cuts";
   ]
 

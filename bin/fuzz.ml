@@ -112,7 +112,7 @@ let cmd =
   Cmd.v
     (Cmd.info "bagcqc-fuzz" ~version:"1.0.0"
        ~doc:"Differential fuzzing harness: exact Logint sign, exact vs \
-             dense simplex, float-first vs exact LP and Γn decisions, lazy \
+             dense simplex, production vs exact-oracle cone decisions, lazy \
              vs materialized Γn driver, sequential vs parallel decide, and \
              parser totality, each against independent oracles.")
     Term.(const run $ suite_arg $ iters_arg $ seed_arg $ stats_arg $ trace_arg)

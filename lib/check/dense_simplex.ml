@@ -1,6 +1,6 @@
 (* Dense two-phase primal simplex over exact rationals: the original
    reference implementation, kept as the correctness oracle for the
-   production sparse engine ([Simplex.solve_exact]) in the [simplex] fuzz
+   production sparse engine ([Simplex.solve]) in the [simplex] fuzz
    suite and the LP agreement tests.
 
    [m] rows of length [ncols + 1] (column [ncols] is the right-hand side),

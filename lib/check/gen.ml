@@ -138,22 +138,18 @@ let show_lp { nv; obj; rows } =
               (show_op op) (Rat.to_string b))
           rows))
 
-(* ---------------- hybrid (float-first vs exact) LP cases ------------ *)
+(* ---------------- cone cases ---------------- *)
 
-(* Two populations: raw random LPs (reusing [lp_case], which skews small
-   and degenerate — the regime where float tolerances misjudge bases),
-   and cone instances driven through the full Cones pipeline: Γn, whose
-   Farkas/refutation LPs are the workload the hybrid mode exists for,
-   and Nn/Mn, whose generator presolve settles most instances before
-   their small refutation LP.  Sides are raw [(mask, coeff)] term lists
-   so failures print and shrink structurally. *)
-type hybrid_case =
-  | Raw_lp of lp_case
-  | Cone of {
-      cone : Bagcqc_entropy.Cones.cone;
-      n : int;
-      sides : (int * Rat.t) list list;
-    }
+(* Max-inequalities driven through the full Cones pipeline: Γn, whose
+   float probe certificates are repaired exactly, and Nn/Mn, whose
+   generator presolve settles most instances before their small
+   refutation LP.  Sides are raw [(mask, coeff)] term lists so failures
+   print and shrink structurally. *)
+type cone_case = {
+  cone : Bagcqc_entropy.Cones.cone;
+  n : int;
+  sides : (int * Rat.t) list list;
+}
 
 let cone_side rng ~n =
   let nterms = Rng.range rng 1 3 in
@@ -164,77 +160,68 @@ let cone_side rng ~n =
 
 (* Half the cone cases are Γn at n = 2..3 with up to 3 sides; the rest
    are Nn or Mn, whose decisions stay cheap up to n = 5 and 4 sides. *)
-let hybrid_case rng =
-  if Rng.int rng 3 < 2 then Raw_lp (lp_case rng)
-  else begin
-    let module Cones = Bagcqc_entropy.Cones in
-    let cone, (n_lo, n_hi), k_hi =
-      match Rng.int rng 4 with
-      | 0 -> (Cones.Normal, (1, 5), 4)
-      | 1 -> (Cones.Modular, (1, 5), 4)
-      | _ -> (Cones.Gamma, (2, 3), 3)
-    in
-    let n = Rng.range rng n_lo n_hi in
-    let k = Rng.range rng 1 k_hi in
-    Cone { cone; n; sides = List.init k (fun _ -> cone_side rng ~n) }
-  end
+let cone_case rng =
+  let module Cones = Bagcqc_entropy.Cones in
+  let cone, (n_lo, n_hi), k_hi =
+    match Rng.int rng 4 with
+    | 0 -> (Cones.Normal, (1, 5), 4)
+    | 1 -> (Cones.Modular, (1, 5), 4)
+    | _ -> (Cones.Gamma, (2, 3), 3)
+  in
+  let n = Rng.range rng n_lo n_hi in
+  let k = Rng.range rng 1 k_hi in
+  { cone; n; sides = List.init k (fun _ -> cone_side rng ~n) }
 
-let shrink_hybrid = function
-  | Raw_lp case -> List.map (fun c -> Raw_lp c) (shrink_lp case)
-  | Cone ({ sides; _ } as c) ->
-    let drop_side =
-      if List.length sides <= 1 then []
-      else
-        List.mapi
-          (fun i _ ->
-            Cone { c with sides = List.filteri (fun j _ -> j <> i) sides })
-          sides
-    in
-    let drop_term =
-      List.concat
-        (List.mapi
-           (fun i side ->
-             if List.length side <= 1 then []
-             else
-               List.mapi
-                 (fun t _ ->
-                   Cone
-                     { c with
-                       sides =
-                         List.mapi
-                           (fun j s ->
-                             if j = i then List.filteri (fun u _ -> u <> t) s
-                             else s)
-                           sides })
-                 side)
-           sides)
-    in
-    drop_side @ drop_term
+let shrink_cone ({ sides; _ } as c) =
+  let drop_side =
+    if List.length sides <= 1 then []
+    else
+      List.mapi
+        (fun i _ -> { c with sides = List.filteri (fun j _ -> j <> i) sides })
+        sides
+  in
+  let drop_term =
+    List.concat
+      (List.mapi
+         (fun i side ->
+           if List.length side <= 1 then []
+           else
+             List.mapi
+               (fun t _ ->
+                 { c with
+                   sides =
+                     List.mapi
+                       (fun j s ->
+                         if j = i then List.filteri (fun u _ -> u <> t) s
+                         else s)
+                       sides })
+               side)
+         sides)
+  in
+  drop_side @ drop_term
 
-let show_hybrid = function
-  | Raw_lp case -> "lp: " ^ show_lp case
-  | Cone { cone; n; sides } ->
-    let name =
-      match cone with
-      | Bagcqc_entropy.Cones.Gamma -> "gamma"
-      | Normal -> "normal"
-      | Modular -> "modular"
-    in
-    Printf.sprintf "%s n=%d max(%s)" name n
-      (String.concat " ; "
-         (List.map
-            (fun side ->
-              String.concat " + "
-                (List.map
-                   (fun (mask, c) ->
-                     Printf.sprintf "%s*h(%d)" (Rat.to_string c) mask)
-                   side))
-            sides))
+let show_cone { cone; n; sides } =
+  let name =
+    match cone with
+    | Bagcqc_entropy.Cones.Gamma -> "gamma"
+    | Normal -> "normal"
+    | Modular -> "modular"
+  in
+  Printf.sprintf "%s n=%d max(%s)" name n
+    (String.concat " ; "
+       (List.map
+          (fun side ->
+            String.concat " + "
+              (List.map
+                 (fun (mask, c) ->
+                   Printf.sprintf "%s*h(%d)" (Rat.to_string c) mask)
+                 side))
+          sides))
 
 (* ---------------- lazy vs full cone cases ---------------- *)
 
 (* Γn instances for the lazy-vs-full cone differential suite: the same
-   raw [(mask, coeff)] side encoding as [hybrid_case]'s cone population,
+   raw [(mask, coeff)] side encoding as [cone_case],
    one size further out — the separation loop and the symmetry layer
    only do interesting work from n = 3 up, and n = 4 reaches instances
    (Ingleton-like) where the two drivers walk genuinely different row
@@ -246,15 +233,15 @@ let lazy_case rng =
   let k = Rng.range rng 1 3 in
   { n; sides = List.init k (fun _ -> cone_side rng ~n) }
 
-let shrink_lazy { n; sides } =
-  List.filter_map
-    (function
-      | Cone { n; sides; _ } -> Some { n; sides }
-      | Raw_lp _ -> None)
-    (shrink_hybrid (Cone { cone = Bagcqc_entropy.Cones.Gamma; n; sides }))
+let gamma_case ({ n; sides } : lazy_case) =
+  { cone = Bagcqc_entropy.Cones.Gamma; n; sides }
 
-let show_lazy { n; sides } =
-  show_hybrid (Cone { cone = Bagcqc_entropy.Cones.Gamma; n; sides })
+let shrink_lazy c =
+  List.map
+    (fun ({ n; sides; _ } : cone_case) : lazy_case -> { n; sides })
+    (shrink_cone (gamma_case c))
+
+let show_lazy c = show_cone (gamma_case c)
 
 (* ---------------- Boolean query pairs ---------------- *)
 

@@ -36,24 +36,21 @@ val build_lp : lp_case -> Simplex.problem
 val shrink_lp : lp_case -> lp_case list
 val show_lp : lp_case -> string
 
-(** {2 Hybrid (float-first vs exact) LP cases} *)
+(** {2 Cone cases} *)
 
-type hybrid_case =
-  | Raw_lp of lp_case
-      (** a random LP, solved by [Simplex.solve] and [Simplex.solve_exact] *)
-  | Cone of {
-      cone : Bagcqc_entropy.Cones.cone;
-      n : int;
-      sides : (int * Rat.t) list list;
-    }
-      (** a max-inequality as raw [(mask, coeff)] sides, decided by
-          [Cones.valid_max_cert] and, at [Gamma],
-          [Cones.Oracle.valid_max_cert]; at [Normal] and [Modular],
-          [Cones.Oracle.refute_small] *)
+type cone_case = {
+  cone : Bagcqc_entropy.Cones.cone;
+  n : int;
+  sides : (int * Rat.t) list list;
+}
+(** A max-inequality as raw [(mask, coeff)] sides, decided by
+    [Cones.valid_max_cert] and, at [Gamma],
+    [Cones.Oracle.valid_max_cert]; at [Normal] and [Modular],
+    [Cones.Oracle.refute_small]. *)
 
-val hybrid_case : Rng.t -> hybrid_case
-val shrink_hybrid : hybrid_case -> hybrid_case list
-val show_hybrid : hybrid_case -> string
+val cone_case : Rng.t -> cone_case
+val shrink_cone : cone_case -> cone_case list
+val show_cone : cone_case -> string
 
 (** {2 Lazy vs full Γn driver cases} *)
 

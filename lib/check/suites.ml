@@ -120,7 +120,7 @@ let check_lp case =
       (Rat.equal (objective_value case x) v)
       "%s point is off its reported objective" engine
   in
-  match Dense_simplex.solve p, Simplex.solve_exact p with
+  match Dense_simplex.solve p, Simplex.solve p with
   | Simplex.Optimal (v1, x1), Simplex.Optimal (v2, x2) ->
     let* () =
       require (Rat.equal v1 v2) "optimal values differ: dense %s, sparse %s"
@@ -150,41 +150,14 @@ let simplex_suite =
 
 (* ---------------- float_vs_exact ---------------- *)
 
-(* Differential check for the hybrid LP pipeline (DESIGN.md §4f): the
-   production [Simplex.solve] must agree with the exact simplex on every
-   verdict, its optimal points must be exactly feasible at exactly the
-   reported value, and on cone instances the production Γn decision
-   must agree with the exact materialized oracle, every certificate
-   passing the exact, LP-independent [Certificate.check]; the
-   production Nn/Mn decision must agree with the exact LP over the same
-   generator rows.  The engine caches decisions, not LPs, so the two
-   paths cannot answer each other's LPs from a cache. *)
-
-let outcome_name = function
-  | Simplex.Optimal _ -> "Optimal"
-  | Simplex.Unbounded -> "Unbounded"
-  | Simplex.Infeasible -> "Infeasible"
-
-let check_hybrid_lp case =
-  let p = Gen.build_lp case in
-  match Simplex.solve_exact p, Simplex.solve p with
-  | Simplex.Optimal (ve, _), Simplex.Optimal (vh, xh) ->
-    let* () =
-      require (Rat.equal ve vh) "optimal values differ: exact %s, hybrid %s"
-        (Rat.to_string ve) (Rat.to_string vh)
-    in
-    let* () =
-      require (point_feasible case xh) "hybrid point violates a constraint"
-    in
-    require
-      (Rat.equal (objective_value case xh) vh)
-      "hybrid point is off its reported objective"
-  | Simplex.Unbounded, Simplex.Unbounded
-  | Simplex.Infeasible, Simplex.Infeasible -> Ok ()
-  | oe, oh ->
-    Error
-      (Printf.sprintf "status mismatch: exact %s, hybrid %s"
-         (outcome_name oe) (outcome_name oh))
+(* Differential check for the production cone decisions: on Γn
+   instances the production decision (lazy separation, whose float
+   probe certificates are repaired exactly) must agree with the
+   materialized oracle, every certificate passing the exact,
+   LP-independent [Certificate.check]; the production Nn/Mn decision
+   (generator presolve, then the exact LP) must agree with the exact LP
+   over the same generator rows.  The engine caches decisions, not LPs,
+   so the two paths cannot answer each other's LPs from a cache. *)
 
 let build_side terms =
   List.fold_left
@@ -193,7 +166,7 @@ let build_side terms =
         (Bagcqc_entropy.Linexpr.term ~coeff:c mask))
     Bagcqc_entropy.Linexpr.zero terms
 
-let check_hybrid_cone ~n sides =
+let check_gamma_cone ~n sides =
   let module Cones = Bagcqc_entropy.Cones in
   let module Certificate = Bagcqc_entropy.Certificate in
   let es = List.map build_side sides in
@@ -217,7 +190,7 @@ let check_hybrid_cone ~n sides =
     Error "verdict mismatch: exact oracle refutes, production says valid"
 
 (* Nn and Mn: the production decision (generator presolve, then the
-   float-first LP) against the exact LP on the same generator rows.  A
+   exact LP) against the exact LP on the same generator rows.  A
    refuter must lie in the cone and put every side at ≤ −1 exactly, as
    both the presolve and the LP construct it. *)
 let check_small_cone cone ~n sides =
@@ -259,22 +232,22 @@ let check_small_cone cone ~n sides =
   | Some _, Ok None ->
     Error "verdict mismatch: exact LP refutes, production says valid"
 
-let check_hybrid = function
-  | Gen.Raw_lp case -> check_hybrid_lp case
-  | Gen.Cone { cone = Bagcqc_entropy.Cones.Gamma; n; sides } ->
-    check_hybrid_cone ~n sides
-  | Gen.Cone { cone; n; sides } -> check_small_cone cone ~n sides
+let check_cone ({ cone; n; sides } : Gen.cone_case) =
+  match cone with
+  | Bagcqc_entropy.Cones.Gamma -> check_gamma_cone ~n sides
+  | Normal | Modular -> check_small_cone cone ~n sides
 
 let float_vs_exact_suite =
   Runner.Suite
     { name = "float_vs_exact";
       doc =
-        "production (float-first) LP and Γn/Nn/Mn decisions vs exact: \
-         verdicts, exact feasibility, certificate and refuter checks";
-      gen = Gen.hybrid_case;
-      show = Gen.show_hybrid;
-      shrink = Gen.shrink_hybrid;
-      check = check_hybrid }
+        "production Γn/Nn/Mn decisions (float-probe certificates, exact \
+         LP) vs the exact oracles: verdicts, certificate and refuter \
+         checks";
+      gen = Gen.cone_case;
+      show = Gen.show_cone;
+      shrink = Gen.shrink_cone;
+      check = check_cone }
 
 (* ---------------- lazy_vs_full ---------------- *)
 

@@ -11,11 +11,11 @@
       ({!Dense_simplex}) on random LPs — same status, equal optimal
       value, and each solver's point checked feasible and on-objective by
       exact arithmetic.
-    - [float_vs_exact]: production {!Bagcqc_lp.Simplex.solve} vs
-      {!Bagcqc_lp.Simplex.solve_exact} on raw LPs, and the production
-      Γn, Nn and Mn decisions vs {!Bagcqc_entropy.Cones.Oracle} on cone
-      instances (at Nn/Mn its exact LP over the generator rows, every
-      refuter re-checked in the cone with every side at most −1).
+    - [float_vs_exact]: the production Γn, Nn and Mn decisions (Γn
+      certificates from the float probe, repaired exactly) vs
+      {!Bagcqc_entropy.Cones.Oracle} on cone instances (at Nn/Mn its
+      exact LP over the generator rows, every refuter re-checked in the
+      cone with every side at most −1).
     - [lazy_vs_full]: the production (lazy) Γn driver vs
       {!Bagcqc_entropy.Cones.Oracle}, on both the certificate and the
       quick path, with certificates and refuters checked exactly.

@@ -12,7 +12,6 @@ type row = {
 type t = {
   tag : string;
   num_vars : int;
-  objective : (int * Rat.t) list;
   rows : row array;
 }
 
@@ -60,21 +59,16 @@ let compare_row a b =
         let c = compare (Array.length a.vals) (Array.length b.vals) in
         if c <> 0 then c else vals 0
 
-let make ~tag ~num_vars ?(objective = []) rows =
+let make ~tag ~num_vars rows =
   let check_col j =
     if j >= num_vars then invalid_arg "Engine.Problem: column out of range"
   in
-  let objective = canonical_pairs objective in
-  List.iter (fun (j, _) -> check_col j) objective;
-  List.iter
-    (fun r -> Array.iter check_col r.cols)
-    rows;
-  { tag; num_vars; objective; rows = Array.of_list (List.sort compare_row rows) }
+  List.iter (fun r -> Array.iter check_col r.cols) rows;
+  { tag; num_vars; rows = Array.of_list (List.sort compare_row rows) }
 
 let tag p = p.tag
 let num_vars p = p.num_vars
 let num_rows p = Array.length p.rows
-let objective p = p.objective
 
 let rows_list p =
   Array.to_list
@@ -85,8 +79,6 @@ let rows_list p =
        p.rows)
 
 let to_simplex p =
-  let objective = Array.make p.num_vars Rat.zero in
-  List.iter (fun (j, c) -> objective.(j) <- c) p.objective;
   let constraints =
     Array.to_list
       (Array.map
@@ -96,4 +88,6 @@ let to_simplex p =
              r.op r.rhs)
          p.rows)
   in
-  { Simplex.num_vars = p.num_vars; objective; constraints }
+  { Simplex.num_vars = p.num_vars;
+    objective = Array.make p.num_vars Rat.zero;
+    constraints }

@@ -11,7 +11,7 @@
     - the row {e set} is sorted under a total order, so two problems that
       list the same constraints in different orders have the same
       {!rows_list};
-    - the objective is a sparse sorted form (empty = pure feasibility);
+    - every problem is a pure feasibility system (zero objective);
     - a [tag] names the cone/backend family that built the problem (it
       labels the [solver.solve] span). *)
 
@@ -27,21 +27,17 @@ val row : (int * Rat.t) list -> Simplex.op -> Rat.t -> row
 
 type t
 
-val make : tag:string -> num_vars:int -> ?objective:(int * Rat.t) list -> row list -> t
-(** Canonicalize.  [objective] (to {e minimize}) defaults to the zero
-    objective, i.e. a pure feasibility problem.
-    @raise Invalid_argument if a row or objective column is [>= num_vars]. *)
+val make : tag:string -> num_vars:int -> row list -> t
+(** Canonicalize.
+    @raise Invalid_argument if a row column is [>= num_vars]. *)
 
 val tag : t -> string
 val num_vars : t -> int
 val num_rows : t -> int
 
-val objective : t -> (int * Rat.t) list
-(** The canonical sparse objective (empty for feasibility problems). *)
-
 val rows_list : t -> ((int * Rat.t) list * Simplex.op * Rat.t) list
 (** The canonical rows as [(pairs, op, rhs)] triples, in row order. *)
 
 val to_simplex : t -> Simplex.problem
-(** Lower to the solver's representation (dense objective, sparse
+(** Lower to the solver's representation (zero objective, sparse
     constraints). *)

@@ -144,18 +144,7 @@ end
 let c_lp_solves = Obs.Metrics.counter "lp.solves"
 let c_lp_pivots = Obs.Metrics.counter "lp.pivots"
 
-(* Wrap any solving function with the pivot-delta accounting every real
-   solve performs, so custom solvers (the lazy cone driver's
-   warm-started rounds) count in [lp.solves]/[lp.pivots] exactly like
-   the default. *)
-let instrument solver problem =
-  let p0 = Simplex.pivot_count () in
-  let outcome = solver problem in
-  Obs.Metrics.bump c_lp_solves;
-  Obs.Metrics.add c_lp_pivots (Simplex.pivot_count () - p0);
-  outcome
-
-let solve_using problem ~solver =
+let solve problem =
   Obs.Span.with_span ~name:"solver.solve"
     ~attrs:
       [ ("tag", Obs.Span.Str (Problem.tag problem));
@@ -163,10 +152,11 @@ let solve_using problem ~solver =
         ("vars", Obs.Span.Int (Problem.num_vars problem)) ]
   @@ fun () ->
   Obs.Span.add_attr "cache" (Obs.Span.Str "miss");
-  instrument solver problem
-
-let solve problem =
-  solve_using problem ~solver:(fun p -> Simplex.solve (Problem.to_simplex p))
+  let p0 = Simplex.pivot_count () in
+  let outcome = Simplex.solve (Problem.to_simplex problem) in
+  Obs.Metrics.bump c_lp_solves;
+  Obs.Metrics.add c_lp_pivots (Simplex.pivot_count () - p0);
+  outcome
 
 let feasible problem =
   match solve problem with

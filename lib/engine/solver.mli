@@ -6,7 +6,7 @@
     de-duplicated query pair, so a repeated check skips Eq. 8 and both
     cones.  Lookups bump the [solver.cache.hits]/[solver.cache.misses]
     counters, and {!clear} empties every instance.  LPs themselves are
-    not cached: every {!solve_using} runs its solver and is counted in
+    not cached: every {!solve} runs the simplex and is counted in
     [lp.solves]/[lp.pivots].
 
     The memo is safe from pool workers.  Lifecycle mutation ({!clear})
@@ -46,16 +46,8 @@ val publish_gauges : unit -> unit
 (** {2 LP solves} *)
 
 val solve : Problem.t -> Simplex.outcome
-(** {!Simplex.solve} on the lowered problem, counted like {!solve_using}. *)
-
-val solve_using :
-  Problem.t -> solver:(Problem.t -> Simplex.outcome) -> Simplex.outcome
-(** {!solve} with a caller-supplied solving function, under a
-    [solver.solve] span and counted in [lp.solves]/[lp.pivots] — the
-    lazy cone driver routes its warm-started per-round LPs through this
-    so they are accounted like every other solve.  The function must
-    return an outcome valid for the problem {e as given} (same variable
-    order); warm-start state may live in its closure. *)
+(** {!Simplex.solve} on the lowered problem, under a [solver.solve] span
+    and counted in [lp.solves]/[lp.pivots]. *)
 
 val feasible : Problem.t -> Rat.t array option
 (** Feasibility: [Some x] is a point of the polyhedron.  The problem's

@@ -283,9 +283,10 @@ let valid_shannon_many ~n es =
      race on LP solving rather than on the elemental-table mutex. *)
   (match es with [] -> () | _ -> ignore (Elemental.list ~n));
   (* Dedup before fanning out: a batch with repeated inequalities (bulk
-     clients, generated batches) solves each distinct expression once
-     and fans the verdict back out — cheaper than relying on the solver
-     cache, which would still pay one canonical-LP build per repeat. *)
+     clients, generated batches) decides each distinct expression once
+     and fans the verdict back out.  Nothing below this call memoizes a
+     Γn decision, so without the dedup every repeat would pay the full
+     separation loop again. *)
   let index = Etbl.create (List.length es) in
   let distinct = ref [] and n_distinct = ref 0 in
   List.iter
@@ -322,19 +323,6 @@ let shannon_certificate ~n e =
 module Oracle = struct
   let farkas = gamma_farkas
 
-  (* Exact simplex, but through the solver so [lp.*] counter accounting
-     behaves as for any other solve. *)
-  let feasible prob =
-    match
-      Solver.solve_using prob ~solver:(fun p ->
-          Simplex.solve_exact (Problem.to_simplex p))
-    with
-    | Simplex.Optimal (_, x) -> Some x
-    | Simplex.Infeasible -> None
-    | Simplex.Unbounded ->
-      Bagcqc_error.invariant ~where:"Cones.Oracle"
-        "feasibility problem reported unbounded"
-
   let build_farkas ~n es =
     build_span "gamma" ~kind:"farkas" ~n es (fun () -> farkas ~n es)
 
@@ -344,7 +332,7 @@ module Oracle = struct
     | [] -> Error (Polymatroid.zero n)
     | _ ->
       let prob, elems = build_farkas ~n es in
-      (match feasible prob with
+      (match Solver.feasible prob with
        | Some x ->
          let n_elem = List.length elems in
          let lambda =
@@ -358,7 +346,7 @@ module Oracle = struct
            build_span "gamma" ~kind:"refutation" ~n es (fun () ->
                gamma_refutation ~n es)
          in
-         (match feasible refutation with
+         (match Solver.feasible refutation with
           | Some x -> Error (Polymatroid.make n (fun s -> x.(s - 1)))
           | None ->
             (* LP duality (Theorem 6.1 at Γn): the Farkas system is
@@ -371,11 +359,11 @@ module Oracle = struct
 
   let valid_max_quick ~n es =
     check_range ~n es;
-    es <> [] && feasible (fst (build_farkas ~n es)) <> None
+    es <> [] && Solver.feasible (fst (build_farkas ~n es)) <> None
 
   let refute_small cone ~n es =
     check_range ~n es;
     let b = small_of_cone cone in
     Option.map (b.refuter ~n)
-      (feasible (small_refutation b ~n es (List.map (b.row ~n) es)))
+      (Solver.feasible (small_refutation b ~n es (List.map (b.row ~n) es)))
 end

@@ -17,18 +17,18 @@
     additionally return a Farkas {!Certificate.t} that can be re-verified
     without the solver.
 
-    One production path per cone: [Γn] is decided by the lazy
-    separation driver ({!Separation}, DESIGN.md §4i) on the float-first
-    LP.  [Nn] and [Mn] are conic hulls of finitely many generators (the
+    One production path per cone, and one exact LP engine
+    ({!Bagcqc_lp.Simplex.solve}, DESIGN.md §4f) under all of them: [Γn]
+    is decided by the lazy separation driver ({!Separation}, DESIGN.md
+    §4i), whose float probe only steers it.  [Nn] and [Mn] are conic hulls of finitely many generators (the
     step functions, the basic modular functions), so they are decided
     on the side-by-generator matrix: exact sign tests settle a side
     that is non-negative on every generator (valid) and a generator on
     which every side is negative (refuted by a multiple of it); only
     the rest solve the small refutation LP built from the same rows
     (counters [cone.presolve.valid], [cone.presolve.refuted],
-    [cone.presolve.lp]).  The materialized Γn driver on exact LP
-    survives only as the reference {!Oracle} for the fuzz suites and
-    the corpus audit. *)
+    [cone.presolve.lp]).  The materialized Γn driver survives only as
+    the reference {!Oracle} for the fuzz suites and the corpus audit. *)
 
 open Bagcqc_engine
 
@@ -98,9 +98,8 @@ val shannon_certificate : n:int -> Linexpr.t -> (Linexpr.t * Bagcqc_num.Rat.t) l
 (** {1 Reference oracle}
 
     The materialized Γn driver: every LP carries the whole elemental
-    family and is solved by the exact simplex
-    ({!Bagcqc_lp.Simplex.solve_exact}) through the solver's [lp.*]
-    accounting.  Too slow for production from n ≈ 6 up; kept as the
+    family and is solved by {!Bagcqc_engine.Solver.feasible}, counted
+    in [lp.*] like every other solve.  Too slow for production from n ≈ 6 up; kept as the
     independent reference the [lazy_vs_full] fuzz suite and the tests
     compare the production driver against.  {!refute_small} is the
     LP-only reference for the [Nn]/[Mn] generator presolve. *)

@@ -43,8 +43,8 @@
        over the support's working-set rows W′ (certificate path), and
        from there — or straight away on the quick path — to one exact
        R(W) round on a rebuilt tableau.
-     - float probe optimal with no float-violated cut ⇒ one exact
-       hybrid R(W) round: its exact point either passes the exact
+     - float probe optimal with no float-violated cut ⇒ one exact R(W)
+       round: its exact point either passes the exact
        separation scan (genuine refuter) or yields exact cuts the float
        scan missed.
 
@@ -79,8 +79,8 @@
 
    Trust model: unchanged.  Float probes decide nothing — their points
    choose cuts, their Farkas rows choose the structure of an exact
-   repair.  Every LP a verdict rests on goes through the hybrid engine
-   whose answers are exact after repair; validity carries a Farkas
+   repair.  Every LP a verdict rests on is solved by the exact simplex;
+   validity carries a Farkas
    certificate judged by the same LP-independent [Certificate.check] as
    the full driver (the quick path's verdict rests on the same exact
    Farkas identity, re-derived in [Rat]), and refuters satisfy every
@@ -99,7 +99,6 @@ let where = "Separation"
 let c_solves = Obs.Metrics.counter "cone.lazy.solves"
 let c_rounds = Obs.Metrics.counter "cone.lazy.rounds"
 let c_cuts = Obs.Metrics.counter "cone.lazy.cuts"
-let c_fallbacks = Obs.Metrics.counter "cone.lazy.fallbacks"
 let c_orbit_cuts = Obs.Metrics.counter "cone.orbit.cuts"
 let c_canonicalized = Obs.Metrics.counter "cone.orbit.canonicalized"
 let c_probe_certs = Obs.Metrics.counter "cone.lazy.probe_certs"
@@ -173,51 +172,6 @@ let cone_frow ~n d =
    not need is a slack row that every pivot must still update, and the
    scan admits the slices a target does need within a round or two. *)
 let seed_descs ~n = List.init n (fun i -> Elemental.Mono i)
-
-(* ---------------- warm-start bookkeeping ----------------
-
-   Rows only ever get added between rounds, and [Problem] keeps its rows
-   in one canonical sorted order — so the previous round's rows appear
-   as a sorted subsequence of the new round's rows.  A single merge walk
-   recovers where each old row went; structural columns are shared,
-   every row here is an inequality (exactly one slack/surplus column,
-   assigned in row order by [Lp_layout]), so old slack column
-   [num_vars + i] becomes [num_vars + map(i)] and artificial columns
-   are dropped.  Any mismatch just forfeits the hint ([None]) — warmth
-   is an optimization, never a soundness input. *)
-
-let row_equal (p1, o1, r1) (p2, o2, r2) =
-  o1 = o2 && Rat.equal r1 r2
-  && List.equal (fun (j1, c1) (j2, c2) -> j1 = j2 && Rat.equal c1 c2) p1 p2
-
-let warm_hint ~num_vars prev prob =
-  match prev with
-  | None -> None
-  | Some (old_rows, basis) ->
-    let new_rows = Array.of_list (Problem.rows_list prob) in
-    let n_new = Array.length new_rows in
-    let map = Array.make (List.length old_rows) (-1) in
-    let exception Lost in
-    (try
-       let j = ref 0 in
-       List.iteri
-         (fun i r ->
-           while !j < n_new && not (row_equal r new_rows.(!j)) do
-             incr j
-           done;
-           if !j >= n_new then raise Lost;
-           map.(i) <- !j;
-           incr j)
-         old_rows;
-       let m_old = Array.length map in
-       Some
-         (Array.map
-            (fun c ->
-              if c < num_vars then c
-              else if c < num_vars + m_old then num_vars + map.(c - num_vars)
-              else -1 (* artificial: not reusable across rounds *))
-            basis)
-     with Lost -> None)
 
 (* ---------------- restricted Farkas ----------------
 
@@ -380,9 +334,6 @@ let run ~n ~stabilizer ~certify es =
     end
   in
   List.iter (fun d -> ignore (add_desc d)) (seed_descs ~n);
-  (* Warm hint for the next exact round, through the canonical-order
-     merge walk. *)
-  let prev = ref None in
   (* Add the [cut_batch] most-violated of [ranked] (pre-sorted by
      violation, ties broken by descriptor order, so the cut sequence —
      and with it every per-round system — is deterministic per build),
@@ -486,26 +437,14 @@ let run ~n ~stabilizer ~certify es =
            cannot distinguish a genuine Γn refuter from tolerance slack —
            only an exact point can. *)
         exact_round round
-  and solve_exact descs =
-    let cone_rows = List.rev_map (fun d -> cone_prow ~n d) descs in
-    let prob =
-      Problem.make ~tag:"gamma/refute_lazy" ~num_vars
-        (List.rev_append cone_rows target_rows)
-    in
-    let solver p =
-      let warm = warm_hint ~num_vars !prev p in
-      let outcome, basis = Simplex.solve_warm ?warm (Problem.to_simplex p) in
-      prev :=
-        (match basis with
-         | Some b -> Some (Problem.rows_list p, b)
-         | None -> None);
-      outcome
-    in
-    Solver.solve_using prob ~solver
   and exact_round round =
     check_limit round;
     Obs.Metrics.bump c_rounds;
-    match solve_exact (List.rev !w) with
+    let prob =
+      Problem.make ~tag:"gamma/refute_lazy" ~num_vars
+        (List.map (cone_prow ~n) !w @ target_rows)
+    in
+    match Solver.solve prob with
     | Simplex.Infeasible -> Valid !w
     | Simplex.Unbounded ->
       Bagcqc_error.invariant ~where
@@ -591,10 +530,11 @@ let assemble ~n ~sym ~es ~lambda ~nu ~mu =
   Certificate.make ~n ~cone:"gamma" ~sides:es ~lambda ~mu
 
 (* Prove validity of the canonical instance over the working set
-   [w_descs] (add order): solve the restricted Farkas system and accept
-   only a certificate the exact [Certificate.check] passes.  [None]
-   means F(W) is infeasible — the caller's infeasibility claim for R(W)
-   was wrong (or, from an exact round, genuinely contradictory). *)
+   [w_descs] (add order): solve the restricted Farkas system and return
+   its certificate, which must pass the exact [Certificate.check].
+   [None] means F(W) is infeasible — the caller's infeasibility claim
+   for R(W) was wrong (or, from an exact round, genuinely
+   contradictory). *)
 let certify_working_set ~n ~sym ~es w_descs =
   let axioms = List.map (Elemental.expr_of_desc ~n) w_descs in
   let n_ax = List.length axioms in
@@ -607,23 +547,17 @@ let certify_working_set ~n ~sym ~es w_descs =
       ~nu:(List.init nv (fun s -> (s + 1, x.(n_ax + k + s))))
       ~mu:(List.init k (fun l -> x.(n_ax + l)))
   in
-  match Solver.feasible fprob with
-  | None -> None
-  | Some x ->
-    let cert = assemble x in
-    (* Defense in depth (DESIGN.md §4f/§4i): accept only certificates
-       that pass the exact check; a rejection is a solver bug repaired
-       by an exact re-solve, never an uncertified answer. *)
-    if Certificate.check cert then Some cert
-    else begin
-      Obs.Metrics.bump c_fallbacks;
-      match Simplex.solve_exact (Problem.to_simplex fprob) with
-      | Simplex.Optimal (_, x) -> Some (assemble x)
-      | Simplex.Infeasible | Simplex.Unbounded ->
+  Option.map
+    (fun x ->
+      let cert = assemble x in
+      (* Defense in depth (DESIGN.md §4i): an exact solve of F(W) yields
+         a certificate by construction, so a rejection is a bug in the
+         solver or the assembly — never an uncertified answer. *)
+      if not (Certificate.check cert) then
         Bagcqc_error.invariant ~where
-          "float-first lazy Farkas point rejected by Certificate.check \
-           and the exact re-solve found no feasible point"
-    end
+          "restricted Farkas point rejected by Certificate.check";
+      cert)
+    (Solver.feasible fprob)
 
 (* ---------------- certificate from the probe ----------------
 

@@ -20,8 +20,9 @@
     [cone.lazy.probe_cert_fallbacks], its reason on the
     [cone.lazy.probe_cert] span) pays for the restricted Farkas LP, and
     only a probe without a usable answer pays for an exact refutation
-    round; those LPs go through {!Bagcqc_engine.Solver.solve_using}, so
-    they are counted in [lp.solves]/[lp.pivots].
+    round; those LPs are solved exactly by
+    {!Bagcqc_engine.Solver.solve}, so they are counted in
+    [lp.solves]/[lp.pivots].
 
     Soundness does not rest on the cutting-plane loop or on the floats:
     "valid" carries a Farkas certificate over W ⊆ elemental family that

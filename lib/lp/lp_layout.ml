@@ -1,12 +1,7 @@
-(* Shared LP ingestion: the problem representation and the normalized
-   row/column layout used by every solver in this library — the exact
-   sparse simplex in {!Simplex}, the floating-point
-   basis proposer {!Fsimplex}, and the exact basis repair {!Repair}.
-
-   Keeping ingestion in one place is load-bearing for the hybrid
-   (float-first) pipeline: a basis is communicated between the float and
-   exact worlds as an array of {e column indices}, so both sides must
-   agree exactly on what each column index means.  The layout contract:
+(* LP ingestion: the problem representation and the normalized
+   row/column layout of the exact simplex ({!Simplex}), plus the
+   per-domain pivot odometer that the float probe ({!Fsimplex}) feeds
+   too.  The layout contract:
 
    - columns [0, num_vars) are the structural variables;
    - then one slack/surplus column per inequality row ([Le]: +1 slack,
@@ -20,12 +15,12 @@ open Bagcqc_num
 
 type op = Le | Ge | Eq
 
-(* Per-domain pivot odometer, shared by every solver (the exact simplex
-   and the float proposer): bumped once per Gaussian pivot.  Callers read
-   it as a delta around a solve, which only stays exact if no other
-   domain's pivots leak into the window — hence one cell per domain
-   rather than one shared counter.  Lives here (not in Simplex) so
-   {!Fsimplex} can feed the same odometer without a dependency cycle. *)
+(* Per-domain pivot odometer, shared by the exact simplex and the float
+   probe: bumped once per Gaussian pivot.  Callers read it as a delta
+   around a solve, which only stays exact if no other domain's pivots
+   leak into the window — hence one cell per domain rather than one
+   shared counter.  Lives here (not in Simplex) so {!Fsimplex} can feed
+   it without depending on the exact simplex. *)
 let pivots_key = Domain.DLS.new_key (fun () -> ref 0)
 let pivot_count () = !(Domain.DLS.get pivots_key)
 let note_pivot () = incr (Domain.DLS.get pivots_key)
@@ -93,10 +88,9 @@ let validate { num_vars; objective; constraints } =
       then invalid_arg "Simplex.solve: constraint column out of range")
     constraints
 
-(* Normalized ingestion shared by all solvers: flip rows to non-negative
-   rhs and compute the column layout — [0, num_vars) structural, then one
-   slack/surplus column per inequality, then one artificial column per
-   Ge/Eq row. *)
+(* Normalized ingestion: flip rows to non-negative rhs and compute the
+   column layout — [0, num_vars) structural, then one slack/surplus
+   column per inequality, then one artificial column per Ge/Eq row. *)
 type layout = {
   m : int;
   ncols : int;
@@ -130,28 +124,3 @@ let layout_of { num_vars; constraints; _ } =
   in
   let ncols = num_vars + num_slack + num_art in
   { m; ncols; art_start = num_vars + num_slack; num_art; rows_data }
-
-(* Sparse column view of the full constraint matrix (structural, slack
-   and artificial columns), for the repair step's reduced-cost checks.
-   [columns lay ~num_vars] is an array of [(row, coeff)] lists indexed by
-   column, following the layout contract above. *)
-let columns { m = _; ncols; art_start; rows_data; _ } ~num_vars =
-  let cols : (int * Rat.t) list array = Array.make ncols [] in
-  let next_slack = ref num_vars and next_art = ref art_start in
-  Array.iteri
-    (fun i (cs, vs, op, _rhs) ->
-      Array.iteri (fun k j -> cols.(j) <- (i, vs.(k)) :: cols.(j)) cs;
-      match op with
-      | Le ->
-        cols.(!next_slack) <- [ (i, Rat.one) ];
-        incr next_slack
-      | Ge ->
-        cols.(!next_slack) <- [ (i, Rat.minus_one) ];
-        incr next_slack;
-        cols.(!next_art) <- [ (i, Rat.one) ];
-        incr next_art
-      | Eq ->
-        cols.(!next_art) <- [ (i, Rat.one) ];
-        incr next_art)
-    rows_data;
-  cols

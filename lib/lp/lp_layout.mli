@@ -1,10 +1,7 @@
-(** Shared LP ingestion for the solvers of this library.
-
-    {!Simplex} (exact sparse), {!Fsimplex} (floating-point basis
-    proposer) and {!Repair} (exact basis repair) all normalize problems
-    through this one module, so a simplex {e basis} — an array mapping
-    each row to the column basic in it — means exactly the same thing to
-    all of them.  The column layout contract:
+(** LP ingestion for the exact simplex: the problem representation,
+    its normalized row/column layout, and the per-domain pivot odometer
+    the float probe ({!Fsimplex}) feeds as well.  The column layout
+    contract:
 
     - columns [0, num_vars) are the structural variables;
     - then one slack/surplus column per inequality row ([Le]: +1 slack,
@@ -14,17 +11,15 @@
     - rows are flipped to a non-negative right-hand side before columns
       are assigned ([Le] ↔ [Ge] under negation).
 
-    Callers outside [lib/lp] should use the re-exports in {!Simplex};
-    this interface exists for the solver implementations (and for test
-    oracles that must lay problems out the same way). *)
+    Callers outside [lib/lp] should use the re-exports in {!Simplex}. *)
 
 open Bagcqc_num
 
 type op = Le | Ge | Eq
 
 val pivot_count : unit -> int
-(** Per-domain pivot odometer shared by every solver; see
-    {!Simplex.pivot_count} for the public contract. *)
+(** Per-domain pivot odometer shared by the exact simplex and the float
+    probe; see {!Simplex.pivot_count} for the public contract. *)
 
 val note_pivot : unit -> unit
 
@@ -63,8 +58,3 @@ type layout = {
 }
 
 val layout_of : problem -> layout
-
-val columns : layout -> num_vars:int -> (int * Rat.t) list array
-(** Sparse column view of the full constraint matrix (structural, slack
-    and artificial columns), indexed by column per the layout contract.
-    Used by the repair step's reduced-cost checks. *)

@@ -1,15 +1,10 @@
-(* Two-phase primal simplex over exact rationals, behind a float-first
-   front end.
+(* Two-phase primal simplex over exact rationals: the one LP engine of
+   this library.  The tests and the [simplex] fuzz suite hold it to a
+   dense tableau reference ([Bagcqc_check.Dense_simplex]).
 
-   Every production solve runs the hybrid pipeline (DESIGN.md §4f): a
-   float simplex proposes a basis, {!Repair} rebuilds and verifies the
-   exact solution for it, and any hiccup falls back to the exact sparse
-   solver below ({!solve_exact}).  The tests hold that solver to a dense
-   tableau reference ([Bagcqc_check.Dense_simplex]).
-
-   The exact solver exploits the structure of the entropic LPs this
-   project actually solves — elemental Shannon inequalities have at most
-   4 nonzero coefficients, almost all ±1/±2 — in three ways:
+   The solver exploits the structure of the entropic LPs this project
+   actually solves — elemental Shannon inequalities have at most 4
+   nonzero coefficients, almost all ±1/±2 — in three ways:
 
    - constraints are ingested as sorted [(col, coeff)] pairs, so building
      the tableau never materializes the zero coefficients;
@@ -32,10 +27,8 @@
 open Bagcqc_num
 open Rat.Infix
 
-(* Problem representation and normalized ingestion live in {!Lp_layout},
-   shared with the float-first pipeline ({!Fsimplex} + {!Repair}) so a
-   basis means the same columns to every solver.  Re-exported here so
-   callers keep a single entry point. *)
+(* Problem representation and normalized ingestion live in {!Lp_layout};
+   re-exported here so callers keep a single entry point. *)
 type op = Lp_layout.op = Le | Ge | Eq
 
 type constr = Lp_layout.constr = {
@@ -58,7 +51,7 @@ type outcome =
   | Infeasible
 
 (* Per-domain pivot odometer (see the .mli): the cell itself lives in
-   {!Lp_layout} so the float proposer feeds the same meter. *)
+   {!Lp_layout} so the float probe feeds the same meter. *)
 let pivot_count = Lp_layout.pivot_count
 let note_pivot = Lp_layout.note_pivot
 
@@ -343,12 +336,11 @@ let outcome_name = function
   | Unbounded -> "unbounded"
   | Infeasible -> "infeasible"
 
-let solve_exact p =
+let solve p =
   validate p;
   Obs.Span.with_span ~name:"simplex.solve"
     ~attrs:
-      [ ("engine", Obs.Span.Str "exact");
-        ("rows", Obs.Span.Int (List.length p.constraints));
+      [ ("rows", Obs.Span.Int (List.length p.constraints));
         ("vars", Obs.Span.Int p.num_vars) ]
   @@ fun () ->
   let p0 = pivot_count () in
@@ -360,86 +352,6 @@ let solve_exact p =
     Obs.Span.add_attr "outcome" (Obs.Span.Str (outcome_name outcome))
   end;
   outcome
-
-(* ---- float-first hybrid (DESIGN.md §4f) ----
-   Propose a basis in floats, repair it exactly, fall back to the exact
-   engine on any hiccup.  The four counters make the fallback rate
-   measurable from --stats, `report` and the bench JSON. *)
-
-let c_float_solves = Obs.Metrics.counter "lp.hybrid.float_solves"
-let c_repairs = Obs.Metrics.counter "lp.hybrid.repairs"
-let c_repair_failures = Obs.Metrics.counter "lp.hybrid.repair_failures"
-let c_fallbacks = Obs.Metrics.counter "lp.hybrid.fallbacks"
-
-(* The hybrid, optionally warm-started, reporting the accepted basis back
-   to the caller so a cutting-plane loop can feed it into the next round.
-   [solve] below is this with no warm hint and the basis dropped. *)
-let solve_warm ?warm p =
-  validate p;
-  Obs.Span.with_span ~name:"simplex.solve"
-    ~attrs:
-      [ ("engine", Obs.Span.Str "float_first");
-        ("rows", Obs.Span.Int (List.length p.constraints));
-        ("vars", Obs.Span.Int p.num_vars) ]
-  @@ fun () ->
-  let fallback reason =
-    Obs.Metrics.bump c_fallbacks;
-    if !Obs.Runtime.enabled then
-      Obs.Span.add_attr "fallback" (Obs.Span.Str reason);
-    (* The exact solve opens its own nested simplex.solve span, so a
-       trace shows both the failed float attempt and the exact solve. *)
-    solve_exact p
-  in
-  Obs.Metrics.bump c_float_solves;
-  let p0 = pivot_count () in
-  let lay = layout_of p in
-  let outcome, basis =
-    match Fsimplex.propose ?warm p lay with
-    | Error e ->
-      (* Typed numerical failure (NaN/inf/pivot budget): never a verdict,
-         always a fallback. *)
-      ( fallback
-          (match e.Bagcqc_error.kind with
-           | Bagcqc_error.Overflow msg -> "float_error:" ^ msg
-           | Bagcqc_error.Invariant msg -> "float_invariant:" ^ msg
-           | Bagcqc_error.Unsupported msg -> "float_unsupported:" ^ msg),
-        None )
-    | Ok Fsimplex.Unbounded_direction ->
-      (* No finite basis to certify; let the exact engine decide. *)
-      (fallback "unbounded", None)
-    | Ok proposal ->
-      let proposed_basis =
-        match proposal with
-        | Fsimplex.Optimal_basis b | Fsimplex.Infeasible_basis b -> b
-        | Fsimplex.Unbounded_direction -> assert false
-      in
-      (match Repair.repair p lay proposal with
-       | Repair.Repaired_optimal (v, x) ->
-         Obs.Metrics.bump c_repairs;
-         (Optimal (v, x), Some proposed_basis)
-       | Repair.Repaired_infeasible ->
-         Obs.Metrics.bump c_repairs;
-         (Infeasible, Some proposed_basis)
-       | Repair.Rejected reason ->
-         Obs.Metrics.bump c_repair_failures;
-         (fallback ("repair:" ^ reason), None))
-  in
-  if !Obs.Runtime.enabled then begin
-    (* On a fallback the nested solve_exact already observed its own
-       pivots-per-solve; observing the combined delta again would double-
-       count, so the hybrid span only reports the accepted-repair case. *)
-    if basis <> None then begin
-      let dp = pivot_count () - p0 in
-      Obs.Metrics.observe h_pivots_per_solve dp;
-      Obs.Span.add_attr "pivots" (Obs.Span.Int dp)
-    end;
-    Obs.Span.add_attr "outcome" (Obs.Span.Str (outcome_name outcome))
-  end;
-  (outcome, basis)
-
-let solve p = fst (solve_warm p)
-
-let solve_result p = Bagcqc_error.protect (fun () -> solve p)
 
 let feasible ~num_vars constraints =
   match solve { num_vars; objective = Array.make num_vars Rat.zero; constraints } with

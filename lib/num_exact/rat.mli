@@ -56,8 +56,9 @@ val to_float : t -> float
     {b Rounding contract.}  Each of the two conversions rounds to
     nearest and the IEEE division rounds the quotient to nearest again,
     so the result is within 2 ulp of the true value — close enough for
-    the float-first LP pipeline, whose verdicts never depend on this
-    value (every accepted answer is re-verified in exact arithmetic).
+    the float probe of the lazy Γn loop, whose verdicts never depend on
+    this value (every accepted answer is re-verified in exact
+    arithmetic).
     The rounding is {e not} directed: callers must not assume
     [to_float x <= x] or [>= x].  Values beyond the float range come
     back as [infinity]/[-infinity] (consumers with totality obligations,

@@ -24,12 +24,11 @@ let g_in_flight = Obs.Metrics.gauge "serve.in_flight"
 let g_open_conns = Obs.Metrics.gauge "serve.open_connections"
 
 (* Counters whose recent movement the daemon reports as rolling 1m/5m
-   rates (decisions/sec, fallback and hit rates) via `stats`//metrics. *)
+   rates (decisions/sec and hit rates) via `stats`//metrics. *)
 let windowed_counters =
   [ "serve.requests"; "serve.replies"; "serve.errors";
     "solver.cache.hits"; "solver.cache.misses"; "lp.solves";
-    "lp.hybrid.float_solves";
-    "lp.hybrid.fallbacks"; "cone.lazy.solves"; "cone.lazy.cuts" ]
+    "cone.lazy.solves"; "cone.lazy.cuts" ]
 
 type config = {
   addr : Protocol.addr;
@@ -218,8 +217,7 @@ let wire_aliases =
     ("lp_pivots", "lp.pivots"); ("cache_hits", "solver.cache.hits");
     ("cache_misses", "solver.cache.misses");
     ("lazy_solves", "cone.lazy.solves"); ("lazy_rounds", "cone.lazy.rounds");
-    ("lazy_cuts", "cone.lazy.cuts"); ("lazy_fallbacks", "cone.lazy.fallbacks");
-    ("orbit_cuts", "cone.orbit.cuts");
+    ("lazy_cuts", "cone.lazy.cuts"); ("orbit_cuts", "cone.orbit.cuts");
     ("orbit_canonicalized", "cone.orbit.canonicalized") ]
 
 let stats_fields t =

@@ -43,27 +43,14 @@ let test_problem_canonical () =
   let p3 = Problem.make ~tag:"u" ~num_vars:3 [ r1; r2 ] in
   Alcotest.(check bool) "tag distinguishes" false
     (Problem.tag p1 = Problem.tag p3);
-  Alcotest.check row_t "same rows under another tag" (rows p1) (rows p3);
-  (* And so does the objective. *)
-  let p4 =
-    Problem.make ~tag:"t" ~num_vars:3 ~objective:[ (0, q 1); (1, q 0) ]
-      [ r1; r2 ]
-  in
-  let obj p = List.map (fun (j, c) -> (j, Rat.to_string c)) (Problem.objective p) in
-  Alcotest.(check (list (pair int string))) "feasibility objective empty" []
-    (obj p1);
-  Alcotest.(check (list (pair int string))) "objective distinguishes"
-    [ (0, "1") ] (obj p4)
+  Alcotest.check row_t "same rows under another tag" (rows p1) (rows p3)
 
 let test_problem_validation () =
   Alcotest.(check bool) "negative column rejected" true
     (raises_invalid (fun () -> Problem.row [ (-1, q 1) ] Simplex.Le (q 0)));
   let r = Problem.row [ (3, q 1) ] Simplex.Le (q 0) in
   Alcotest.(check bool) "column beyond num_vars rejected" true
-    (raises_invalid (fun () -> Problem.make ~tag:"t" ~num_vars:3 [ r ]));
-  Alcotest.(check bool) "objective beyond num_vars rejected" true
-    (raises_invalid (fun () ->
-         Problem.make ~tag:"t" ~num_vars:1 ~objective:[ (5, q 1) ] []))
+    (raises_invalid (fun () -> Problem.make ~tag:"t" ~num_vars:3 [ r ]))
 
 (* ---------------- decision memo ---------------- *)
 

@@ -814,6 +814,34 @@ let test_probe_no_stall_n7 () =
   let worst = max_probe_pivots () in
   if worst > 212 then Alcotest.failf "a reoptimize took %d pivots (cap 212)" worst
 
+(* The Γn refutation path ends on exact R(W) rounds, solved cold by the
+   exact simplex.  Ingleton is refuted over Γn for every n ≥ 4; the
+   caps are twice the solves and pivots measured at n = 4, 5, 6
+   (1/23, 2/88, 1/118), so a pivoting or separation regression that
+   multiplies the exact work fails here. *)
+let test_ingleton_refutation_cost () =
+  let ingleton =
+    Linexpr.sub
+      (Linexpr.sum [ i_pair 0 1 [ 2 ]; i_pair 0 1 [ 3 ]; i_pair 2 3 [] ])
+      (i_pair 0 1 [])
+  in
+  List.iter
+    (fun (n, max_solves, max_pivots) ->
+      let solves = counter "lp.solves" and pivots = counter "lp.pivots" in
+      (match Cones.valid Cones.Gamma ~n ingleton with
+       | Error h ->
+         Alcotest.(check bool) "refuter is a polymatroid" true
+           (Polymatroid.is_polymatroid h);
+         Alcotest.(check bool) "refuter violates Ingleton" true
+           (Rat.sign (Polymatroid.eval h ingleton) < 0)
+       | Ok () -> Alcotest.failf "Ingleton is not valid over Γ%d" n);
+      let solves = counter "lp.solves" - solves
+      and pivots = counter "lp.pivots" - pivots in
+      if solves > max_solves || pivots > max_pivots then
+        Alcotest.failf "n=%d: %d solves / %d pivots (cap %d / %d)" n solves
+          pivots max_solves max_pivots)
+    [ (4, 2, 46); (5, 4, 176); (6, 2, 236) ]
+
 let test_first_n8_decision () =
   Bagcqc_engine.Solver.clear ();
   decides_valid_with_checked_cert ~n:8
@@ -936,5 +964,6 @@ let suite =
     ("probe certificates solve no LP", `Quick, test_probe_certificates_solve_no_lp);
     ("probe repair declines to F(W')", `Quick, test_probe_repair_declines_to_fallback);
     ("probe does not stall at n=7", `Quick, test_probe_no_stall_n7);
+    ("Ingleton refutation: exact rounds capped", `Quick, test_ingleton_refutation_cost);
     ("first exact n=8 decision", `Quick, test_first_n8_decision) ]
   @ qtests

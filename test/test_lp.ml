@@ -1,5 +1,5 @@
-(* Tests for the simplex solvers: the production float-first [solve], the
-   exact [solve_exact], and their agreement with the dense oracle. *)
+(* Tests for the exact simplex [solve], its agreement with the dense
+   oracle, and the float probe tableau of the lazy Γn loop. *)
 
 open Bagcqc_num
 open Bagcqc_lp
@@ -152,10 +152,9 @@ let redundant_equalities =
 let test_redundant_equalities () =
   check_optimal "value" (q 4) (Simplex.solve redundant_equalities)
 
-(* The fixtures above run through the production float-first [solve],
-   which hands most of them to the float front end; the exact simplex
-   and the dense oracle must get the pivot-rule-sensitive ones right on
-   their own, including both non-optimal statuses. *)
+(* The exact simplex and the dense oracle must each get the
+   pivot-rule-sensitive fixtures right, including both non-optimal
+   statuses. *)
 let test_exact_solvers_on_fixtures () =
   let one_var op rhs obj =
     Simplex.{ num_vars = 1; objective = qa [ obj ];
@@ -172,7 +171,7 @@ let test_exact_solvers_on_fixtures () =
       match solve (one_var Simplex.Le (-1) 1) with
       | Simplex.Infeasible -> ()
       | _ -> Alcotest.failf "%s: expected infeasible" name)
-    [ ("solve_exact", Simplex.solve_exact); ("dense", Dense_simplex.solve) ]
+    [ ("solve", Simplex.solve); ("dense", Dense_simplex.solve) ]
 
 let test_dimension_mismatch () =
   let p =
@@ -238,7 +237,8 @@ let prop_solution_feasible =
    LPs mixing Le/Ge/Eq rows with signed coefficients and right-hand sides
    (the mix produces feasible, infeasible, unbounded, and degenerate
    instances; optimal *points* may legitimately differ when the optimum
-   face is not a vertex, so only values are compared). *)
+   face is not a vertex, so only values are compared) — and the sparse
+   solver's optimal point is exactly feasible and attains its value. *)
 let outcomes_agree a b =
   match a, b with
   | Simplex.Optimal (va, _), Simplex.Optimal (vb, _) -> Rat.equal va vb
@@ -267,12 +267,33 @@ let random_problem st =
             objective = Array.init nv (fun _ -> rand_rat ());
             constraints }
 
+let dot row x =
+  Array.fold_left Rat.add Rat.zero (Array.mapi (fun i c -> Rat.mul c x.(i)) row)
+
+let point_attains (p : Simplex.problem) = function
+  | Simplex.Optimal (v, x) ->
+    Array.for_all (fun xi -> Rat.sign xi >= 0) x
+    && List.for_all
+         (fun (c : Lp_layout.constr) ->
+           let lhs =
+             Array.fold_left Rat.add Rat.zero
+               (Array.mapi (fun k j -> Rat.mul c.vals.(k) x.(j)) c.cols)
+           in
+           match c.op with
+           | Simplex.Le -> Rat.compare lhs c.rhs <= 0
+           | Simplex.Ge -> Rat.compare lhs c.rhs >= 0
+           | Simplex.Eq -> Rat.equal lhs c.rhs)
+         p.constraints
+    && Rat.equal v (dot p.objective x)
+  | Simplex.Unbounded | Simplex.Infeasible -> true
+
 let prop_engines_agree =
   QCheck.Test.make ~name:"sparse and dense engines agree" ~count:300
     QCheck.(int_bound 1_000_000)
     (fun seed ->
       let p = random_problem (Random.State.make [| seed |]) in
-      outcomes_agree (Dense_simplex.solve p) (Simplex.solve_exact p))
+      let sparse = Simplex.solve p in
+      outcomes_agree (Dense_simplex.solve p) sparse && point_attains p sparse)
 
 (* Same LP given densely and as reversed (column, coefficient) pairs must
    solve identically under the production solver, and under the dense
@@ -308,7 +329,7 @@ let prop_sparse_ingestion =
       let pd = Simplex.{ num_vars = nv; objective; constraints = dense_rows } in
       let ps = Simplex.{ num_vars = nv; objective; constraints = sparse_rows } in
       outcomes_agree (Simplex.solve pd) (Simplex.solve ps)
-      && outcomes_agree (Dense_simplex.solve pd) (Simplex.solve_exact ps))
+      && outcomes_agree (Dense_simplex.solve pd) (Simplex.solve ps))
 
 let test_sparse_constr_validation () =
   Alcotest.check_raises "negative column"
@@ -319,80 +340,14 @@ let test_sparse_constr_validation () =
     (fun () ->
       ignore (Simplex.sparse_constr [ (0, q 1); (0, q 2) ] Simplex.Le (q 0)))
 
-(* ---------------- hybrid (float-first) engine ---------------- *)
+(* ---------------- exact arithmetic beyond float range ---------------- *)
 
-(* The float-first [solve] and the exact [solve_exact] must return the same verdict and the same
-   optimal value on random signed LPs, and any hybrid optimum must be an
-   exactly feasible point attaining that value — the repair step is what
-   makes this a theorem rather than a hope, so the property doubles as a
-   regression net for it. *)
-let prop_hybrid_agrees =
-  QCheck.Test.make ~name:"float_first and exact modes agree" ~count:500
-    QCheck.(int_bound 1_000_000)
-    (fun seed ->
-      let st = Random.State.make [| seed + 211 |] in
-      let rand_rat () =
-        Rat.of_ints (Random.State.int st 21 - 10) (1 + Random.State.int st 4)
-      in
-      let nv = 1 + Random.State.int st 4 in
-      let nc = 1 + Random.State.int st 6 in
-      let rows =
-        List.init nc (fun _ ->
-            let row = Array.init nv (fun _ -> rand_rat ()) in
-            let op =
-              match Random.State.int st 3 with
-              | 0 -> Simplex.Le
-              | 1 -> Simplex.Ge
-              | _ -> Simplex.Eq
-            in
-            (row, op, rand_rat ()))
-      in
-      let objective = Array.init nv (fun _ -> rand_rat ()) in
-      let p =
-        Simplex.{ num_vars = nv; objective;
-                  constraints =
-                    List.map (fun (r, op, b) -> constr r op b) rows }
-      in
-      let exact = Simplex.solve_exact p in
-      let hybrid = Simplex.solve p in
-      let dot r x =
-        Array.fold_left Rat.add Rat.zero (Array.mapi (fun i c -> Rat.mul c x.(i)) r)
-      in
-      outcomes_agree exact hybrid
-      && (match hybrid with
-          | Simplex.Optimal (v, x) ->
-            Array.for_all (fun xi -> Rat.sign xi >= 0) x
-            && List.for_all
-                 (fun (row, op, rhs) ->
-                   let lhs = dot row x in
-                   match op with
-                   | Simplex.Le -> Rat.compare lhs rhs <= 0
-                   | Simplex.Ge -> Rat.compare lhs rhs >= 0
-                   | Simplex.Eq -> Rat.equal lhs rhs)
-                 rows
-            && Rat.equal v (dot objective x)
-          | Simplex.Unbounded | Simplex.Infeasible -> true))
-
-(* A coefficient of 2^5000 overflows [Rat.to_float] to infinity; the
-   float engine must report a typed [Overflow] error from ingestion (not
-   propagate inf/NaN into pricing), and the hybrid driver must fall back
-   to the exact engine and still return the exact optimum. *)
+(* min x s.t. 2^5000 x >= 1: a coefficient that overflows [Rat.to_float]
+   to infinity, and an optimum x = 2^-5000 far below float range.  The
+   exact engine must return that optimum exactly. *)
 let huge = Rat.of_bigint (Bigint.shift_left Bigint.one 5000)
 
-let test_float_overflow_is_typed () =
-  let p =
-    { Lp_layout.num_vars = 1;
-      objective = [| Rat.one |];
-      constraints = [ Lp_layout.constr [| huge |] Lp_layout.Ge Rat.one ] }
-  in
-  match Fsimplex.propose p (Lp_layout.layout_of p) with
-  | Error { Bagcqc_error.kind = Bagcqc_error.Overflow _; where } ->
-    Alcotest.(check string) "where" "Fsimplex.propose" where
-  | Error e ->
-    Alcotest.failf "expected Overflow, got %s" (Bagcqc_error.to_string e)
-  | Ok _ -> Alcotest.fail "expected ingestion overflow, got a proposal"
-
-let test_hybrid_falls_back_on_overflow () =
+let test_huge_coefficient () =
   let p =
     Simplex.{
       num_vars = 1;
@@ -400,14 +355,11 @@ let test_hybrid_falls_back_on_overflow () =
       constraints = [ constr [| huge |] Ge Rat.one ];
     }
   in
-  (* min x s.t. 2^5000 x >= 1: optimum x = 2^-5000, far below float range
-     in the constraint and subnormal in the answer — only the exact
-     fallback can get this right. *)
   match Simplex.solve p with
   | Simplex.Optimal (v, x) ->
     Alcotest.check rt "value" (Rat.inv huge) v;
     Alcotest.check rt "point" (Rat.inv huge) x.(0)
-  | _ -> Alcotest.fail "expected optimal via exact fallback"
+  | _ -> Alcotest.fail "expected optimal"
 
 (* ---------------- incremental float tableau ---------------- *)
 
@@ -430,7 +382,7 @@ let tableau_of ~num_vars rows =
   t
 
 let exact_claim ~num_vars rows =
-  Simplex.solve_exact
+  Simplex.solve
     { Simplex.num_vars;
       objective = Array.make num_vars Rat.zero;
       constraints =
@@ -640,7 +592,7 @@ let prop_tableau_support_is_infeasible =
 let qtests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_solution_feasible; prop_engines_agree; prop_sparse_ingestion;
-      prop_hybrid_agrees; prop_tableau_incremental_matches_cold;
+      prop_tableau_incremental_matches_cold;
       prop_tableau_point_feasible; prop_tableau_support_is_infeasible ]
 
 let suite =
@@ -656,8 +608,7 @@ let suite =
     ("exact solvers on fixtures", `Quick, test_exact_solvers_on_fixtures);
     ("dimension mismatch", `Quick, test_dimension_mismatch);
     ("sparse_constr validation", `Quick, test_sparse_constr_validation);
-    ("float overflow is typed", `Quick, test_float_overflow_is_typed);
-    ("hybrid falls back on overflow", `Quick, test_hybrid_falls_back_on_overflow);
+    ("huge coefficient solved exactly", `Quick, test_huge_coefficient);
     ("float tableau on small systems", `Quick, test_tableau_small);
     ("float tableau pivots histogram", `Quick, test_tableau_probe_pivots_histogram) ]
   @ qtests

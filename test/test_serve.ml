@@ -131,8 +131,7 @@ let counter_keys =
     ("lp_pivots", "lp.pivots"); ("cache_hits", "solver.cache.hits");
     ("cache_misses", "solver.cache.misses");
     ("lazy_solves", "cone.lazy.solves"); ("lazy_rounds", "cone.lazy.rounds");
-    ("lazy_cuts", "cone.lazy.cuts"); ("lazy_fallbacks", "cone.lazy.fallbacks");
-    ("orbit_cuts", "cone.orbit.cuts");
+    ("lazy_cuts", "cone.lazy.cuts"); ("orbit_cuts", "cone.orbit.cuts");
     ("orbit_canonicalized", "cone.orbit.canonicalized") ]
 
 (* One [stats] reply from an in-process daemon, drained afterwards. *)
@@ -185,7 +184,7 @@ let test_one_declaration_every_surface () =
      Alcotest.(check (option (float 0.0))) "/metrics exposes it" (Some 1.0)
        (Obs.Prom.find_sample e "bagcqc_test_one_decl_total" [])
    | Error msg -> Alcotest.fail msg);
-  (* The flat keys stay wire-compatible: the same 23 names, each counter
+  (* The flat keys stay wire-compatible: the same 22 names, each counter
      key equal to its registry counter. *)
   let flat =
     List.filter
@@ -195,7 +194,7 @@ let test_one_declaration_every_surface () =
   Alcotest.(check (list string)) "flat key set"
     (List.sort compare (flat_keys @ List.map fst counter_keys))
     (List.sort compare flat);
-  Alcotest.(check int) "23 flat keys" 23 (List.length flat);
+  Alcotest.(check int) "22 flat keys" 22 (List.length flat);
   List.iter
     (fun (key, name) ->
       Alcotest.(check (float 0.0)) key
