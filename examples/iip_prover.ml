@@ -75,8 +75,9 @@ let () =
   (match Cones.shannon_certificate ~n:2 e with
    | Some cert ->
      List.iter
-       (fun (el, lambda) ->
-         Format.printf "  %a * [ %a >= 0 ]@." Rat.pp lambda (Linexpr.pp ()) el)
+       (fun (d, lambda) ->
+         Format.printf "  %a * [ %a >= 0 ]@." Rat.pp lambda (Linexpr.pp ())
+           (Elemental.expr_of_desc ~n:2 d))
        cert
    | None -> Format.printf "  (not Shannon)@.");
 

@@ -258,7 +258,41 @@ let float_vs_exact_suite =
    exactly the generated sides, and its refuters must be genuine
    polymatroids with every side strictly negative (a real point of Γn
    beating the max).  The quick (boolean) paths are cross-checked
-   against the certificate paths too. *)
+   against the certificate paths too.  Each lazy certificate is also
+   corrupted once, and the checker must reject the copy: a checker
+   that has silently become permissive fails here. *)
+
+(* One descriptor replaced by the next member of the family (odd-sized
+   certificates at n ≥ 2, where the family has more than one member), or
+   else one multiplier doubled.  Every elemental row is nonzero and
+   distinct rows differ, so either way Σλ·row moves off Σμ·side.  [None]
+   for a certificate that cites no row. *)
+let corrupt_certificate c =
+  let module Certificate = Bagcqc_entropy.Certificate in
+  let module Elemental = Bagcqc_entropy.Elemental in
+  let n = Certificate.n_vars c and lambda = Certificate.lambda c in
+  let next_in_family d =
+    let family = Elemental.descs ~n in
+    let rec go = function
+      | x :: (y :: _ as rest) ->
+        if Elemental.desc_compare x d = 0 then y else go rest
+      | _ -> List.hd family
+    in
+    go family
+  in
+  match List.length lambda with
+  | 0 -> None
+  | size ->
+    let change (d, l) =
+      if size mod 2 = 1 && n >= 2 then (next_in_family d, l)
+      else (d, Rat.add l l)
+    in
+    Some
+      (Certificate.make ~n ~cone:(Certificate.cone_name c)
+         ~sides:(Certificate.sides c)
+         ~lambda:
+           (List.mapi (fun i r -> if i = size / 2 then change r else r) lambda)
+         ~mu:(Certificate.convex_weights c))
 
 let check_lazy_vs_full ({ n; sides } : Gen.lazy_case) =
   let module Cones = Bagcqc_entropy.Cones in
@@ -281,6 +315,13 @@ let check_lazy_vs_full ({ n; sides } : Gen.lazy_case) =
     in
     let* () =
       require (Certificate.check cl) "lazy certificate fails check"
+    in
+    let* () =
+      require
+        (match corrupt_certificate cl with
+         | Some bad -> not (Certificate.check bad)
+         | None -> true)
+        "a corrupted lazy certificate passes check"
     in
     require (Certificate.proves cl ~n es)
       "lazy certificate proves a different inequality"

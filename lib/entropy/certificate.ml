@@ -4,7 +4,7 @@ type t = {
   n : int;
   cone : string;
   sides : Linexpr.t list;
-  lambda : (Linexpr.t * Rat.t) list;
+  lambda : (Elemental.desc * Rat.t) list;
   mu : Rat.t list;
 }
 
@@ -19,6 +19,39 @@ let sides c = c.sides
 let lambda c = c.lambda
 let convex_weights c = c.mu
 let size c = List.length c.lambda
+
+(* Σλ·row − Σμ·side on one dense vector indexed by mask, each row's
+   ≤ 4 terms derived from its descriptor here.  Every index is in range
+   once the descriptors are well formed and the sides fit in n.  h(∅)
+   is identically zero, so the ∅ slot, where rows with W = ∅ (and Mono
+   at n = 1) put a term, is cleared rather than required to vanish —
+   [Linexpr] never stores that term either. *)
+let residual c =
+  let full = Varset.full c.n in
+  let acc = Array.make (full + 1) Rat.zero in
+  let add s x = acc.(s) <- Rat.add acc.(s) x in
+  List.iter
+    (fun (d, l) ->
+      let neg_l = Rat.neg l in
+      match (d : Elemental.desc) with
+      | Mono i ->
+        add full l;
+        add (Varset.remove i full) neg_l
+      | Submod (i, j, w) ->
+        let iw = Varset.add i w and jw = Varset.add j w in
+        add iw l;
+        add jw l;
+        add (Varset.union iw jw) neg_l;
+        add w neg_l)
+    c.lambda;
+  List.iter2
+    (fun m e ->
+      if not (Rat.is_zero m) then
+        let neg_m = Rat.neg m in
+        Linexpr.iter (fun s x -> add s (Rat.mul neg_m x)) e)
+    c.mu c.sides;
+  acc.(Varset.empty) <- Rat.zero;
+  acc
 
 let check_explain c =
   Bagcqc_obs.Span.with_span ~name:"certificate.check"
@@ -46,9 +79,7 @@ let check_explain c =
   in
   let* () =
     ensure
-      (List.for_all
-         (fun (e, _) -> Elemental.is_elemental ~n:c.n e)
-         c.lambda)
+      (List.for_all (fun (d, _) -> Elemental.well_formed ~n:c.n d) c.lambda)
       "cited inequality is not elemental"
   in
   let* () =
@@ -56,13 +87,8 @@ let check_explain c =
       (List.for_all (fun e -> Linexpr.max_var e < c.n) c.sides)
       "side mentions a variable out of range"
   in
-  let combination =
-    Linexpr.sum (List.map (fun (e, l) -> Linexpr.scale l e) c.lambda)
-  in
-  let goal =
-    Linexpr.sum (List.map2 (fun m e -> Linexpr.scale m e) c.mu c.sides)
-  in
-  ensure (Linexpr.equal combination goal)
+  ensure
+    (Array.for_all Rat.is_zero (residual c))
     "multipliers do not reproduce the convex combination of the sides"
 
 let check c = Result.is_ok (check_explain c)
@@ -99,6 +125,7 @@ let pp ?(names = Varset.default_name) () fmt c =
       Format.fprintf fmt "  mu_%d = %a@." (l + 1) Rat.pp m)
     c.mu;
   List.iter
-    (fun (e, l) ->
-      Format.fprintf fmt "  %a * [0 <= %a]@." Rat.pp l (Linexpr.pp ~names ()) e)
+    (fun (d, l) ->
+      Format.fprintf fmt "  %a * [0 <= %a]@." Rat.pp l (Linexpr.pp ~names ())
+        (Elemental.expr_of_desc ~n:c.n d))
     c.lambda

@@ -5,17 +5,21 @@
     claim of the form "[0 ≤ max_ℓ Eℓ(h)] is valid over the Shannon cone
     [Γn]" (paper Theorem 4.2 via Theorem 6.1).  The LP that establishes
     it also produces a proof object: convex weights [μℓ ≥ 0, Σμ = 1] and
-    non-negative multipliers [λᵢ] over the elemental Shannon inequalities
-    with
+    non-negative multipliers [λᵢ] over elemental Shannon inequalities,
+    each cited by its descriptor ({!Elemental.desc}: [I(i;j|W)] or
+    [h(i|V−i)], the terms Shannon proofs are written in), with
 
-    {[ Σᵢ λᵢ · elemᵢ  =  Σℓ μℓ · Eℓ      (exact Linexpr equality) ]}
+    {[ Σᵢ λᵢ · elemᵢ  =  Σℓ μℓ · Eℓ      (exact, coordinate by coordinate) ]}
 
     Any [h ∈ Γn] satisfies every [elemᵢ(h) ≥ 0], hence
     [Σℓ μℓ·Eℓ(h) ≥ 0], hence [max_ℓ Eℓ(h) ≥ 0] — soundness needs only
     the identity above, checked by exact rational arithmetic.  {!check}
-    performs exactly that: it re-derives the elemental family itself and
-    never touches the simplex, so a verdict can be audited without
-    trusting the solver (or the cache) that produced it. *)
+    performs exactly that: it checks in O(1) that each descriptor names
+    an elemental inequality over [n] variables, derives each row's
+    (at most 4) terms itself, and requires [Σλ·elem − Σμ·E] to vanish
+    on one dense vector of the [2ⁿ] coordinates [h(S)].  It never
+    touches the simplex, so a verdict can be audited without trusting
+    the solver (or the cache) that produced it. *)
 
 open Bagcqc_num
 
@@ -25,7 +29,7 @@ val make :
   n:int ->
   cone:string ->
   sides:Linexpr.t list ->
-  lambda:(Linexpr.t * Rat.t) list ->
+  lambda:(Elemental.desc * Rat.t) list ->
   mu:Rat.t list ->
   t
 (** Package a certificate; no validation beyond length agreement between
@@ -37,8 +41,9 @@ val cone_name : t -> string
 (** The backend that produced it (e.g. ["gamma"]). *)
 
 val sides : t -> Linexpr.t list
-val lambda : t -> (Linexpr.t * Rat.t) list
-(** Elemental inequality / multiplier pairs, positive multipliers only. *)
+val lambda : t -> (Elemental.desc * Rat.t) list
+(** Elemental inequality / multiplier pairs, positive multipliers only;
+    {!Elemental.expr_of_desc} materializes a row. *)
 
 val convex_weights : t -> Rat.t list
 (** The [μℓ], one per side in order. *)
@@ -59,3 +64,5 @@ val proves : t -> n:int -> Linexpr.t list -> bool
     multiset, so side order is irrelevant). *)
 
 val pp : ?names:(int -> string) -> unit -> Format.formatter -> t -> unit
+(** One line per convex weight, then one per cited inequality,
+    materialized as a [Linexpr] only here. *)

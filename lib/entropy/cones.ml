@@ -279,9 +279,6 @@ module Etbl = Hashtbl.Make (struct
 end)
 
 let valid_shannon_many ~n es =
-  (* Warm the elemental family once before fanning out, so the workers
-     race on LP solving rather than on the elemental-table mutex. *)
-  (match es with [] -> () | _ -> ignore (Elemental.list ~n));
   (* Dedup before fanning out: a batch with repeated inequalities (bulk
      clients, generated batches) decides each distinct expression once
      and fans the verdict back out.  Nothing below this call memoizes a
@@ -334,10 +331,12 @@ module Oracle = struct
       let prob, elems = build_farkas ~n es in
       (match Solver.feasible prob with
        | Some x ->
+         (* Column i is the i-th member of the family, in the one order
+            [Elemental.descs] and [Elemental.list] share. *)
          let n_elem = List.length elems in
          let lambda =
-           List.filteri (fun _ (_, l) -> Rat.sign l > 0)
-             (List.mapi (fun i e -> (e, x.(i))) elems)
+           List.filter (fun (_, l) -> Rat.sign l > 0)
+             (List.mapi (fun i d -> (d, x.(i))) (Elemental.descs ~n))
          in
          let mu = List.mapi (fun l _ -> x.(n_elem + l)) es in
          Ok (Certificate.make ~n ~cone:"gamma" ~sides:es ~lambda ~mu)

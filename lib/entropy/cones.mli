@@ -89,10 +89,11 @@ val max_to_convex : n:int -> Linexpr.t list -> Bagcqc_num.Rat.t array option
     they exist, [None] otherwise.  (Over [Γn] the weights are rational —
     the paper leaves rationality over [Γ*n] open.) *)
 
-val shannon_certificate : n:int -> Linexpr.t -> (Linexpr.t * Bagcqc_num.Rat.t) list option
+val shannon_certificate :
+  n:int -> Linexpr.t -> (Elemental.desc * Bagcqc_num.Rat.t) list option
 (** If [0 ≤ e(h)] is valid over [Γn], a Farkas certificate: pairs of
-    elemental inequalities and non-negative multipliers with
-    [Σ λᵢ·elemᵢ = e] exactly, proving the inequality is Shannon.
+    elemental inequalities (by descriptor) and non-negative multipliers
+    with [Σ λᵢ·elemᵢ = e] exactly, proving the inequality is Shannon.
     [None] if the inequality is not Shannon. *)
 
 (** {1 Reference oracle}

@@ -14,10 +14,15 @@ type desc =
 
 let desc_compare (a : desc) (b : desc) =
   match (a, b) with
-  | Mono i, Mono j -> compare i j
+  | Mono i, Mono j -> Int.compare i j
   | Mono _, Submod _ -> -1
   | Submod _, Mono _ -> 1
-  | Submod (i, j, w), Submod (i', j', w') -> compare (i, j, w) (i', j', w')
+  | Submod (i, j, w), Submod (i', j', w') ->
+    let c = Int.compare i i' in
+    if c <> 0 then c
+    else
+      let c = Int.compare j j' in
+      if c <> 0 then c else Int.compare w w'
 
 let iter_descs ~n f =
   let full = Varset.full n (* range check, even for n = 0 *) in
@@ -51,22 +56,25 @@ let eval_desc ~n h = function
       (Rat.add (h iw) (h jw))
       (Rat.add (h (Varset.add i jw)) (h w))
 
+(* [Varset.subset] also rejects a negative mask, so every mask of a
+   well-formed descriptor's row lies in [0, 2ⁿ). *)
+let well_formed ~n = function
+  | Mono i -> 0 <= i && i < n
+  | Submod (i, j, w) ->
+    0 <= i && i < j && j < n
+    && Varset.subset w (Varset.full n)
+    && (not (Varset.mem i w))
+    && not (Varset.mem j w)
+
+(* Family order: monotonicity ascending in i, then the submodularity
+   block in reverse generation order. *)
 let generate n =
   let mono = ref [] and submod = ref [] in
   iter_descs ~n (fun d ->
       match d with
-      | Mono _ -> mono := expr_of_desc ~n d :: !mono
-      | Submod _ -> submod := expr_of_desc ~n d :: !submod);
-  (* Historical family order: monotonicity ascending in i, then the
-     submodularity block in reverse generation order. *)
-  List.rev !mono @ !submod
-
-module Eset = Hashtbl.Make (struct
-  type t = Linexpr.t
-
-  let equal = Linexpr.equal
-  let hash = Linexpr.hash
-end)
+      | Mono _ -> mono := d :: !mono
+      | Submod _ -> submod := d :: !submod);
+  List.rev_append !mono !submod
 
 (* Per-n lazy table; `Varset.full` bounds n at max_vars, so the table
    stays tiny for the life of the process.  Generation happens inside the
@@ -77,7 +85,7 @@ let table_mutex = Mutex.create ()
 let c_hits = Bagcqc_obs.Metrics.counter "elemental.hits"
 let c_misses = Bagcqc_obs.Metrics.counter "elemental.misses"
 
-let table : (int, Linexpr.t list * unit Eset.t) Hashtbl.t = Hashtbl.create 8
+let table : (int, desc list * Linexpr.t list) Hashtbl.t = Hashtbl.create 8
 
 let entry ~n =
   Mutex.lock table_mutex;
@@ -89,24 +97,18 @@ let entry ~n =
   | None ->
     ignore (Varset.full n) (* range check, even for n = 0 *);
     Bagcqc_obs.Metrics.bump c_misses;
-    let es =
+    let e =
       Bagcqc_obs.Span.with_span ~name:"elemental.generate"
         ~attrs:[ ("n", Bagcqc_obs.Span.Int n) ]
-        (fun () -> generate n)
+        (fun () ->
+          let ds = generate n in
+          (ds, List.map (expr_of_desc ~n) ds))
     in
-    let set = Eset.create (2 * List.length es) in
-    List.iter (fun e -> Eset.replace set e ()) es;
-    let e = (es, set) in
     Hashtbl.add table n e;
     e
 
-let list ~n = fst (entry ~n)
-let count ~n = List.length (list ~n)
-
-(* Hashed membership: the certificate checker calls this once per
-   multiplier, so the old O(|family|) [List.exists] scan made checking a
-   λ with k entries O(k·n²·2ⁿ). *)
-let is_elemental ~n e = Eset.mem (snd (entry ~n)) e
+let descs ~n = fst (entry ~n)
+let list ~n = snd (entry ~n)
 
 let desc_count ~n =
   ignore (Varset.full n);

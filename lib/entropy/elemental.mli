@@ -1,59 +1,61 @@
-(** The elemental Shannon inequalities generating [Γn], memoized per [n].
+(** The elemental Shannon inequalities generating [Γn].
 
     Monotonicity [h(V) − h(V∖i) ≥ 0] and elemental submodularity
     [I(i;j|W) ≥ 0]; every Shannon inequality is a non-negative
     combination of these (paper Sec. 3.2).  The family has
-    [n + C(n,2)·2^(n−2)] members and used to be regenerated on every
-    cone check; both the cone backends and the independent certificate
-    verifier now share this one lazy table.
+    [n + C(n,2)·2^(n−2)] members.
 
-    The family also exists in an {e implicit} form: a {!desc} names one
-    member without materializing its expression, and {!eval_desc}
-    evaluates it against a set function with at most 4 lookups.  The
-    lazy-separation cone driver ({!Separation}) scans the implicit
-    family to find violated cuts, so it never pays for the
-    [n²·2^(n−2)] expressions the full driver builds. *)
+    A {!desc} names one member without materializing its expression,
+    and {!eval_desc} evaluates it against a set function with at most 4
+    lookups.  The lazy-separation cone driver ({!Separation}) scans the
+    descriptors to find violated cuts, so it never pays for the
+    [n²·2^(n−2)] expressions the full driver builds, and certificates
+    ({!Certificate}) cite their inequalities by descriptor.  Only the
+    reference oracle and the input generators materialize the family
+    ({!list}, memoized per [n]). *)
 
 open Bagcqc_num
 
-val list : n:int -> Linexpr.t list
-(** The elemental family for [n] variables, in a fixed deterministic
-    order (memoized; do not mutate assumptions about identity, only
-    structure).  @raise Invalid_argument if [n] is negative or exceeds
-    {!Varset.max_vars}. *)
-
-val count : n:int -> int
-(** [List.length (list ~n)] without forcing a fresh traversal. *)
-
-val is_elemental : n:int -> Linexpr.t -> bool
-(** Structural membership in the family — the certificate checker's
-    ground truth that a claimed axiom really is one.  Hashed-set lookup,
-    O(size of the expression). *)
-
-(** {1 Implicit family} *)
+(** {1 Descriptors} *)
 
 type desc =
   | Mono of int  (** [h(V) − h(V∖i) ≥ 0] *)
   | Submod of int * int * Varset.t
       (** [I(i;j|W) ≥ 0] with [i < j] and [W ⊆ V∖{i,j}]. *)
 
+val well_formed : n:int -> desc -> bool
+(** [well_formed ~n d] iff [d] names a member of the family over [n]
+    variables: [0 ≤ i < n] for [Mono i]; [0 ≤ i < j < n], [W ⊆ V] and
+    [i, j ∉ W] for [Submod (i, j, W)].  O(1) — the certificate
+    checker's ground truth that a cited inequality really is
+    elemental. *)
+
 val desc_compare : desc -> desc -> int
 (** Total order on descriptors (for deterministic worklists). *)
 
 val iter_descs : n:int -> (desc -> unit) -> unit
-(** Iterate the implicit family in a fixed deterministic order without
+(** Iterate the family in a fixed deterministic order without
     materializing any expression.
-    @raise Invalid_argument like {!list}. *)
+    @raise Invalid_argument if [n] is negative or exceeds
+    {!Varset.max_vars}. *)
 
 val desc_count : n:int -> int
 (** [n + C(n,2)·2^(n−2)] in O(1) — the number of descriptors
-    {!iter_descs} visits, equal to [count ~n] without forcing the
-    materialized table. *)
+    {!iter_descs} visits. *)
 
 val expr_of_desc : n:int -> desc -> Linexpr.t
-(** Materialize one member; structurally equal to the corresponding
-    entry of [list ~n]. *)
+(** Materialize one member. *)
 
 val eval_desc : n:int -> (Varset.t -> Rat.t) -> desc -> Rat.t
 (** [eval_desc ~n h d = Linexpr.eval h (expr_of_desc ~n d)] without
     allocating the expression — the separation oracle's inner loop. *)
+
+(** {1 The family in order} *)
+
+val descs : n:int -> desc list
+(** The family in its one fixed order: monotonicity ascending in [i],
+    then the submodularity block (memoized per [n]).
+    @raise Invalid_argument like {!iter_descs}. *)
+
+val list : n:int -> Linexpr.t list
+(** [List.map (expr_of_desc ~n) (descs ~n)], memoized with it. *)

@@ -41,6 +41,7 @@ let sum = List.fold_left add zero
 let coeff e x = match IMap.find_opt x e with Some c -> c | None -> Rat.zero
 let support e = List.map fst (IMap.bindings e)
 let terms e = IMap.bindings e
+let iter f e = IMap.iter f e
 let is_zero e = IMap.is_empty e
 let equal a b = IMap.equal Rat.equal a b
 

@@ -35,6 +35,10 @@ val support : t -> Varset.t list
 
 val terms : t -> (Varset.t * Rat.t) list
 
+val iter : (Varset.t -> Rat.t -> unit) -> t -> unit
+(** [iter f e] calls [f] on each term of {!terms}, in the same order,
+    without building the list. *)
+
 val is_zero : t -> bool
 val equal : t -> t -> bool
 

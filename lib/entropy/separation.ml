@@ -36,7 +36,8 @@
        support (equations ν_S = 0 wherever the float combination
        vanishes, plus Σμ = 1) and accepts only a unique, consistent,
        nonnegative solution with ν ≥ 0.  The certificate path then
-       assembles the certificate and accepts it only if the exact
+       assembles the certificate over elemental descriptors (no row is
+       materialized) and accepts it only if the exact
        [Certificate.check] passes; the quick path needs only the
        repair, which is itself an exact proof.  No LP is solved.  A
        declined repair falls back to the restricted Farkas LP F(W′)
@@ -74,7 +75,7 @@
    permutation ([Symmetry.analyze]), so all symmetric variants of a
    query take the same rounds and build the same LPs.
    Verdicts are mapped back through the permutation: refuters by
-   relabeling the point, certificates by renaming λ's axioms (the
+   relabeling the point, certificates by renaming λ's descriptors (the
    elemental family is closed under permutation).
 
    Trust model: unchanged.  Float probes decide nothing — their points
@@ -502,30 +503,35 @@ let refuter_of_point ~n ~(sym : Symmetry.analysis) x =
 (* The certificate for the caller's original sides [es] from multipliers
    of the canonical instance: λ accumulates per elemental *descriptor* —
    the cited rows directly, and each positive ν_S expanded through the
-   chain decomposition of h(S) ≥ 0 — sorted for a deterministic
-   rendering.  Renaming the canonical identity Σλ·a = Σμ·Eᶜ through π⁻¹
-   lands exactly on the original sides, and the renamed axioms stay
-   elemental (the family is closed under permutation), so
-   [Certificate.check] applies unchanged. *)
+   chain decomposition of h(S) ≥ 0 — sorted in canonical descriptor
+   order for a deterministic rendering, then renamed through π⁻¹.
+   Renaming the canonical identity Σλ·a = Σμ·Eᶜ lands exactly on the
+   original sides, and a renamed descriptor still names an elemental
+   inequality (the family is closed under permutation), so
+   [Certificate.check] applies unchanged.  No row is materialized. *)
 let assemble ~n ~sym ~es ~lambda ~nu ~mu =
-  let tbl : (Elemental.desc, Rat.t ref) Hashtbl.t = Hashtbl.create 64 in
-  let bump d c =
-    match Hashtbl.find_opt tbl d with
-    | Some r -> r := Rat.add !r c
-    | None -> Hashtbl.add tbl d (ref c)
+  let cited =
+    List.fold_left
+      (fun acc (s, v) ->
+        if Rat.sign v > 0 then
+          List.fold_left (fun acc d -> (d, v) :: acc) acc (nonneg_decomp ~n s)
+        else acc)
+      (List.filter (fun (_, c) -> Rat.sign c > 0) lambda)
+      nu
   in
-  List.iter (fun (d, c) -> if Rat.sign c > 0 then bump d c) lambda;
-  List.iter
-    (fun (s, v) ->
-      if Rat.sign v > 0 then List.iter (fun d -> bump d v) (nonneg_decomp ~n s))
-    nu;
+  (* Sorted, a repeated descriptor is a run: sum it. *)
+  let rec merge = function
+    | (d, c) :: (d', c') :: rest when Elemental.desc_compare d d' = 0 ->
+      merge ((d, Rat.add c c') :: rest)
+    | r :: rest -> r :: merge rest
+    | [] -> []
+  in
   let inv = Symmetry.inverse sym.Symmetry.to_canon in
   let lambda =
-    Hashtbl.fold (fun d r acc -> (d, !r) :: acc) tbl []
-    |> List.filter (fun (_, c) -> Rat.sign c > 0)
-    |> List.sort (fun (d1, _) (d2, _) -> Elemental.desc_compare d1 d2)
-    |> List.map (fun (d, c) ->
-           (Symmetry.apply_expr inv (Elemental.expr_of_desc ~n d), c))
+    List.sort (fun (d1, _) (d2, _) -> Elemental.desc_compare d1 d2) cited
+    |> merge
+    |> if Symmetry.is_identity inv then Fun.id
+       else List.map (fun (d, c) -> (Symmetry.apply_desc inv d, c))
   in
   Certificate.make ~n ~cone:"gamma" ~sides:es ~lambda ~mu
 

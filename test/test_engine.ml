@@ -295,22 +295,37 @@ let test_certificate_check_and_tamper () =
     rebuild ~mu ~sides
       ~lambda:(List.map (fun (e, l) -> (e, Rat.add l l)) lambda)
   in
-  Alcotest.(check bool) "scaled multipliers rejected" false
-    (Certificate.check doubled);
+  let rejected name reason c =
+    Alcotest.(check (result unit string)) name (Error reason)
+      (Certificate.check_explain c)
+  in
+  let identity_fails =
+    "multipliers do not reproduce the convex combination of the sides"
+  in
+  rejected "scaled multipliers rejected" identity_fails doubled;
   let negated =
     rebuild ~lambda ~sides ~mu:(List.map Rat.neg mu)
   in
-  Alcotest.(check bool) "negative convex weights rejected" false
-    (Certificate.check negated);
-  let non_elemental =
-    rebuild ~mu ~sides
-      ~lambda:(List.map (fun (e, l) -> (Linexpr.scale (q 2) e, l)) lambda)
-  in
-  Alcotest.(check bool) "non-elemental axiom rejected" false
-    (Certificate.check non_elemental);
+  rejected "negative convex weights rejected" "negative convex weight" negated;
+  (* A descriptor that names no elemental inequality over n = 2, cited
+     next to the genuine rows, in each malformed form. *)
+  let w = Varset.singleton in
+  List.iter
+    (fun (name, d) ->
+      rejected
+        ("non-elemental axiom rejected: " ^ name)
+        "cited inequality is not elemental"
+        (rebuild ~mu ~sides ~lambda:((d, Rat.one) :: lambda)))
+    [ ("Submod (i, i, K)", Elemental.Submod (0, 0, Varset.empty));
+      ("i > j", Elemental.Submod (1, 0, Varset.empty));
+      ("i in K", Elemental.Submod (0, 1, w 0));
+      ("j >= n", Elemental.Submod (0, 2, Varset.empty));
+      ("K not within V", Elemental.Submod (0, 1, w 3));
+      ("Mono n", Elemental.Mono 2);
+      ("negative index", Elemental.Mono (-1));
+      ("negative Submod index", Elemental.Submod (-1, 1, Varset.empty)) ];
   let wrong_side = rebuild ~lambda ~mu ~sides:(List.map Linexpr.neg sides) in
-  Alcotest.(check bool) "altered sides rejected" false
-    (Certificate.check wrong_side);
+  rejected "altered sides rejected" identity_fails wrong_side;
   Alcotest.(check bool) "mu length mismatch rejected at construction" true
     (raises_invalid (fun () -> rebuild ~lambda ~mu:(Rat.one :: mu) ~sides))
 
@@ -326,6 +341,26 @@ let test_certificate_multi_side () =
     let total = List.fold_left Rat.add Rat.zero (Certificate.convex_weights c) in
     Alcotest.(check bool) "weights sum to one" true (Rat.equal total Rat.one)
   | _ -> Alcotest.fail "opposite differences are valid over Γ2"
+
+(* The rendering behind `check --certificate` and the serve
+   [certificate] field, pinned for triangle ⊑ vee (the flagship pair of
+   scripts/serve_smoke.sh): rows are cited by descriptor and
+   materialized only to print, so this text must not move. *)
+let test_certificate_rendering_golden () =
+  let q1 = Parser.parse "R(x,y), R(y,z), R(z,x)"
+  and q2 = Parser.parse "R(u,v), R(u,w)" in
+  match Containment.decide q1 q2 with
+  | Containment.Contained cert ->
+    Alcotest.(check string) "Certificate.pp text"
+      "Farkas certificate over gamma (n=3): 3 elemental inequalities\n\
+      \  mu_1 = 1/3\n\
+      \  mu_2 = 1/3\n\
+      \  mu_3 = 1/3\n\
+      \  1/3 * [0 <= -h(X3) + h(X1X3) + h(X2X3) - h(X1X2X3)]\n\
+      \  1/3 * [0 <= -h(X2) + h(X1X2) + h(X2X3) - h(X1X2X3)]\n\
+      \  1/3 * [0 <= -h(X1) + h(X1X2) + h(X1X3) - h(X1X2X3)]\n"
+      (Format.asprintf "%a" (Certificate.pp ()) cert)
+  | _ -> Alcotest.fail "triangle is contained in vee"
 
 (* ---------------- cone backends ---------------- *)
 
@@ -362,4 +397,5 @@ let suite =
     ("stage spans", `Quick, test_stage_spans);
     ("certificate check and tamper", `Quick, test_certificate_check_and_tamper);
     ("multi-side certificate", `Quick, test_certificate_multi_side);
+    ("certificate rendering golden", `Quick, test_certificate_rendering_golden);
     ("cone backends", `Quick, test_cone_backends) ]

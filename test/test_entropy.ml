@@ -228,7 +228,10 @@ let test_shannon_certificate () =
    | None -> Alcotest.fail "expected certificate"
    | Some cert ->
      let recombined =
-       Linexpr.sum (List.map (fun (el, l) -> Linexpr.scale l el) cert)
+       Linexpr.sum
+         (List.map
+            (fun (d, l) -> Linexpr.scale l (Elemental.expr_of_desc ~n:2 d))
+            cert)
      in
      Alcotest.(check bool) "certificate recombines exactly" true
        (Linexpr.equal recombined e));
@@ -461,25 +464,34 @@ let prop_modularize_lemma_3_7 =
 (* Lazy Shannon engine: membership, symmetry, lazy-vs-full (ISSUE 9)   *)
 (* ------------------------------------------------------------------ *)
 
-let test_is_elemental_membership () =
+let test_elemental_membership () =
   let n = 4 in
-  let fam = Elemental.list ~n in
+  let fam = Elemental.descs ~n in
   Alcotest.(check int) "family size n=4" (Elemental.desc_count ~n)
     (List.length fam);
-  List.iter
-    (fun e ->
-      Alcotest.(check bool) "every family member is elemental" true
-        (Elemental.is_elemental ~n e))
-    fam;
-  Alcotest.(check bool) "plain term is not elemental" false
-    (Elemental.is_elemental ~n (Linexpr.term (vs [ 0 ])));
-  Alcotest.(check bool) "scaled elemental is not elemental" false
-    (Elemental.is_elemental ~n (Linexpr.scale (q 2) (List.hd fam)));
-  Alcotest.(check bool) "I(01;2) is valid but not elemental" false
-    (Elemental.is_elemental ~n
-       (Linexpr.mutual (vs [ 0; 1 ]) (vs [ 2 ]) Varset.empty));
-  Alcotest.(check bool) "I(0;1) is elemental" true
-    (Elemental.is_elemental ~n (i_pair 0 1 []))
+  Alcotest.(check bool) "materialized family follows the same order" true
+    (List.equal Linexpr.equal (Elemental.list ~n)
+       (List.map (Elemental.expr_of_desc ~n) fam));
+  (* [well_formed] is exactly membership in the family, over every
+     descriptor with indices in [-1, n] and masks one bit past V. *)
+  let member d = List.exists (fun d' -> Elemental.desc_compare d d' = 0) fam in
+  let agrees d =
+    Alcotest.(check bool)
+      (Format.asprintf "well_formed agrees with membership at %s"
+         (match d with
+          | Elemental.Mono i -> Printf.sprintf "Mono %d" i
+          | Elemental.Submod (i, j, w) -> Printf.sprintf "Submod (%d, %d, %d)" i j w))
+      (member d) (Elemental.well_formed ~n d)
+  in
+  for i = -1 to n do
+    agrees (Elemental.Mono i);
+    for j = -1 to n do
+      for w = 0 to (1 lsl (n + 1)) - 1 do
+        agrees (Elemental.Submod (i, j, w))
+      done;
+      agrees (Elemental.Submod (i, j, -1))
+    done
+  done
 
 let test_symmetry_canonicalization () =
   let n = 3 in
@@ -927,13 +939,117 @@ let prop_small_cones_match_lp =
         [ (Cones.Normal, Polymatroid.is_normal);
           (Cones.Modular, Polymatroid.is_modular) ])
 
+(* A reference checker in [Linexpr] form: every cited row materialized
+   with [expr_of_desc], membership read off the family list, and
+   Σλ·row compared with Σμ·side by [Linexpr.equal].  The dense
+   descriptor-form [Certificate.check] must agree with it on genuine
+   certificates and on corrupted copies of them. *)
+let reference_check c =
+  let n = Certificate.n_vars c
+  and lambda = Certificate.lambda c
+  and mu = Certificate.convex_weights c
+  and sides = Certificate.sides c in
+  let fam = Elemental.descs ~n in
+  List.for_all (fun m -> Rat.sign m >= 0) mu
+  && Rat.equal (List.fold_left Rat.add Rat.zero mu) Rat.one
+  && List.for_all (fun (_, l) -> Rat.sign l >= 0) lambda
+  && List.for_all
+       (fun (d, _) -> List.exists (fun d' -> Elemental.desc_compare d d' = 0) fam)
+       lambda
+  && List.for_all (fun e -> Linexpr.max_var e < n) sides
+  && Linexpr.equal
+       (Linexpr.sum
+          (List.map
+             (fun (d, l) -> Linexpr.scale l (Elemental.expr_of_desc ~n d))
+             lambda))
+       (Linexpr.sum (List.map2 Linexpr.scale mu sides))
+
+type corruption = Genuine | Scale_one | Drop_one | Swap_one | Perturb_mu | Malformed
+
+let corruptions = [ Genuine; Scale_one; Drop_one; Swap_one; Perturb_mu; Malformed ]
+
+let corruption_name = function
+  | Genuine -> "genuine"
+  | Scale_one -> "one multiplier scaled"
+  | Drop_one -> "one row dropped"
+  | Swap_one -> "one descriptor swapped"
+  | Perturb_mu -> "mu perturbed"
+  | Malformed -> "malformed descriptor"
+
+let corrupt st how c =
+  let n = Certificate.n_vars c
+  and lambda = Certificate.lambda c
+  and mu = Certificate.convex_weights c
+  and sides = Certificate.sides c in
+  let pick l = Random.State.int st (List.length l) in
+  let at = pick lambda in
+  let lambda, mu =
+    match how with
+    | Genuine -> (lambda, mu)
+    | Scale_one ->
+      let f = Rat.of_ints (3 + Random.State.int st 3) (1 + Random.State.int st 2) in
+      (List.mapi (fun i (d, l) -> (d, if i = at then Rat.mul f l else l)) lambda, mu)
+    | Drop_one -> (List.filteri (fun i _ -> i <> at) lambda, mu)
+    | Swap_one ->
+      let fam = Array.of_list (Elemental.descs ~n) in
+      let d = List.nth lambda at |> fst in
+      let rec other () =
+        let d' = fam.(Random.State.int st (Array.length fam)) in
+        if Elemental.desc_compare d d' = 0 then other () else d'
+      in
+      let d' = other () in
+      (List.mapi (fun i (d, l) -> ((if i = at then d' else d), l)) lambda, mu)
+    | Perturb_mu ->
+      (* Half of one weight moves to another, keeping Σμ = 1. *)
+      let from = pick mu and into = pick mu in
+      let moved = Rat.mul Rat.half (List.nth mu from) in
+      ( lambda,
+        List.mapi
+          (fun l m ->
+            let m = if l = from then Rat.sub m moved else m in
+            if l = into then Rat.add m moved else m)
+          mu )
+    | Malformed ->
+      let bad =
+        match Random.State.int st 4 with
+        | 0 -> Elemental.Mono n
+        | 1 -> Elemental.Submod (0, 0, Varset.empty)
+        | 2 -> Elemental.Submod (0, 1, Varset.singleton 0)
+        | _ -> Elemental.Submod (0, n, Varset.empty)
+      in
+      ((bad, Rat.one) :: lambda, mu)
+  in
+  Certificate.make ~n ~cone:(Certificate.cone_name c) ~sides ~lambda ~mu
+
+let prop_check_matches_linexpr_reference =
+  QCheck.Test.make
+    ~name:"certificates: descriptor-form check agrees with the Linexpr form"
+    ~count:60
+    QCheck.(pair (int_range 2 5) small_nat)
+    (fun (n, seed) ->
+      let st = Random.State.make [| n; seed |] in
+      let es = valid_by_construction ~n st in
+      match Cones.valid_max_cert Cones.Gamma ~n es with
+      | Ok (Some c) ->
+        Certificate.check c
+        && List.for_all
+             (fun how ->
+               let c' = corrupt st how c in
+               Certificate.check c' = reference_check c'
+               || QCheck.Test.fail_reportf "%s: check %b, reference %b"
+                    (corruption_name how) (Certificate.check c')
+                    (reference_check c'))
+             corruptions
+      | Ok None | Error _ -> QCheck.Test.fail_report "valid by construction")
+
 let qtests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_subset_enum_complete; prop_truncated_modular_is_polymatroid;
       prop_theorem_3_6; prop_counterexample_sound; prop_cone_chain;
       prop_normalize_lemma_3_7; prop_modularize_lemma_3_7;
       prop_symmetry_canonical_invariant; prop_symmetry_stabilizer_complete;
-      prop_normal_sparse_matches_reference; prop_small_cones_match_lp ]
+      prop_normal_sparse_matches_reference; prop_small_cones_match_lp;
+      prop_check_matches_linexpr_reference ]
 
 let suite =
   [ ("varset basic", `Quick, test_varset_basic);
@@ -955,7 +1071,7 @@ let suite =
     ("max needs all sides", `Quick, test_max_needs_all_sides);
     ("Figure 1 (Ex C.4)", `Quick, test_figure_1);
     ("modularize basic", `Quick, test_modularize_basic);
-    ("elemental membership", `Quick, test_is_elemental_membership);
+    ("elemental membership", `Quick, test_elemental_membership);
     ("symmetry canonicalization", `Quick, test_symmetry_canonicalization);
     ("symmetry orbit cap", `Quick, test_symmetry_orbit_cap);
     ("lazy engine agrees with full", `Quick, test_lazy_engine_agrees_with_full);
