@@ -97,11 +97,11 @@ let path k =
     (List.init k (fun i -> Query.atom "R" [ i; i + 1 ]))
 
 (* The certificate (Farkas) LP over the full elemental family for the
-   n-variable Shannon monotonicity target, as a raw simplex problem:
+   n-variable Shannon monotonicity target, as the simplex takes it:
    measured below without the surrounding elemental-family construction
    and axiom bookkeeping. *)
 let gamma_farkas_problem n =
-  Problem.to_simplex (fst (Cones.Oracle.farkas ~n [ shannon_target n ]))
+  fst (Cones.Oracle.farkas ~n [ shannon_target n ])
 
 let lp_suite ~smoke =
   let ns = if smoke then [ 2; 3 ] else [ 2; 3; 4; 5 ] in
@@ -144,7 +144,9 @@ let lp_suite ~smoke =
               Cones.valid_max_cert Cones.Gamma ~n [ shannon_target n ]) } ]
   in
   (* Solver-only decide point: the full-family Farkas LP is built once
-     per size and the thunk times nothing but the simplex. *)
+     per size and the thunk times [Simplex.solve] alone — its ingestion
+     (the row sort into pivoting order, sign flips, column layout) and
+     the pivots. *)
   let decide_points =
     [ { id = "lp_decide_gamma_exact";
         points =

@@ -7,14 +7,14 @@
    Gaussian pivots touching every column of every affected row, Dantzig
    pricing with Bland's anti-cycling fallback after a long run of
    degenerate pivots.  [basis.(r)] is the column basic in row [r]; row
-   operations keep basic columns at identity.  Ingestion goes through the
-   same {!Bagcqc_lp.Lp_layout} as the production solvers, so both see
-   identical column layouts. *)
+   operations keep basic columns at identity.  Ingestion goes through
+   the same {!Bagcqc_lp.Simplex.layout_of} as the production solver, so
+   both see the same row order and column layout. *)
 
 open Bagcqc_num
 open Bagcqc_lp
+open Simplex
 open Rat.Infix
-open Lp_layout
 
 type tableau = {
   rows : Rat.t array array;
@@ -199,11 +199,11 @@ let solve_tableau ({ num_vars; objective; _ } as p) =
     t.basis;
   let allowed j = j < art_start in
   match run_phase t ~allowed with
-  | `Unbounded -> Simplex.Unbounded
+  | `Unbounded -> Unbounded
   | `Optimal ->
     (* obj.(ncols) = -(objective value). *)
-    Simplex.Optimal (Rat.neg t.obj.(ncols), solution_of t ~num_vars)
+    Optimal (Rat.neg t.obj.(ncols), solution_of t ~num_vars)
 
-let solve (p : Simplex.problem) =
+let solve p =
   validate p;
-  try solve_tableau p with Exit -> Simplex.Infeasible
+  try solve_tableau p with Exit -> Infeasible

@@ -1,4 +1,3 @@
-open Bagcqc_lp
 module Obs = Bagcqc_obs
 
 (* ---------------- the sharded decision memo ---------------- *)
@@ -138,32 +137,3 @@ module Memo (K : Hashtbl.HashedType) (V : sig type t end) = struct
     in
     resolve ()
 end
-
-(* ---------------- LP solves and accounting ---------------- *)
-
-let c_lp_solves = Obs.Metrics.counter "lp.solves"
-let c_lp_pivots = Obs.Metrics.counter "lp.pivots"
-
-let solve problem =
-  Obs.Span.with_span ~name:"solver.solve"
-    ~attrs:
-      [ ("tag", Obs.Span.Str (Problem.tag problem));
-        ("rows", Obs.Span.Int (Problem.num_rows problem));
-        ("vars", Obs.Span.Int (Problem.num_vars problem)) ]
-  @@ fun () ->
-  Obs.Span.add_attr "cache" (Obs.Span.Str "miss");
-  let p0 = Simplex.pivot_count () in
-  let outcome = Simplex.solve (Problem.to_simplex problem) in
-  Obs.Metrics.bump c_lp_solves;
-  Obs.Metrics.add c_lp_pivots (Simplex.pivot_count () - p0);
-  outcome
-
-let feasible problem =
-  match solve problem with
-  | Simplex.Optimal (_, x) -> Some x
-  | Simplex.Infeasible -> None
-  | Simplex.Unbounded ->
-    (* Feasibility problems carry a constant objective; an unbounded
-       verdict can only come from a simplex bug. *)
-    Bagcqc_num.Bagcqc_error.invariant ~where:"Solver.feasible"
-      "constant objective reported unbounded"

@@ -1,4 +1,4 @@
-(** The engine's decision memo and its single chokepoint to the simplex.
+(** The engine's decision memo — all that [lib/engine] holds.
 
     The memo is a sharded in-memory table of {e decisions}, keyed by
     what callers ask about rather than by the LPs a decision happens to
@@ -6,17 +6,13 @@
     de-duplicated query pair, so a repeated check skips Eq. 8 and both
     cones.  Lookups bump the [solver.cache.hits]/[solver.cache.misses]
     counters, and {!clear} empties every instance.  LPs themselves are
-    not cached: every {!solve} runs the simplex and is counted in
+    not cached and do not pass through here: the cone builders hand
+    them straight to {!Bagcqc_lp.Simplex.solve}, which counts them in
     [lp.solves]/[lp.pivots].
 
     The memo is safe from pool workers.  Lifecycle mutation ({!clear})
     must happen between parallel regions — see the initialization order
     in {!Bagcqc_par.Pool}. *)
-
-open Bagcqc_num
-open Bagcqc_lp
-
-(** {2 The memo} *)
 
 module Memo (K : Hashtbl.HashedType) (V : sig type t end) : sig
   val find_or_compute : K.t -> (unit -> V.t) -> V.t
@@ -42,13 +38,3 @@ val cache_size : unit -> int
 val publish_gauges : unit -> unit
 (** Refresh the [solver.cache.size] gauge from {!cache_size} — called by
     the serving layer's ticker and metrics scrape, not per decision. *)
-
-(** {2 LP solves} *)
-
-val solve : Problem.t -> Simplex.outcome
-(** {!Simplex.solve} on the lowered problem, under a [solver.solve] span
-    and counted in [lp.solves]/[lp.pivots]. *)
-
-val feasible : Problem.t -> Rat.t array option
-(** Feasibility: [Some x] is a point of the polyhedron.  The problem's
-    objective is ignored (pass a pure feasibility problem). *)

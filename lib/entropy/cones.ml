@@ -1,6 +1,5 @@
 open Bagcqc_num
 open Bagcqc_lp
-open Bagcqc_engine
 module Obs = Bagcqc_obs
 
 type cone = Gamma | Normal | Modular
@@ -56,28 +55,27 @@ let gamma_farkas ~n es =
         (fun (s, c) -> buckets.(s) <- (n_elem + l, Rat.neg c) :: buckets.(s))
         (gamma_sparse e))
     es;
-  let rows =
+  let constraints =
     List.init ((1 lsl n) - 1) (fun s ->
-        Problem.row buckets.(s) Simplex.Eq Rat.zero)
-    @ [ Problem.row
+        Simplex.sparse_constr buckets.(s) Simplex.Eq Rat.zero)
+    @ [ Simplex.sparse_constr
           (List.init k (fun l -> (n_elem + l, Rat.one)))
           Simplex.Eq Rat.one ]
   in
-  (Problem.make ~tag:"gamma/farkas" ~num_vars rows, elems)
+  (Simplex.feasibility ~num_vars constraints, elems)
 
 let gamma_refutation ~n es =
-  let num_vars = (1 lsl n) - 1 in
   let cone_rows =
     List.map
-      (fun e -> Problem.row (gamma_sparse e) Simplex.Ge Rat.zero)
+      (fun e -> Simplex.sparse_constr (gamma_sparse e) Simplex.Ge Rat.zero)
       (Elemental.list ~n)
   in
   let target_rows =
     List.map
-      (fun e -> Problem.row (gamma_sparse e) Simplex.Le Rat.minus_one)
+      (fun e -> Simplex.sparse_constr (gamma_sparse e) Simplex.Le Rat.minus_one)
       es
   in
-  Problem.make ~tag:"gamma/refute" ~num_vars (cone_rows @ target_rows)
+  Simplex.feasibility ~num_vars:((1 lsl n) - 1) (cone_rows @ target_rows)
 
 (* ---------------- Nn and Mn: cones of their generators ---------------- *)
 
@@ -89,7 +87,6 @@ let gamma_refutation ~n es =
    weights. *)
 type small = {
   name : string;
-  tag : string;
   generators : n:int -> int;
   row : n:int -> Linexpr.t -> (int * Rat.t) list;
       (* [(g, E(g))] for every generator with E(g) ≠ 0, ascending in g. *)
@@ -111,7 +108,6 @@ let modular_sparse ~n e =
 
 let modular =
   { name = "modular";
-    tag = "modular/refute";
     generators = (fun ~n -> n);
     row = modular_sparse;
     refuter = (fun ~n:_ w -> Polymatroid.modular_of_weights w) }
@@ -147,7 +143,6 @@ let normal_sparse ~n e =
 
 let normal =
   { name = "normal";
-    tag = "normal/refute";
     generators = (fun ~n -> (1 lsl n) - 1);
     row = normal_sparse;
     refuter =
@@ -163,9 +158,9 @@ let small_of_cone = function
   | Modular -> modular
   | Gamma -> invalid_arg "Cones: Γn is not given by generators"
 
-(* Problem construction (cone axioms → canonical LP rows) is its own
-   span: for the materialized Γn family it can rival the solve itself on
-   larger n. *)
+(* Problem construction (cone axioms → sparse LP rows) is its own span:
+   for the materialized Γn family it can rival the solve itself on
+   larger n.  Its [backend] attribute names the cone whose LP follows. *)
 let build_span name ~kind ~n es build =
   Obs.Span.with_span ~name:"cone.build"
     ~attrs:
@@ -177,8 +172,9 @@ let build_span name ~kind ~n es build =
 
 let small_refutation b ~n es rows =
   build_span b.name ~kind:"refutation" ~n es (fun () ->
-      Problem.make ~tag:b.tag ~num_vars:(b.generators ~n)
-        (List.map (fun r -> Problem.row r Simplex.Le Rat.minus_one) rows))
+      Simplex.feasibility ~num_vars:(b.generators ~n)
+        (List.map (fun r -> Simplex.sparse_constr r Simplex.Le Rat.minus_one)
+           rows))
 
 (* The generator presolve: exact sign tests on A, before any LP.
    - A row with no negative entry is a side that is ≥ 0 on every
@@ -243,7 +239,7 @@ let decide_small cone ~n es =
     Error (b.refuter ~n x)
   | Needs_lp ->
     Obs.Metrics.bump c_presolve_lp;
-    (match Solver.feasible (small_refutation b ~n es rows) with
+    (match Simplex.feasible (small_refutation b ~n es rows) with
      | None -> Ok ()
      | Some x -> Error (b.refuter ~n x))
 
@@ -329,7 +325,7 @@ module Oracle = struct
     | [] -> Error (Polymatroid.zero n)
     | _ ->
       let prob, elems = build_farkas ~n es in
-      (match Solver.feasible prob with
+      (match Simplex.feasible prob with
        | Some x ->
          (* Column i is the i-th member of the family, in the one order
             [Elemental.descs] and [Elemental.list] share. *)
@@ -345,7 +341,7 @@ module Oracle = struct
            build_span "gamma" ~kind:"refutation" ~n es (fun () ->
                gamma_refutation ~n es)
          in
-         (match Solver.feasible refutation with
+         (match Simplex.feasible refutation with
           | Some x -> Error (Polymatroid.make n (fun s -> x.(s - 1)))
           | None ->
             (* LP duality (Theorem 6.1 at Γn): the Farkas system is
@@ -358,11 +354,11 @@ module Oracle = struct
 
   let valid_max_quick ~n es =
     check_range ~n es;
-    es <> [] && Solver.feasible (fst (build_farkas ~n es)) <> None
+    es <> [] && Simplex.feasible (fst (build_farkas ~n es)) <> None
 
   let refute_small cone ~n es =
     check_range ~n es;
     let b = small_of_cone cone in
     Option.map (b.refuter ~n)
-      (Solver.feasible (small_refutation b ~n es (List.map (b.row ~n) es)))
+      (Simplex.feasible (small_refutation b ~n es (List.map (b.row ~n) es)))
 end

@@ -1,7 +1,7 @@
 (** Deciding (max-)information inequalities over polyhedral cones
-    [Γn ⊇ Nn ⊇ Mn] by exact linear programming — routed through the
-    solver engine ({!Bagcqc_engine.Solver}) and instrumented through
-    named {!Bagcqc_obs.Metrics} counters ([lp.*], [cone.*]).
+    [Γn ⊇ Nn ⊇ Mn] by exact linear programming — LPs built as sparse
+    rows and handed straight to {!Bagcqc_lp.Simplex} — instrumented
+    through named {!Bagcqc_obs.Metrics} counters ([lp.*], [cone.*]).
 
     This is the computational engine behind the paper's decidability
     results: Theorem 3.6 shows certain max-inequalities are "essentially
@@ -30,7 +30,7 @@
     [cone.presolve.lp]).  The materialized Γn driver survives only as
     the reference {!Oracle} for the fuzz suites and the corpus audit. *)
 
-open Bagcqc_engine
+open Bagcqc_lp
 
 type cone =
   | Gamma   (** the Shannon cone [Γn] of all polymatroids *)
@@ -99,17 +99,17 @@ val shannon_certificate :
 (** {1 Reference oracle}
 
     The materialized Γn driver: every LP carries the whole elemental
-    family and is solved by {!Bagcqc_engine.Solver.feasible}, counted
+    family and is solved by {!Bagcqc_lp.Simplex.feasible}, counted
     in [lp.*] like every other solve.  Too slow for production from n ≈ 6 up; kept as the
     independent reference the [lazy_vs_full] fuzz suite and the tests
     compare the production driver against.  {!refute_small} is the
     LP-only reference for the [Nn]/[Mn] generator presolve. *)
 module Oracle : sig
-  val farkas : n:int -> Linexpr.t list -> Problem.t * Linexpr.t list
-  (** The validity-certificate LP: feasible iff the max-inequality is
-      valid over Γn, with solutions laid out as multipliers [λ] over the
-      returned elemental list followed by one convex weight [μℓ] per
-      side.  Tagged ["gamma/farkas"]. *)
+  val farkas : n:int -> Linexpr.t list -> Simplex.problem * Linexpr.t list
+  (** The validity-certificate LP, a pure feasibility problem: feasible
+      iff the max-inequality is valid over Γn, with solutions laid out as
+      multipliers [λ] over the returned elemental list followed by one
+      convex weight [μℓ] per side. *)
 
   val valid_max_cert :
     n:int -> Linexpr.t list -> (Certificate.t, Polymatroid.t) result

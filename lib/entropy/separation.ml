@@ -92,7 +92,6 @@
 
 open Bagcqc_num
 open Bagcqc_lp
-open Bagcqc_engine
 module Obs = Bagcqc_obs
 
 let where = "Separation"
@@ -147,12 +146,12 @@ let cone_sparse ~n d =
   memo_row cone_sparse_tbl ~n d (fun () ->
       cone_row_sparse (Elemental.expr_of_desc ~n d))
 
-let cone_prow_tbl : (int * Elemental.desc, Problem.row) Hashtbl.t =
+let cone_prow_tbl : (int * Elemental.desc, Simplex.constr) Hashtbl.t =
   Hashtbl.create 2048
 
 let cone_prow ~n d =
   memo_row cone_prow_tbl ~n d (fun () ->
-      Problem.row (cone_sparse ~n d) Simplex.Le Rat.zero)
+      Simplex.sparse_constr (cone_sparse ~n d) Simplex.Le Rat.zero)
 
 (* A sparse row in the float probe's form: column indices and values
    for [Fsimplex.Tableau.add_le]. *)
@@ -177,7 +176,7 @@ let seed_descs ~n = List.init n (fun i -> Elemental.Mono i)
 (* ---------------- restricted Farkas ----------------
 
    [Cones.Oracle.farkas] with the axiom columns drawn from W instead of
-   the full family, under its own tag (its column layout differs).
+   the full family (and with the ν columns below).
 
    Column layout: λ over the W axioms, then the k convex weights μ,
    then one ν_S per coordinate mask S — the dual multipliers of the
@@ -200,15 +199,13 @@ let farkas_of_axioms ~n axioms es =
         (fun (s, c) -> buckets.(s) <- (n_ax + l, Rat.neg c) :: buckets.(s))
         (gamma_sparse e))
     es;
-  let rows =
-    List.init nv (fun s ->
-        Problem.row ((n_ax + k + s, Rat.one) :: buckets.(s)) Simplex.Eq
-          Rat.zero)
-    @ [ Problem.row
-          (List.init k (fun l -> (n_ax + l, Rat.one)))
-          Simplex.Eq Rat.one ]
-  in
-  Problem.make ~tag:"gamma/farkas_lazy" ~num_vars rows
+  Simplex.feasibility ~num_vars
+    (List.init nv (fun s ->
+         Simplex.sparse_constr ((n_ax + k + s, Rat.one) :: buckets.(s))
+           Simplex.Eq Rat.zero)
+     @ [ Simplex.sparse_constr
+           (List.init k (fun l -> (n_ax + l, Rat.one)))
+           Simplex.Eq Rat.one ])
 
 (* h(S) ≥ 0 as an exact unit-coefficient sum of elemental rows:
      h(S) = Σ_{t} h(i_t | {i_1..i_{t−1}})       (ascending i_t ∈ S)
@@ -297,10 +294,12 @@ let scan_table ~n =
    sends the loop into an exact round instead of trusting the probe. *)
 let run ~n ~stabilizer ~certify es =
   let num_vars = (1 lsl n) - 1 in
+  (* Exact-round rows only, which most decisions never reach. *)
   let target_rows =
-    List.map
-      (fun e -> Problem.row (gamma_sparse e) Simplex.Le Rat.minus_one)
-      es
+    lazy
+      (List.map
+         (fun e -> Simplex.sparse_constr (gamma_sparse e) Simplex.Le Rat.minus_one)
+         es)
   in
   let k_targets = List.length es in
   let seen : (Elemental.desc, unit) Hashtbl.t = Hashtbl.create 64 in
@@ -442,15 +441,12 @@ let run ~n ~stabilizer ~certify es =
     check_limit round;
     Obs.Metrics.bump c_rounds;
     let prob =
-      Problem.make ~tag:"gamma/refute_lazy" ~num_vars
-        (List.map (cone_prow ~n) !w @ target_rows)
+      Simplex.feasibility ~num_vars
+        (List.map (cone_prow ~n) !w @ Lazy.force target_rows)
     in
-    match Solver.solve prob with
-    | Simplex.Infeasible -> Valid !w
-    | Simplex.Unbounded ->
-      Bagcqc_error.invariant ~where
-        "pure feasibility system reported unbounded"
-    | Simplex.Optimal (_, x) ->
+    match Simplex.feasible prob with
+    | None -> Valid !w
+    | Some x ->
       let h m = if m = 0 then Rat.zero else x.(m - 1) in
       let violated = ref [] in
       Elemental.iter_descs ~n (fun d ->
@@ -563,7 +559,7 @@ let certify_working_set ~n ~sym ~es w_descs =
         Bagcqc_error.invariant ~where
           "restricted Farkas point rejected by Certificate.check";
       cert)
-    (Solver.feasible fprob)
+    (Simplex.feasible fprob)
 
 (* ---------------- certificate from the probe ----------------
 

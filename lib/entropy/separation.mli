@@ -21,7 +21,7 @@
     [cone.lazy.probe_cert] span) pays for the restricted Farkas LP, and
     only a probe without a usable answer pays for an exact refutation
     round; those LPs are solved exactly by
-    {!Bagcqc_engine.Solver.solve}, so they are counted in
+    {!Bagcqc_lp.Simplex.feasible}, so they are counted in
     [lp.solves]/[lp.pivots].
 
     Soundness does not rest on the cutting-plane loop or on the floats:

@@ -138,7 +138,7 @@ module Tableau = struct
      variable, column k takes the leaving one, and every other row with
      f = T[i][k] ≠ 0 becomes row i − f·(new row r), so T[i][k] = −f/p. *)
   let pivot t r k =
-    Lp_layout.note_pivot ();
+    Simplex.note_pivot ();
     let w = t.num_vars and a = t.a in
     let ro = r * w in
     let inv_p = 1.0 /. a.(ro + k) in

@@ -7,7 +7,9 @@
    nonzero coefficients, almost all ±1/±2 — in three ways:
 
    - constraints are ingested as sorted [(col, coeff)] pairs, so building
-     the tableau never materializes the zero coefficients;
+     the tableau never materializes the zero coefficients, and the rows
+     themselves are put in one fixed order first ([layout_of]), so the
+     pivot path does not depend on how a builder listed them;
    - each Gaussian pivot first collects the nonzero columns of the pivot
      row and then eliminates only those columns from the touched rows
      (rows with a zero entry in the pivot column are never visited at
@@ -26,12 +28,16 @@
 
 open Bagcqc_num
 open Rat.Infix
+module Obs = Bagcqc_obs
 
-(* Problem representation and normalized ingestion live in {!Lp_layout};
-   re-exported here so callers keep a single entry point. *)
-type op = Lp_layout.op = Le | Ge | Eq
+type op = Le | Ge | Eq
 
-type constr = Lp_layout.constr = {
+(* Constraints are stored sparsely: parallel arrays of strictly increasing
+   column indices and their (nonzero) coefficients.  [width] remembers the
+   declared row length for constraints built from dense arrays ([-1] for
+   natively sparse ones), so [validate] can reproduce the historical
+   dimension check. *)
+type constr = {
   cols : int array;
   vals : Rat.t array;
   width : int;
@@ -39,7 +45,7 @@ type constr = Lp_layout.constr = {
   rhs : Rat.t;
 }
 
-type problem = Lp_layout.problem = {
+type problem = {
   num_vars : int;
   objective : Rat.t array;
   constraints : constr list;
@@ -50,20 +56,132 @@ type outcome =
   | Unbounded
   | Infeasible
 
-(* Per-domain pivot odometer (see the .mli): the cell itself lives in
-   {!Lp_layout} so the float probe feeds the same meter. *)
-let pivot_count = Lp_layout.pivot_count
-let note_pivot = Lp_layout.note_pivot
+(* Per-domain pivot odometer, shared by the exact simplex and the float
+   probe ({!Fsimplex}): bumped once per Gaussian pivot.  Callers read it
+   as a delta around a solve, which only stays exact if no other
+   domain's pivots leak into the window — hence one cell per domain
+   rather than one shared counter. *)
+let pivots_key = Domain.DLS.new_key (fun () -> ref 0)
+let pivot_count () = !(Domain.DLS.get pivots_key)
+let note_pivot () = incr (Domain.DLS.get pivots_key)
+
+let constr coeffs op rhs =
+  let nnz = Array.fold_left (fun n c -> if Rat.is_zero c then n else n + 1) 0 coeffs in
+  let cols = Array.make nnz 0 and vals = Array.make nnz Rat.zero in
+  let k = ref 0 in
+  Array.iteri
+    (fun j c ->
+      if not (Rat.is_zero c) then begin
+        cols.(!k) <- j;
+        vals.(!k) <- c;
+        incr k
+      end)
+    coeffs;
+  { cols; vals; width = Array.length coeffs; op; rhs }
+
+let sparse_constr pairs op rhs =
+  let pairs =
+    List.filter (fun (_, c) -> not (Rat.is_zero c)) pairs
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+  in
+  let n = List.length pairs in
+  let cols = Array.make n 0 and vals = Array.make n Rat.zero in
+  List.iteri
+    (fun k (j, c) ->
+      if j < 0 then invalid_arg "Simplex.sparse_constr: negative column";
+      if k > 0 && cols.(k - 1) = j then
+        invalid_arg "Simplex.sparse_constr: duplicate column";
+      cols.(k) <- j;
+      vals.(k) <- c)
+    pairs;
+  { cols; vals; width = -1; op; rhs }
+
+let validate { num_vars; objective; constraints } =
+  if Array.length objective <> num_vars then
+    invalid_arg "Simplex.solve: objective length mismatch";
+  List.iter
+    (fun c ->
+      if c.width >= 0 then begin
+        if c.width <> num_vars then
+          invalid_arg "Simplex.solve: constraint length mismatch"
+      end
+      else if Array.length c.cols > 0 && c.cols.(Array.length c.cols - 1) >= num_vars
+      then invalid_arg "Simplex.solve: constraint column out of range")
+    constraints
+
+(* The ingestion order, a pivoting policy (see the .mli): Le rows, then
+   Ge, then Eq; within an op by right-hand side, then by column pattern,
+   then by coefficients.  Compared on the rows as the builder wrote
+   them, before any sign flip. *)
+let op_rank = function Le -> 0 | Ge -> 1 | Eq -> 2
+
+let compare_row a b =
+  let c = compare (op_rank a.op) (op_rank b.op) in
+  if c <> 0 then c
+  else
+    let c = Rat.compare a.rhs b.rhs in
+    if c <> 0 then c
+    else
+      let c = compare a.cols b.cols in
+      if c <> 0 then c
+      else
+        let rec vals i =
+          if i >= Array.length a.vals then 0
+          else
+            let c = Rat.compare a.vals.(i) b.vals.(i) in
+            if c <> 0 then c else vals (i + 1)
+        in
+        let c = compare (Array.length a.vals) (Array.length b.vals) in
+        if c <> 0 then c else vals 0
+
+(* Normalized ingestion: order the rows, flip them to non-negative rhs
+   and compute the column layout — [0, num_vars) structural, then one
+   slack/surplus column per inequality, then one artificial column per
+   Ge/Eq row, each assigned in row order. *)
+type layout = {
+  m : int;
+  ncols : int;
+  art_start : int;
+  num_art : int;
+  (* per row: sparse structural coefficients, op, rhs (rhs >= 0) *)
+  rows_data : (int array * Rat.t array * op * Rat.t) array;
+}
+
+let layout_of { num_vars; constraints; _ } =
+  let rows_data =
+    Array.of_list (List.sort compare_row constraints)
+    |> Array.map (fun { cols; vals; op; rhs; _ } ->
+           if Rat.sign rhs < 0 then
+             ( cols,
+               Array.map Rat.neg vals,
+               (match op with Le -> Ge | Ge -> Le | Eq -> Eq),
+               Rat.neg rhs )
+           else (cols, Array.copy vals, op, rhs))
+  in
+  let m = Array.length rows_data in
+  let num_slack =
+    Array.fold_left
+      (fun acc (_, _, op, _) -> match op with Le | Ge -> acc + 1 | Eq -> acc)
+      0 rows_data
+  in
+  let num_art =
+    Array.fold_left
+      (fun acc (_, _, op, _) -> match op with Ge | Eq -> acc + 1 | Le -> acc)
+      0 rows_data
+  in
+  let ncols = num_vars + num_slack + num_art in
+  { m; ncols; art_start = num_vars + num_slack; num_art; rows_data }
 
 (* ---- observability ----
-   Per-solve spans and two histograms: pivots per solve, and the bigint
-   bit-width of pivot elements (numerator + denominator bits), the
-   quantity that actually prices a pivot under exact arithmetic.  The
-   bit-width probe runs on the per-pivot hot path, so it is gated on the
-   tracing switch and sampled every k-th pivot. *)
+   Per-solve spans, the [lp.solves]/[lp.pivots] counters, and two
+   histograms: pivots per solve, and the bigint bit-width of pivot
+   elements (numerator + denominator bits), the quantity that actually
+   prices a pivot under exact arithmetic.  The bit-width probe runs on
+   the per-pivot hot path, so it is gated on the tracing switch and
+   sampled every k-th pivot. *)
 
-module Obs = Bagcqc_obs
-
+let c_lp_solves = Obs.Metrics.counter "lp.solves"
+let c_lp_pivots = Obs.Metrics.counter "lp.pivots"
 let h_pivot_bits = Obs.Metrics.histogram "lp.pivot_bits"
 let h_pivots_per_solve = Obs.Metrics.histogram "lp.pivots_per_solve"
 let pivot_tick_key = Domain.DLS.new_key (fun () -> ref 0)
@@ -80,20 +198,6 @@ let observe_pivot_magnitude (p : Rat.t) =
       Obs.Metrics.observe h_pivot_bits
         (Bigint.num_bits (Rat.num p) + Bigint.num_bits (Rat.den p))
   end
-
-let constr = Lp_layout.constr
-let sparse_constr = Lp_layout.sparse_constr
-let validate = Lp_layout.validate
-
-type layout = Lp_layout.layout = {
-  m : int;
-  ncols : int;
-  art_start : int;
-  num_art : int;
-  rows_data : (int array * Rat.t array * op * Rat.t) array;
-}
-
-let layout_of = Lp_layout.layout_of
 
 (* ================================================================== *)
 (* Sparse solver: nonzero-driven pivots and block partial pricing.      *)
@@ -343,25 +447,30 @@ let solve p =
       [ ("rows", Obs.Span.Int (List.length p.constraints));
         ("vars", Obs.Span.Int p.num_vars) ]
   @@ fun () ->
+  (* No LP is cached: every solve is a miss, the deepest tier the access
+     log reports for a request. *)
+  Obs.Span.add_attr "cache" (Obs.Span.Str "miss");
   let p0 = pivot_count () in
   let outcome = try Sparse_impl.solve p with Exit -> Infeasible in
+  let dp = pivot_count () - p0 in
+  Obs.Metrics.bump c_lp_solves;
+  Obs.Metrics.add c_lp_pivots dp;
   if !Obs.Runtime.enabled then begin
-    let dp = pivot_count () - p0 in
     Obs.Metrics.observe h_pivots_per_solve dp;
     Obs.Span.add_attr "pivots" (Obs.Span.Int dp);
     Obs.Span.add_attr "outcome" (Obs.Span.Str (outcome_name outcome))
   end;
   outcome
 
-let feasible ~num_vars constraints =
-  match solve { num_vars; objective = Array.make num_vars Rat.zero; constraints } with
+let feasibility ~num_vars constraints =
+  { num_vars; objective = Array.make num_vars Rat.zero; constraints }
+
+let feasible p =
+  match solve p with
   | Optimal (_, x) -> Some x
   | Infeasible -> None
   | Unbounded ->
+    (* A constant objective cannot be unbounded below; this verdict can
+       only come from a simplex bug. *)
     Bagcqc_error.invariant ~where:"Simplex.feasible"
       "constant (zero) objective reported unbounded"
-
-let maximize p =
-  match solve { p with objective = Array.map Rat.neg p.objective } with
-  | Optimal (v, x) -> Optimal (Rat.neg v, x)
-  | (Unbounded | Infeasible) as o -> o

@@ -36,10 +36,10 @@ and compare_list l1 l2 =
 
 let equal a b = compare a b = 0
 
-(* FNV-1a-style mixing, the same scheme as [Bagcqc_engine.Problem]'s
-   hasher.  Each constructor contributes a tag before its payload, so
-   structurally different nestings mix different sequences — the previous
-   additive scheme was symmetric enough that [Tag ("a", Tag ("b", v))]
+(* FNV-1a-style mixing.  Each constructor contributes a tag before its
+   payload, so structurally different nestings mix different sequences —
+   the previous additive scheme was symmetric enough that
+   [Tag ("a", Tag ("b", v))]
    and [Tag ("b", Tag ("a", v))] always collided — and the final
    [land max_int] keeps the result non-negative after multiplication
    overflow. *)

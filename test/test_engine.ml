@@ -1,5 +1,5 @@
-(* The solver-engine layer: canonical problem IR, the decision memo and
-   its shared-immutable-verdict discipline, instrumentation counters, the
+(* The solver-engine layer: the decision memo and its
+   shared-immutable-verdict discipline, instrumentation counters, the
    independent certificate verifier, and the cone backends. *)
 
 open Bagcqc_num
@@ -13,44 +13,18 @@ let vs = Varset.of_list
 let raises_invalid f =
   match f () with exception Invalid_argument _ -> true | _ -> false
 
-(* ---------------- Problem IR ---------------- *)
+(* ---------------- LP row validation ---------------- *)
 
-let test_problem_canonical () =
-  (* Row order, term order, duplicate columns and zero coefficients all
-     normalize away: both listings canonicalize to the same rows. *)
-  let r1 = Problem.row [ (0, q 1); (1, q 2) ] Simplex.Le (q 3) in
-  let r1' =
-    Problem.row [ (1, q 1); (0, q 1); (1, q 1); (2, q 0) ] Simplex.Le (q 3)
-  in
-  let r2 = Problem.row [ (2, q 1) ] Simplex.Ge (q 0) in
-  let p1 = Problem.make ~tag:"t" ~num_vars:3 [ r1; r2 ] in
-  let p2 = Problem.make ~tag:"t" ~num_vars:3 [ r2; r1' ] in
-  let rows p =
-    List.map
-      (fun (pairs, op, rhs) ->
-        ( List.map (fun (j, c) -> (j, Rat.to_string c)) pairs,
-          (match op with Simplex.Le -> "<=" | Simplex.Ge -> ">=" | Simplex.Eq -> "="),
-          Rat.to_string rhs ))
-      (Problem.rows_list p)
-  in
-  let row_t = Alcotest.(list (triple (list (pair int string)) string string)) in
-  Alcotest.check row_t "row order invariant" (rows p1) (rows p2);
-  Alcotest.check row_t "duplicates summed, zeros dropped"
-    [ ([ (0, "1"); (1, "2") ], "<=", "3"); ([ (2, "1") ], ">=", "0") ]
-    (rows p1);
-  Alcotest.(check int) "rows counted" 2 (Problem.num_rows p1);
-  (* The tag keeps distinct encodings apart even on equal matrices. *)
-  let p3 = Problem.make ~tag:"u" ~num_vars:3 [ r1; r2 ] in
-  Alcotest.(check bool) "tag distinguishes" false
-    (Problem.tag p1 = Problem.tag p3);
-  Alcotest.check row_t "same rows under another tag" (rows p1) (rows p3)
-
+(* The cone backends hand their rows to the simplex as sparse rows; a
+   malformed column is rejected where the row is built (negative) or
+   where the problem is solved (beyond num_vars), never solved around. *)
 let test_problem_validation () =
   Alcotest.(check bool) "negative column rejected" true
-    (raises_invalid (fun () -> Problem.row [ (-1, q 1) ] Simplex.Le (q 0)));
-  let r = Problem.row [ (3, q 1) ] Simplex.Le (q 0) in
+    (raises_invalid (fun () -> Simplex.sparse_constr [ (-1, q 1) ] Simplex.Le (q 0)));
+  let r = Simplex.sparse_constr [ (3, q 1) ] Simplex.Le (q 0) in
   Alcotest.(check bool) "column beyond num_vars rejected" true
-    (raises_invalid (fun () -> Problem.make ~tag:"t" ~num_vars:3 [ r ]))
+    (raises_invalid (fun () ->
+         Simplex.feasible (Simplex.feasibility ~num_vars:3 [ r ])))
 
 (* ---------------- decision memo ---------------- *)
 
@@ -366,8 +340,7 @@ let test_certificate_rendering_golden () =
 
 let test_cone_backends () =
   (* Every cone decides a valid and a refuted inequality; only Γn carries
-     a certificate, and the reference oracle's Farkas LP keeps its own
-     tag. *)
+     a certificate. *)
   let h1 = Linexpr.term (vs [ 0 ]) in
   List.iter
     (fun (name, cone, certifies) ->
@@ -381,14 +354,11 @@ let test_cone_backends () =
     [ ("gamma", Cones.Gamma, true);
       ("normal", Cones.Normal, false);
       ("modular", Cones.Modular, false) ];
-  Alcotest.(check string) "oracle Farkas tag" "gamma/farkas"
-    (Problem.tag (fst (Cones.Oracle.farkas ~n:2 [ h1 ])));
   Alcotest.(check bool) "out-of-range variable rejected" true
     (raises_invalid (fun () -> Cones.valid Cones.Normal ~n:1 (Linexpr.term (vs [ 1 ]))))
 
 let suite =
-  [ ("problem canonicalization", `Quick, test_problem_canonical);
-    ("problem validation", `Quick, test_problem_validation);
+  [ ("problem validation", `Quick, test_problem_validation);
     ("solve cache", `Quick, test_solver_cache);
     ("entry points share the memo", `Quick, test_entry_points_share_memo);
     ("memo keys the witness budget", `Quick, test_memo_budget_is_keyed);

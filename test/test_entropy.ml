@@ -968,6 +968,13 @@ type corruption = Genuine | Scale_one | Drop_one | Swap_one | Perturb_mu | Malfo
 
 let corruptions = [ Genuine; Scale_one; Drop_one; Swap_one; Perturb_mu; Malformed ]
 
+(* The corruptions that edit one cited row: none applies to a
+   certificate with an empty λ, which a valid side that cancels to 0
+   produces. *)
+let edits_lambda = function
+  | Scale_one | Drop_one | Swap_one -> true
+  | Genuine | Perturb_mu | Malformed -> false
+
 let corruption_name = function
   | Genuine -> "genuine"
   | Scale_one -> "one multiplier scaled"
@@ -982,23 +989,29 @@ let corrupt st how c =
   and mu = Certificate.convex_weights c
   and sides = Certificate.sides c in
   let pick l = Random.State.int st (List.length l) in
-  let at = pick lambda in
+  let at () = pick lambda in
   let lambda, mu =
     match how with
     | Genuine -> (lambda, mu)
     | Scale_one ->
+      let at = at () in
       let f = Rat.of_ints (3 + Random.State.int st 3) (1 + Random.State.int st 2) in
       (List.mapi (fun i (d, l) -> (d, if i = at then Rat.mul f l else l)) lambda, mu)
-    | Drop_one -> (List.filteri (fun i _ -> i <> at) lambda, mu)
+    | Drop_one ->
+      let at = at () in
+      (List.filteri (fun i _ -> i <> at) lambda, mu)
     | Swap_one ->
-      let fam = Array.of_list (Elemental.descs ~n) in
+      (* Draw the replacement from the family without [d], so a
+         one-member family cannot loop: there the swap is a no-op. *)
+      let at = at () in
       let d = List.nth lambda at |> fst in
-      let rec other () =
-        let d' = fam.(Random.State.int st (Array.length fam)) in
-        if Elemental.desc_compare d d' = 0 then other () else d'
-      in
-      let d' = other () in
-      (List.mapi (fun i (d, l) -> ((if i = at then d' else d), l)) lambda, mu)
+      (match
+         List.filter (fun d' -> Elemental.desc_compare d d' <> 0) (Elemental.descs ~n)
+       with
+       | [] -> (lambda, mu)
+       | others ->
+         let d' = List.nth others (pick others) in
+         (List.mapi (fun i (d, l) -> ((if i = at then d' else d), l)) lambda, mu))
     | Perturb_mu ->
       (* Half of one weight moves to another, keeping Σμ = 1. *)
       let from = pick mu and into = pick mu in
@@ -1021,26 +1034,45 @@ let corrupt st how c =
   in
   Certificate.make ~n ~cone:(Certificate.cone_name c) ~sides ~lambda ~mu
 
+(* The genuine Γn certificate of a valid-by-construction instance, and
+   whether [Certificate.check] agrees with [reference_check] on it and
+   on each applicable corruption. *)
+let check_matches_reference (n, seed) =
+  let st = Random.State.make [| n; seed |] in
+  let es = valid_by_construction ~n st in
+  match Cones.valid_max_cert Cones.Gamma ~n es with
+  | Ok (Some c) ->
+    ( c,
+      Certificate.check c
+      && List.for_all
+           (fun how ->
+             (edits_lambda how && Certificate.lambda c = [])
+             ||
+             let c' = corrupt st how c in
+             Certificate.check c' = reference_check c'
+             || QCheck.Test.fail_reportf "%s: check %b, reference %b"
+                  (corruption_name how) (Certificate.check c')
+                  (reference_check c'))
+           corruptions )
+  | Ok None | Error _ -> QCheck.Test.fail_report "valid by construction"
+
 let prop_check_matches_linexpr_reference =
   QCheck.Test.make
     ~name:"certificates: descriptor-form check agrees with the Linexpr form"
     ~count:60
-    QCheck.(pair (int_range 2 5) small_nat)
-    (fun (n, seed) ->
-      let st = Random.State.make [| n; seed |] in
-      let es = valid_by_construction ~n st in
-      match Cones.valid_max_cert Cones.Gamma ~n es with
-      | Ok (Some c) ->
-        Certificate.check c
-        && List.for_all
-             (fun how ->
-               let c' = corrupt st how c in
-               Certificate.check c' = reference_check c'
-               || QCheck.Test.fail_reportf "%s: check %b, reference %b"
-                    (corruption_name how) (Certificate.check c')
-                    (reference_check c'))
-             corruptions
-      | Ok None | Error _ -> QCheck.Test.fail_report "valid by construction")
+    (* Shrinking must stay in range: below n = 2 the family is too small
+       for the instances this property is about. *)
+    QCheck.(add_shrink_invariant (fun (n, _) -> 2 <= n && n <= 5)
+              (pair (int_range 2 5) small_nat))
+    (fun ns -> snd (check_matches_reference ns))
+
+(* At (n = 2, seed = 77) one side cancels to 0, so the genuine
+   certificate cites no row at all: the λ corruptions are skipped and
+   the genuine, μ and malformed cases still run. *)
+let test_check_matches_reference_empty_lambda () =
+  let c, agrees = check_matches_reference (2, 77) in
+  Alcotest.(check int) "empty λ" 0 (List.length (Certificate.lambda c));
+  Alcotest.(check bool) "check agrees with the Linexpr form" true agrees
 
 let qtests =
   List.map QCheck_alcotest.to_alcotest
@@ -1081,5 +1113,6 @@ let suite =
     ("probe repair declines to F(W')", `Quick, test_probe_repair_declines_to_fallback);
     ("probe does not stall at n=7", `Quick, test_probe_no_stall_n7);
     ("Ingleton refutation: exact rounds capped", `Quick, test_ingleton_refutation_cost);
-    ("first exact n=8 decision", `Quick, test_first_n8_decision) ]
+    ("first exact n=8 decision", `Quick, test_first_n8_decision);
+    ("cert check on an empty λ", `Quick, test_check_matches_reference_empty_lambda) ]
   @ qtests

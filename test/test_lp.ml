@@ -47,7 +47,9 @@ let test_basic_max () =
           constr (qa [3; 2]) Le (q 18) ];
     }
   in
-  check_optimal "max value" (q 36) (Simplex.maximize p)
+  (* A maximization is the minimization of the negated objective. *)
+  check_optimal "max value, negated" (q (-36))
+    (Simplex.solve { p with objective = Array.map Rat.neg p.objective })
 
 let test_infeasible () =
   let p =
@@ -122,17 +124,21 @@ let test_negative_rhs () =
   check_optimal "value" (q 3) (Simplex.solve p)
 
 let test_zero_objective_feasibility () =
-  (match Simplex.feasible ~num_vars:2
-           [ Simplex.constr (qa [1; 1]) Simplex.Ge (q 2);
-             Simplex.constr (qa [1; -1]) Simplex.Eq (q 0) ]
+  (match
+     Simplex.feasible
+       (Simplex.feasibility ~num_vars:2
+          [ Simplex.constr (qa [1; 1]) Simplex.Ge (q 2);
+            Simplex.constr (qa [1; -1]) Simplex.Eq (q 0) ])
    with
    | Some x ->
      Alcotest.check rt "x = y" x.(0) x.(1);
      Alcotest.(check bool) "x + y >= 2" true
        Rat.(compare (add x.(0) x.(1)) (q 2) >= 0)
    | None -> Alcotest.fail "expected feasible");
-  (match Simplex.feasible ~num_vars:1
-           [ Simplex.constr (qa [1]) Simplex.Le (q (-1)) ]
+  (match
+     Simplex.feasible
+       (Simplex.feasibility ~num_vars:1
+          [ Simplex.constr (qa [1]) Simplex.Le (q (-1)) ])
    with
    | None -> ()
    | Some _ -> Alcotest.fail "expected infeasible (x >= 0 and x <= -1)")
@@ -274,7 +280,7 @@ let point_attains (p : Simplex.problem) = function
   | Simplex.Optimal (v, x) ->
     Array.for_all (fun xi -> Rat.sign xi >= 0) x
     && List.for_all
-         (fun (c : Lp_layout.constr) ->
+         (fun (c : Simplex.constr) ->
            let lhs =
              Array.fold_left Rat.add Rat.zero
                (Array.mapi (fun k j -> Rat.mul c.vals.(k) x.(j)) c.cols)
@@ -338,7 +344,63 @@ let test_sparse_constr_validation () =
   Alcotest.check_raises "duplicate column"
     (Invalid_argument "Simplex.sparse_constr: duplicate column")
     (fun () ->
-      ignore (Simplex.sparse_constr [ (0, q 1); (0, q 2) ] Simplex.Le (q 0)))
+      ignore (Simplex.sparse_constr [ (0, q 1); (0, q 2) ] Simplex.Le (q 0)));
+  Alcotest.check_raises "column beyond num_vars"
+    (Invalid_argument "Simplex.solve: constraint column out of range")
+    (fun () ->
+      ignore
+        (Simplex.feasible
+           (Simplex.feasibility ~num_vars:3
+              [ Simplex.sparse_constr [ (3, q 1) ] Simplex.Le (q 0) ])))
+
+(* Property: row order is the simplex's own policy ([Simplex.layout_of]
+   sorts the rows), so a problem and any row permutation of it take the
+   same pivots and report the same outcome, down to the point.  Generic
+   random coefficients pivot the same way in any order, so the problems
+   here are degenerate the way entropic LPs are: small integer
+   coefficients, right-hand sides in {−1, 0, 1}, a zero or 0/1
+   objective. *)
+let prop_row_order_invariant =
+  QCheck.Test.make ~name:"solve ignores row order" ~count:300
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let st = Random.State.make [| seed + 41 |] in
+      let pick a = a.(Random.State.int st (Array.length a)) in
+      let nv = 2 + Random.State.int st 5 in
+      let nc = 2 + Random.State.int st 9 in
+      let p =
+        Simplex.
+          { num_vars = nv;
+            objective =
+              Array.init nv (fun _ ->
+                  if Random.State.bool st then Rat.zero else q (pick [| 0; 1 |]));
+            constraints =
+              List.init nc (fun _ ->
+                  sparse_constr
+                    (List.init nv (fun j -> (j, q (pick [| -1; 0; 0; 1; 2 |]))))
+                    (pick [| Le; Ge; Eq |])
+                    (q (pick [| -1; 0; 0; 1 |]))) }
+      in
+      let shuffled =
+        List.map (fun c -> (Random.State.bits st, c)) p.constraints
+        |> List.sort (fun (a, _) (b, _) -> compare a b)
+        |> List.map snd
+      in
+      let timed p =
+        let p0 = Simplex.pivot_count () in
+        let o = Simplex.solve p in
+        (o, Simplex.pivot_count () - p0)
+      in
+      let o1, d1 = timed p in
+      let o2, d2 = timed { p with constraints = shuffled } in
+      d1 = d2
+      &&
+      match o1, o2 with
+      | Simplex.Optimal (v1, x1), Simplex.Optimal (v2, x2) ->
+        Rat.equal v1 v2 && Array.for_all2 Rat.equal x1 x2
+      | Simplex.Unbounded, Simplex.Unbounded
+      | Simplex.Infeasible, Simplex.Infeasible -> true
+      | _ -> false)
 
 (* ---------------- exact arithmetic beyond float range ---------------- *)
 
@@ -592,6 +654,7 @@ let prop_tableau_support_is_infeasible =
 let qtests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_solution_feasible; prop_engines_agree; prop_sparse_ingestion;
+      prop_row_order_invariant;
       prop_tableau_incremental_matches_cold;
       prop_tableau_point_feasible; prop_tableau_support_is_infeasible ]
 

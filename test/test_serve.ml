@@ -231,6 +231,53 @@ let test_top_reads_registry_names () =
   Alcotest.(check bool) "service ledger by registry name" true
     (has "service     overloaded 0  deadline-expired 0  connections 2")
 
+(* ---------------- access log ---------------- *)
+
+(* A request whose span subtree holds exact LP solves: Ingleton over Γ4
+   ends on exact R(W) rounds, one [simplex.solve] span each.  Its access
+   line must report the solves as a cache miss and carry their pivots —
+   exactly the [lp.pivots] the request added, since only simplex spans
+   carry a pivot count. *)
+let test_access_log_lp_subtree () =
+  let module Cones = Bagcqc_entropy.Cones in
+  let module Linexpr = Bagcqc_entropy.Linexpr in
+  let module Varset = Bagcqc_entropy.Varset in
+  let i a b c =
+    Linexpr.mutual (Varset.singleton a) (Varset.singleton b) (Varset.of_list c)
+  in
+  let ingleton =
+    Linexpr.sub (Linexpr.sum [ i 0 1 [ 2 ]; i 0 1 [ 3 ]; i 2 3 [] ]) (i 0 1 [])
+  in
+  let lp_pivots () = Obs.Metrics.count (Obs.Metrics.counter "lp.pivots") in
+  Obs.disable ();
+  Obs.enable ~ring_capacity:(1 lsl 12) ();
+  Obs.reset ();
+  Fun.protect ~finally:Obs.disable @@ fun () ->
+  let p0 = lp_pivots () in
+  let span_id =
+    Obs.Span.with_span ~name:"serve.request" @@ fun () ->
+    (match Cones.valid Cones.Gamma ~n:4 ingleton with
+     | Error _ -> ()
+     | Ok () -> Alcotest.fail "Ingleton is not valid over Γ4");
+    Obs.Span.current_id ()
+  in
+  let dp = lp_pivots () - p0 in
+  let path = Filename.temp_file "bagcqc_access" ".jsonl" in
+  Fun.protect ~finally:(fun () -> Sys.remove path) @@ fun () ->
+  let log = Access_log.open_ ~path ~sample:1 ~slow_ms:None in
+  Access_log.log_check log
+    { Access_log.id = Json.Num 1.0; verdict = Some "not_contained";
+      wall_us = 1; queue_us = 0; solve_us = 1; deadline_slack_ms = None;
+      error = None; span_id };
+  Access_log.close log;
+  let line = In_channel.with_open_text path In_channel.input_all in
+  let entry = Json.parse (String.trim line) in
+  Alcotest.(check string) "cache tier" "miss"
+    (Json.as_str (Json.member "cache" entry));
+  Alcotest.(check bool) "exact pivots ran" true (dp > 0);
+  Alcotest.(check int) "pivots = the request's lp.pivots" dp
+    (Json.as_int (Json.member "pivots" entry))
+
 let suite =
   [ Alcotest.test_case "parse check defaults" `Quick test_parse_check;
     Alcotest.test_case "parse check options" `Quick test_parse_options;
@@ -241,4 +288,6 @@ let suite =
     Alcotest.test_case "one counter on every surface" `Quick
       test_one_declaration_every_surface;
     Alcotest.test_case "top reads registry names" `Quick
-      test_top_reads_registry_names ]
+      test_top_reads_registry_names;
+    Alcotest.test_case "access log: LP subtree" `Quick
+      test_access_log_lp_subtree ]
