@@ -113,8 +113,10 @@ let cmd =
     (Cmd.info "bagcqc-fuzz" ~version:"1.0.0"
        ~doc:"Differential fuzzing harness: exact Logint sign, exact vs \
              dense simplex, production vs exact-oracle cone decisions, lazy \
-             vs materialized Γn driver, sequential vs parallel decide, and \
-             parser totality, each against independent oracles.")
+             vs materialized Γn driver, sequential vs parallel decide, \
+             parser totality, and Eq. 8's index-based homomorphism search \
+             vs the canonical-database engine, each against independent \
+             oracles.")
     Term.(const run $ suite_arg $ iters_arg $ seed_arg $ stats_arg $ trace_arg)
 
 let () = exit (Cmd.eval' cmd)

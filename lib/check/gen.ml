@@ -293,6 +293,102 @@ let shrink_query_pair (q1, q2) =
 let show_query_pair (q1, q2) =
   Printf.sprintf "%s ; %s" (Query.to_string q1) (Query.to_string q2)
 
+(* ---------------- Homomorphisms between queries ---------------- *)
+
+type hom_case = {
+  source : (string * int list) list;
+  target : (string * int list) list;
+  target_names : string list option;
+}
+
+let hom_relations = [ "R"; "S"; "T" ]
+
+let hom_side rng ~arities ~rels =
+  let nv = Rng.range rng 1 (if Rng.int rng 4 > 0 then 4 else 12) in
+  let natoms = if Rng.int rng 16 = 0 then 0 else Rng.range rng 1 5 in
+  List.init natoms (fun _ ->
+      let rel = Rng.choose rng rels in
+      (rel, List.init (List.assoc rel arities) (fun _ -> Rng.int rng nv)))
+
+let hom_case rng =
+  let arities = List.map (fun r -> (r, Rng.range rng 1 3)) hom_relations in
+  (* Now and then the target uses one relation at another arity. *)
+  let target_arities =
+    if Rng.int rng 8 > 0 then arities
+    else
+      let r = Rng.choose rng hom_relations in
+      List.map (fun (s, k) -> if String.equal s r then (s, Rng.range rng 1 3) else (s, k))
+        arities
+  in
+  (* Relations the target leaves out have no candidate row at all. *)
+  let target_rels =
+    match List.filter (fun _ -> Rng.int rng 8 > 0) hom_relations with
+    | [] -> [ Rng.choose rng hom_relations ]
+    | rels -> rels
+  in
+  let target = hom_side rng ~arities:target_arities ~rels:target_rels in
+  (* Mostly over relations the target has rows for, or few maps exist. *)
+  let source_rels =
+    match List.sort_uniq String.compare (List.map fst target) with
+    | _ :: _ as rels when Rng.int rng 4 > 0 -> rels
+    | _ -> hom_relations
+  in
+  let source = hom_side rng ~arities ~rels:source_rels in
+  (* Target names in an order unlike their indices': plain, or primed
+     as [Query.power] primes its copies. *)
+  let target_names =
+    let shuffled pool =
+      for i = Array.length pool - 1 downto 1 do
+        let j = Rng.int rng (i + 1) in
+        let t = pool.(i) in
+        pool.(i) <- pool.(j);
+        pool.(j) <- t
+      done;
+      Some (Array.to_list pool)
+    in
+    match Rng.int rng 3 with
+    | 0 -> None
+    | 1 -> shuffled [| "b"; "a"; "ab"; "B"; "a1"; "x"; "_"; "b0"; "aa"; "z"; "A"; "c" |]
+    | _ -> shuffled [| "x"; "x'"; "x''"; "y'"; "y"; "x_"; "x0"; "X"; "_x"; "x'0"; "xx"; "y''" |]
+  in
+  { source; target; target_names }
+
+let build_hom c =
+  let qb = compact_atoms c.target in
+  let qb =
+    match c.target_names with
+    | None -> qb
+    | Some names ->
+      let names =
+        Array.init (Query.nvars qb) (fun i ->
+            match List.nth_opt names i with
+            | Some s -> s
+            | None -> Bagcqc_entropy.Varset.default_name i)
+      in
+      Query.make ~nvars:(Query.nvars qb) ~names (Query.atoms qb)
+  in
+  (compact_atoms c.source, qb)
+
+let shrink_hom c =
+  let drop l = List.mapi (fun i _ -> List.filteri (fun j _ -> j <> i) l) l in
+  List.map (fun source -> { c with source }) (drop c.source)
+  @ List.map (fun target -> { c with target }) (drop c.target)
+  @ (match c.target_names with
+     | Some _ -> [ { c with target_names = None } ]
+     | None -> [])
+
+let show_hom c =
+  let qa, qb = build_hom c in
+  let atoms l =
+    String.concat ", "
+      (List.map
+         (fun (r, args) ->
+           Printf.sprintf "%s(%s)" r (String.concat "," (List.map string_of_int args)))
+         l)
+  in
+  Printf.sprintf "%s ; %s  (source %s; target %s)" (Query.to_string qa)
+    (Query.to_string qb) (atoms c.source) (atoms c.target)
+
 (* ---------------- Parser inputs ---------------- *)
 
 let alphabet = "RSTQxyzw()(),,.:-- '\t_019"

@@ -81,6 +81,28 @@ val query_pair : Rng.t -> Query.t * Query.t
 val shrink_query_pair : Query.t * Query.t -> (Query.t * Query.t) list
 val show_query_pair : Query.t * Query.t -> string
 
+(** {2 Homomorphisms between queries} *)
+
+type hom_case = {
+  source : (string * int list) list;  (** [Qa]'s raw atoms *)
+  target : (string * int list) list;  (** [Qb]'s raw atoms *)
+  target_names : string list option;
+      (** [Qb]'s variable names by index (defaults past the list's end),
+          distinct and ordered unlike the indices, primed ones among
+          them; [None] keeps the default names *)
+}
+(** A pair for [Hom.enumerate_between]: at most 5 atoms a side over at
+    most 3 relations of arity at most 3, with repeated variables,
+    relations missing from the target, and now and then a relation the
+    target uses at another arity. *)
+
+val hom_case : Rng.t -> hom_case
+val build_hom : hom_case -> Query.t * Query.t
+(** [(Qa, Qb)], each through {!compact_atoms}. *)
+
+val shrink_hom : hom_case -> hom_case list
+val show_hom : hom_case -> string
+
 (** {2 Parser inputs} *)
 
 val parser_case : Rng.t -> string

@@ -419,6 +419,66 @@ let decide_suite =
       shrink = Gen.shrink_query_pair;
       check = check_decide }
 
+(* ---------------- hom_between ---------------- *)
+
+(* The general engine on the canonical database of [qb], decoded back to
+   [qb]'s variables by name — what [Hom.enumerate_between] computed
+   before it searched on indices, kept as its reference. *)
+let reference_between qa qb =
+  let module Value = Bagcqc_relation.Value in
+  let index = Hashtbl.create 16 in
+  Array.iteri (fun i name -> Hashtbl.replace index name i) (Query.var_names qb);
+  let decode = function
+    | Value.Str s -> Hashtbl.find index s
+    | _ -> invalid_arg "Suites.reference_between: not a variable name"
+  in
+  let boolean =
+    Query.make ~nvars:(Query.nvars qa) ~names:(Query.var_names qa) (Query.atoms qa)
+  in
+  List.map (Array.map decode) (Hom.enumerate boolean (Database.canonical qb))
+
+let raises_invalid f =
+  match f () with _ -> false | exception Invalid_argument _ -> true
+
+let show_homs homs =
+  String.concat " "
+    (List.map
+       (fun h ->
+         "[" ^ String.concat "," (Array.to_list (Array.map string_of_int h)) ^ "]")
+       homs)
+
+let check_hom_between (qa, qb) =
+  if Option.is_some (Query.arity_clash qa qb) then
+    let* () =
+      require
+        (raises_invalid (fun () -> Hom.enumerate_between qa qb))
+        "enumerate_between accepts a relation used at two arities"
+    in
+    require
+      (raises_invalid (fun () -> Hom.count_between qa qb))
+      "count_between accepts a relation used at two arities"
+  else
+    let expected = reference_between qa qb in
+    let homs = Hom.enumerate_between qa qb in
+    let* () =
+      require (homs = expected) "homomorphisms %s, reference %s" (show_homs homs)
+        (show_homs expected)
+    in
+    let n = Hom.count_between qa qb in
+    require (n = List.length homs) "count_between says %d for %d homomorphisms" n
+      (List.length homs)
+
+let hom_between_suite =
+  Runner.Suite
+    { name = "hom_between";
+      doc =
+        "Hom.enumerate_between on variable indices vs the general engine on \
+         the canonical database: lists in order, counts, arity clashes";
+      gen = Gen.hom_case;
+      show = Gen.show_hom;
+      shrink = Gen.shrink_hom;
+      check = (fun c -> check_hom_between (Gen.build_hom c)) }
+
 (* ---------------- parser ---------------- *)
 
 let check_parser s =
@@ -445,6 +505,6 @@ let parser_suite =
 
 let all =
   [ logint_suite; simplex_suite; float_vs_exact_suite; lazy_vs_full_suite;
-    decide_suite; parser_suite ]
+    decide_suite; parser_suite; hom_between_suite ]
 
 let find name = List.find_opt (fun s -> String.equal (Runner.name s) name) all

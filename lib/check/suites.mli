@@ -26,10 +26,25 @@
       [Not_contained] witness must actually separate the counts.
     - [parser]: {!Bagcqc_cq.Parser.parse_result} never raises on
       arbitrary near-grammar strings, and accepted queries survive a
-      print/reparse round trip. *)
+      print/reparse round trip.
+    - [hom_between]: {!Bagcqc_cq.Hom.enumerate_between} (a search on
+      variable indices) vs {!reference_between}: the same homomorphisms
+      in the same order, [count_between] equal to their number, and
+      [Invalid_argument] when a relation is used at two arities. *)
+
+open Bagcqc_cq
 
 val all : Runner.t list
 (** In fixed order: logint, simplex, float_vs_exact, lazy_vs_full,
-    decide, parser. *)
+    decide, parser, hom_between. *)
+
+val reference_between : Query.t -> Query.t -> int array list
+(** [Hom.enumerate] of [qa], as a Boolean query, on
+    [Database.canonical qb], each homomorphism decoded back to [qb]'s
+    variables by name: the general engine's answer that
+    {!Bagcqc_cq.Hom.enumerate_between} must reproduce, order included. *)
+
+val check_hom_between : Query.t * Query.t -> (unit, string) result
+(** The [hom_between] check on one pair [(qa, qb)]. *)
 
 val find : string -> Runner.t option

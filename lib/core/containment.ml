@@ -23,19 +23,11 @@ type query_class =
   | Chordal
   | General
 
-let canonical_dec q2 =
-  match Treedec.join_tree q2 with
-  | Some t -> t
-  | None ->
-    (match Treedec.junction_tree (Graph.gaifman q2) with
-     | Some t -> t
-     | None -> Treedec.of_query q2)
-
 let classify q2 =
   let acyclic = Treedec.is_acyclic q2 in
   let chordal = Graph.is_chordal (Graph.gaifman q2) in
   if acyclic || chordal then begin
-    let simple = Treedec.is_simple (canonical_dec q2) in
+    let simple = Treedec.is_simple (Treedec.of_query q2) in
     match acyclic, simple with
     | true, true -> Acyclic_simple
     | true, false -> Acyclic
@@ -50,8 +42,15 @@ let require_boolean q =
 
 (* Eq. 8 on queries whose duplicate atoms are already gone. *)
 let eq8_deduped ?(dedup = true) ?decs q1 q2 =
-  let decs = match decs with Some ds -> ds | None -> [ canonical_dec q2 ] in
   let homs = Hom.enumerate_between q2 q1 in
+  (* Without a homomorphism there is no side whatever the decomposition,
+     so the default one is not built. *)
+  let decs =
+    match decs, homs with
+    | Some ds, _ -> ds
+    | None, [] -> []
+    | None, _ :: _ -> [ Treedec.of_query q2 ]
+  in
   let sides =
     List.concat_map
       (fun t ->

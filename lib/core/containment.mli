@@ -80,7 +80,9 @@ val decide : ?max_factors:int -> Query.t -> Query.t -> verdict
     the same (immutable) verdict without Eq. 8 or either cone, and
     counts a [solver.cache.hits].  {!Bagcqc_engine.Solver.clear} empties
     the memo; a decision that raises caches nothing.
-    @raise Invalid_argument if either query is not Boolean. *)
+    @raise Invalid_argument if either query is not Boolean, or if a
+    relation has one arity in [q1] and another in [q2]
+    ({!Query.arity_clash}). *)
 
 val decide_result :
   ?max_factors:int -> Query.t -> Query.t -> (verdict, Bagcqc_error.t) result

@@ -104,6 +104,7 @@ let lift_query q =
   let extra = List.length atoms in
   let names =
     Array.append (Query.var_names q)
-      (Array.init extra (fun i -> Printf.sprintf "__id%d" i))
+      (Query.fresh_names ~taken:(Query.var_names q)
+         (Array.init extra (fun i -> Printf.sprintf "__id%d" i)))
   in
   Query.make ~head:(Query.head q) ~nvars:(nv + extra) ~names lifted

@@ -6,7 +6,8 @@ exception Limit_reached
 (* Size of the candidate row set scanned at each search node: the whole
    relation when no argument is bound yet, otherwise the index bucket.
    The distribution tells apart index-driven runs (mass near 1) from
-   degenerate cross-product scans (mass near the relation sizes). *)
+   degenerate cross-product scans (mass near the relation sizes).  The
+   search between two queries scans a few atoms and records nothing here. *)
 let h_candidates = Obs.Metrics.histogram "hom.candidates"
 let c_enumerations = Obs.Metrics.counter "hom.enumerations"
 
@@ -181,13 +182,19 @@ let iter_homs_body ?root_slice q db yield =
   in
   go ~root:true (List.init natoms (fun i -> (i, Array.length rows.(i))))
 
-let iter_homs q db yield =
+(* One [hom.enumerations] bump and one [hom.enumerate] span per
+   enumeration, however it is split across domains. *)
+let enumeration_span ?(par = false) q f =
   Obs.Metrics.bump c_enumerations;
+  let attrs =
+    [ ("vars", Obs.Span.Int (Query.nvars q));
+      ("atoms", Obs.Span.Int (List.length (Query.atoms q))) ]
+  in
   Obs.Span.with_span ~name:"hom.enumerate"
-    ~attrs:
-      [ ("vars", Obs.Span.Int (Query.nvars q));
-        ("atoms", Obs.Span.Int (List.length (Query.atoms q))) ]
-  @@ fun () -> iter_homs_body q db yield
+    ~attrs:(if par then attrs @ [ ("par", Obs.Span.Bool true) ] else attrs)
+    f
+
+let iter_homs q db yield = enumeration_span q @@ fun () -> iter_homs_body q db yield
 
 (* Row count of the root atom — the first smallest relation, mirroring
    the selection rule in [go] when nothing is bound yet.  This is how
@@ -215,15 +222,6 @@ let slices_for q db =
     end
   end
 
-let with_enumeration_span q f =
-  Obs.Metrics.bump c_enumerations;
-  Obs.Span.with_span ~name:"hom.enumerate"
-    ~attrs:
-      [ ("vars", Obs.Span.Int (Query.nvars q));
-        ("atoms", Obs.Span.Int (List.length (Query.atoms q)));
-        ("par", Obs.Span.Bool true) ]
-    f
-
 let count ?limit q db =
   let seq () =
     let n = ref 0 in
@@ -242,7 +240,7 @@ let count ?limit q db =
     (match slices_for q db with
      | None -> seq ()
      | Some slices ->
-       with_enumeration_span q @@ fun () ->
+       enumeration_span ~par:true q @@ fun () ->
        Bagcqc_par.Pool.parallel_map
          (fun (lo, hi) ->
            let n = ref 0 in
@@ -275,7 +273,7 @@ let answers_tbl q db =
     iter_homs q db (accumulate tbl);
     tbl
   | Some slices ->
-    with_enumeration_span q @@ fun () ->
+    enumeration_span ~par:true q @@ fun () ->
     let parts =
       Bagcqc_par.Pool.parallel_map
         (fun (lo, hi) ->
@@ -308,23 +306,129 @@ let contained_on q1 q2 db =
       acc && c1 <= (match RowTbl.find_opt a2 key with Some c -> c | None -> 0))
     a1 true
 
-(* Queries as structures: the canonical database uses Str values carrying
-   variable names, which we decode back to indices. *)
+(* ---------------- homomorphisms between queries ---------------- *)
 
-let boolean q = Query.make ~nvars:(Query.nvars q) ~names:(Query.var_names q) (Query.atoms q)
+(* [hom(Qa, Qb)] with both queries as structures, searched on variable
+   indices: no database is built.  Qb's domain is its variables (their
+   names are distinct, see [Query.make]).  An atom of Qa ranges over the
+   argument arrays of Qb's atoms with the same relation, deduplicated and
+   sorted by name position by position: the row order of
+   [Database.canonical qb], since [Value.compare] on [Str] is
+   [String.compare].  With [iter_homs_body]'s atom choice on top, the
+   homomorphisms come out in the general engine's order on that
+   database — the order of Eq. 8's sides.
+
+   [yield] receives the live assignment; copy it to keep it. *)
+let iter_between qa qb yield =
+  let nb = Query.nvars qb in
+  let name = Query.var_name qb in
+  (* [rank.(v)]: position of v's name among Qb's names, sorted. *)
+  let order = Array.init nb Fun.id in
+  Array.sort (fun a b -> String.compare (name a) (name b)) order;
+  let rank = Array.make nb 0 in
+  Array.iteri (fun k v -> rank.(v) <- k) order;
+  let compare_rows x y =
+    let rec go i =
+      if i >= Array.length x then 0
+      else
+        let c = Int.compare rank.(x.(i)) rank.(y.(i)) in
+        if c <> 0 then c else go (i + 1)
+    in
+    go 0
+  in
+  let b_atoms = Query.atoms qb in
+  let rows_of rel arity =
+    List.filter_map
+      (fun (b : Query.atom) ->
+        if not (String.equal b.rel rel) then None
+        else if Array.length b.args <> arity then
+          invalid_arg
+            (Printf.sprintf
+               "Hom.enumerate_between: relation %s has arity %d in the source \
+                query but %d in the target"
+               rel arity (Array.length b.args))
+        else Some b.args)
+      b_atoms
+    |> List.sort_uniq compare_rows |> Array.of_list
+  in
+  (* One row array per relation symbol: Qa's arities agree per symbol. *)
+  let by_rel = ref [] in
+  let rows_for (a : Query.atom) =
+    let rec find = function
+      | [] ->
+        let rows = rows_of a.rel (Array.length a.args) in
+        by_rel := (a.rel, rows) :: !by_rel;
+        rows
+      | (rel, rows) :: rest -> if String.equal rel a.rel then rows else find rest
+    in
+    find !by_rel
+  in
+  let a_atoms = Array.of_list (Query.atoms qa) in
+  let rows = Array.map rows_for a_atoms in
+  let args = Array.map (fun (a : Query.atom) -> a.args) a_atoms in
+  let natoms = Array.length args in
+  let na = Query.nvars qa in
+  let phi = Array.make na (-1) in
+  (* Variables bound along the current path, for undoing a row. *)
+  let trail = Array.make na 0 and top = ref 0 in
+  let pending = Array.make natoms true in
+  let rec go remaining =
+    if remaining = 0 then yield phi
+    else begin
+      (* Most bound positions first, ties to fewer rows; first maximum
+         wins — [iter_homs_body]'s choice. *)
+      let best = ref (-1) and best_cnt = ref (-1) and best_size = ref 0 in
+      for i = 0 to natoms - 1 do
+        if pending.(i) then begin
+          let cnt = ref 0 in
+          Array.iter (fun v -> if phi.(v) >= 0 then incr cnt) args.(i);
+          let size = Array.length rows.(i) in
+          if !cnt > !best_cnt || (!cnt = !best_cnt && size < !best_size) then begin
+            best := i;
+            best_cnt := !cnt;
+            best_size := size
+          end
+        end
+      done;
+      let ai = !best in
+      let a = args.(ai) in
+      let arity = Array.length a in
+      pending.(ai) <- false;
+      Array.iter
+        (fun row ->
+          let base = !top in
+          let pos = ref 0 in
+          while !pos < arity do
+            let v = a.(!pos) and x = row.(!pos) in
+            let cur = phi.(v) in
+            if cur < 0 then begin
+              phi.(v) <- x;
+              trail.(!top) <- v;
+              incr top;
+              incr pos
+            end
+            else if cur = x then incr pos
+            else pos := arity + 1
+          done;
+          if !pos = arity then go (remaining - 1);
+          while !top > base do
+            decr top;
+            phi.(trail.(!top)) <- -1
+          done)
+        rows.(ai);
+      pending.(ai) <- true
+    end
+  in
+  go natoms
 
 let enumerate_between qa qb =
-  let db = Database.canonical qb in
-  let name_to_index = Hashtbl.create 16 in
-  Array.iteri
-    (fun i name -> Hashtbl.replace name_to_index name i)
-    (Query.var_names qb);
-  let decode v =
-    match v with
-    | Value.Str s -> Hashtbl.find name_to_index s
-    | Value.Int _ | Value.Pair _ | Value.Tag _ | Value.Tuple _ ->
-      invalid_arg "Hom.enumerate_between: unexpected value"
-  in
-  List.map (Array.map decode) (enumerate (boolean qa) db)
+  enumeration_span qa @@ fun () ->
+  let acc = ref [] in
+  iter_between qa qb (fun phi -> acc := Array.copy phi :: !acc);
+  List.rev !acc
 
-let count_between qa qb = count (boolean qa) (Database.canonical qb)
+let count_between qa qb =
+  enumeration_span qa @@ fun () ->
+  let n = ref 0 in
+  iter_between qa qb (fun _ -> incr n);
+  !n

@@ -40,11 +40,28 @@ val contained_on : Query.t -> Query.t -> Database.t -> bool
     containment with explicit witnesses, and in randomized tests.)
     @raise Invalid_argument if head lengths differ. *)
 
+(** {2 Homomorphisms between queries}
+
+    Eq. 8 needs [hom(Q₂, Q₁)] with both queries as structures (heads
+    ignored).  These two functions search it directly on variable
+    indices, with no database: [qb]'s domain is its variables, as in
+    [Database.canonical qb] (which names each by its distinct name,
+    see {!Query.make}).  Each call
+    counts one [hom.enumerations] and opens one [hom.enumerate] span;
+    it never fans out over the pool. *)
+
 val count_between : Query.t -> Query.t -> int
-(** [count_between qa qb] is [|hom(Qa, Qb)|]: homomorphisms from the
-    structure of [qa] to the canonical structure of [qb]
-    (both queries treated as Boolean). *)
+(** [count_between qa qb] is [|hom(Qa, Qb)|], counted through the same
+    search as {!enumerate_between} without building the list.
+    @raise Invalid_argument as {!enumerate_between}. *)
 
 val enumerate_between : Query.t -> Query.t -> int array list
 (** The homomorphisms themselves, as variable maps
-    [vars(qa) → vars(qb)]. *)
+    [vars(qa) → vars(qb)], in the order {!enumerate} lists them for
+    [qa] on [Database.canonical qb]: an atom of [qa] takes [qb]'s atoms
+    of its relation in order of their argument names, position by
+    position, and the atom expanded next is the one with the most bound
+    positions (ties to fewer candidate atoms, then to the earlier atom).
+    Eq. 8's sides follow this order.
+    @raise Invalid_argument if a relation of [qa] occurs in [qb] with
+    another arity. *)

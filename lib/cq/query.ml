@@ -20,7 +20,18 @@ let make ?(head = []) ~nvars ?names atoms =
     | Some a ->
       if Array.length a <> nvars then
         invalid_arg "Query.make: names length mismatch"
-      else a
+      else begin
+        (* Databases built from a query ([Database.canonical], witness
+           annotations) identify a variable by its name. *)
+        Array.iteri
+          (fun i s ->
+            for j = 0 to i - 1 do
+              if String.equal a.(j) s then
+                invalid_arg ("Query.make: duplicate variable name " ^ s)
+            done)
+          a;
+        a
+      end
   in
   List.iter
     (fun a ->
@@ -123,6 +134,17 @@ let connected_components q =
 
 let shift_atom k a = { a with args = Array.map (fun v -> v + k) a.args }
 
+let fresh_names ~taken names =
+  let used = Hashtbl.create 16 in
+  Array.iter (fun s -> Hashtbl.replace used s ()) taken;
+  Array.map
+    (fun s ->
+      let rec fresh s = if Hashtbl.mem used s then fresh (s ^ "'") else s in
+      let s = fresh s in
+      Hashtbl.replace used s ();
+      s)
+    names
+
 let disjoint_union q1 q2 =
   let k = q1.nvars in
   make
@@ -130,13 +152,24 @@ let disjoint_union q1 q2 =
     ~nvars:(q1.nvars + q2.nvars)
     ~names:
       (Array.append q1.names
-         (Array.map (fun s -> s ^ "'") q2.names))
+         (fresh_names ~taken:q1.names (Array.map (fun s -> s ^ "'") q2.names)))
     (q1.atoms @ List.map (shift_atom k) q2.atoms)
 
 let power k q =
   if k < 1 then invalid_arg "Query.power";
   let rec go acc i = if i >= k then acc else go (disjoint_union acc q) (i + 1) in
   go q 1
+
+let arity_clash a b =
+  List.find_map
+    (fun x ->
+      List.find_map
+        (fun y ->
+          if String.equal x.rel y.rel && Array.length x.args <> Array.length y.args
+          then Some (x.rel, Array.length x.args, Array.length y.args)
+          else None)
+        b.atoms)
+    a.atoms
 
 let equal a b =
   a.head = b.head && a.nvars = b.nvars && List.equal same_atom a.atoms b.atoms

@@ -22,9 +22,10 @@ type atom = {
 type t
 
 val make : ?head:int list -> nvars:int -> ?names:string array -> atom list -> t
-(** @raise Invalid_argument if an argument or head variable is out of
-    range, if [names] has the wrong length, or if two atoms share a
-    relation name with different arities. *)
+(** [names] defaults to [X1, X2, …].
+    @raise Invalid_argument if an argument or head variable is out of
+    range, if [names] has the wrong length or names two variables alike,
+    or if two atoms share a relation name with different arities. *)
 
 val atom : string -> int list -> atom
 
@@ -49,14 +50,25 @@ val connected_components : t -> Varset.t list
 (** Variable sets of the connected components of the query's hypergraph
     (isolated components of the paper's Section 5 construction). *)
 
+val fresh_names : taken:string array -> string array -> string array
+(** [fresh_names ~taken names] renames [names] apart from [taken] and
+    from one another, appending primes where needed: [x] becomes [x'],
+    [x''], …  Names already apart are kept. *)
+
 val disjoint_union : t -> t -> t
 (** Conjunction with disjoint variables: the paper's [n · A] construction
-    ([Q₁ ∧ Q₂] after shifting [Q₂]'s variables); heads concatenate. *)
+    ([Q₁ ∧ Q₂] after shifting [Q₂]'s variables); heads concatenate.
+    [Q₂]'s variables are primed, with as many primes as it takes to keep
+    every name distinct ({!fresh_names}). *)
 
 val power : int -> t -> t
 (** [power k q]: [k] disjoint copies of [q] (Lemma 2.2 of [21], used to
     reduce exponent-domination to domination).
     @raise Invalid_argument if [k < 1]. *)
+
+val arity_clash : t -> t -> (string * int * int) option
+(** A relation symbol that [a] and [b] use with different arities, with
+    its arity in [a] and in [b]; [None] if their vocabularies agree. *)
 
 val equal : t -> t -> bool
 (** Structural equality (same indices, names ignored). *)

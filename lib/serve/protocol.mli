@@ -31,8 +31,10 @@
     v}
 
     Error kinds: ["parse"] (line is not a JSON object),
-    ["bad_request"] (unknown op, missing field, query syntax),
-    ["deadline_exceeded"], ["overloaded"] (admission queue full),
+    ["bad_request"] (unknown op, missing field, query syntax; head
+    lengths that differ or a relation used at two arities, answered by
+    the dispatcher), ["deadline_exceeded"], ["overloaded"] (admission
+    queue full while the dispatcher works on a batch),
     ["shutting_down"] (request arrived during drain), and ["internal"]
     (a typed {!Bagcqc_num.Bagcqc_error} from the decision pipeline). *)
 

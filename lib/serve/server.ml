@@ -68,8 +68,10 @@ type t = {
   cfg : config;
   qm : Mutex.t;
   qc : Condition.t; (* dispatcher: work available / draining *)
+  room : Condition.t; (* readers: the dispatcher took the queue / draining *)
   queue : pending Queue.t;
   mutable draining : bool;
+  mutable solving : bool; (* the dispatcher is working on a batch *)
   cm : Mutex.t;
   mutable conns : conn list;
   mutable readers : Thread.t list;
@@ -111,6 +113,7 @@ let initiate_drain t =
   Mutex.lock t.qm;
   t.draining <- true;
   Condition.broadcast t.qc;
+  Condition.broadcast t.room;
   Mutex.unlock t.qm;
   wake t
 
@@ -128,6 +131,16 @@ let enqueue t (p : pending) =
   end
   else begin
     Mutex.lock t.qm;
+    (* A full queue the dispatcher has not taken yet is no overload: it
+       was signalled, but this reader still holds the runtime lock (it
+       parses whatever its buffer holds).  Wait for the dispatcher to
+       take the queue; refuse only while it works on a batch. *)
+    while
+      (not t.draining) && (not t.solving)
+      && Queue.length t.queue >= t.cfg.max_queue
+    do
+      Condition.wait t.room t.qm
+    done;
     let status =
       if t.draining then `Draining
       else if Queue.length t.queue >= t.cfg.max_queue then `Full
@@ -294,21 +307,34 @@ let process_batch t batch =
             error = Some (Protocol.kind_name Protocol.Deadline_exceeded);
             span_id = -1 })
     dead;
-  (* Booleanization can refuse a pair (head lengths differ); that is the
+  (* Booleanization can refuse a pair (head lengths differ), and the
+     decision refuses a relation used at two arities; that is the
      client's mistake, not the batch's — answer it typed and keep going. *)
   let jobs =
     List.filter_map
       (fun p ->
-        if Query.is_boolean p.q1 && Query.is_boolean p.q2 then
-          Some (p, p.q1, p.q2)
-        else
-          match Reductions.booleanize p.q1 p.q2 with
-          | q1, q2 -> Some (p, q1, q2)
-          | exception Invalid_argument msg ->
-            send_error t p.conn
-              { Protocol.id = p.id; kind = Protocol.Bad_request;
-                message = msg };
-            None)
+        let pair =
+          if Query.is_boolean p.q1 && Query.is_boolean p.q2 then Ok (p.q1, p.q2)
+          else
+            match Reductions.booleanize p.q1 p.q2 with
+            | pair -> Ok pair
+            | exception Invalid_argument msg -> Error msg
+        in
+        let pair =
+          Result.bind pair (fun (q1, q2) ->
+              match Query.arity_clash q1 q2 with
+              | None -> Ok (q1, q2)
+              | Some (rel, k1, k2) ->
+                Error
+                  (Printf.sprintf "relation %s has arity %d in q1 but %d in q2"
+                     rel k1 k2))
+        in
+        match pair with
+        | Ok (q1, q2) -> Some (p, q1, q2)
+        | Error msg ->
+          send_error t p.conn
+            { Protocol.id = p.id; kind = Protocol.Bad_request; message = msg };
+          None)
       live
   in
   if jobs <> [] then begin
@@ -387,21 +413,26 @@ let dispatcher_body t =
     done;
     Obs.Metrics.set_gauge g_queue_depth 0;
     if !batch = [] && t.draining then continue := false;
+    t.solving <- !batch <> [];
+    Condition.broadcast t.room;
     Mutex.unlock t.qm;
     match List.rev !batch with
     | [] -> ()
     | batch -> (
-      try process_batch t batch
-      with e ->
-        (* A dispatcher death would hang every queued client; answer what
-           we can and keep serving.  decide_result already reifies the
-           expected failure modes, so this is strictly a backstop. *)
-        let msg = "unexpected server error: " ^ Printexc.to_string e in
-        List.iter
-          (fun p ->
-            send_error t p.conn
-              { Protocol.id = p.id; kind = Protocol.Internal; message = msg })
-          batch)
+      (try process_batch t batch
+       with e ->
+         (* A dispatcher death would hang every queued client; answer what
+            we can and keep serving.  decide_result already reifies the
+            expected failure modes, so this is strictly a backstop. *)
+         let msg = "unexpected server error: " ^ Printexc.to_string e in
+         List.iter
+           (fun p ->
+             send_error t p.conn
+               { Protocol.id = p.id; kind = Protocol.Internal; message = msg })
+           batch);
+      Mutex.lock t.qm;
+      t.solving <- false;
+      Mutex.unlock t.qm)
   done
 
 (* ---------------- connections ---------------- *)
@@ -445,7 +476,10 @@ let handle_line t conn line =
         let deadline = Option.map (fun ms -> now +. (ms /. 1000.0)) deadline_ms in
         enqueue t
           { conn; id = env.Protocol.id; q1; q2; max_factors;
-            want_certificate; deadline; enqueued_at = now })
+            want_certificate; deadline; enqueued_at = now };
+        (* Let the dispatcher, if it waits for the runtime lock, run
+           before this reader parses the next buffered line. *)
+        Thread.yield ())
 
 let reader_body t conn =
   (try
@@ -533,7 +567,8 @@ let run cfg =
   in
   let t =
     { cfg; qm = Mutex.create (); qc = Condition.create ();
-      queue = Queue.create (); draining = false; cm = Mutex.create ();
+      room = Condition.create (); queue = Queue.create (); draining = false;
+      solving = false; cm = Mutex.create ();
       conns = []; readers = []; pipe_r; pipe_w; access;
       ticker_stop = Atomic.make false }
   in

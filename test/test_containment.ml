@@ -446,6 +446,48 @@ let test_presolve_outcomes () =
   Alcotest.check path "Example 3.5 falls back" (2, [ 0; 0; 1 ]) (k, deltas);
   not_contained "Example 3.5" ~card_p:16 ~hom2:8 v
 
+(* Eq. 8's sides, in order, equal the same construction over the
+   reference enumerator (the general engine on Q1's canonical database)
+   on every check-10k pair. *)
+let test_eq8_sides_check10k () =
+  let insts =
+    match Bagcqc_check.Corpus.load "../corpus/check-10k.jsonl" with
+    | Ok (_, insts) -> insts
+    | Error msg -> Alcotest.fail msg
+  in
+  let reference_sides q1 q2 =
+    let q1 = Query.dedup_atoms q1 and q2 = Query.dedup_atoms q2 in
+    let et = Treedec.et (Treedec.of_query q2) in
+    let seen = Hashtbl.create 16 in
+    let sides =
+      List.filter_map
+        (fun phi ->
+          let cx = Cexpr.rename (fun v -> phi.(v)) et in
+          let key = Linexpr.terms (Cexpr.to_linexpr cx) in
+          if Hashtbl.mem seen key then None
+          else begin
+            Hashtbl.add seen key ();
+            Some cx
+          end)
+        (Bagcqc_check.Suites.reference_between q2 q1)
+    in
+    Maxii.sides (Maxii.conditional ~n:(Query.nvars q1) ~q:Rat.one sides)
+  in
+  let nonempty = ref 0 in
+  List.iter
+    (fun inst ->
+      match inst.Bagcqc_check.Corpus.payload with
+      | Bagcqc_check.Corpus.Check_pair { q1; q2 } ->
+        let sides = Maxii.sides (Containment.eq8 q1 q2) in
+        if sides <> [] then incr nonempty;
+        if not (List.equal Linexpr.equal sides (reference_sides q1 q2)) then
+          Alcotest.failf "Eq. 8 sides differ on %s ; %s" (Query.to_string q1)
+            (Query.to_string q2)
+      | Bagcqc_check.Corpus.Iip_sides _ -> Alcotest.fail "not a containment pair")
+    insts;
+  (* 4452 of the 10k pairs have no homomorphism Q2 -> Q1. *)
+  Alcotest.(check int) "pairs with sides" (10_000 - 4452) !nonempty
+
 let suite =
   [ ("classify", `Quick, test_classify);
     ("Example 4.3 (vee)", `Quick, test_example_4_3_vee);
@@ -454,6 +496,7 @@ let suite =
     ("contained with extra join", `Quick, test_contained_with_extra_join);
     ("decide with heads", `Quick, test_decide_with_heads);
     ("eq8 requires boolean", `Quick, test_eq8_requires_boolean);
+    ("Eq. 8 sides on check-10k", `Quick, test_eq8_sides_check10k);
     ("scale_steps", `Quick, test_scale_steps);
     ("witness from normal (Ex 3.5)", `Quick, test_witness_from_normal_direct);
     ("Nn presolve outcomes", `Quick, test_presolve_outcomes);

@@ -147,6 +147,82 @@ let test_answers_bagset () =
   Alcotest.(check bool) "Q <= Q^2 on db" true (Hom.contained_on q q2 db);
   Alcotest.(check bool) "Q^2 </= Q on db" false (Hom.contained_on q2 q db)
 
+(* [enumerate_between] searches on variable indices; the general engine
+   on the canonical database is its reference, order included (the order
+   of Eq. 8's sides). *)
+let test_hom_between () =
+  Alcotest.(check (list (array int))) "vee -> triangle, in order"
+    (Bagcqc_check.Suites.reference_between vee triangle)
+    (Hom.enumerate_between vee triangle);
+  Alcotest.(check (list (array int))) "empty query: one empty map" [ [||] ]
+    (Hom.enumerate_between (Query.make ~nvars:0 []) triangle);
+  (* Names, not indices, order the candidate rows. *)
+  let named = Query.make ~nvars:2 ~names:[| "b"; "a" |] [ Query.atom "R" [ 0; 1 ]; Query.atom "R" [ 1; 0 ] ] in
+  Alcotest.(check (list (array int))) "rows sorted by name"
+    [ [| 1; 0 |]; [| 0; 1 |] ]
+    (Hom.enumerate_between (Parser.parse "R(x,y)") named);
+  let clash () = Hom.count_between (Parser.parse "R(x)") vee in
+  Alcotest.(check bool) "arity clash raises" true
+    (match clash () with _ -> false | exception Invalid_argument _ -> true)
+
+(* Variable names are distinct, so databases built from a query by name
+   (the canonical database, witness annotations) keep its variables
+   apart; [Query.power] primes each copy's names until they are fresh. *)
+let test_distinct_names () =
+  Alcotest.check_raises "duplicate names rejected"
+    (Invalid_argument "Query.make: duplicate variable name a") (fun () ->
+      ignore
+        (Query.make ~nvars:2 ~names:[| "a"; "a" |] [ Query.atom "R" [ 0; 1 ] ]));
+  let q = Parser.parse "R(x,x')" in
+  Alcotest.(check string) "power 3 names"
+    "Q() :- R(x,x'), R(x'',x'''), R(x'''',x''''')"
+    (Query.to_string (Query.power 3 q));
+  let p2 = Query.power 2 q in
+  let path = Parser.parse "R(a,b), R(b,c)" in
+  Alcotest.(check (list (array int))) "R(a,b), R(b,c) into R(x,x')^2: none" []
+    (Hom.enumerate_between path p2);
+  Alcotest.(check int) "reference agrees" 0
+    (Hom.count path (Database.canonical p2));
+  Alcotest.(check (option (triple string int int))) "arity clash"
+    (Some ("R", 1, 2)) (Query.arity_clash (Parser.parse "R(x)") q);
+  Alcotest.(check (option (triple string int int))) "no clash" None
+    (Query.arity_clash path q)
+
+let prop_hom_between =
+  QCheck.Test.make ~name:"enumerate_between = canonical-database reference"
+    ~count:2000
+    (QCheck.make ~print:Bagcqc_check.Gen.show_hom (fun st ->
+         Bagcqc_check.Gen.hom_case (Bagcqc_check.Rng.create (Random.State.bits st))))
+    (fun c ->
+      match Bagcqc_check.Suites.check_hom_between (Bagcqc_check.Gen.build_hom c) with
+      | Ok () -> true
+      | Error msg -> QCheck.Test.fail_report msg)
+
+(* Both directions and the self-maps of every check-10k pair. *)
+let test_hom_between_check10k () =
+  let insts =
+    match Bagcqc_check.Corpus.load "../corpus/check-10k.jsonl" with
+    | Ok (_, insts) -> insts
+    | Error msg -> Alcotest.fail msg
+  in
+  let homs = ref 0 in
+  List.iter
+    (fun inst ->
+      match inst.Bagcqc_check.Corpus.payload with
+      | Bagcqc_check.Corpus.Check_pair { q1; q2 } ->
+        List.iter
+          (fun (qa, qb) ->
+            (match Bagcqc_check.Suites.check_hom_between (qa, qb) with
+             | Ok () -> ()
+             | Error msg ->
+               Alcotest.failf "%s ; %s: %s" (Query.to_string qa)
+                 (Query.to_string qb) msg);
+            homs := !homs + Hom.count_between qa qb)
+          [ (q2, q1); (q1, q2); (q1, q1); (q2, q2) ]
+      | Bagcqc_check.Corpus.Iip_sides _ -> Alcotest.fail "not a containment pair")
+    insts;
+  Alcotest.(check bool) "homomorphisms were compared" true (!homs > 40_000)
+
 let test_empty_query () =
   let q = Query.make ~nvars:0 [] in
   Alcotest.(check int) "one empty hom" 1 (Hom.count q Database.empty)
@@ -358,7 +434,7 @@ let prop_closure_preserves_homs =
 let qtests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_of_query_valid; prop_et_on_modular; prop_closure_preserves_homs;
-      prop_parse_result_never_raises ]
+      prop_parse_result_never_raises; prop_hom_between ]
 
 let suite =
   [ ("parser", `Quick, test_parser);
@@ -368,6 +444,9 @@ let suite =
     ("hom repeated vars", `Quick, test_hom_repeated_vars);
     ("bag-set answers", `Quick, test_answers_bagset);
     ("empty query", `Quick, test_empty_query);
+    ("hom between queries", `Quick, test_hom_between);
+    ("distinct variable names", `Quick, test_distinct_names);
+    ("hom between on check-10k", `Quick, test_hom_between_check10k);
     ("gaifman/chordality", `Quick, test_gaifman);
     ("maximal cliques", `Quick, test_maximal_cliques);
     ("triangulation", `Quick, test_triangulation);

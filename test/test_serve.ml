@@ -278,6 +278,88 @@ let test_access_log_lp_subtree () =
   Alcotest.(check int) "pivots = the request's lp.pivots" dp
     (Json.as_int (Json.member "pivots" entry))
 
+(* ---------------- pipelined bursts ---------------- *)
+
+(* A daemon on a fresh socket, one client connection to it, and a
+   shutdown when [f] returns. *)
+let with_daemon ?(max_queue = 256) f =
+  let sock = Filename.temp_file "bagcqc_test" ".sock" in
+  Sys.remove sock;
+  let cfg =
+    { (Server.default_config (Protocol.Unix_path sock)) with banner = false; max_queue }
+  in
+  let server = Thread.create Server.run cfg in
+  let c = Client.connect ~retry_ms:5000 (Protocol.Unix_path sock) in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Client.request c (Json.Obj [ ("id", Json.Null); ("op", Json.Str "shutdown") ]));
+      ignore (Client.recv_line c);
+      Client.close c;
+      Thread.join server)
+  @@ fun () -> f c
+
+let check_line i (q1, q2) =
+  Json.to_string
+    (Json.Obj
+       [ ("id", Json.Num (float_of_int i)); ("op", Json.Str "check");
+         ("q1", Json.Str q1); ("q2", Json.Str q2) ])
+
+(* Writes [lines] in one go from another thread, reads as many replies,
+   then hands each to [on_reply] with its id (all are read first, so a
+   failed check leaves no reply unread). *)
+let pipeline c lines on_reply =
+  let writer = Thread.create (fun () -> Client.send_line c (String.concat "\n" lines)) () in
+  let replies = List.map (fun _ -> Client.recv_line c) lines in
+  Thread.join writer;
+  List.iter
+    (function
+      | None -> Alcotest.fail "server closed the connection mid-burst"
+      | Some line ->
+        let r = Json.parse line in
+        on_reply (Json.as_int (Json.member "id" r)) r)
+    replies
+
+(* A full admission queue that the dispatcher has not taken yet is no
+   overload: the dispatcher is idle, and the reader, which parses its
+   whole buffer under the runtime lock, merely ran first.  Two checks
+   written in one go to an idle daemon with a one-slot queue are both
+   answered. *)
+let test_idle_dispatcher_admits () =
+  with_daemon ~max_queue:1 @@ fun c ->
+  pipeline c
+    [ check_line 0 ("R(x,y), R(y,z), R(z,x)", "R(u,v), R(u,w)");
+      check_line 1 ("R(x,y), S(y,z)", "R(x,y)") ]
+    (fun i r ->
+      match Json.find_opt "error" r with
+      | Some e -> Alcotest.failf "request %d refused: %s" i (Json.to_string e)
+      | None ->
+        Alcotest.(check string) "verdict"
+          (if i = 0 then "contained" else "not_contained")
+          (Json.as_str (Json.member "verdict" r)))
+
+(* A pair whose queries use one relation at two arities is the client's
+   mistake: it draws a bad_request, and the good pairs pipelined next to
+   it (in its batch, as a rule) still get their verdicts. *)
+let test_arity_clash_in_batch () =
+  with_daemon @@ fun c ->
+  let clash = ("R(x), R(y)", "R(x,y)") and good = ("R(x,y), R(y,z)", "R(x,y)") in
+  let n = 40 in
+  pipeline c
+    (List.init n (fun i -> check_line i (if i mod 2 = 0 then clash else good)))
+    (fun i r ->
+      if i mod 2 = 0 then
+        match Json.find_opt "error" r with
+        | Some e ->
+          Alcotest.(check string) "clash kind" "bad_request"
+            (Json.as_str (Json.member "kind" e))
+        | None -> Alcotest.failf "request %d: a clashing pair was decided" i
+      else
+        match Json.find_opt "error" r with
+        | Some e -> Alcotest.failf "request %d refused: %s" i (Json.to_string e)
+        | None ->
+          Alcotest.(check string) "verdict" "not_contained"
+            (Json.as_str (Json.member "verdict" r)))
+
 let suite =
   [ Alcotest.test_case "parse check defaults" `Quick test_parse_check;
     Alcotest.test_case "parse check options" `Quick test_parse_options;
@@ -290,4 +372,7 @@ let suite =
     Alcotest.test_case "top reads registry names" `Quick
       test_top_reads_registry_names;
     Alcotest.test_case "access log: LP subtree" `Quick
-      test_access_log_lp_subtree ]
+      test_access_log_lp_subtree;
+    Alcotest.test_case "full queue, idle dispatcher: admitted" `Quick
+      test_idle_dispatcher_admits;
+    Alcotest.test_case "arity clash in a batch" `Quick test_arity_clash_in_batch ]
