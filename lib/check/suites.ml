@@ -481,9 +481,26 @@ let hom_between_suite =
 
 (* ---------------- parser ---------------- *)
 
+let show_parse = function
+  | Ok q -> "query " ^ Query.to_string q
+  | Error msg -> "error " ^ msg
+
+(* [Query.identical] compares heads, atoms in order and variable names. *)
+let same_parse r r' =
+  match (r, r') with
+  | Ok q, Ok q' -> Query.identical q q'
+  | Error m, Error m' -> String.equal m m'
+  | _ -> false
+
 let check_parser s =
-  match Parser.parse_result s with
-  | Error _ -> Ok () (* rejection is fine; raising is the bug *)
+  let r = Parser.parse_result s in
+  let expected = Reference_parser.parse_result s in
+  let* () =
+    require (same_parse r expected) "parsed as %s, reference %s" (show_parse r)
+      (show_parse expected)
+  in
+  match r with
+  | Error _ -> Ok ()
   | Ok q ->
     let printed = Query.to_string q in
     (match Parser.parse_result printed with
@@ -497,7 +514,10 @@ let check_parser s =
 let parser_suite =
   Runner.Suite
     { name = "parser";
-      doc = "Parser.parse_result totality and print/reparse stability";
+      doc =
+        "Parser.parse_result vs the two-pass reference parser (same query, \
+         names and head, or the same error message), totality, and \
+         print/reparse stability";
       gen = Gen.parser_case;
       show = Gen.show_string;
       shrink = Gen.shrink_string;

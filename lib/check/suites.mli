@@ -24,9 +24,10 @@
       the internal soundness oracles: a [Contained] certificate must
       re-verify ({!Bagcqc_entropy.Certificate.check}) and a
       [Not_contained] witness must actually separate the counts.
-    - [parser]: {!Bagcqc_cq.Parser.parse_result} never raises on
-      arbitrary near-grammar strings, and accepted queries survive a
-      print/reparse round trip.
+    - [parser]: {!Bagcqc_cq.Parser.parse_result} vs
+      {!Reference_parser.parse_result} on near-grammar strings: the same
+      query (heads, atoms in order, variable names) or the same error
+      message; and accepted queries survive a print/reparse round trip.
     - [hom_between]: {!Bagcqc_cq.Hom.enumerate_between} (a search on
       variable indices) vs {!reference_between}: the same homomorphisms
       in the same order, [count_between] equal to their number, and
@@ -46,5 +47,8 @@ val reference_between : Query.t -> Query.t -> int array list
 
 val check_hom_between : Query.t * Query.t -> (unit, string) result
 (** The [hom_between] check on one pair [(qa, qb)]. *)
+
+val check_parser : string -> (unit, string) result
+(** The [parser] check on one string. *)
 
 val find : string -> Runner.t option

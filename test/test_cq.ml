@@ -71,6 +71,96 @@ let test_parser_errors () =
    | Ok q -> Alcotest.(check (list int)) "head repeats" [ 0; 0 ] (Query.head q)
    | Error msg -> Alcotest.failf "Q(x,x) should parse: %s" msg)
 
+(* Each case pinned, and equal to the two-pass reference parser
+   (Suites.check_parser: the same query and names, or the same message). *)
+let test_parser_edge_cases () =
+  let ok s printed = (s, Ok printed) and err s msg = (s, Error msg) in
+  List.iter
+    (fun (s, expected) ->
+      (match Bagcqc_check.Suites.check_parser s with
+       | Ok () -> ()
+       | Error msg -> Alcotest.failf "%S: %s" s msg);
+      Alcotest.(check (result string string))
+        s expected
+        (Result.map Query.to_string (Parser.parse_result s)))
+    [ ok "" "Q() :- true";
+      ok "." "Q() :- true";
+      ok "true" "Q() :- true";
+      ok "true." "Q() :- true";
+      ok "Q() :- true" "Q() :- true";
+      ok "Q() :- true." "Q() :- true";
+      ok "true(x)" "Q() :- true(x)";
+      ok "true(x) :- R(x)" "Q(x) :- R(x)";
+      ok "R() :- S(x)" "Q() :- S(x)";
+      err "Q() , R(x)" "atom Q() has no arguments";
+      err "Q(x) :- R(y)" "head variable does not occur in the body";
+      err "Q(x) :- true" "head variable does not occur in the body";
+      ok "Q(x,x) :- R(x,y)" "Q(x,x) :- R(x,y)";
+      err "R(x,)" "expected a variable name";
+      err "R(x" "expected ')'";
+      err "R(x), true" "expected '('";
+      err " ( " "expected an atom";
+      err "true , R(x)" "trailing input after query";
+      err "Q(x) :- R(x) :- S(x)" "trailing input after query";
+      err "R(x):S(x)" "at offset 4: expected ':-'";
+      (* a grammar error before a lexical one: the lexical one is reported *)
+      err "R(x,,y) $" "at offset 8: unexpected character '$'";
+      err "R(x)) $" "at offset 6: unexpected character '$'";
+      (* two arity clashes: the first atom whose arity differs from its
+         relation's first use is named *)
+      err "R(x,y), S(x), S(x,y), R(x)" "Query.make: inconsistent arity for S" ];
+  (* head variables first, then the body's in order of first occurrence *)
+  Alcotest.(check (array string))
+    "numbering" [| "z"; "x"; "y" |]
+    (Query.var_names (Parser.parse "Q(z,x) :- R(x,y), S(y,z)"))
+
+(* Both sides of every check-10k pair, rendered as the benchmark feeds
+   them to the parser. *)
+let test_parser_check10k () =
+  match Bagcqc_check.Corpus.load "../corpus/check-10k.jsonl" with
+  | Error msg -> Alcotest.fail msg
+  | Ok (_, insts) ->
+    List.iter
+      (fun inst ->
+        match inst.Bagcqc_check.Corpus.payload with
+        | Bagcqc_check.Corpus.Check_pair { q1; q2 } ->
+          List.iter
+            (fun q ->
+              let s = Query.to_string q in
+              match Bagcqc_check.Suites.check_parser s with
+              | Ok () -> ()
+              | Error msg -> Alcotest.failf "%S: %s" s msg)
+            [ q1; q2 ]
+        | Bagcqc_check.Corpus.Iip_sides _ -> Alcotest.fail "not a containment pair")
+      insts
+
+(* Interning and the arity check are linear: 50,000 atoms over 50,000
+   relations (or 50,000 variables) take tens of milliseconds; a scan per
+   atom takes seconds. *)
+let test_parser_linear_time () =
+  let n = 50_000 in
+  let body atom = String.concat ", " (List.init n atom) in
+  let timed what s =
+    let t0 = Unix.gettimeofday () in
+    let r = Parser.parse_result s in
+    let dt = Unix.gettimeofday () -. t0 in
+    if dt > 2.0 then Alcotest.failf "%s: %.2f s" what dt;
+    (match Bagcqc_check.Suites.check_parser s with
+     | Ok () -> ()
+     | Error msg -> Alcotest.failf "%s: %s" what msg);
+    r
+  in
+  let distinct = body (fun i -> Printf.sprintf "R%d(x%d,x%d)" i (i mod 8) ((i + 1) mod 8)) in
+  (match timed "distinct relations" distinct with
+   | Ok q -> Alcotest.(check int) "atoms" n (List.length (Query.atoms q))
+   | Error msg -> Alcotest.failf "distinct relations rejected: %s" msg);
+  Alcotest.(check (result reject string))
+    "arity clash" (Error "Query.make: inconsistent arity for R0")
+    (Result.map ignore (timed "arity clash" (distinct ^ ", R0(x0)")));
+  Alcotest.(check (result reject string))
+    "too many variables" (Error "Query.make: variable count out of range")
+    (Result.map ignore (timed "distinct variables" (body (Printf.sprintf "R(v%d)"))))
+
 let prop_parse_result_never_raises =
   (* Totality of the parser on genuinely arbitrary bytes — printable or
      not.  Any exception (including Invalid_argument out of Query.make)
@@ -439,6 +529,9 @@ let qtests =
 let suite =
   [ ("parser", `Quick, test_parser);
     ("parser errors", `Quick, test_parser_errors);
+    ("parser edge cases vs reference", `Quick, test_parser_edge_cases);
+    ("parser vs reference on check-10k", `Quick, test_parser_check10k);
+    ("parser linear time", `Quick, test_parser_linear_time);
     ("query ops", `Quick, test_query_ops);
     ("hom count", `Quick, test_hom_count);
     ("hom repeated vars", `Quick, test_hom_repeated_vars);
