@@ -396,10 +396,15 @@ let check_decide (q1, q2) =
       require (Bagcqc_entropy.Certificate.check cert)
         "%s Contained certificate fails Certificate.check" tag
     | Containment.Not_contained w ->
+      (* Recount: the record's own counts are what is being checked. *)
+      let recount = Containment.verify_witness q1 q2 w.Containment.p in
       require
-        (w.Containment.card_p > w.Containment.hom2)
-        "%s witness does not separate: |P| = %d vs hom2 = %d" tag
-        w.Containment.card_p w.Containment.hom2
+        (recount = Some (w.Containment.card_p, w.Containment.hom2))
+        "%s witness does not recount: record |P| = %d, hom2 = %d; recount %s"
+        tag w.Containment.card_p w.Containment.hom2
+        (match recount with
+         | Some (c, h) -> Printf.sprintf "|P| = %d, hom2 = %d" c h
+         | None -> "does not separate")
     | Containment.Unknown _ -> Ok ()
   in
   let* () = sound "sequential" v1 in

@@ -40,9 +40,9 @@ let require_boolean q =
   if not (Query.is_boolean q) then
     invalid_arg "Containment: queries must be Boolean (use decide_with_heads)"
 
-(* Eq. 8 on queries whose duplicate atoms are already gone. *)
-let eq8_deduped ?(dedup = true) ?decs q1 q2 =
-  let homs = Hom.enumerate_between q2 q1 in
+(* Eq. 8 on queries whose duplicate atoms are already gone, from the
+   homomorphisms [homs] = hom(Q2, Q1). *)
+let eq8_deduped ?(dedup = true) ?decs homs q1 q2 =
   (* Without a homomorphism there is no side whatever the decomposition,
      so the default one is not built. *)
   let decs =
@@ -81,7 +81,8 @@ let eq8_deduped ?(dedup = true) ?decs q1 q2 =
 let eq8 ?dedup ?decs q1 q2 =
   require_boolean q1;
   require_boolean q2;
-  eq8_deduped ?dedup ?decs (Query.dedup_atoms q1) (Query.dedup_atoms q2)
+  let q1 = Query.dedup_atoms q1 and q2 = Query.dedup_atoms q2 in
+  eq8_deduped ?dedup ?decs (Hom.enumerate_between q2 q1) q1 q2
 
 let scale_steps coeffs =
   let lcm_den =
@@ -112,23 +113,25 @@ let verify_witness ?(annotate = true) q1 q2 p =
 
 let default_max_factors = 14
 
+(* The candidate P of a step decomposition with integer multiplicities,
+   its database Π_Q1(P) and |P|: the one constructor of every witness. *)
+let candidate q1 steps =
+  let p = Relation.of_normal_steps ~n:(Query.nvars q1) steps in
+  (p, Database.of_vrelation ~annotate:true q1 p, Relation.cardinal p)
+
 let witness_from_normal ?(max_factors = default_max_factors) q1 q2 h =
   match Polymatroid.normal_decomposition h with
   | None -> None
   | Some coeffs ->
     let base = scale_steps coeffs in
     let base_factors = List.fold_left (fun acc (_, c) -> acc + c) 0 base in
-    let n = Query.nvars q1 in
     let rec try_k k =
       if base_factors * k > max_factors && not (base_factors = 0 && k = 1) then
         None
       else begin
-        let p =
-          Relation.of_normal_steps ~n
-            (List.map (fun (w, c) -> (w, c * k)) base)
+        let p, db, card =
+          candidate q1 (List.map (fun (w, c) -> (w, c * k)) base)
         in
-        let db = Database.of_vrelation ~annotate:true q1 p in
-        let card = Relation.cardinal p in
         let hom2 = Hom.count ~limit:card q2 db in
         if hom2 < card then Some { p; db; card_p = card; hom2 }
         else if base_factors = 0 then None
@@ -174,11 +177,24 @@ let verdict_name = function
   | Not_contained _ -> "not_contained"
   | Unknown _ -> "unknown"
 
-(* The paper's pipeline on a de-duplicated pair, uncached. *)
+(* The paper's pipeline on a de-duplicated pair, uncached.  hom(Q2, Q1)
+   is enumerated once.  When it is empty, Eq. 8 has no side and the zero
+   function refutes it; the witness [witness_from_normal] builds from
+   that refuter is the one-row P, whose database is Q1's canonical
+   database up to renaming, so hom(Q2, Π_Q1(P)) is empty (Chandra–Merlin)
+   and neither cone nor the count is run. *)
 let decide_fresh ~max_factors q1 q2 =
-  let ineq =
-    Bagcqc_obs.Span.with_span ~name:"eq8" (fun () -> eq8_deduped q1 q2)
-  in
+  match
+    Bagcqc_obs.Span.with_span ~name:"eq8" (fun () ->
+        match Hom.enumerate_between q2 q1 with
+        | [] -> None
+        | homs -> Some (eq8_deduped homs q1 q2))
+  with
+  | None ->
+    Bagcqc_obs.Span.with_span ~name:"witness" (fun () ->
+        let p, db, card_p = candidate q1 [] in
+        Not_contained { p; db; card_p; hom2 = 0 })
+  | Some ineq ->
   match
     Bagcqc_obs.Span.with_span ~name:"maxii" (fun () -> Maxii.decide ineq)
   with

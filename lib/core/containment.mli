@@ -74,6 +74,18 @@ val decide : ?max_factors:int -> Query.t -> Query.t -> verdict
     relation is a domain product of at most that many two-row step
     relations, i.e. at most [2^max_factors] rows.
 
+    A fresh decision enumerates hom([q2], [q1]) once.  When there is no
+    homomorphism ([k = 0] sides in Eq. 8), the max is empty, the zero
+    function refutes it, and neither cone nor the witness search runs:
+    the answer is [Not_contained] with the witness
+    {!witness_from_normal} realizes from that zero refuter, the
+    one-row [P] with [card_p = 1] and [hom2 = 0].  [Π_q1(P)] is [q1]'s
+    canonical database with its values renamed, so [hom(q2, Π_q1(P))]
+    is empty because [hom(q2, q1)] is (Chandra–Merlin); [hom2] is
+    recorded without a count.  Such a decision opens the stage spans
+    [eq8] and [witness] under [containment.decide]; a decision with
+    [k > 0] opens [eq8], [maxii] and, on a normal refuter, [witness].
+
     Verdicts are memoized in the engine's decision memo
     ({!Bagcqc_engine.Solver.Memo}) under [(max_factors, q1, q2)] after
     de-duplication, variable names included: a repeated check returns

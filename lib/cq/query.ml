@@ -94,21 +94,52 @@ let args_equal x y =
 
 let same_atom a b = String.equal a.rel b.rel && args_equal a.args b.args
 
-(* Quadratic, but queries are short and the common case (no duplicate)
-   returns [q] itself without allocating. *)
+(* Queries of up to this many atoms are compared pairwise, which
+   allocates nothing; longer ones go through a hash table, so both
+   helpers below take linear expected time on any query. *)
+let small_atoms = 32
+
+let is_small atoms = List.compare_length_with atoms small_atoms <= 0
+
+module Atom_tbl = Hashtbl.Make (struct
+  type t = atom
+
+  let equal = same_atom
+
+  let hash a =
+    Array.fold_left (fun h x -> (h * 16777619) lxor x) (Hashtbl.hash a.rel) a.args
+    land max_int
+end)
+
+(* The common case (a small query without duplicates) returns [q]
+   itself after one pairwise scan, which also bounds the query's size. *)
 let dedup_atoms q =
-  let rec has_dup = function
+  let rec dup_or_large budget = function
     | [] -> false
-    | a :: rest -> List.exists (same_atom a) rest || has_dup rest
+    | a :: rest ->
+      budget = 0 || List.exists (same_atom a) rest || dup_or_large (budget - 1) rest
   in
-  if not (has_dup q.atoms) then q
-  else
+  if not (dup_or_large small_atoms q.atoms) then q
+  else if is_small q.atoms then begin
     let rec keep seen = function
       | [] -> List.rev seen
       | a :: rest ->
         keep (if List.exists (same_atom a) seen then seen else a :: seen) rest
     in
     { q with atoms = keep [] q.atoms }
+  end
+  else begin
+    let seen = Atom_tbl.create 64 in
+    let first a =
+      if Atom_tbl.mem seen a then false
+      else begin
+        Atom_tbl.add seen a ();
+        true
+      end
+    in
+    let atoms = List.filter first q.atoms in
+    if List.compare_lengths atoms q.atoms = 0 then q else { q with atoms }
+  end
 
 let connected_components q =
   (* Union-find over variables, merged within each atom. *)
@@ -161,15 +192,33 @@ let power k q =
   go q 1
 
 let arity_clash a b =
-  List.find_map
-    (fun x ->
-      List.find_map
-        (fun y ->
-          if String.equal x.rel y.rel && Array.length x.args <> Array.length y.args
-          then Some (x.rel, Array.length x.args, Array.length y.args)
-          else None)
-        b.atoms)
-    a.atoms
+  if is_small a.atoms && is_small b.atoms then
+    List.find_map
+      (fun x ->
+        List.find_map
+          (fun y ->
+            if String.equal x.rel y.rel && Array.length x.args <> Array.length y.args
+            then Some (x.rel, Array.length x.args, Array.length y.args)
+            else None)
+          b.atoms)
+      a.atoms
+  else begin
+    (* [make] gives each relation one arity within a query, so [b]'s
+       first atom of a relation stands for all of them. *)
+    let arity = Hashtbl.create 64 in
+    List.iter
+      (fun y ->
+        if not (Hashtbl.mem arity y.rel) then
+          Hashtbl.add arity y.rel (Array.length y.args))
+      b.atoms;
+    List.find_map
+      (fun x ->
+        match Hashtbl.find_opt arity x.rel with
+        | Some k when k <> Array.length x.args ->
+          Some (x.rel, Array.length x.args, k)
+        | Some _ | None -> None)
+      a.atoms
+  end
 
 let equal a b =
   a.head = b.head && a.nvars = b.nvars && List.equal same_atom a.atoms b.atoms

@@ -44,7 +44,9 @@ val all_vars : t -> Varset.t
 (** [full (nvars q)] — every variable must occur in the body. *)
 
 val dedup_atoms : t -> t
-(** Remove duplicate atoms (sound under bag-set semantics, Sec. 2.2). *)
+(** Remove duplicate atoms (sound under bag-set semantics, Sec. 2.2),
+    keeping each first occurrence in order; [q] itself when nothing
+    repeats.  Linear expected time. *)
 
 val connected_components : t -> Varset.t list
 (** Variable sets of the connected components of the query's hypergraph
@@ -68,7 +70,9 @@ val power : int -> t -> t
 
 val arity_clash : t -> t -> (string * int * int) option
 (** A relation symbol that [a] and [b] use with different arities, with
-    its arity in [a] and in [b]; [None] if their vocabularies agree. *)
+    its arity in [a] and in [b]; [None] if their vocabularies agree.
+    The first atom of [a] that clashes is reported.  Linear expected
+    time. *)
 
 val equal : t -> t -> bool
 (** Structural equality (same indices, names ignored). *)

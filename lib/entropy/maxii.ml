@@ -4,7 +4,10 @@ type form =
   | General of Linexpr.t list
   | Conditional of { q : Rat.t; sides : Cexpr.t list }
 
-type t = { n : int; form : form }
+(* [plain] is [sides_of_form ~n form], computed once in [make]: every
+   cone test reads the sides, and the conditional form would otherwise
+   rebuild [Cexpr.to_linexpr e − q·h(V)] on each. *)
+type t = { n : int; form : form; plain : Linexpr.t list }
 
 let sides_of_form ~n = function
   | General es -> es
@@ -17,19 +20,20 @@ let make ~n form =
    | Conditional { q; _ } when Rat.sign q <= 0 ->
      invalid_arg "Maxii.make: q must be positive"
    | Conditional _ | General _ -> ());
+  let plain = sides_of_form ~n form in
   List.iter
     (fun e ->
       if Linexpr.max_var e >= n then
         invalid_arg "Maxii.make: side mentions a variable out of range")
-    (sides_of_form ~n form);
-  { n; form }
+    plain;
+  { n; form; plain }
 
 let general ~n es = make ~n (General es)
 let conditional ~n ~q sides = make ~n (Conditional { q; sides })
 
 let n_vars t = t.n
 let form t = t.form
-let sides t = sides_of_form ~n:t.n t.form
+let sides t = t.plain
 
 let is_iip t = List.length (sides t) = 1
 

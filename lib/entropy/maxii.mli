@@ -35,7 +35,8 @@ val form : t -> form
 
 val sides : t -> Linexpr.t list
 (** The sides as plain linear expressions ([Eℓ − q·h(V)] for the
-    conditional form), so that the inequality is always [0 ≤ max_ℓ sideℓ]. *)
+    conditional form), so that the inequality is always [0 ≤ max_ℓ sideℓ].
+    They are computed once, by {!make}. *)
 
 val is_iip : t -> bool
 (** Exactly one side ([k = 1]): an ordinary information inequality. *)

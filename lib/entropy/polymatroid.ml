@@ -121,27 +121,39 @@ let of_mobius n g =
       Varset.iter_supersets ~n x (fun y -> acc := !acc +/ g y);
       !acc)
 
+(* All 2ⁿ Möbius coefficients at once: the superset transform subtracts
+   g(X ∪ {i}) from g(X) for each variable i in turn, n·2ⁿ⁻¹ subtractions
+   in place of a 2^(n−|X|) sweep per set. *)
+let mobius_all h =
+  let g = Array.copy h.v in
+  let size = Array.length g in
+  for i = 0 to h.n - 1 do
+    let bit = 1 lsl i in
+    for x = 0 to size - 1 do
+      if x land bit = 0 then g.(x) <- g.(x) -/ g.(x lor bit)
+    done
+  done;
+  g
+
 let is_normal h =
+  let g = mobius_all h in
   let full = Varset.full h.n in
-  let ok = ref true in
-  Varset.iter_subsets full (fun x ->
-      if not (Varset.equal x full) && Rat.sign (mobius h x) > 0 then ok := false);
-  !ok && Rat.is_zero h.v.(0)
+  let rec nonpositive x = x >= full || (Rat.sign g.(x) <= 0 && nonpositive (x + 1)) in
+  nonpositive 0 && Rat.is_zero h.v.(0)
 
 let is_entropic_known = is_normal
 
 let normal_decomposition h =
-  if not (is_normal h) then None
-  else begin
-    let full = Varset.full h.n in
-    let coeffs = ref [] in
-    Varset.iter_subsets full (fun w ->
-        if not (Varset.equal w full) then begin
-          let c = Rat.neg (mobius h w) in
-          if Rat.sign c > 0 then coeffs := (w, c) :: !coeffs
-        end);
-    Some !coeffs
-  end
+  let g = mobius_all h in
+  let full = Varset.full h.n in
+  let rec collect acc w =
+    if w < 0 then Some acc
+    else
+      let s = Rat.sign g.(w) in
+      if s > 0 then None
+      else collect (if s < 0 then (w, Rat.neg g.(w)) :: acc else acc) (w - 1)
+  in
+  if Rat.is_zero h.v.(0) then collect [] (full - 1) else None
 
 let eval h e = Linexpr.eval (value h) e
 let eval_cexpr h e = eval h (Cexpr.to_linexpr e)

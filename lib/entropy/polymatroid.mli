@@ -62,7 +62,9 @@ val is_polymatroid : t -> bool
 val is_modular : t -> bool
 val is_normal : t -> bool
 (** Non-negative I-measure; equivalently the Möbius inverse [g] satisfies
-    [g(X) ≤ 0] for every [X ≠ V] (paper Fact B.7). *)
+    [g(X) ≤ 0] for every [X ≠ V] (paper Fact B.7).  All of [g] comes
+    from one superset Möbius transform: [n·2^(n−1)] subtractions, where
+    {!mobius} on every set would take [O(3^n)]. *)
 
 val is_entropic_known : t -> bool
 (** Sound, incomplete membership test for [Γ*n]: true iff the function is
@@ -73,15 +75,17 @@ val is_entropic_known : t -> bool
 (** {2 Möbius / I-measure} *)
 
 val mobius : t -> Varset.t -> Rat.t
-(** The Möbius inverse [g(X) = Σ_{Y ⊇ X} (−1)^#(Y−X) h(Y)] (Eq. 33). *)
+(** The Möbius inverse [g(X) = Σ_{Y ⊇ X} (−1)^#(Y−X) h(Y)] (Eq. 33),
+    by its definition: [2^(n−|X|)] terms. *)
 
 val of_mobius : int -> (Varset.t -> Rat.t) -> t
 (** Inverse transform: [h(X) = Σ_{Y ⊇ X} g(Y)]. *)
 
 val normal_decomposition : t -> (Varset.t * Rat.t) list option
 (** If [h] is normal, the canonical step decomposition
-    [h = Σ_W c_W h_W] with [c_W = −g(W) ≥ 0] for [W ⊊ V];
-    [None] otherwise. *)
+    [h = Σ_W c_W h_W] with [c_W = −g(W) ≥ 0] for [W ⊊ V], listing the
+    [W] with [c_W > 0] in ascending mask order; [None] otherwise.  One
+    transform, as for {!is_normal}. *)
 
 (** {2 Interplay with expressions} *)
 

@@ -446,15 +446,21 @@ let test_presolve_outcomes () =
   Alcotest.check path "Example 3.5 falls back" (2, [ 0; 0; 1 ]) (k, deltas);
   not_contained "Example 3.5" ~card_p:16 ~hom2:8 v
 
+let check10k_pairs () =
+  match Bagcqc_check.Corpus.load "../corpus/check-10k.jsonl" with
+  | Ok (_, insts) ->
+    List.map
+      (fun inst ->
+        match inst.Bagcqc_check.Corpus.payload with
+        | Bagcqc_check.Corpus.Check_pair { q1; q2 } -> (q1, q2)
+        | Bagcqc_check.Corpus.Iip_sides _ -> Alcotest.fail "not a containment pair")
+      insts
+  | Error msg -> Alcotest.fail msg
+
 (* Eq. 8's sides, in order, equal the same construction over the
    reference enumerator (the general engine on Q1's canonical database)
    on every check-10k pair. *)
 let test_eq8_sides_check10k () =
-  let insts =
-    match Bagcqc_check.Corpus.load "../corpus/check-10k.jsonl" with
-    | Ok (_, insts) -> insts
-    | Error msg -> Alcotest.fail msg
-  in
   let reference_sides q1 q2 =
     let q1 = Query.dedup_atoms q1 and q2 = Query.dedup_atoms q2 in
     let et = Treedec.et (Treedec.of_query q2) in
@@ -475,18 +481,62 @@ let test_eq8_sides_check10k () =
   in
   let nonempty = ref 0 in
   List.iter
-    (fun inst ->
-      match inst.Bagcqc_check.Corpus.payload with
-      | Bagcqc_check.Corpus.Check_pair { q1; q2 } ->
-        let sides = Maxii.sides (Containment.eq8 q1 q2) in
-        if sides <> [] then incr nonempty;
-        if not (List.equal Linexpr.equal sides (reference_sides q1 q2)) then
-          Alcotest.failf "Eq. 8 sides differ on %s ; %s" (Query.to_string q1)
-            (Query.to_string q2)
-      | Bagcqc_check.Corpus.Iip_sides _ -> Alcotest.fail "not a containment pair")
-    insts;
+    (fun (q1, q2) ->
+      let sides = Maxii.sides (Containment.eq8 q1 q2) in
+      if sides <> [] then incr nonempty;
+      if not (List.equal Linexpr.equal sides (reference_sides q1 q2)) then
+        Alcotest.failf "Eq. 8 sides differ on %s ; %s" (Query.to_string q1)
+          (Query.to_string q2))
+    (check10k_pairs ());
   (* 4452 of the 10k pairs have no homomorphism Q2 -> Q1. *)
   Alcotest.(check int) "pairs with sides" (10_000 - 4452) !nonempty
+
+(* A pair without a homomorphism Q2 -> Q1 (k = 0) takes its witness
+   straight from the empty list: on every such check-10k pair it equals
+   what [witness_from_normal] realizes from the zero refuter, it
+   re-verifies by counting, and the decision enumerates hom(Q2, Q1) once
+   and runs no cone. *)
+let test_k0_witness_check10k () =
+  let cones = [ "cone.presolve.valid"; "cone.presolve.refuted"; "cone.presolve.lp" ] in
+  let k0 = ref 0 in
+  List.iter
+    (fun (q1, q2) ->
+      let d1 = Query.dedup_atoms q1 and d2 = Query.dedup_atoms q2 in
+      if Hom.enumerate_between d2 d1 = [] then begin
+        incr k0;
+        let fail fmt =
+          Alcotest.failf ("%s ; %s: " ^^ fmt) (Query.to_string q1) (Query.to_string q2)
+        in
+        (* Pairs that differ only in duplicate atoms share a memo entry. *)
+        Bagcqc_engine.Solver.clear ();
+        let homs = counter "hom.enumerations" and before = List.map counter cones in
+        let w =
+          match Containment.decide q1 q2 with
+          | Containment.Not_contained w -> w
+          | _ -> fail "expected Not_contained"
+        in
+        let homs = counter "hom.enumerations" - homs in
+        if homs <> 1 then fail "%d hom enumerations" homs;
+        if List.map counter cones <> before then fail "a cone ran";
+        (match
+           Containment.witness_from_normal d1 d2 (Polymatroid.zero (Query.nvars d1))
+         with
+         | None -> fail "the zero refuter gives no witness"
+         | Some r ->
+           if not (Relation.equal w.Containment.p r.Containment.p) then fail "P differs";
+           if (w.card_p, w.hom2) <> (r.card_p, r.hom2) then
+             fail "counts (%d, %d), expected (%d, %d)" w.card_p w.hom2 r.card_p
+               r.hom2;
+           if
+             Format.asprintf "%a" Database.pp w.db
+             <> Format.asprintf "%a" Database.pp r.db
+           then fail "databases print differently");
+        if Containment.verify_witness q1 q2 w.p <> Some (w.card_p, w.hom2) then
+          fail "verify_witness rejects the witness"
+      end)
+    (check10k_pairs ());
+  Bagcqc_engine.Solver.clear ();
+  Alcotest.(check int) "pairs with k = 0" 4452 !k0
 
 let suite =
   [ ("classify", `Quick, test_classify);
@@ -497,6 +547,7 @@ let suite =
     ("decide with heads", `Quick, test_decide_with_heads);
     ("eq8 requires boolean", `Quick, test_eq8_requires_boolean);
     ("Eq. 8 sides on check-10k", `Quick, test_eq8_sides_check10k);
+    ("k = 0 witnesses on check-10k", `Quick, test_k0_witness_check10k);
     ("scale_steps", `Quick, test_scale_steps);
     ("witness from normal (Ex 3.5)", `Quick, test_witness_from_normal_direct);
     ("Nn presolve outcomes", `Quick, test_presolve_outcomes);

@@ -161,6 +161,35 @@ let test_parser_linear_time () =
     "too many variables" (Error "Query.make: variable count out of range")
     (Result.map ignore (timed "distinct variables" (body (Printf.sprintf "R(v%d)"))))
 
+let test_query_helpers_linear_time () =
+  let n = 50_000 in
+  let timed what f =
+    let t0 = Unix.gettimeofday () in
+    let r = f () in
+    let dt = Unix.gettimeofday () -. t0 in
+    if dt > 1.0 then Alcotest.failf "%s: %.2f s" what dt;
+    r
+  in
+  let edge i = Query.atom (Printf.sprintf "R%d" i) [ i mod 8; (i + 1) mod 8 ] in
+  let distinct = Query.make ~nvars:8 (List.init n edge) in
+  Alcotest.(check bool) "no duplicate: the query itself" true
+    (timed "dedup, distinct" (fun () -> Query.dedup_atoms distinct) == distinct);
+  (* Every atom twice, the copies interleaved: the first occurrences are
+     kept, in order. *)
+  let doubled =
+    Query.make ~nvars:8 (List.init (2 * n) (fun i -> edge (if i < n then i else (i - n) * 7 mod n)))
+  in
+  let deduped = timed "dedup, duplicates" (fun () -> Query.dedup_atoms doubled) in
+  Alcotest.(check bool) "duplicates: first occurrences" true
+    (Query.equal deduped distinct);
+  (* Two large queries that agree on every relation but the last. *)
+  let with_last last = Query.make ~nvars:8 (List.init (n - 1) edge @ [ last ]) in
+  let q1 = with_last (Query.atom "C" [ 0 ]) and q2 = with_last (Query.atom "C" [ 0; 1 ]) in
+  Alcotest.(check (option (triple string int int))) "clash found" (Some ("C", 1, 2))
+    (timed "arity clash" (fun () -> Query.arity_clash q1 q2));
+  Alcotest.(check (option (triple string int int))) "no clash" None
+    (timed "no arity clash" (fun () -> Query.arity_clash q1 q1))
+
 let prop_parse_result_never_raises =
   (* Totality of the parser on genuinely arbitrary bytes — printable or
      not.  Any exception (including Invalid_argument out of Query.make)
@@ -521,10 +550,57 @@ let prop_closure_preserves_homs =
       let dbc = Reductions.close_database q db in
       Hom.count q db = Hom.count qc dbc)
 
+(* The hashed paths of [dedup_atoms] and [arity_clash] (above 32 atoms)
+   agree with the pairwise definitions on queries of either size. *)
+let prop_query_helpers_match_pairwise =
+  let gen_query =
+    QCheck.Gen.(
+      let* arity = array_repeat 3 (int_range 1 2) in
+      let* len = int_range 0 80 in
+      let+ body =
+        list_repeat len
+          (let* r = int_range 0 2 in
+           let+ args = list_repeat arity.(r) (int_range 0 2) in
+           Query.atom (String.make 1 "RST".[r]) args)
+      in
+      Query.make ~nvars:3 (Query.atom "V" [ 0; 1; 2 ] :: body))
+  in
+  let same a b =
+    String.equal a.Query.rel b.Query.rel && a.Query.args = b.Query.args
+  in
+  let pairwise_dedup atoms =
+    List.rev
+      (List.fold_left
+         (fun seen a -> if List.exists (same a) seen then seen else a :: seen)
+         [] atoms)
+  in
+  let pairwise_clash a b =
+    List.find_map
+      (fun x ->
+        List.find_map
+          (fun y ->
+            if x.Query.rel = y.Query.rel && Array.length x.args <> Array.length y.args
+            then Some (x.rel, Array.length x.args, Array.length y.args)
+            else None)
+          (Query.atoms b))
+      (Query.atoms a)
+  in
+  QCheck.Test.make ~name:"dedup_atoms/arity_clash match the pairwise scans"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (a, b) -> Query.to_string a ^ " ; " ^ Query.to_string b)
+       QCheck.Gen.(pair gen_query gen_query))
+    (fun (a, b) ->
+      let d = Query.dedup_atoms a in
+      List.equal same (Query.atoms d) (pairwise_dedup (Query.atoms a))
+      && (d == a) = (List.length (Query.atoms d) = List.length (Query.atoms a))
+      && Query.arity_clash a b = pairwise_clash a b)
+
 let qtests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_of_query_valid; prop_et_on_modular; prop_closure_preserves_homs;
-      prop_parse_result_never_raises; prop_hom_between ]
+      prop_parse_result_never_raises; prop_hom_between;
+      prop_query_helpers_match_pairwise ]
 
 let suite =
   [ ("parser", `Quick, test_parser);
@@ -532,6 +608,7 @@ let suite =
     ("parser edge cases vs reference", `Quick, test_parser_edge_cases);
     ("parser vs reference on check-10k", `Quick, test_parser_check10k);
     ("parser linear time", `Quick, test_parser_linear_time);
+    ("dedup_atoms/arity_clash linear time", `Quick, test_query_helpers_linear_time);
     ("query ops", `Quick, test_query_ops);
     ("hom count", `Quick, test_hom_count);
     ("hom repeated vars", `Quick, test_hom_repeated_vars);

@@ -193,6 +193,87 @@ let arb_polymatroid n =
   in
   QCheck.make ~print:(Format.asprintf "%a" (Polymatroid.pp ())) gen
 
+(* The Möbius predicates against the definition: [is_normal] and
+   [normal_decomposition] take one superset transform, the reference
+   one [Polymatroid.mobius] sweep per set (the option and the list, in
+   ascending mask order, must be the same). *)
+let reference_decomposition h =
+  let n = Polymatroid.n_vars h in
+  let full = Varset.full n in
+  let gs = List.init full (fun w -> (w, Polymatroid.mobius h w)) in
+  if
+    Rat.is_zero (Polymatroid.value h Varset.empty)
+    && List.for_all (fun (_, g) -> Rat.sign g <= 0) gs
+  then Some (List.filter_map (fun (w, g) -> if Rat.sign g < 0 then Some (w, Rat.neg g) else None) gs)
+  else None
+
+let mobius_matches_reference h =
+  let expected = reference_decomposition h in
+  Polymatroid.is_normal h = Option.is_some expected
+  && Option.equal
+       (List.equal (fun (w, c) (w', c') -> Varset.equal w w' && Rat.equal c c'))
+       (Polymatroid.normal_decomposition h) expected
+
+let arb_mobius_case =
+  let gen =
+    QCheck.Gen.(
+      let* n = int_range 0 6 in
+      let full = Varset.full n in
+      let rat = map2 (fun a b -> Rat.div (q a) (q b)) (int_range (-3) 4) (int_range 1 3) in
+      let* normal =
+        if n = 0 then return (Polymatroid.zero 0)
+        else
+          map (Polymatroid.normal_of_steps n)
+            (list_size (int_range 0 5)
+               (pair (int_range 0 (full - 1)) (map Rat.abs rat)))
+      in
+      (* Non-normal vectors: arbitrary values, or a normal function
+         nudged at one set. *)
+      oneof
+        [ return normal;
+          map (fun vs -> Polymatroid.make n (fun x -> vs.(x))) (array_repeat (full + 1) rat);
+          map2
+            (fun x d ->
+              Polymatroid.make n (fun y ->
+                  let v = Polymatroid.value normal y in
+                  if y = x then Rat.add v d else v))
+            (int_range 0 full) rat ])
+  in
+  QCheck.make ~print:(Format.asprintf "%a" (Polymatroid.pp ())) gen
+
+let prop_mobius_matches_reference =
+  QCheck.Test.make ~name:"is_normal/normal_decomposition match per-set mobius"
+    ~count:500 arb_mobius_case mobius_matches_reference
+
+(* Every Nn refuter the corpora produce decomposes as the definition
+   says: iip-2k's Max-IIPs and check-10k's Eq. 8 inequalities. *)
+let test_mobius_corpus_refuters () =
+  let load path =
+    match Bagcqc_check.Corpus.load path with
+    | Ok (_, insts) -> insts
+    | Error msg -> Alcotest.fail msg
+  in
+  let refuters = ref 0 in
+  let check what ineq =
+    match Maxii.valid_over Cones.Normal ineq with
+    | Ok () -> ()
+    | Error h ->
+      incr refuters;
+      if not (mobius_matches_reference h) then
+        Alcotest.failf "%s: Möbius predicates differ from the reference" what
+  in
+  List.iter
+    (fun inst ->
+      let what = string_of_int inst.Bagcqc_check.Corpus.id in
+      match inst.Bagcqc_check.Corpus.payload with
+      | Bagcqc_check.Corpus.Iip_sides { n; sides } ->
+        check ("iip-2k " ^ what)
+          (Maxii.general ~n (List.map Bagcqc_check.Corpus.build_side sides))
+      | Bagcqc_check.Corpus.Check_pair { q1; q2 } ->
+        check ("check-10k " ^ what) (Bagcqc_core.Containment.eq8 q1 q2))
+    (load "../corpus/iip-2k.jsonl" @ load "../corpus/check-10k.jsonl");
+  if !refuters = 0 then Alcotest.fail "no Nn refuter on either corpus"
+
 let prop_truncated_modular_is_polymatroid =
   QCheck.Test.make ~name:"sum of truncated modulars is a polymatroid" ~count:100
     (arb_polymatroid 4) Polymatroid.is_polymatroid
@@ -1081,7 +1162,7 @@ let qtests =
       prop_normalize_lemma_3_7; prop_modularize_lemma_3_7;
       prop_symmetry_canonical_invariant; prop_symmetry_stabilizer_complete;
       prop_normal_sparse_matches_reference; prop_small_cones_match_lp;
-      prop_check_matches_linexpr_reference ]
+      prop_check_matches_linexpr_reference; prop_mobius_matches_reference ]
 
 let suite =
   [ ("varset basic", `Quick, test_varset_basic);
@@ -1114,5 +1195,6 @@ let suite =
     ("probe does not stall at n=7", `Quick, test_probe_no_stall_n7);
     ("Ingleton refutation: exact rounds capped", `Quick, test_ingleton_refutation_cost);
     ("first exact n=8 decision", `Quick, test_first_n8_decision);
-    ("cert check on an empty λ", `Quick, test_check_matches_reference_empty_lambda) ]
+    ("cert check on an empty λ", `Quick, test_check_matches_reference_empty_lambda);
+    ("Möbius on corpus refuters", `Quick, test_mobius_corpus_refuters) ]
   @ qtests

@@ -360,6 +360,30 @@ let test_decide_stage_spans () =
     Alcotest.failf "expected two containment.decide roots, got %s"
       (String.concat ", " (names roots))
 
+let test_decide_k0_stage_spans () =
+  (* Without a homomorphism Q2 -> Q1 the witness follows from Eq. 8's
+     empty side list: no cone runs, so there is no "maxii" stage. *)
+  with_tracing ~ring_capacity:(1 lsl 16) @@ fun () ->
+  let module Containment = Bagcqc_core.Containment in
+  let module Parser = Bagcqc_cq.Parser in
+  Solver.clear ();
+  Fun.protect ~finally:Solver.clear @@ fun () ->
+  let q1 = Parser.parse "R(x,y), R(y,z)" and q2 = Parser.parse "R(u,u)" in
+  (match Containment.decide q1 q2 with
+   | Containment.Not_contained _ -> ()
+   | _ -> Alcotest.fail "R(x,y), R(y,z) is not contained in R(u,u)");
+  match
+    List.filter
+      (fun nd -> nd.Obs.Report.name = "containment.decide")
+      (live_report ()).Obs.Report.roots
+  with
+  | [ fresh ] ->
+    Alcotest.(check (list string)) "stages of a fresh k = 0 decision"
+      [ "eq8"; "witness" ] (names fresh.Obs.Report.kids)
+  | roots ->
+    Alcotest.failf "expected one containment.decide root, got %s"
+      (String.concat ", " (names roots))
+
 let suite =
   [ Alcotest.test_case "span nesting, parents, self-time" `Quick
       test_span_nesting;
@@ -385,6 +409,8 @@ let suite =
     Alcotest.test_case "raising stage closes its span" `Quick
       test_raising_stage;
     Alcotest.test_case "decide emits stage spans" `Quick
-      test_decide_stage_spans ]
+      test_decide_stage_spans;
+    Alcotest.test_case "k = 0 decide skips the cones" `Quick
+      test_decide_k0_stage_spans ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_merge_commutative; prop_merge_associative; prop_json_roundtrip ]
