@@ -75,6 +75,7 @@ let counter_names =
     "solver.cache.hits"; "solver.cache.misses";
     "lp.solves"; "lp.pivots";
     "cone.lazy.solves"; "cone.lazy.cuts";
+    "cone.cover.certs"; "cone.lazy.probe_certs";
   ]
 
 let read_counters () =

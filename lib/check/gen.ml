@@ -228,10 +228,39 @@ let show_cone { cone; n; sides } =
    sets to the same verdict. *)
 type lazy_case = { n : int; sides : (int * Rat.t) list list }
 
+(* A cover side (see [Bagcqc_entropy.Cover]): sets drawn until they
+   cover V, each weighted m plus a surplus that is often 0, a few extra
+   non-negative terms, and −m·h(V); one draw in four is a non-negative
+   sum, h(V) included.  Rational weights throughout. *)
+let cover_side rng ~n =
+  let full = (1 lsl n) - 1 in
+  let weight () = Rat.of_ints (Rng.range rng 1 4) (Rng.range rng 1 3) in
+  let surplus () = if Rng.bool rng then Rat.zero else weight () in
+  let extras =
+    List.init (Rng.int rng 3) (fun _ -> (Rng.range rng 1 full, surplus ()))
+  in
+  if Rng.int rng 4 = 0 then (full, surplus ()) :: extras
+  else begin
+    let m = weight () in
+    let rec cover covered acc =
+      if covered = full then acc
+      else
+        let x = Rng.range rng 1 full in
+        cover (covered lor x) ((x, Rat.add m (surplus ())) :: acc)
+    in
+    (full, Rat.neg m) :: cover 0 extras
+  end
+
+(* A last draw puts a cover side in place of one side in about one case
+   in four; the other cases keep the sides they drew before it. *)
 let lazy_case rng =
   let n = Rng.range rng 2 4 in
   let k = Rng.range rng 1 3 in
-  { n; sides = List.init k (fun _ -> cone_side rng ~n) }
+  let sides = List.init k (fun _ -> cone_side rng ~n) in
+  if Rng.int rng 4 = 0 then
+    let l = Rng.int rng k in
+    { n; sides = List.mapi (fun i s -> if i = l then cover_side rng ~n else s) sides }
+  else { n; sides }
 
 let gamma_case ({ n; sides } : lazy_case) =
   { cone = Bagcqc_entropy.Cones.Gamma; n; sides }

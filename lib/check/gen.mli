@@ -62,6 +62,15 @@ type lazy_case = { n : int; sides : (int * Rat.t) list list }
     small enough for tens of thousands of iterations. *)
 
 val lazy_case : Rng.t -> lazy_case
+(** About one case in four has a cover side ({!cover_side}) in place of
+    one of its sides, so the suite reaches the Γn cover certificates. *)
+
+val cover_side : Rng.t -> n:int -> (int * Rat.t) list
+(** A raw side that {!Bagcqc_entropy.Cover} certifies by construction
+    ([n ≥ 1]): non-negative coefficients off [V], and either
+    [c_V ≥ 0] or sets of weight [≥ m = −c_V] covering [V]; masks may
+    repeat (their weights add up). *)
+
 val shrink_lazy : lazy_case -> lazy_case list
 val show_lazy : lazy_case -> string
 

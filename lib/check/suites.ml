@@ -252,13 +252,14 @@ let float_vs_exact_suite =
 (* ---------------- lazy_vs_full ---------------- *)
 
 (* Differential check for the lazy cone driver (DESIGN.md §4i): on every
-   Γn instance the production (lazy separation) decision must return the
-   same verdict as the materialized exact oracle, its certificates must
+   Γn instance the production decision (a cover side's certificate, else
+   lazy separation) and the lazy driver alone must each return the
+   same verdict as the materialized exact oracle, their certificates must
    pass the exact, LP-independent [Certificate.check] *and* prove
    exactly the generated sides, and its refuters must be genuine
    polymatroids with every side strictly negative (a real point of Γn
    beating the max).  The quick (boolean) paths are cross-checked
-   against the certificate paths too.  Each lazy certificate is also
+   against the certificate paths too.  Each certificate is also
    corrupted once, and the checker must reject the copy: a checker
    that has silently become permissive fails here. *)
 
@@ -296,62 +297,78 @@ let corrupt_certificate c =
 
 let check_lazy_vs_full ({ n; sides } : Gen.lazy_case) =
   let module Cones = Bagcqc_entropy.Cones in
+  let module Separation = Bagcqc_entropy.Separation in
   let module Certificate = Bagcqc_entropy.Certificate in
   let module Polymatroid = Bagcqc_entropy.Polymatroid in
   let module Linexpr = Bagcqc_entropy.Linexpr in
   let es = List.map build_side sides in
   let vf = Cones.Oracle.valid_max_cert ~n es in
-  let vl = Cones.valid_max_cert Cones.Gamma ~n es in
   let qf = Cones.Oracle.valid_max_quick ~n es in
-  let ql = Cones.valid_max_quick Cones.Gamma ~n es in
-  let* () =
-    require (qf = ql) "quick verdicts differ: full %b, lazy %b" qf ql
-  in
-  match vf, vl with
-  | Ok cf, Ok (Some cl) ->
-    let* () = require ql "certificates say valid, quick paths say invalid" in
+  let against tag vl ql =
     let* () =
-      require (Certificate.check cf) "full certificate fails check"
+      require (qf = ql) "quick verdicts differ: full %b, %s %b" qf tag ql
     in
-    let* () =
-      require (Certificate.check cl) "lazy certificate fails check"
-    in
-    let* () =
-      require
-        (match corrupt_certificate cl with
-         | Some bad -> not (Certificate.check bad)
-         | None -> true)
-        "a corrupted lazy certificate passes check"
-    in
-    require (Certificate.proves cl ~n es)
-      "lazy certificate proves a different inequality"
-  | Error hf, Error hl ->
-    (* The refuting vertices may differ between engines; each must
-       independently be a point of Γn with every side negative. *)
-    let* () = require (not ql) "refuted, but quick paths say valid" in
-    let refutes tag h =
+    match vf, vl with
+    | Ok cf, Ok cl ->
       let* () =
-        require (Polymatroid.is_polymatroid h) "%s refuter not in Γn" tag
+        require ql "%s: certificates say valid, quick paths say invalid" tag
       in
-      require
-        (List.for_all
-           (fun e -> Rat.sign (Linexpr.eval (Polymatroid.value h) e) < 0)
-           es)
-        "%s refuter leaves some side non-negative" tag
-    in
-    let* () = refutes "full" hf in
-    refutes "lazy" hl
-  | _, Ok None -> Error "gamma backend returned Ok without a certificate"
-  | Ok _, Error _ ->
-    Error "verdict mismatch: full says valid, lazy refutes"
-  | Error _, Ok (Some _) ->
-    Error "verdict mismatch: full refutes, lazy says valid"
+      let* () =
+        require (Certificate.check cf) "full certificate fails check"
+      in
+      let* () =
+        require (Certificate.check cl) "%s certificate fails check" tag
+      in
+      let* () =
+        require
+          (match corrupt_certificate cl with
+           | Some bad -> not (Certificate.check bad)
+           | None -> true)
+          "a corrupted %s certificate passes check" tag
+      in
+      require (Certificate.proves cl ~n es)
+        "%s certificate proves a different inequality" tag
+    | Error hf, Error hl ->
+      (* The refuting vertices may differ between engines; each must
+         independently be a point of Γn with every side negative. *)
+      let* () = require (not ql) "%s: refuted, but quick paths say valid" tag in
+      let refutes tag h =
+        let* () =
+          require (Polymatroid.is_polymatroid h) "%s refuter not in Γn" tag
+        in
+        require
+          (List.for_all
+             (fun e -> Rat.sign (Linexpr.eval (Polymatroid.value h) e) < 0)
+             es)
+          "%s refuter leaves some side non-negative" tag
+      in
+      let* () = refutes "full" hf in
+      refutes tag hl
+    | Ok _, Error _ ->
+      Error (Printf.sprintf "verdict mismatch: full says valid, %s refutes" tag)
+    | Error _, Ok _ ->
+      Error (Printf.sprintf "verdict mismatch: full refutes, %s says valid" tag)
+  in
+  (* Production tries a cover side's certificate before the lazy driver,
+     so the driver also runs alone: the cases a cover side settles still
+     exercise it. *)
+  let* production =
+    match Cones.valid_max_cert Cones.Gamma ~n es with
+    | Ok None -> Error "gamma backend returned Ok without a certificate"
+    | Ok (Some c) -> Ok (Ok c)
+    | Error h -> Ok (Error h)
+  in
+  let* () =
+    against "production" production (Cones.valid_max_quick Cones.Gamma ~n es)
+  in
+  against "lazy" (Separation.valid_max_cert ~n es) (Separation.valid_max_quick ~n es)
 
 let lazy_vs_full_suite =
   Runner.Suite
     { name = "lazy_vs_full";
       doc =
-        "production lazy (cutting-plane) Γn driver vs the full \
+        "production Γn decision (cover certificates, then the lazy \
+         cutting-plane driver) and the lazy driver alone vs the full \
          (materialized) exact oracle: verdicts, certificate checks, \
          refuter soundness";
       gen = Gen.lazy_case;

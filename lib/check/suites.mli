@@ -16,9 +16,11 @@
       {!Bagcqc_entropy.Cones.Oracle} on cone instances (at Nn/Mn its
       exact LP over the generator rows, every refuter re-checked in the
       cone with every side at most −1).
-    - [lazy_vs_full]: the production (lazy) Γn driver vs
-      {!Bagcqc_entropy.Cones.Oracle}, on both the certificate and the
-      quick path, with certificates and refuters checked exactly.
+    - [lazy_vs_full]: the production Γn decision (a cover side's
+      certificate, else the lazy driver) and the lazy driver alone
+      ({!Bagcqc_entropy.Separation}) vs {!Bagcqc_entropy.Cones.Oracle},
+      on both the certificate and the quick path, with certificates and
+      refuters checked exactly and every certificate corrupted once.
     - [decide]: the full containment pipeline at [jobs = 1] vs
       [jobs = 2] (sequential vs speculative-parallel control flow), plus
       the internal soundness oracles: a [Contained] certificate must

@@ -11,6 +11,62 @@ type t = {
 
 let atom rel args = { rel; args = Array.of_list args }
 
+(* Queries of up to this many atoms are compared pairwise, which
+   allocates nothing; longer ones go through a hash table, so the
+   helpers below take linear expected time on any query. *)
+let small_atoms = 32
+
+let is_small atoms = List.compare_length_with atoms small_atoms <= 0
+
+(* The validators below are top-level functions with explicit
+   arguments, so checking a query allocates no closure. *)
+let clash a b = String.equal a.rel b.rel && Array.length a.args <> Array.length b.args
+
+(* Whether [a] clashes with an atom of [l] before its physical suffix
+   [stop]. *)
+let rec clash_before a stop = function
+  | b :: rest as l -> l != stop && (clash b a || clash_before a stop rest)
+  | [] -> false
+
+(* The relation of the first atom whose arity differs from an earlier
+   atom of its relation — equivalently, from the relation's first atom. *)
+let arity_conflict atoms =
+  if is_small atoms then
+    let rec go = function
+      | [] -> None
+      | a :: rest as l -> if clash_before a l atoms then Some a.rel else go rest
+    in
+    go atoms
+  else begin
+    let arities = Hashtbl.create 64 in
+    List.find_map
+      (fun a ->
+        match Hashtbl.find_opt arities a.rel with
+        | None ->
+          Hashtbl.add arities a.rel (Array.length a.args);
+          None
+        | Some k -> if k <> Array.length a.args then Some a.rel else None)
+      atoms
+  end
+
+let rec duplicate_name names i j =
+  if i >= Array.length names then None
+  else if j >= i then duplicate_name names (i + 1) 0
+  else if String.equal names.(i) names.(j) then Some names.(i)
+  else duplicate_name names i (j + 1)
+
+let rec args_in_range nvars args i =
+  i >= Array.length args
+  || (0 <= args.(i) && args.(i) < nvars && args_in_range nvars args (i + 1))
+
+let rec vars_in_range nvars = function
+  | [] -> true
+  | v :: rest -> 0 <= v && v < nvars && vars_in_range nvars rest
+
+let rec atoms_in_range nvars = function
+  | [] -> true
+  | a :: rest -> args_in_range nvars a.args 0 && atoms_in_range nvars rest
+
 let make ?(head = []) ~nvars ?names atoms =
   if nvars < 0 || nvars > Varset.max_vars then
     invalid_arg "Query.make: variable count out of range";
@@ -18,34 +74,17 @@ let make ?(head = []) ~nvars ?names atoms =
     match names with
     | None -> Array.init nvars Varset.default_name
     | Some a ->
-      if Array.length a <> nvars then
-        invalid_arg "Query.make: names length mismatch"
-      else begin
-        (* Databases built from a query ([Database.canonical], witness
-           annotations) identify a variable by its name. *)
-        Array.iteri
-          (fun i s ->
-            for j = 0 to i - 1 do
-              if String.equal a.(j) s then
-                invalid_arg ("Query.make: duplicate variable name " ^ s)
-            done)
-          a;
-        a
-      end
+      if Array.length a <> nvars then invalid_arg "Query.make: names length mismatch";
+      (* Databases built from a query ([Database.canonical], witness
+         annotations) identify a variable by its name. *)
+      (match duplicate_name a 0 0 with
+       | Some s -> invalid_arg ("Query.make: duplicate variable name " ^ s)
+       | None -> a)
   in
-  List.iter
-    (fun a ->
-      Array.iter
-        (fun v ->
-          if v < 0 || v >= nvars then
-            invalid_arg "Query.make: atom argument out of range")
-        a.args)
-    atoms;
-  List.iter
-    (fun v ->
-      if v < 0 || v >= nvars then
-        invalid_arg "Query.make: head variable out of range")
-    head;
+  if not (atoms_in_range nvars atoms) then
+    invalid_arg "Query.make: atom argument out of range";
+  if not (vars_in_range nvars head) then
+    invalid_arg "Query.make: head variable out of range";
   (* Every variable must occur in the body (paper Sec. 2.2); otherwise the
      homomorphism count would depend on the database domain. *)
   let occurring =
@@ -56,16 +95,9 @@ let make ?(head = []) ~nvars ?names atoms =
   in
   if not (Varset.equal occurring (Varset.full nvars)) then
     invalid_arg "Query.make: every variable must occur in some atom";
-  (* Consistent arities per relation symbol. *)
-  let arities = Hashtbl.create 8 in
-  List.iter
-    (fun a ->
-      match Hashtbl.find_opt arities a.rel with
-      | None -> Hashtbl.add arities a.rel (Array.length a.args)
-      | Some k ->
-        if k <> Array.length a.args then
-          invalid_arg ("Query.make: inconsistent arity for " ^ a.rel))
-    atoms;
+  (match arity_conflict atoms with
+   | Some rel -> invalid_arg ("Query.make: inconsistent arity for " ^ rel)
+   | None -> ());
   { head; nvars; names; atoms }
 
 let nvars q = q.nvars
@@ -93,13 +125,6 @@ let args_equal x y =
   go 0
 
 let same_atom a b = String.equal a.rel b.rel && args_equal a.args b.args
-
-(* Queries of up to this many atoms are compared pairwise, which
-   allocates nothing; longer ones go through a hash table, so both
-   helpers below take linear expected time on any query. *)
-let small_atoms = 32
-
-let is_small atoms = List.compare_length_with atoms small_atoms <= 0
 
 module Atom_tbl = Hashtbl.Make (struct
   type t = atom
@@ -197,8 +222,7 @@ let arity_clash a b =
       (fun x ->
         List.find_map
           (fun y ->
-            if String.equal x.rel y.rel && Array.length x.args <> Array.length y.args
-            then Some (x.rel, Array.length x.args, Array.length y.args)
+            if clash x y then Some (x.rel, Array.length x.args, Array.length y.args)
             else None)
           b.atoms)
       a.atoms

@@ -246,12 +246,16 @@ let decide_small cone ~n es =
 (* ---------------- driver ---------------- *)
 
 (* Γn decides through the lazy separation driver — the only cone whose
-   axiom family explodes with n, and the only one with a certificate. *)
+   axiom family explodes with n, and the only one with a certificate —
+   unless a cover side gets its certificate by construction first. *)
 let valid_max_cert cone ~n es =
   check_range ~n es;
   match es, cone with
   | [], _ -> Error (Polymatroid.zero n)
-  | _, Gamma -> Result.map Option.some (Separation.valid_max_cert ~n es)
+  | _, Gamma ->
+    (match Cover.certificate ~n es with
+     | Some cert -> Ok (Some cert)
+     | None -> Result.map Option.some (Separation.valid_max_cert ~n es))
   | _, (Normal | Modular) -> Result.map (fun () -> None) (decide_small cone ~n es)
 
 let valid_max cone ~n es = Result.map ignore (valid_max_cert cone ~n es)
@@ -260,7 +264,8 @@ let valid_max_quick cone ~n es =
   check_range ~n es;
   match es, cone with
   | [], _ -> false
-  | _, Gamma -> Separation.valid_max_quick ~n es
+  | _, Gamma ->
+    Option.is_some (Cover.certificate ~n es) || Separation.valid_max_quick ~n es
   | _, (Normal | Modular) -> Result.is_ok (decide_small cone ~n es)
 
 let valid cone ~n e = valid_max cone ~n [ e ]

@@ -20,8 +20,11 @@
     One production path per cone, and one exact LP engine
     ({!Bagcqc_lp.Simplex.solve}, DESIGN.md §4f) under all of them: [Γn]
     is decided by the lazy separation driver ({!Separation}, DESIGN.md
-    §4i), whose float probe only steers it.  [Nn] and [Mn] are conic hulls of finitely many generators (the
-    step functions, the basic modular functions), so they are decided
+    §4i), whose float probe only steers it, unless a cover side gets
+    its certificate by construction first ({!Cover}, counted in
+    [cone.cover.certs]).  [Nn] and [Mn] are conic hulls of finitely
+    many generators (the step functions, the basic modular functions),
+    so they are decided
     on the side-by-generator matrix: exact sign tests settle a side
     that is non-negative on every generator (valid) and a generator on
     which every side is negative (refuted by a multiple of it); only

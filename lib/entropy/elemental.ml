@@ -66,6 +66,39 @@ let well_formed ~n = function
     && (not (Varset.mem i w))
     && not (Varset.mem j w)
 
+(* h(S) ≥ 0 as an exact unit-coefficient sum of elemental rows:
+     h(S) = Σ_{t} h(i_t | {i_1..i_{t−1}})       (ascending i_t ∈ S)
+     h(i | B) = h(i | V∖i) + Σ_j I(i; j | B_j)  (j over V∖B∖{i},
+                                                 ascending, B_j growing)
+   — Mono and Submod descriptors throughout, possibly with repeats. *)
+let nonneg_decomp ~n s =
+  let acc = ref [] in
+  let prefix = ref Varset.empty in
+  for i = 0 to n - 1 do
+    if Varset.mem i s then begin
+      let b = ref !prefix in
+      for j = 0 to n - 1 do
+        if j <> i && not (Varset.mem j !b) then begin
+          acc := Submod (min i j, max i j, !b) :: !acc;
+          b := Varset.add j !b
+        end
+      done;
+      acc := Mono i :: !acc;
+      prefix := Varset.add i !prefix
+    end
+  done;
+  !acc
+
+let merge_descs cited =
+  (* Sorted, a repeated descriptor is a run: sum it. *)
+  let rec merge = function
+    | (d, c) :: (d', c') :: rest when desc_compare d d' = 0 ->
+      merge ((d, Rat.add c c') :: rest)
+    | r :: rest -> r :: merge rest
+    | [] -> []
+  in
+  merge (List.sort (fun (d1, _) (d2, _) -> desc_compare d1 d2) cited)
+
 (* Family order: monotonicity ascending in i, then the submodularity
    block in reverse generation order. *)
 let generate n =

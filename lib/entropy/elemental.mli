@@ -50,6 +50,19 @@ val eval_desc : n:int -> (Varset.t -> Rat.t) -> desc -> Rat.t
 (** [eval_desc ~n h d = Linexpr.eval h (expr_of_desc ~n d)] without
     allocating the expression — the separation oracle's inner loop. *)
 
+(** {1 Building certificates} *)
+
+val nonneg_decomp : n:int -> Varset.t -> desc list
+(** [h(S) ≥ 0] as a unit-coefficient sum of elemental rows: the chain
+    [h(S) = Σ_t h(i_t | i_1..i_{t−1})], each conditional entropy
+    [h(i | B) = h(i | V∖i) + Σ_j I(i; j | B_j)] for [j] ascending over
+    [V∖B∖{i}] and [B_j] growing.  A descriptor may repeat; empty for
+    [S = ∅]. *)
+
+val merge_descs : (desc * Rat.t) list -> (desc * Rat.t) list
+(** Sort by {!desc_compare} and sum the multipliers of a repeated
+    descriptor: the deterministic λ of a certificate. *)
+
 (** {1 The family in order} *)
 
 val descs : n:int -> desc list

@@ -59,10 +59,10 @@
    Certificates must cite only elemental inequalities, and h(S) ≥ 0 is
    exactly the chain expansion  h(S) = Σ_t h(i_t | {i_1..i_{t−1}}),
    h(i|B) = h(i|V∖i) + Σ_j I(i;j|·)  — a unit-coefficient sum of
-   elemental rows ([nonneg_decomp]).  So F(W) gets the ν columns, the
-   probe's ν is its combination's coordinate part, and certificate
-   assembly expands each positive ν_S into those elemental axioms,
-   keeping the assembled certificate inside the contract of the
+   elemental rows ([Elemental.nonneg_decomp]).  So F(W) gets the ν
+   columns, the probe's ν is its combination's coordinate part, and
+   certificate assembly expands each positive ν_S into those elemental
+   axioms, keeping the assembled certificate inside the contract of the
    unchanged exact [Certificate.check].
 
    Every exact round that continues adds a cut (its point satisfies W
@@ -206,30 +206,6 @@ let farkas_of_axioms ~n axioms es =
      @ [ Simplex.sparse_constr
            (List.init k (fun l -> (n_ax + l, Rat.one)))
            Simplex.Eq Rat.one ])
-
-(* h(S) ≥ 0 as an exact unit-coefficient sum of elemental rows:
-     h(S) = Σ_{t} h(i_t | {i_1..i_{t−1}})       (ascending i_t ∈ S)
-     h(i | B) = h(i | V∖i) + Σ_j I(i; j | B_j)  (j over V∖B∖{i},
-                                                 ascending, B_j growing)
-   — Mono and Submod descriptors throughout, possibly with repeats
-   (the assembler accumulates coefficients per descriptor). *)
-let nonneg_decomp ~n s =
-  let acc = ref [] in
-  let prefix = ref Varset.empty in
-  for i = 0 to n - 1 do
-    if Varset.mem i s then begin
-      let b = ref !prefix in
-      for j = 0 to n - 1 do
-        if j <> i && not (Varset.mem j !b) then begin
-          acc := Elemental.Submod (min i j, max i j, !b) :: !acc;
-          b := Varset.add j !b
-        end
-      done;
-      acc := Elemental.Mono i :: !acc;
-      prefix := Varset.add i !prefix
-    end
-  done;
-  !acc
 
 (* ---------------- the separation loop ---------------- *)
 
@@ -510,22 +486,15 @@ let assemble ~n ~sym ~es ~lambda ~nu ~mu =
     List.fold_left
       (fun acc (s, v) ->
         if Rat.sign v > 0 then
-          List.fold_left (fun acc d -> (d, v) :: acc) acc (nonneg_decomp ~n s)
+          List.fold_left (fun acc d -> (d, v) :: acc) acc
+            (Elemental.nonneg_decomp ~n s)
         else acc)
       (List.filter (fun (_, c) -> Rat.sign c > 0) lambda)
       nu
   in
-  (* Sorted, a repeated descriptor is a run: sum it. *)
-  let rec merge = function
-    | (d, c) :: (d', c') :: rest when Elemental.desc_compare d d' = 0 ->
-      merge ((d, Rat.add c c') :: rest)
-    | r :: rest -> r :: merge rest
-    | [] -> []
-  in
   let inv = Symmetry.inverse sym.Symmetry.to_canon in
   let lambda =
-    List.sort (fun (d1, _) (d2, _) -> Elemental.desc_compare d1 d2) cited
-    |> merge
+    Elemental.merge_descs cited
     |> if Symmetry.is_identity inv then Fun.id
        else List.map (fun (d, c) -> (Symmetry.apply_desc inv d, c))
   in

@@ -5,8 +5,9 @@
     inequalities into every Γn LP, the instance is canonicalized modulo
     variable permutation ({!Symmetry.analyze}) and decided by a
     cutting-plane loop: solve the refutation LP over a small working
-    set W of elemental inequalities (monotonicity + two submodularity
-    slices), separate over the {e implicit} family
+    set W of elemental inequalities (seeded with the [n] monotonicity
+    rows; submodularity enters only as cuts), separate over the
+    {e implicit} family
     ({!Elemental.eval_desc} — exact rationals, nothing materialized),
     add the most-violated cut orbit-at-a-time, and re-solve.  The
     rounds run on one incremental float tableau per decision

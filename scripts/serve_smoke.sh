@@ -23,9 +23,10 @@
 #      presolve outcomes (each driven once); /healthz answers ok; the
 #      slow request's access-log line carries its span subtree; the
 #      trace's counters in `bagcqc report` show the presolve outcomes
-#   8. /readyz flips to 503 during a SIGTERM drain (observed while a
-#      burst of cold checks is still being answered) and the drain
-#      still answers every admitted request
+#   8. /readyz flips to 503 during a SIGTERM drain (the signal lands
+#      while a ~1 s cold check is in flight, after a burst of cold
+#      checks was admitted) and the drain still answers every admitted
+#      request
 #
 # Run from the repo root (CI's serve-smoke job, or `make serve-smoke`).
 set -euo pipefail
@@ -193,9 +194,13 @@ awk -v r="$rate" 'BEGIN { exit (r > 0 ? 0 : 1) }' \
   || fail "rolling 1m request rate is not positive: $rate"
 grep -q '"type":"access"' "$ACCESS" || fail "access log has no access lines"
 grep -q '"verdict":"contained"' "$ACCESS" || fail "access line lacks the verdict"
-grep '"slow":true' "$ACCESS" | grep -q '"spans":' \
+# One grep per assertion, not a pipe into grep -q: the slow lines come to
+# about 4 KB, so the first grep can still be writing when grep -q has
+# matched and exited, and under pipefail its SIGPIPE fails the check.
+# "slow" precedes "pivots" and "spans" in every access line.
+grep -q '"slow":true.*"spans":' "$ACCESS" \
   || fail "slow request's access line lacks its span subtree"
-grep '"slow":true' "$ACCESS" | grep -q '"pivots":' \
+grep -q '"slow":true.*"pivots":' "$ACCESS" \
   || fail "slow request's access line lacks its pivot count"
 stop_daemon
 REPORT="$DIR/report.txt"
@@ -209,16 +214,41 @@ step "8: /readyz flips to 503 during the SIGTERM drain"
 : >"$LOG"
 start_daemon --metrics-port 0 --access-log "$DIR/access-drain.jsonl"
 PORT=$(metrics_port) || fail "daemon never announced a metrics port"
-# A burst of cold, moderately expensive checks (distinct relation
-# symbols defeat the decision memo) keeps the dispatcher busy while we
-# deliver SIGTERM mid-batch and watch /readyz through the drain.
+# metric NAME: NAME's value in one /metrics scrape (empty if absent).
+metric() {
+  curl -s "http://127.0.0.1:$PORT/metrics" | awk -v m="$1" '$1 == m { print $2 }'
+}
+# await_metrics COND: poll /metrics until the awk condition COND holds
+# over r (admitted requests) and f (requests in flight), for up to 10 s.
+await_metrics() {
+  local i r f
+  for i in $(seq 1 1000); do
+    r=$(metric bagcqc_serve_requests_total)
+    f=$(metric bagcqc_serve_in_flight)
+    awk -v r="${r:-0}" -v f="${f:-0}" "BEGIN { exit ($1) ? 0 : 1 }" && return 0
+    sleep 0.01
+  done
+  return 1
+}
+# A burst of cold checks (distinct relation symbols defeat the decision
+# memo) exercises admission under concurrent clients.
 BURST=32
 for i in $(seq 1 "$BURST"); do
   q=$(python3 -c "import sys; i=int(sys.argv[1]); print(', '.join(f'S{i}(x{j},x{j+1})' for j in range(6)))" "$i")
   client "{\"id\":$i,\"op\":\"check\",\"q1\":\"$q\",\"q2\":\"$q\"}" \
     >>"$DIR/burst-replies.txt" &
 done
-sleep 0.2
+await_metrics "r >= $BURST" || fail "the burst was never admitted"
+# Then one cold check that takes about a second (an 8-cycle against
+# itself: the lazy Γn driver at n = 8, measured at 1.1 s on a 2-vCPU
+# host).  SIGTERM lands once it is admitted and in flight, so the drain
+# lasts at least as long as the rest of its solve, and /readyz is
+# polled every 10 ms: the 503 is observable by construction.
+CYCLE8=$(python3 -c "print(', '.join(f'C(x{j},x{(j+1)%8})' for j in range(8)))")
+client "{\"id\":\"slow\",\"op\":\"check\",\"q1\":\"$CYCLE8\",\"q2\":\"$CYCLE8\"}" \
+  >"$DIR/slow-reply.txt" &
+await_metrics "r >= $BURST + 1 && f >= 1" \
+  || fail "the slow check was never in flight"
 kill -TERM "$SERVER_PID"
 saw_draining=0
 for _ in $(seq 1 500); do
@@ -232,8 +262,10 @@ code=0
 wait "$SERVER_PID" || code=$?
 SERVER_PID=""
 [ "$code" -eq 0 ] || fail "daemon exited $code on SIGTERM (want 0)"
-wait  # burst clients
+wait  # burst and slow clients
 answered=$(grep -c '"ok":' "$DIR/burst-replies.txt" || true)
 [ "$answered" -eq "$BURST" ] || fail "drain answered $answered of $BURST burst requests"
+grep -q '"verdict":"contained"' "$DIR/slow-reply.txt" \
+  || fail "the drain did not answer the check in flight: $(cat "$DIR/slow-reply.txt")"
 
 echo "serve_smoke: OK (8 steps)"

@@ -538,6 +538,40 @@ let test_k0_witness_check10k () =
   Bagcqc_engine.Solver.clear ();
   Alcotest.(check int) "pairs with k = 0" 4452 !k0
 
+(* Which Γn path settles check-10k's Contained pairs: 4504 have an Eq. 8
+   cover side and get their certificate by construction ([Cover]), the
+   other 496 from the lazy driver's float probe.  Every certificate
+   proves its pair's Eq. 8 exactly, and the exact LPs (Nn fallbacks and
+   the rare exact round) are as many as before the cover path: 38.
+   Sequential, so the speculative Γn solve of a parallel
+   [Maxii.decide] does not enter the counts. *)
+let test_cover_paths_check10k () =
+  let saved = Bagcqc_par.Pool.jobs () in
+  Bagcqc_par.Pool.set_jobs 1;
+  Fun.protect ~finally:(fun () -> Bagcqc_par.Pool.set_jobs saved) @@ fun () ->
+  let names = [ "cone.cover.certs"; "cone.lazy.probe_certs"; "cone.lazy.solves"; "lp.solves" ] in
+  let before = List.map counter names and contained = ref 0 in
+  List.iter
+    (fun (q1, q2) ->
+      Bagcqc_engine.Solver.clear ();
+      match Containment.decide q1 q2 with
+      | Containment.Contained cert ->
+        incr contained;
+        let ineq = Containment.eq8 q1 q2 in
+        if not (Certificate.proves cert ~n:(Maxii.n_vars ineq) (Maxii.sides ineq))
+        then
+          Alcotest.failf "%s ; %s: the certificate does not prove Eq. 8"
+            (Query.to_string q1) (Query.to_string q2)
+      | Containment.Not_contained _ | Containment.Unknown _ -> ())
+    (check10k_pairs ());
+  Bagcqc_engine.Solver.clear ();
+  Alcotest.(check int) "Contained pairs" 5000 !contained;
+  Alcotest.(check (list (pair string int)))
+    "cover certificates, probe certificates, lazy solves, exact LPs"
+    [ ("cone.cover.certs", 4504); ("cone.lazy.probe_certs", 496);
+      ("cone.lazy.solves", 496); ("lp.solves", 38) ]
+    (List.map2 (fun name c -> (name, counter name - c)) names before)
+
 let suite =
   [ ("classify", `Quick, test_classify);
     ("Example 4.3 (vee)", `Quick, test_example_4_3_vee);
@@ -548,6 +582,7 @@ let suite =
     ("eq8 requires boolean", `Quick, test_eq8_requires_boolean);
     ("Eq. 8 sides on check-10k", `Quick, test_eq8_sides_check10k);
     ("k = 0 witnesses on check-10k", `Quick, test_k0_witness_check10k);
+    ("cover and probe certificates on check-10k", `Quick, test_cover_paths_check10k);
     ("scale_steps", `Quick, test_scale_steps);
     ("witness from normal (Ex 3.5)", `Quick, test_witness_from_normal_direct);
     ("Nn presolve outcomes", `Quick, test_presolve_outcomes);

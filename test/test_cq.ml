@@ -114,6 +114,44 @@ let test_parser_edge_cases () =
     "numbering" [| "z"; "x"; "y" |]
     (Query.var_names (Parser.parse "Q(z,x) :- R(x,y), S(y,z)"))
 
+(* [Query.make]'s rejections, pinned to the messages of the table-based
+   check it replaced: the first atom whose arity differs from an earlier
+   atom of its relation is named, below and above the 32-atom pairwise
+   limit, and the checks keep their order. *)
+let test_query_make_messages () =
+  let filler k = String.concat ", " (List.init k (Printf.sprintf "T%d(x)")) in
+  let arity r = Error ("Query.make: inconsistent arity for " ^ r) in
+  List.iter
+    (fun (s, expected) ->
+      Alcotest.(check (result reject string)) s expected
+        (Result.map ignore (Parser.parse_result s)))
+    [ ("R(x,y), S(x), S(x,y), R(x)", arity "S");
+      ("R(x), S(x,y), R(x,y), S(x)", arity "R");
+      ("R(x,y), S(x), R(x), S(x,y)", arity "R");
+      ("R(x,y), R(y,z,w)", arity "R");
+      ("R(x,y), S(x), " ^ filler 35 ^ ", S(x,y), R(x)", arity "S");
+      ("S(x), R(x,y), " ^ filler 35 ^ ", R(x), S(x,y)", arity "R");
+      (filler 31 ^ ", R(x), R(x,y)", arity "R");
+      (filler 32 ^ ", R(x), R(x,y)", arity "R");
+      ( "R(" ^ String.concat "," (List.init 70 (Printf.sprintf "v%d")) ^ "), R(x)",
+        Error "Query.make: variable count out of range" ) ];
+  let r = Query.atom "R" in
+  List.iter
+    (fun (msg, f) ->
+      Alcotest.check_raises msg (Invalid_argument ("Query.make: " ^ msg)) (fun () ->
+          ignore (f ())))
+    [ ("atom argument out of range", fun () ->
+          Query.make ~nvars:2 [ r [ 0; 2 ]; r [ 0 ]; Query.atom "S" [ 1 ] ]);
+      ("head variable out of range", fun () ->
+          Query.make ~head:[ 3 ] ~nvars:2 [ r [ 0; 1 ]; r [ 0 ] ]);
+      ("every variable must occur in some atom", fun () ->
+          Query.make ~nvars:3 [ r [ 0; 1 ]; r [ 0 ] ]);
+      ("names length mismatch", fun () -> Query.make ~nvars:2 ~names:[| "a" |] [ r [ 0; 1 ] ]);
+      ("duplicate variable name a", fun () ->
+          Query.make ~nvars:2 ~names:[| "a"; "a" |] [ r [ 0; 1 ]; r [ 0 ] ]);
+      ("variable count out of range", fun () -> Query.make ~nvars:(-1) []);
+      ("inconsistent arity for R", fun () -> Query.make ~nvars:2 [ r [ 0; 1 ]; r [ 0 ] ]) ]
+
 (* Both sides of every check-10k pair, rendered as the benchmark feeds
    them to the parser. *)
 let test_parser_check10k () =
@@ -606,6 +644,7 @@ let suite =
   [ ("parser", `Quick, test_parser);
     ("parser errors", `Quick, test_parser_errors);
     ("parser edge cases vs reference", `Quick, test_parser_edge_cases);
+    ("Query.make messages", `Quick, test_query_make_messages);
     ("parser vs reference on check-10k", `Quick, test_parser_check10k);
     ("parser linear time", `Quick, test_parser_linear_time);
     ("dedup_atoms/arity_clash linear time", `Quick, test_query_helpers_linear_time);

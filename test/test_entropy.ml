@@ -1155,6 +1155,114 @@ let test_check_matches_reference_empty_lambda () =
   Alcotest.(check int) "empty λ" 0 (List.length (Certificate.lambda c));
   Alcotest.(check bool) "check agrees with the Linexpr form" true agrees
 
+(* ------------------------------------------------------------------ *)
+(* Cover sides: certificates by construction                          *)
+(* ------------------------------------------------------------------ *)
+
+let cover_side ~n seed =
+  Bagcqc_check.Corpus.build_side
+    (Bagcqc_check.Gen.cover_side (Bagcqc_check.Rng.create seed) ~n)
+
+let print_sides es =
+  String.concat " | " (List.map (Format.asprintf "%a" (Linexpr.pp ())) es)
+
+(* Behind a side that is never a cover side (−h(V)), a random cover side
+   gets μ = 1 and a certificate that proves the instance, through
+   [Cones] without a lazy solve. *)
+let prop_cover_certifies =
+  QCheck.Test.make ~name:"cover sides: the built certificate checks" ~count:200
+    QCheck.(add_shrink_invariant (fun (n, _) -> 1 <= n && n <= 6)
+              (pair (int_range 1 6) small_nat))
+    (fun (n, seed) ->
+      let es = [ Linexpr.term ~coeff:Rat.minus_one (Varset.full n); cover_side ~n seed ] in
+      let solves = counter "cone.lazy.solves" in
+      match Cover.certificate ~n es, Cones.valid_max_cert Cones.Gamma ~n es with
+      | Some c, Ok (Some c') ->
+        (Certificate.check c && Certificate.proves c ~n es
+         && Certificate.convex_weights c = [ Rat.zero; Rat.one ]
+         && Certificate.lambda c' = Certificate.lambda c
+         && counter "cone.lazy.solves" = solves)
+        || QCheck.Test.fail_reportf "%s" (print_sides es)
+      | _ -> QCheck.Test.fail_reportf "not certified: %s" (print_sides es))
+
+(* One coefficient off V pushed below zero: the builder declines without
+   raising, and the lazy driver's verdict agrees with the oracle's. *)
+let prop_cover_declines_negative =
+  QCheck.Test.make ~name:"cover sides: a negative coefficient off V declines"
+    ~count:60
+    QCheck.(add_shrink_invariant (fun (n, _) -> 2 <= n && n <= 5)
+              (pair (int_range 2 5) small_nat))
+    (fun (n, seed) ->
+      let e = cover_side ~n seed in
+      let full = Varset.full n in
+      let x = 1 + (seed mod (full - 1)) in
+      let e =
+        Linexpr.sub e
+          (Linexpr.term ~coeff:(Rat.add (Linexpr.coeff e x) (qf 1 2)) x)
+      in
+      let es = [ e ] in
+      Cover.certificate ~n es = None
+      && (match Cones.valid_max_cert Cones.Gamma ~n es, Cones.Oracle.valid_max_cert ~n es with
+          | Ok (Some c), Ok _ -> Certificate.proves c ~n es
+          | Error _, Error _ -> true
+          | _ -> QCheck.Test.fail_reportf "verdicts differ: %s" (print_sides es)))
+
+let test_cover_pinned () =
+  let h l = Linexpr.term (vs l) and hc c l = Linexpr.term ~coeff:(q c) (vs l) in
+  let e1 = Linexpr.sum [ h [ 0; 1 ]; h [ 1; 2 ]; hc (-1) [ 0; 1; 2 ] ] in
+  (* h(12) + h(23) − h(123) = I(1;3|2) + h(2), h(2) by its chain. *)
+  (match Cover.certificate ~n:3 [ e1 ] with
+   | Some c ->
+     Alcotest.(check bool) "proves" true (Certificate.proves c ~n:3 [ e1 ]);
+     Alcotest.(check (list (pair string rt)))
+       "λ"
+       (List.map
+          (fun d -> (Format.asprintf "%a" (Linexpr.pp ()) (Elemental.expr_of_desc ~n:3 d), Rat.one))
+          Elemental.[ Mono 1; Submod (0, 1, vs []); Submod (0, 2, vs [ 1 ]);
+                      Submod (1, 2, vs [ 0 ]) ])
+       (List.map
+          (fun (d, l) -> (Format.asprintf "%a" (Linexpr.pp ()) (Elemental.expr_of_desc ~n:3 d), l))
+          (Certificate.lambda c))
+   | None -> Alcotest.fail "h(12) + h(23) − h(123) is a cover side");
+  (* The first cover side in side order carries μ. *)
+  let uncovered = Linexpr.sub (h [ 0; 1 ]) (h [ 0; 1; 2 ]) in
+  (match Cover.certificate ~n:3 [ uncovered; e1; e1 ] with
+   | Some c ->
+     Alcotest.(check (list rt)) "μ" [ Rat.zero; Rat.one; Rat.zero ]
+       (Certificate.convex_weights c)
+   | None -> Alcotest.fail "the second side covers");
+  (* Declined: h(12) − h(123) covers nothing, and Γn refutes it. *)
+  Alcotest.(check bool) "uncovered declines" true (Cover.certificate ~n:3 [ uncovered ] = None);
+  Alcotest.(check bool) "uncovered refuted" true
+    (Result.is_error (Cones.valid_max_cert Cones.Gamma ~n:3 [ uncovered ]));
+  (* Declined, yet valid: the 2-fold cover h(12) + h(23) + h(13) − 2h(123)
+     (fractional Shearer) and I(1;3|2), whose h(2) is negative.  The
+     probe certifies both. *)
+  let twofold = Linexpr.sum [ h [ 0; 1 ]; h [ 1; 2 ]; h [ 0; 2 ]; hc (-2) [ 0; 1; 2 ] ] in
+  let mutual = Linexpr.mutual (vs [ 0 ]) (vs [ 2 ]) (vs [ 1 ]) in
+  List.iter
+    (fun (name, e) ->
+      Alcotest.(check bool) (name ^ " declines") true (Cover.certificate ~n:3 [ e ] = None);
+      let covers = counter "cone.cover.certs" and probes = counter "cone.lazy.probe_certs" in
+      (match Cones.valid_max_cert Cones.Gamma ~n:3 [ e ] with
+       | Ok (Some c) -> Alcotest.(check bool) (name ^ " proved") true (Certificate.proves c ~n:3 [ e ])
+       | Ok None | Error _ -> Alcotest.failf "%s is valid" name);
+      Alcotest.(check (pair int int)) (name ^ ": the probe certifies") (covers, probes + 1)
+        (counter "cone.cover.certs", counter "cone.lazy.probe_certs"))
+    [ ("2-fold cover", twofold); ("I(1;3|2)", mutual) ];
+  (* Non-negative sums, h(V) included, and the zero side. *)
+  List.iter
+    (fun e ->
+      match Cover.certificate ~n:3 [ e ] with
+      | Some c -> Alcotest.(check bool) "non-negative sum" true (Certificate.proves c ~n:3 [ e ])
+      | None -> Alcotest.fail "a non-negative sum is a cover side")
+    [ Linexpr.zero; Linexpr.sum [ hc 2 [ 1 ]; Linexpr.term ~coeff:(qf 1 2) (vs [ 0; 1; 2 ]) ] ];
+  (* Through [Cones]: counted, and no lazy solve. *)
+  let covers = counter "cone.cover.certs" and solves = counter "cone.lazy.solves" in
+  Alcotest.(check bool) "quick" true (Cones.valid_max_quick Cones.Gamma ~n:3 [ e1 ]);
+  Alcotest.(check (pair int int)) "counted, no lazy solve" (covers + 1, solves)
+    (counter "cone.cover.certs", counter "cone.lazy.solves")
+
 let qtests =
   List.map QCheck_alcotest.to_alcotest
     [ prop_subset_enum_complete; prop_truncated_modular_is_polymatroid;
@@ -1162,7 +1270,8 @@ let qtests =
       prop_normalize_lemma_3_7; prop_modularize_lemma_3_7;
       prop_symmetry_canonical_invariant; prop_symmetry_stabilizer_complete;
       prop_normal_sparse_matches_reference; prop_small_cones_match_lp;
-      prop_check_matches_linexpr_reference; prop_mobius_matches_reference ]
+      prop_check_matches_linexpr_reference; prop_mobius_matches_reference;
+      prop_cover_certifies; prop_cover_declines_negative ]
 
 let suite =
   [ ("varset basic", `Quick, test_varset_basic);
@@ -1196,5 +1305,6 @@ let suite =
     ("Ingleton refutation: exact rounds capped", `Quick, test_ingleton_refutation_cost);
     ("first exact n=8 decision", `Quick, test_first_n8_decision);
     ("cert check on an empty λ", `Quick, test_check_matches_reference_empty_lambda);
-    ("Möbius on corpus refuters", `Quick, test_mobius_corpus_refuters) ]
+    ("Möbius on corpus refuters", `Quick, test_mobius_corpus_refuters);
+    ("cover sides: pinned cases", `Quick, test_cover_pinned) ]
   @ qtests
