@@ -102,7 +102,7 @@ audit: build
 	python3 scripts/sweep_tables.py --summary-only $(AUDIT_OUT)
 
 # CI-sized version: a small freshly generated corpus, sweeps at jobs 1
-# and 4, the audit, and the analysis script (which exits
+# and 4, the audit of both smoke corpora, and the analysis script (which exits
 # nonzero on any verdict mismatch or certificate failure).
 SMOKE_OUT ?= /tmp/bagcqc-sweep-smoke
 
@@ -121,6 +121,8 @@ corpus-smoke: build
 	dune exec bench/sweep.exe -- run $(SMOKE_OUT)/iip-smoke.jsonl \
 	  --jobs 4 --label smoke-iip-j4 -o $(SMOKE_OUT)/sweep.jsonl --append
 	dune exec bench/sweep.exe -- audit $(SMOKE_OUT)/check-smoke.jsonl \
+	  -o $(SMOKE_OUT)/sweep.jsonl --append
+	dune exec bench/sweep.exe -- audit $(SMOKE_OUT)/iip-smoke.jsonl \
 	  -o $(SMOKE_OUT)/sweep.jsonl --append
 	python3 scripts/sweep_tables.py $(SMOKE_OUT)/sweep.jsonl
 

@@ -420,8 +420,8 @@ let stats_workload () =
     ignore (Containment.decide (path 3) (path 3))
   done;
   (* One valid and one refuted Γn decision of their own, so the
-     cone.lazy.* / cone.orbit.* counters in the "stats" block are
-     nonzero on every emitted run. *)
+     cone.lazy.* counters in the "stats" block are nonzero on every
+     emitted run. *)
   ignore (Cones.valid_max_cert Cones.Gamma ~n:4 [ shannon_target 4 ]);
   ignore (Cones.valid Cones.Gamma ~n:4 ingleton);
   let engine = (Obs.Metrics.snapshot ()).Obs.Metrics.counters in

@@ -221,11 +221,10 @@ let show_cone { cone; n; sides } =
 (* ---------------- lazy vs full cone cases ---------------- *)
 
 (* Γn instances for the lazy-vs-full cone differential suite: the same
-   raw [(mask, coeff)] side encoding as [cone_case],
-   one size further out — the separation loop and the symmetry layer
-   only do interesting work from n = 3 up, and n = 4 reaches instances
-   (Ingleton-like) where the two drivers walk genuinely different row
-   sets to the same verdict. *)
+   raw [(mask, coeff)] side encoding as [cone_case], one size further
+   out — the separation loop only does interesting work from n = 3 up,
+   and n = 4 reaches instances (Ingleton-like) where the two drivers
+   walk genuinely different row sets to the same verdict. *)
 type lazy_case = { n : int; sides : (int * Rat.t) list list }
 
 (* A cover side (see [Bagcqc_entropy.Cover]): sets drawn until they

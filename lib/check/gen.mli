@@ -58,7 +58,7 @@ type lazy_case = { n : int; sides : (int * Rat.t) list list }
 (** A Γn max-inequality as raw [(mask, coeff)] sides, decided by both the
     production lazy driver and the materialized oracle in the
     [lazy_vs_full] suite.  Sized n = 2..4 — large
-    enough that the separation loop and the symmetry layer do real work,
+    enough that the separation loop does real work,
     small enough for tens of thousands of iterations. *)
 
 val lazy_case : Rng.t -> lazy_case

@@ -19,8 +19,8 @@
          evaluation on exact points).  No violation on an *exact* point
          ⇒ x lies in Γn itself and genuinely refutes — refuters are
          only ever emitted from exact rounds.  Otherwise add a batch of
-         the most-violated cuts — each with its symmetry orbit when the
-         orbit is small — to W and to the float tableau, and re-solve.
+         the most-violated cuts to W and to the float tableau, and
+         re-solve.
 
    Rounds run in pure floats on one incremental tableau per decision
    ([Fsimplex.Tableau]): every cut is appended to it as it is admitted
@@ -71,12 +71,8 @@
    two rounds are spent per cut and the loop terminates within
    2·|family| rounds; a defensive invariant enforces the bound.
 
-   Symmetry: the instance is first canonicalized modulo variable
-   permutation ([Symmetry.analyze]), so all symmetric variants of a
-   query take the same rounds and build the same LPs.
-   Verdicts are mapped back through the permutation: refuters by
-   relabeling the point, certificates by renaming λ's descriptors (the
-   elemental family is closed under permutation).
+   The loop solves the caller's sides exactly as given: the refuter is
+   the LP point itself, and the certificate cites the caller's sides.
 
    Trust model: unchanged.  Float probes decide nothing — their points
    choose cuts, their Farkas rows choose the structure of an exact
@@ -99,8 +95,6 @@ let where = "Separation"
 let c_solves = Obs.Metrics.counter "cone.lazy.solves"
 let c_rounds = Obs.Metrics.counter "cone.lazy.rounds"
 let c_cuts = Obs.Metrics.counter "cone.lazy.cuts"
-let c_orbit_cuts = Obs.Metrics.counter "cone.orbit.cuts"
-let c_canonicalized = Obs.Metrics.counter "cone.orbit.canonicalized"
 let c_probe_certs = Obs.Metrics.counter "cone.lazy.probe_certs"
 let c_probe_cert_fallbacks = Obs.Metrics.counter "cone.lazy.probe_cert_fallbacks"
 
@@ -262,13 +256,13 @@ let scan_table ~n =
     Hashtbl.add scan_tbls n t;
     t
 
-(* Run the loop on the *canonical* instance.  Returns the witness point
+(* Run the loop on the sides [es].  Returns the witness point
    (refutation), the final working set (validity, from an exact R(W)
    round), or whatever [certify] returned for a float-infeasible probe's
    Farkas row, given as (row, float multiplier) pairs.  [certify] must
    prove validity on its own authority; [None] drops the tableau and
    sends the loop into an exact round instead of trusting the probe. *)
-let run ~n ~stabilizer ~certify es =
+let run ~n ~certify es =
   let num_vars = (1 lsl n) - 1 in
   (* Exact-round rows only, which most decisions never reach. *)
   let target_rows =
@@ -312,34 +306,18 @@ let run ~n ~stabilizer ~certify es =
   List.iter (fun d -> ignore (add_desc d)) (seed_descs ~n);
   (* Add the [cut_batch] most-violated of [ranked] (pre-sorted by
      violation, ties broken by descriptor order, so the cut sequence —
-     and with it every per-round system — is deterministic per build),
-     plus small symmetry orbits.  Unbounded orbit expansion is a trap:
-     a highly symmetric target has stabilizer orbits of size up to
-     (n−1)!, and materializing one recreates the full-family row count
-     the lazy driver exists to avoid. *)
+     and with it every per-round system — is deterministic per build). *)
   let cut_batch = 2 * n in
-  let orbit_cap = 2 * n in
   let add_ranked ranked =
-    let added = ref 0 and orbit_added = ref 0 and taken = ref 0 in
+    let added = ref 0 in
     (try
        List.iter
          (fun (d, _) ->
-           if !taken >= cut_batch then raise Exit;
-           if add_desc d then begin
-             incr added;
-             incr taken;
-             Option.iter
-               (List.iter (fun d' ->
-                    if add_desc d' then begin
-                      incr added;
-                      incr orbit_added
-                    end))
-               (Symmetry.orbit_desc ~cap:orbit_cap stabilizer d)
-           end)
+           if !added >= cut_batch then raise Exit;
+           if add_desc d then incr added)
          ranked
      with Exit -> ());
     Obs.Metrics.add c_cuts !added;
-    Obs.Metrics.add c_orbit_cuts !orbit_added;
     !added
   in
   (* Each exact round that continues adds a cut; a float round either
@@ -457,31 +435,16 @@ let with_span ~n ~kind es f =
         ("sides", Obs.Span.Int (List.length es)) ]
     f
 
-let analyze ~n es =
-  let sym = Symmetry.analyze ~n es in
-  if not (Symmetry.is_identity sym.Symmetry.to_canon) then
-    Obs.Metrics.bump c_canonicalized;
-  sym
-
-(* Map a refuting point of the canonical instance back to the original
-   variables: h_orig(S) = h_canon(π S). *)
-let refuter_of_point ~n ~(sym : Symmetry.analysis) x =
-  Polymatroid.make n (fun s ->
-      let m = Symmetry.apply_mask sym.Symmetry.to_canon s in
-      if Varset.is_empty m then Rat.zero else x.(m - 1))
+let refuter_of_point ~n x = Polymatroid.make n (fun s -> x.(s - 1))
 
 (* ---------------- certificates ---------------- *)
 
-(* The certificate for the caller's original sides [es] from multipliers
-   of the canonical instance: λ accumulates per elemental *descriptor* —
-   the cited rows directly, and each positive ν_S expanded through the
-   chain decomposition of h(S) ≥ 0 — sorted in canonical descriptor
-   order for a deterministic rendering, then renamed through π⁻¹.
-   Renaming the canonical identity Σλ·a = Σμ·Eᶜ lands exactly on the
-   original sides, and a renamed descriptor still names an elemental
-   inequality (the family is closed under permutation), so
-   [Certificate.check] applies unchanged.  No row is materialized. *)
-let assemble ~n ~sym ~es ~lambda ~nu ~mu =
+(* The certificate for the sides [es]: λ accumulates per elemental
+   *descriptor* — the cited rows directly, and each positive ν_S
+   expanded through the chain decomposition of h(S) ≥ 0 — sorted in
+   descriptor order for a deterministic rendering.  No row is
+   materialized. *)
+let assemble ~n ~es ~lambda ~nu ~mu =
   let cited =
     List.fold_left
       (fun acc (s, v) ->
@@ -492,28 +455,22 @@ let assemble ~n ~sym ~es ~lambda ~nu ~mu =
       (List.filter (fun (_, c) -> Rat.sign c > 0) lambda)
       nu
   in
-  let inv = Symmetry.inverse sym.Symmetry.to_canon in
-  let lambda =
-    Elemental.merge_descs cited
-    |> if Symmetry.is_identity inv then Fun.id
-       else List.map (fun (d, c) -> (Symmetry.apply_desc inv d, c))
-  in
-  Certificate.make ~n ~cone:"gamma" ~sides:es ~lambda ~mu
+  Certificate.make ~n ~cone:"gamma" ~sides:es
+    ~lambda:(Elemental.merge_descs cited) ~mu
 
-(* Prove validity of the canonical instance over the working set
-   [w_descs] (add order): solve the restricted Farkas system and return
-   its certificate, which must pass the exact [Certificate.check].
-   [None] means F(W) is infeasible — the caller's infeasibility claim
-   for R(W) was wrong (or, from an exact round, genuinely
-   contradictory). *)
-let certify_working_set ~n ~sym ~es w_descs =
+(* Prove validity of [es] over the working set [w_descs] (add order):
+   solve the restricted Farkas system and return its certificate, which
+   must pass the exact [Certificate.check].  [None] means F(W) is
+   infeasible — the caller's infeasibility claim for R(W) was wrong (or,
+   from an exact round, genuinely contradictory). *)
+let certify_working_set ~n ~es w_descs =
   let axioms = List.map (Elemental.expr_of_desc ~n) w_descs in
   let n_ax = List.length axioms in
   let k = List.length es in
   let nv = (1 lsl n) - 1 in
-  let fprob = farkas_of_axioms ~n axioms sym.Symmetry.canonical in
+  let fprob = farkas_of_axioms ~n axioms es in
   let assemble x =
-    assemble ~n ~sym ~es
+    assemble ~n ~es
       ~lambda:(List.mapi (fun i d -> (d, x.(i))) w_descs)
       ~nu:(List.init nv (fun s -> (s + 1, x.(n_ax + k + s))))
       ~mu:(List.init k (fun l -> x.(n_ax + l)))
@@ -543,11 +500,10 @@ let decline_name = function
   | Repair_declined r -> Repair.farkas_reject_name r
   | Check_failed -> "check_failed"
 
-(* Exact (μ, λ, ν) for a claim over the canonical sides [es_c]: μ one
-   per side (zero off the support), λ per cited cut, ν per coordinate
-   mask. *)
-let repair_claim ~n es_c claim =
-  let es_a = Array.of_list es_c in
+(* Exact (μ, λ, ν) for a claim over the sides [es]: μ one per side
+   (zero off the support), λ per cited cut, ν per coordinate mask. *)
+let repair_claim ~n es claim =
+  let es_a = Array.of_list es in
   let rows =
     Array.of_list
       (List.map
@@ -596,46 +552,39 @@ let claim_cuts claim =
 (* Certify a float-infeasible probe: the repaired multipliers, assembled
    and accepted only if [Certificate.check] passes; on a decline, the
    restricted Farkas LP F(W′) over the claim's cuts. *)
-let certify_claim ~n ~sym ~es claim =
+let certify_claim ~n ~es claim =
   match
     probe_attempt claim (fun () ->
-        match repair_claim ~n sym.Symmetry.canonical claim with
+        match repair_claim ~n es claim with
         | Error _ as e -> e
         | Ok (mu, lambda, nu) ->
-          let cert = assemble ~n ~sym ~es ~lambda ~nu ~mu in
+          let cert = assemble ~n ~es ~lambda ~nu ~mu in
           if Certificate.check cert then Ok cert else Error Check_failed)
   with
   | Ok cert -> Some cert
-  | Error _ -> certify_working_set ~n ~sym ~es (claim_cuts claim)
+  | Error _ -> certify_working_set ~n ~es (claim_cuts claim)
 
 (* ---------------- entry points ---------------- *)
 
 let valid_max_quick ~n es =
   with_span ~n ~kind:"quick" es @@ fun () ->
   Obs.Metrics.bump c_solves;
-  let sym = analyze ~n es in
   (* Verdict only: an accepted repair is an exact Farkas proof by
      itself, so no certificate is assembled. *)
   let certify claim =
     Result.to_option
       (probe_attempt claim (fun () ->
-           Result.map ignore (repair_claim ~n sym.Symmetry.canonical claim)))
+           Result.map ignore (repair_claim ~n es claim)))
   in
-  match
-    run ~n ~stabilizer:sym.Symmetry.stabilizer ~certify sym.Symmetry.canonical
-  with
+  match run ~n ~certify es with
   | Valid _ | Certified () -> true
   | Refuted_at _ -> false
 
 let valid_max_cert ~n es =
   with_span ~n ~kind:"cert" es @@ fun () ->
   Obs.Metrics.bump c_solves;
-  let sym = analyze ~n es in
-  match
-    run ~n ~stabilizer:sym.Symmetry.stabilizer
-      ~certify:(certify_claim ~n ~sym ~es) sym.Symmetry.canonical
-  with
-  | Refuted_at x -> Error (refuter_of_point ~n ~sym x)
+  match run ~n ~certify:(certify_claim ~n ~es) es with
+  | Refuted_at x -> Error (refuter_of_point ~n x)
   | Certified cert -> Ok cert
   | Valid w_rev ->
     (* Reached only through an exact round's infeasibility (a probe that
@@ -643,7 +592,7 @@ let valid_max_cert ~n es =
        claim did not certify).  F(W) is then feasible by duality over
        the W-cone; both empty means the two independently-built LPs
        disagree. *)
-    (match certify_working_set ~n ~sym ~es (List.rev w_rev) with
+    (match certify_working_set ~n ~es (List.rev w_rev) with
      | Some cert -> Ok cert
      | None ->
        Bagcqc_error.invariant ~where
@@ -656,16 +605,11 @@ module Probe = struct
   type row = claim_row = Target of int | Cut of Elemental.desc
 
   let terminal_claim ~n es =
-    let sym = analyze ~n es in
-    match
-      run ~n ~stabilizer:sym.Symmetry.stabilizer ~certify:Option.some
-        sym.Symmetry.canonical
-    with
+    match run ~n ~certify:Option.some es with
     | Certified claim -> Some claim
     | Valid _ | Refuted_at _ -> None
 
-  let repairs ~n es claim =
-    Result.is_ok (repair_claim ~n (analyze ~n es).Symmetry.canonical claim)
+  let repairs ~n es claim = Result.is_ok (repair_claim ~n es claim)
 
-  let certify ~n es claim = certify_claim ~n ~sym:(analyze ~n es) ~es claim
+  let certify ~n es claim = certify_claim ~n ~es claim
 end

@@ -1,15 +1,14 @@
-(** Lazy constraint generation + symmetry reduction for the Shannon
-    cone — the production Γn driver behind {!Cones} (DESIGN.md §4i).
+(** Lazy constraint generation for the Shannon cone — the production
+    Γn driver behind {!Cones} (DESIGN.md §4i).
 
     Instead of materializing all [n + C(n,2)·2^(n−2)] elemental
-    inequalities into every Γn LP, the instance is canonicalized modulo
-    variable permutation ({!Symmetry.analyze}) and decided by a
-    cutting-plane loop: solve the refutation LP over a small working
-    set W of elemental inequalities (seeded with the [n] monotonicity
-    rows; submodularity enters only as cuts), separate over the
-    {e implicit} family
+    inequalities into every Γn LP, the instance is decided, on the
+    sides exactly as given, by a cutting-plane loop: solve the
+    refutation LP over a small working set W of elemental inequalities
+    (seeded with the [n] monotonicity rows; submodularity enters only
+    as cuts), separate over the {e implicit} family
     ({!Elemental.eval_desc} — exact rationals, nothing materialized),
-    add the most-violated cut orbit-at-a-time, and re-solve.  The
+    add a batch of the most-violated cuts, and re-solve.  The
     rounds run on one incremental float tableau per decision
     ({!Bagcqc_lp.Fsimplex.Tableau}: cuts appended in place, dual
     simplex from the previous basis).
@@ -48,11 +47,11 @@ val valid_max_quick : n:int -> Linexpr.t list -> bool
 (** The certificate path's internals, exposed for the tests. *)
 module Probe : sig
   type row =
-    | Target of int  (** side [ℓ] of the canonical instance *)
+    | Target of int  (** side [ℓ] of the instance *)
     | Cut of Elemental.desc  (** a working-set inequality *)
 
   val terminal_claim : n:int -> Linexpr.t list -> (row * float) list option
-  (** Run the loop on the canonical form of [es] up to its first
+  (** Run the loop on [es] up to its first
       float-infeasible probe and return that probe's Farkas row, as
       (row, float multiplier) pairs; [None] if the loop ends another
       way. *)

@@ -138,6 +138,61 @@ let closed () =
     |> List.sort (fun a b ->
            match compare a.start b.start with 0 -> compare a.id b.id | c -> c)
 
+(* The closed subtree of span [root]: the span and its descendants, by
+   ascending id.  Each ring holds its spans in close order, and every
+   descendant closes after [root] opens and before [root] closes, so the
+   rings are walked newest-first, merged by close time on the shared
+   monotonic clock, and the walk ends at the first span that closed
+   before [root] opened: its cost is the spans closed since then, not
+   the rings' capacity. *)
+let subtree root =
+  let heads =
+    List.filter_map
+      (fun d ->
+        let n = min (Array.length d.ring) d.written in
+        if n = 0 then None else Some ((d.ring, d.widx), n, ref 0))
+      (all_dstores ())
+  in
+  (* The [!k]-th newest span of a ring; the [n] newest slots are full. *)
+  let head ((ring, widx), _, k) =
+    let cap = Array.length ring in
+    Option.get ring.((widx - 1 - !k + cap) mod cap)
+  in
+  let closed_at sp = sp.start +. sp.dur in
+  let newer a b = closed_at (head a) >= closed_at (head b) in
+  (* [opened] is [root]'s start once [root] is found: until then every
+     span closed after [root] did, so none is a descendant. *)
+  let rec walk opened acc =
+    match List.filter (fun (_, n, k) -> !k < n) heads with
+    | [] -> acc
+    | h :: hs ->
+      let ((_, _, k) as h) =
+        List.fold_left (fun a b -> if newer a b then a else b) h hs
+      in
+      let sp = head h in
+      if closed_at sp < opened then acc
+      else begin
+        incr k;
+        if sp.id = root then walk sp.start (sp :: acc)
+        else if opened > neg_infinity && sp.id > root then walk opened (sp :: acc)
+        else walk opened acc
+      end
+  in
+  if root < 0 then []
+  else begin
+    let keep = Hashtbl.create 16 in
+    Hashtbl.add keep root ();
+    List.sort (fun a b -> compare a.id b.id) (walk neg_infinity [])
+    |> List.filter (fun sp ->
+           Hashtbl.mem keep sp.id
+           ||
+           if Hashtbl.mem keep sp.parent then begin
+             Hashtbl.add keep sp.id ();
+             true
+           end
+           else false)
+  end
+
 (* ---------------- recording ---------------- *)
 
 let add_attr key v =

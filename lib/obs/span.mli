@@ -48,6 +48,13 @@ val on_close : (t -> unit) -> unit
 val closed : unit -> t list
 (** Completed spans still in the ring, oldest first. *)
 
+val subtree : int -> t list
+(** [subtree id]: the completed span [id] and its completed descendants
+    still in the rings, by ascending id; [[]] once [id] has left its
+    ring (or for [id < 0]).  The same spans as following parent links
+    through {!closed}, but the walk reads only the spans that closed
+    since span [id] opened. *)
+
 val dropped : unit -> int
 (** Completed spans overwritten by ring wrap-around since the last reset. *)
 
@@ -60,8 +67,8 @@ val open_depth : unit -> int
 val current_id : unit -> int
 (** Id of this domain's innermost open span, [-1] when none is open or
     tracing is disabled.  Lets a caller remember which span covered a
-    piece of work and later collect that span's subtree from {!closed}
-    (slow-request capture). *)
+    piece of work and later collect that span's subtree with
+    {!subtree} (slow-request capture). *)
 
 val reset : unit -> unit
 (** Clear the ring, the open stack, and ids; re-arm the trace epoch.

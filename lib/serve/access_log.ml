@@ -52,30 +52,6 @@ type entry = {
   span_id : int; (* the request's root span, -1 when tracing is off *)
 }
 
-(* The request's span subtree, ascending span id, from the closed ring.
-   Ids are allocated at span open from one monotone counter, so every
-   descendant of [span_id] has a larger id: filtering the ring down to
-   ids >= span_id first keeps the sort bounded by the current batch's
-   spans, not the ring capacity. *)
-let subtree span_id =
-  if span_id < 0 then []
-  else begin
-    let candidates =
-      List.filter (fun sp -> sp.Obs.Span.id >= span_id) (Obs.Span.closed ())
-    in
-    let keep = Hashtbl.create 16 in
-    Hashtbl.add keep span_id ();
-    List.sort (fun a b -> compare a.Obs.Span.id b.Obs.Span.id) candidates
-    |> List.filter (fun sp ->
-           Hashtbl.mem keep sp.Obs.Span.id
-           ||
-           if Hashtbl.mem keep sp.Obs.Span.parent then begin
-             Hashtbl.add keep sp.Obs.Span.id ();
-             true
-           end
-           else false)
-  end
-
 (* Per-request pivots and cache tier, recovered from span attributes:
    pivot counts sum across the subtree's simplex spans; the cache tier
    reported is the deepest tier the request had to reach ("miss" — a
@@ -119,7 +95,7 @@ let log_check t (e : entry) =
   let sampled = t.seq mod t.sample = 0 in
   Mutex.unlock t.m;
   if slow || e.error <> None || sampled then begin
-    let sub = subtree e.span_id in
+    let sub = Obs.Span.subtree e.span_id in
     let opt_str = function Some s -> Json.Str s | None -> Json.Null in
     let num n = Json.Num (float_of_int n) in
     let fields =

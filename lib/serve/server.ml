@@ -230,8 +230,7 @@ let wire_aliases =
     ("lp_pivots", "lp.pivots"); ("cache_hits", "solver.cache.hits");
     ("cache_misses", "solver.cache.misses");
     ("lazy_solves", "cone.lazy.solves"); ("lazy_rounds", "cone.lazy.rounds");
-    ("lazy_cuts", "cone.lazy.cuts"); ("orbit_cuts", "cone.orbit.cuts");
-    ("orbit_canonicalized", "cone.orbit.canonicalized") ]
+    ("lazy_cuts", "cone.lazy.cuts") ]
 
 let stats_fields t =
   publish_gauges t;

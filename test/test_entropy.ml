@@ -542,7 +542,7 @@ let prop_modularize_lemma_3_7 =
       && Rat.equal (Polymatroid.value h (Varset.full n)) (Polymatroid.value h' (Varset.full n)))
 
 (* ------------------------------------------------------------------ *)
-(* Lazy Shannon engine: membership, symmetry, lazy-vs-full (ISSUE 9)   *)
+(* Lazy Shannon engine: membership, renaming, lazy-vs-full            *)
 (* ------------------------------------------------------------------ *)
 
 let test_elemental_membership () =
@@ -574,47 +574,6 @@ let test_elemental_membership () =
     done
   done
 
-let test_symmetry_canonicalization () =
-  let n = 3 in
-  (* I(0;1) and I(1;2) are renamings of each other: same canonical form. *)
-  let e1 = i_pair 0 1 [] and e2 = i_pair 1 2 [] in
-  let a1 = Symmetry.analyze ~n [ e1 ] and a2 = Symmetry.analyze ~n [ e2 ] in
-  Alcotest.(check bool) "orbit members share a canonical instance" true
-    (List.equal Linexpr.equal a1.Symmetry.canonical a2.Symmetry.canonical);
-  Alcotest.(check bool) "to_canon maps the instance to its canonical form"
-    true
-    (List.equal Linexpr.equal
-       (List.map (Symmetry.apply_expr a1.Symmetry.to_canon) [ e1 ])
-       a1.Symmetry.canonical);
-  (* The stabilizer fixes the canonical multiset and contains id. *)
-  Alcotest.(check bool) "stabilizer contains the identity" true
-    (List.exists Symmetry.is_identity a1.Symmetry.stabilizer);
-  List.iter
-    (fun s ->
-      Alcotest.(check bool) "stabilizer element fixes the canonical form"
-        true
-        (List.equal Linexpr.equal
-           (List.map (Symmetry.apply_expr s) a1.Symmetry.canonical)
-           a1.Symmetry.canonical))
-    a1.Symmetry.stabilizer;
-  (* I(i;j) fixes the pair {i,j} setwise: stabilizer has order 2 here. *)
-  Alcotest.(check int) "stabilizer order of I(i;j) at n=3" 2
-    (List.length a1.Symmetry.stabilizer)
-
-(* The orbit walk stops once the orbit passes the cap: under all of
-   S_3, Mono 1 has the 3-member orbit {Mono 0, Mono 1, Mono 2}. *)
-let test_symmetry_orbit_cap () =
-  let s3 =
-    [ [| 0; 1; 2 |]; [| 0; 2; 1 |]; [| 1; 0; 2 |]; [| 1; 2; 0 |]; [| 2; 0; 1 |];
-      [| 2; 1; 0 |] ]
-  in
-  let orbit cap = Symmetry.orbit_desc ~cap s3 (Elemental.Mono 1) in
-  Alcotest.(check bool) "cap 3 keeps the orbit, sorted" true
-    (orbit 3 = Some [ Elemental.Mono 0; Elemental.Mono 1; Elemental.Mono 2 ]);
-  Alcotest.(check bool) "cap 2 rejects it" true (orbit 2 = None)
-
-(* Reference for the signature-restricted sweep: the stabilizer of the
-   canonical side multiset by brute force over all n! renamings. *)
 let rec all_perms = function
   | [] -> [ [] ]
   | xs ->
@@ -624,31 +583,10 @@ let rec all_perms = function
           (all_perms (List.filter (fun y -> y <> x) xs)))
       xs
 
-let compare_terms a b =
-  List.compare
-    (fun (m1, c1) (m2, c2) ->
-      let c = compare (m1 : int) m2 in
-      if c <> 0 then c else Rat.compare c1 c2)
-    a b
-
-let side_multiset es = List.sort compare_terms (List.map Linexpr.terms es)
-
-let same_multiset a b =
-  List.equal (fun x y -> compare_terms x y = 0) (side_multiset a)
-    (side_multiset b)
-
-let brute_stabilizer_order ~n es =
-  List.length
-    (List.filter
-       (fun p ->
-         let p = Array.of_list p in
-         same_multiset (List.map (Symmetry.apply_expr p) es) es)
-       (all_perms (List.init n Fun.id)))
-
 (* Random instances over n ≤ [max_n] variables with a random renaming:
    a few sides, each a handful of random terms, half of them symmetrized
-   over a random variable subset so that non-trivial stabilizers and tied
-   signatures occur. *)
+   over a random variable subset so that instances with non-trivial
+   automorphisms occur. *)
 let gen_sym_instance ~max_n =
   QCheck.Gen.(
     int_range 2 max_n >>= fun n ->
@@ -668,7 +606,7 @@ let gen_sym_instance ~max_n =
              (fun img ->
                let p = Array.init n Fun.id in
                List.iter2 (fun v w -> p.(v) <- w) vars img;
-               Symmetry.apply_expr p base)
+               Linexpr.rename (fun i -> p.(i)) base)
              (all_perms vars))
       else base
     in
@@ -683,31 +621,37 @@ let print_sym_instance (n, es, pi) =
        (Linexpr.pp ()))
     es
 
-let prop_symmetry_canonical_invariant =
-  QCheck.Test.make ~name:"symmetry: canonical form is orbit-invariant"
+(* Γn validity does not depend on how the variables are named, and
+   each renaming is decided as given: all verdicts must agree, every
+   certificate must prove its own sides, and every refuter must be a
+   polymatroid below every side.  The lazy driver runs on its own as
+   well, because the cover path settles most valid instances here. *)
+let prop_renaming_invariant =
+  QCheck.Test.make ~name:"renaming: Γn verdicts are invariant"
     ~count:300
-    (QCheck.make ~print:print_sym_instance (gen_sym_instance ~max_n:6))
-    (fun (n, es, pi) ->
-      let a = Symmetry.analyze ~n es in
-      let b = Symmetry.analyze ~n (List.map (Symmetry.apply_expr pi) es) in
-      same_multiset a.Symmetry.canonical b.Symmetry.canonical
-      && List.length a.Symmetry.stabilizer = List.length b.Symmetry.stabilizer
-      && List.for_all
-           (fun s ->
-             same_multiset
-               (List.map (Symmetry.apply_expr s) a.Symmetry.canonical)
-               a.Symmetry.canonical)
-           a.Symmetry.stabilizer)
-
-let prop_symmetry_stabilizer_complete =
-  QCheck.Test.make ~name:"symmetry: stabilizer order matches an n! sweep"
-    ~count:200
-    (* n ≤ 5 keeps the 5! brute-force sweep cheap. *)
     (QCheck.make ~print:print_sym_instance (gen_sym_instance ~max_n:5))
-    (fun (n, es, _) ->
-      let a = Symmetry.analyze ~n es in
-      List.length a.Symmetry.stabilizer
-      = brute_stabilizer_order ~n a.Symmetry.canonical)
+    (fun (n, es, pi) ->
+      (* [Some valid] when the verdict carries a sound proof. *)
+      let judge es = function
+        | Ok c -> if Certificate.proves c ~n es then Some true else None
+        | Error h ->
+          if Polymatroid.is_polymatroid h
+             && List.for_all (fun e -> Rat.sign (Polymatroid.eval h e) < 0) es
+          then Some false
+          else None
+      in
+      let decide es =
+        let production =
+          match Cones.valid_max_cert Cones.Gamma ~n es with
+          | Ok (Some c) -> judge es (Ok c)
+          | Ok None -> None
+          | Error h -> judge es (Error h)
+        in
+        [ production; judge es (Separation.valid_max_cert ~n es) ]
+      in
+      match decide es @ decide (List.map (Linexpr.rename (fun i -> pi.(i))) es) with
+      | Some v :: rest -> List.for_all (( = ) (Some v)) rest
+      | _ -> false)
 
 (* The decisions the production driver and the oracle must agree on: a valid submodularity,
    a valid monotonicity, Zhang-Yeung (refuted over Γ4) and Ingleton
@@ -1268,7 +1212,7 @@ let qtests =
     [ prop_subset_enum_complete; prop_truncated_modular_is_polymatroid;
       prop_theorem_3_6; prop_counterexample_sound; prop_cone_chain;
       prop_normalize_lemma_3_7; prop_modularize_lemma_3_7;
-      prop_symmetry_canonical_invariant; prop_symmetry_stabilizer_complete;
+      prop_renaming_invariant;
       prop_normal_sparse_matches_reference; prop_small_cones_match_lp;
       prop_check_matches_linexpr_reference; prop_mobius_matches_reference;
       prop_cover_certifies; prop_cover_declines_negative ]
@@ -1294,8 +1238,6 @@ let suite =
     ("Figure 1 (Ex C.4)", `Quick, test_figure_1);
     ("modularize basic", `Quick, test_modularize_basic);
     ("elemental membership", `Quick, test_elemental_membership);
-    ("symmetry canonicalization", `Quick, test_symmetry_canonicalization);
-    ("symmetry orbit cap", `Quick, test_symmetry_orbit_cap);
     ("lazy engine agrees with full", `Quick, test_lazy_engine_agrees_with_full);
     ("lazy certificates check", `Quick, test_lazy_certificates_check);
     ("valid_shannon_many dedup", `Quick, test_valid_shannon_many_dedup);

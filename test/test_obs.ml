@@ -80,6 +80,56 @@ let test_ring_eviction () =
     [ "s3"; "s4"; "s5"; "s6" ] names;
   Alcotest.(check int) "eviction counted" 2 (Obs.Span.dropped ())
 
+(* [Span.subtree]'s bounded walk against the full-ring filter:
+   follow parent links through every closed span with an id
+   at or above the root's.  The rings hold other requests' spans: a
+   batch of requests on this domain, a second domain's requests
+   interleaved with them in time, unrelated spans before and after,
+   and enough of them that the oldest are evicted. *)
+let test_subtree_walk () =
+  with_tracing ~ring_capacity:64 @@ fun () ->
+  let reference root =
+    if root < 0 then []
+    else begin
+      let keep = Hashtbl.create 16 in
+      Hashtbl.add keep root ();
+      List.filter (fun sp -> sp.Obs.Span.id >= root) (Obs.Span.closed ())
+      |> List.sort (fun a b -> compare a.Obs.Span.id b.Obs.Span.id)
+      |> List.filter (fun sp ->
+             Hashtbl.mem keep sp.Obs.Span.id
+             ||
+             if Hashtbl.mem keep sp.Obs.Span.parent then begin
+               Hashtbl.add keep sp.Obs.Span.id ();
+               true
+             end
+             else false)
+    end
+  in
+  let request i =
+    Obs.Span.with_span ~name:"request" @@ fun () ->
+    for j = 0 to i mod 3 do
+      Obs.Span.with_span ~name:"step" (fun () ->
+          if j = 1 then Obs.Span.with_span ~name:"leaf" ignore)
+    done
+  in
+  let unrelated () = Obs.Span.with_span ~name:"other" ignore in
+  for _ = 1 to 30 do unrelated () done;
+  Obs.Span.with_span ~name:"batch" (fun () ->
+      let other = Domain.spawn (fun () -> for i = 1 to 8 do request i done) in
+      for i = 1 to 8 do request i; unrelated () done;
+      Domain.join other);
+  for i = 1 to 3 do request i done;
+  unrelated ();
+  let ids = List.map (fun sp -> sp.Obs.Span.id) (Obs.Span.closed ()) in
+  Alcotest.(check bool) "the oldest spans were evicted" true (Obs.Span.dropped () > 0);
+  List.iter
+    (fun root ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "subtree of span %d" root)
+        (List.map (fun sp -> sp.Obs.Span.id) (reference root))
+        (List.map (fun sp -> sp.Obs.Span.id) (Obs.Span.subtree root)))
+    (-1 :: 0 :: List.fold_left max 0 ids + 1 :: ids)
+
 let test_depth_limit () =
   with_tracing ~max_depth:2 @@ fun () ->
   let rec nest d = if d > 0 then
@@ -414,3 +464,5 @@ let suite =
       test_decide_k0_stage_spans ]
   @ List.map QCheck_alcotest.to_alcotest
       [ prop_merge_commutative; prop_merge_associative; prop_json_roundtrip ]
+  @ [ Alcotest.test_case "subtree walk matches the ring filter" `Quick
+        test_subtree_walk ]
