@@ -216,7 +216,11 @@ let check_cmd =
            "NOT CONTAINED: witness relation with %d rows; \
             |hom(Q1,D)| >= %d > %d = |hom(Q2,D)| (Fact 3.2).@."
            w.Containment.card_p w.Containment.card_p w.Containment.hom2;
-         Format.printf "Witness database:@.%a" Database.pp w.Containment.db;
+         (* The Boolean reduction renumbers variables: the counts were
+            taken on the database of the reduced Q1. *)
+         let db_q1 = if boolean then q1 else fst (Reductions.booleanize q1 q2) in
+         Format.printf "Witness database:@.%a" Database.pp
+           (Containment.witness_db db_q1 w);
          0
        | Containment.Unknown { reason; _ } ->
          Format.printf "UNKNOWN: %s@." reason;

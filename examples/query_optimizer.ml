@@ -53,7 +53,8 @@ let () =
         | Containment.Not_contained w ->
           Format.asprintf "UNSAFE    (witness: %d vs %d on a %d-row database)"
             w.Containment.card_p w.Containment.hom2
-            (Bagcqc_cq.Database.total_rows w.Containment.db)
+            (Bagcqc_cq.Database.total_rows
+               (Containment.witness_db (fst (Bagcqc_cq.Reductions.booleanize q1 q2)) w))
         | Containment.Unknown { reason = _; _ } -> "UNDECIDED (outside the decidable classes)"
       in
       Format.printf "%-28s %s@.    original: %s@.    rewrite:  %s@.    note:     %s@.@."

@@ -417,6 +417,37 @@ let show_hom c =
   Printf.sprintf "%s ; %s  (source %s; target %s)" (Query.to_string qa)
     (Query.to_string qb) (atoms c.source) (atoms c.target)
 
+(* ---------------- Eq. 8 front end ---------------- *)
+
+type eq8_case = { pair : hom_case; steps : (int * int) list }
+
+let eq8_case rng =
+  let pair = hom_case rng in
+  let steps = List.init (Rng.int rng 4) (fun _ -> (Rng.bits rng, Rng.range rng 1 2)) in
+  { pair; steps }
+
+let build_eq8 c =
+  let q2, q1 = build_hom c.pair in
+  let full = Bagcqc_entropy.Varset.full (Query.nvars q1) in
+  let steps =
+    List.filter_map
+      (fun (raw, k) ->
+        let w = raw land full in
+        if w = full then None else Some (w, k))
+      c.steps
+  in
+  (q1, q2, steps)
+
+let shrink_eq8 c =
+  List.map (fun pair -> { c with pair }) (shrink_hom c.pair)
+  @ List.mapi (fun i _ -> { c with steps = List.filteri (fun j _ -> j <> i) c.steps }) c.steps
+
+let show_eq8 c =
+  let q1, q2, steps = build_eq8 c in
+  Printf.sprintf "%s ; %s  steps [%s]" (Query.to_string q1) (Query.to_string q2)
+    (String.concat "; "
+       (List.map (fun (w, k) -> Printf.sprintf "%d x%d" w k) steps))
+
 (* ---------------- Parser inputs ---------------- *)
 
 let alphabet = "RSTQxyzw()(),,.:-- '\t_019"

@@ -112,6 +112,23 @@ val build_hom : hom_case -> Query.t * Query.t
 val shrink_hom : hom_case -> hom_case list
 val show_hom : hom_case -> string
 
+(** {2 Eq. 8 front end} *)
+
+type eq8_case = {
+  pair : hom_case;  (** [(Q₂, Q₁)] as {!build_hom} builds [(Qa, Qb)] *)
+  steps : (int * int) list;
+      (** a normal relation [P] over [Q₁]'s variables: raw step masks
+          (cut to [Q₁]'s variables, a full one dropped) and their
+          multiplicities, at most 6 factors *)
+}
+
+val eq8_case : Rng.t -> eq8_case
+val build_eq8 : eq8_case -> Query.t * Query.t * (Bagcqc_entropy.Varset.t * int) list
+(** [(Q₁, Q₂, steps)]: Eq. 8 for [Q₁ ⊑ Q₂] and a [P] for [Π_Q₁(P)]. *)
+
+val shrink_eq8 : eq8_case -> eq8_case list
+val show_eq8 : eq8_case -> string
+
 (** {2 Parser inputs} *)
 
 val parser_case : Rng.t -> string

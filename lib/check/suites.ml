@@ -501,6 +501,104 @@ let hom_between_suite =
       shrink = Gen.shrink_hom;
       check = (fun c -> check_hom_between (Gen.build_hom c)) }
 
+(* ---------------- eq8 ---------------- *)
+
+let sorted_bags t = List.sort compare (Array.to_list (Treedec.bags t))
+
+let show_bags bags =
+  String.concat " "
+    (List.map (Format.asprintf "%a" (Bagcqc_entropy.Varset.pp ())) bags)
+
+let flat_et t = Bagcqc_entropy.Cexpr.to_linexpr (Treedec.et t)
+
+let check_decomposition q2 =
+  let t = Treedec.of_query q2 and r = Reference_eq8.of_query q2 in
+  let* () =
+    require (Treedec.is_valid_for q2 t) "of_query is not a tree decomposition: %s"
+      (Format.asprintf "%a" Treedec.pp t)
+  in
+  let* () =
+    require (sorted_bags t = sorted_bags r) "bags %s, reference %s"
+      (show_bags (sorted_bags t)) (show_bags (sorted_bags r))
+  in
+  let* () =
+    require (Bagcqc_entropy.Linexpr.equal (flat_et t) (flat_et r)) "E_T %s, reference %s"
+      (Format.asprintf "%a" (Bagcqc_entropy.Linexpr.pp ()) (flat_et t))
+      (Format.asprintf "%a" (Bagcqc_entropy.Linexpr.pp ()) (flat_et r))
+  in
+  let* () =
+    require
+      (Treedec.is_simple t = Treedec.is_simple r
+      && Treedec.is_totally_disconnected t = Treedec.is_totally_disconnected r)
+      "simple %b, totally disconnected %b; reference %b, %b" (Treedec.is_simple t)
+      (Treedec.is_totally_disconnected t) (Treedec.is_simple r)
+      (Treedec.is_totally_disconnected r)
+  in
+  let* () =
+    require
+      (Treedec.is_acyclic q2 = Reference_eq8.is_acyclic q2)
+      "is_acyclic says %b, GYO %b" (Treedec.is_acyclic q2) (Reference_eq8.is_acyclic q2)
+  in
+  let* () =
+    require
+      (Containment.classify q2 = Reference_eq8.classify q2)
+      "classify differs from the three-pass reference"
+  in
+  require
+    (Witness.applicable q2 = Reference_eq8.applicable q2)
+    "Witness.applicable differs from the reference"
+
+let show_sides sides =
+  String.concat ", "
+    (List.map (Format.asprintf "%a" (Bagcqc_entropy.Linexpr.pp ())) sides)
+
+let check_eq8 ?steps q1 q2 =
+  let* () = check_decomposition q2 in
+  if Option.is_some (Query.arity_clash q1 q2) then
+    let* () =
+      require
+        (raises_invalid (fun () -> Containment.eq8 q1 q2))
+        "eq8 accepts a relation used at two arities"
+    in
+    match steps with
+    | None -> Ok ()
+    | Some steps ->
+      require
+        (raises_invalid (fun () -> Containment.count_normal q1 q2 steps))
+        "count_normal accepts a relation used at two arities"
+  else
+    let sides = Bagcqc_entropy.Maxii.sides (Containment.eq8 q1 q2) in
+    let expected = Reference_eq8.sides q1 q2 in
+    let* () =
+      require
+        (List.equal Bagcqc_entropy.Linexpr.equal sides expected)
+        "sides %s, reference %s" (show_sides sides) (show_sides expected)
+    in
+    match steps with
+    | None -> Ok ()
+    | Some steps ->
+      (* Capped at |P|, as the witness search counts: an uncapped count
+         of a disconnected Q2 can run to billions. *)
+      let card = 1 lsl List.fold_left (fun acc (_, k) -> acc + k) 0 steps in
+      let n = Containment.count_normal ~limit:card q1 q2 steps
+      and r = Reference_eq8.count_normal ~limit:card q1 q2 steps in
+      require (n = r) "count_normal ~limit:%d says %d, reference %d" card n r
+
+let eq8_suite =
+  Runner.Suite
+    { name = "eq8";
+      doc =
+        "Eq. 8's front end vs the multi-pass reference: decomposition (bags, \
+         E_T, simplicity, acyclicity, class), plain sides in order, and the \
+         witness count on integer codes vs Hom.count on the built database";
+      gen = Gen.eq8_case;
+      show = Gen.show_eq8;
+      shrink = Gen.shrink_eq8;
+      check =
+        (fun c ->
+          let q1, q2, steps = Gen.build_eq8 c in
+          check_eq8 ~steps q1 q2) }
+
 (* ---------------- parser ---------------- *)
 
 let show_parse = function
@@ -547,6 +645,6 @@ let parser_suite =
 
 let all =
   [ logint_suite; simplex_suite; float_vs_exact_suite; lazy_vs_full_suite;
-    decide_suite; parser_suite; hom_between_suite ]
+    decide_suite; parser_suite; hom_between_suite; eq8_suite ]
 
 let find name = List.find_opt (fun s -> String.equal (Runner.name s) name) all

@@ -33,13 +33,16 @@
     - [hom_between]: {!Bagcqc_cq.Hom.enumerate_between} (a search on
       variable indices) vs {!reference_between}: the same homomorphisms
       in the same order, [count_between] equal to their number, and
-      [Invalid_argument] when a relation is used at two arities. *)
+      [Invalid_argument] when a relation is used at two arities.
+    - [eq8]: the Eq. 8 front end vs {!Reference_eq8} on the
+      [hom_between] pairs, read as [(Q₂, Q₁)], with a random normal
+      relation [P]: see {!check_eq8}. *)
 
 open Bagcqc_cq
 
 val all : Runner.t list
 (** In fixed order: logint, simplex, float_vs_exact, lazy_vs_full,
-    decide, parser, hom_between. *)
+    decide, parser, hom_between, eq8. *)
 
 val reference_between : Query.t -> Query.t -> int array list
 (** [Hom.enumerate] of [qa], as a Boolean query, on
@@ -49,6 +52,18 @@ val reference_between : Query.t -> Query.t -> int array list
 
 val check_hom_between : Query.t * Query.t -> (unit, string) result
 (** The [hom_between] check on one pair [(qa, qb)]. *)
+
+val check_eq8 :
+  ?steps:(Bagcqc_entropy.Varset.t * int) list ->
+  Query.t -> Query.t -> (unit, string) result
+(** The [eq8] check on [q1 ⊑ q2]: [q2]'s {!Bagcqc_cq.Treedec.of_query}
+    is valid and has {!Reference_eq8.of_query}'s bags, flattened [E_T],
+    simplicity and total disconnection; {!Bagcqc_cq.Treedec.is_acyclic},
+    [Containment.classify] and [Witness.applicable] agree with the
+    references; Eq. 8's plain sides equal {!Reference_eq8.sides} in
+    order (or both queries' relations clash in arity and [eq8] raises);
+    with [steps], {!Bagcqc_core.Containment.count_normal} equals
+    {!Reference_eq8.count_normal}, both capped at [|P|]. *)
 
 val check_parser : string -> (unit, string) result
 (** The [parser] check on one string. *)

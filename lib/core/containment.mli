@@ -27,10 +27,11 @@ open Bagcqc_cq
 
 type witness = {
   p : Relation.t;
-      (** the witnessing V-relation (annotated, per Theorem 4.4) *)
-  db : Database.t;  (** [Π_Q₁(P)] *)
-  card_p : int;     (** [|P| ≤ |hom(Q₁, db)|] *)
-  hom2 : int;       (** [|hom(Q₂, db)| < card_p] — verified by counting *)
+      (** the witnessing V-relation; its database [Π_Q₁(P)] is
+          {!witness_db} *)
+  card_p : int;     (** [|P| ≤ |hom(Q₁, Π_Q₁(P))|] *)
+  hom2 : int;       (** [|hom(Q₂, Π_Q₁(P))| < card_p] — verified by
+                        counting *)
 }
 
 type verdict =
@@ -79,7 +80,8 @@ val decide : ?max_factors:int -> Query.t -> Query.t -> verdict
     function refutes it, and neither cone nor the witness search runs:
     the answer is [Not_contained] with the witness
     {!witness_from_normal} realizes from that zero refuter, the
-    one-row [P] with [card_p = 1] and [hom2 = 0].  [Π_q1(P)] is [q1]'s
+    one-row [P] with [card_p = 1] and [hom2 = 0], and no database is
+    built.  [Π_q1(P)] is [q1]'s
     canonical database with its values renamed, so [hom(q2, Π_q1(P))]
     is empty because [hom(q2, q1)] is (Chandra–Merlin); [hom2] is
     recorded without a count.  Such a decision opens the stage spans
@@ -134,8 +136,23 @@ val witness_from_normal :
 (** Realize a normal refuter of Eq. 8 as a verified witness: scale its
     step decomposition to integers, realize [k] domain-product copies for
     growing [k], and stop at the first [k] whose induced database
-    verifies [|P| > |hom(Q₂, Π_Q₁(P))|].  [None] if the bound
-    [max_factors] is exhausted (or the function is not normal). *)
+    verifies [|P| > |hom(Q₂, Π_Q₁(P))|] ({!count_normal}); [P] itself
+    is built only for that [k].  [None] if the bound [max_factors] is
+    exhausted (or the function is not normal). *)
+
+val witness_db : Query.t -> witness -> Database.t
+(** [witness_db q1 w] is [Π_q1(P)] for [P = w.p], with Theorem 4.4's
+    value annotation: the database on which [w]'s counts were taken. *)
+
+val count_normal :
+  ?limit:int -> Query.t -> Query.t -> (Varset.t * int) list -> int
+(** [count_normal q1 q2 steps] is [|hom(q2, Π_q1(P))|] (annotated) for
+    [P = Relation.of_normal_steps ~n:(Query.nvars q1) steps], capped at
+    [limit] as in {!Bagcqc_cq.Hom.count}: the count
+    {!witness_from_normal} takes, on integer codes, with neither [P] nor
+    the database built.
+    @raise Invalid_argument as {!Bagcqc_relation.Relation.of_normal_steps},
+    or if a relation has one arity in [q1] and another in [q2]. *)
 
 val verify_witness :
   ?annotate:bool -> Query.t -> Query.t -> Relation.t -> (int * int) option

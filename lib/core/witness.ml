@@ -5,27 +5,12 @@ open Bagcqc_cq
 type kind = Product | Normal
 
 let applicable q2 =
-  let acyclic = Treedec.is_acyclic q2 in
-  let chordal = Graph.is_chordal (Graph.gaifman q2) in
-  if not (acyclic || chordal) then None
-  else begin
-    let t =
-      match Treedec.join_tree q2 with
-      | Some t -> t
-      | None ->
-        (match Treedec.junction_tree (Graph.gaifman q2) with
-         | Some t -> t
-         | None ->
-           (* Guarded by the acyclic/chordal test above: a non-acyclic
-              query only reaches here when its Gaifman graph is chordal,
-              and [junction_tree] succeeds on every chordal graph. *)
-           Bagcqc_num.Bagcqc_error.invariant ~where:"Witness.applicable"
-             "junction_tree failed on a chordal Gaifman graph")
-    in
+  match Treedec.clique_tree q2 with
+  | None -> None
+  | Some (t, _) ->
     if Treedec.is_totally_disconnected t then Some Product
     else if Treedec.is_simple t then Some Normal
     else None
-  end
 
 let product_witness ?(max_rows = 4096) q1 q2 =
   let ineq = Containment.eq8 q1 q2 in

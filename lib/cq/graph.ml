@@ -29,17 +29,23 @@ let edges g =
   done;
   List.rev !acc
 
+(* Adjacency straight from the atoms' variable masks: every variable of
+   an atom is adjacent to the atom's other variables. *)
 let gaifman q =
-  let edges =
-    List.concat_map
-      (fun a ->
-        let vars = Varset.to_list (Query.atom_vars a) in
-        List.concat_map
-          (fun x -> List.filter_map (fun y -> if y > x then Some (x, y) else None) vars)
-          vars)
-      (Query.atoms q)
-  in
-  make (Query.nvars q) edges
+  let n = Query.nvars q in
+  let adj = Array.make n Varset.empty in
+  List.iter
+    (fun (a : Query.atom) ->
+      let m = Query.atom_vars a in
+      for p = 0 to Array.length a.args - 1 do
+        let v = a.args.(p) in
+        adj.(v) <- Varset.union adj.(v) m
+      done)
+    (Query.atoms q);
+  for v = 0 to n - 1 do
+    adj.(v) <- Varset.remove v adj.(v)
+  done;
+  { n; adj }
 
 let mcs_order g =
   let n = g.n in
@@ -122,6 +128,95 @@ let maximal_cliques_chordal g =
              candidates))
       candidates
     |> List.sort_uniq compare
+
+(* One maximum-cardinality search does three jobs.  Chordality is the
+   Tarjan–Yannakakis zero fill-in test: with [f] the most recently
+   visited of [v]'s visited neighbours [madj v], the reversed visit
+   order is a perfect elimination order iff [madj v − f ⊆ adj f] for
+   every [v].  On a chordal graph [madj v ∪ {v}] is a maximal clique
+   exactly when [v]'s weight does not exceed its predecessor's; such a
+   clique hangs off the clique holding [f], through the separator
+   [madj v], and any other vertex joins the current clique (Blair and
+   Peyton's clique tree).  A vertex with no visited neighbour starts a
+   new tree, so components stay apart. *)
+let clique_tree g =
+  let n = g.n and adj = g.adj in
+  let weight = Array.make n 0 and pos = Array.make n 0 in
+  let clique_of = Array.make n 0 in
+  let cliques = Array.make n Varset.empty and parent = Array.make n (-1) in
+  let ncl = ref 0 and prev = ref 0 and visited = ref Varset.empty in
+  let chordal = ref true and k = ref 0 in
+  while !chordal && !k < n do
+    let v = ref (-1) in
+    for u = 0 to n - 1 do
+      if (not (Varset.mem u !visited)) && (!v < 0 || weight.(u) > weight.(!v))
+      then v := u
+    done;
+    let v = !v in
+    let madj = Varset.inter adj.(v) !visited in
+    let f = ref (-1) in
+    for u = 0 to n - 1 do
+      if Varset.mem u madj && (!f < 0 || pos.(u) > pos.(!f)) then f := u
+    done;
+    let f = !f in
+    if f >= 0 && not (Varset.subset (Varset.remove f madj) adj.(f)) then
+      chordal := false
+    else begin
+      if weight.(v) <= !prev then begin
+        cliques.(!ncl) <- Varset.add v madj;
+        if f >= 0 then parent.(!ncl) <- clique_of.(f);
+        incr ncl
+      end
+      else cliques.(!ncl - 1) <- Varset.add v cliques.(!ncl - 1);
+      clique_of.(v) <- !ncl - 1;
+      prev := weight.(v);
+      pos.(v) <- !k;
+      visited := Varset.add v !visited;
+      for u = 0 to n - 1 do
+        if Varset.mem u adj.(v) && not (Varset.mem u !visited) then
+          weight.(u) <- weight.(u) + 1
+      done;
+      incr k
+    end
+  done;
+  if not !chordal then None
+  else begin
+    (* Ascending mask order, then edges renumbered and sorted, each
+       coded as [a * n + b]. *)
+    let ncl = !ncl in
+    let insertion_sort a len key =
+      for i = 1 to len - 1 do
+        let x = a.(i) in
+        let j = ref i in
+        while !j > 0 && key a.(!j - 1) > key x do
+          a.(!j) <- a.(!j - 1);
+          decr j
+        done;
+        a.(!j) <- x
+      done
+    in
+    let order = Array.init ncl Fun.id in
+    insertion_sort order ncl (fun c -> cliques.(c));
+    let bags = Array.make ncl Varset.empty and rank = Array.make ncl 0 in
+    for r = 0 to ncl - 1 do
+      bags.(r) <- cliques.(order.(r));
+      rank.(order.(r)) <- r
+    done;
+    let codes = Array.make ncl 0 and nedges = ref 0 in
+    for c = 0 to ncl - 1 do
+      if parent.(c) >= 0 then begin
+        let a = rank.(c) and b = rank.(parent.(c)) in
+        codes.(!nedges) <- (min a b * n) + max a b;
+        incr nedges
+      end
+    done;
+    insertion_sort codes !nedges Fun.id;
+    let edges = ref [] in
+    for e = !nedges - 1 downto 0 do
+      edges := (codes.(e) / n, codes.(e) mod n) :: !edges
+    done;
+    Some (bags, !edges)
+  end
 
 let min_fill_triangulation g =
   let n = g.n in

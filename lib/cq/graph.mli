@@ -21,7 +21,8 @@ val has_edge : t -> int -> int -> bool
 val edges : t -> (int * int) list
 
 val gaifman : Query.t -> t
-(** Vertices = query variables; edges join co-occurring variables. *)
+(** Vertices = query variables; edges join co-occurring variables.  Built
+    from the atoms' variable masks, with no edge list. *)
 
 val mcs_order : t -> int array
 (** A maximum-cardinality search order (position [k] holds the k-th
@@ -36,6 +37,14 @@ val is_chordal : t -> bool
 val maximal_cliques_chordal : t -> Varset.t list
 (** The maximal cliques of a {e chordal} graph (linearly many), derived
     from a PEO.  @raise Invalid_argument if the graph is not chordal. *)
+
+val clique_tree : t -> (Varset.t array * (int * int) list) option
+(** One maximum-cardinality search: [None] if the graph is not chordal
+    (Tarjan–Yannakakis zero fill-in test), else its maximal cliques in
+    ascending mask order and the edges [(a, b)], [a < b], sorted, of a
+    clique tree over them (Blair–Peyton).  Each connected component is
+    its own tree: no edge has an empty separator.  Every clique tree of
+    a chordal graph has the same separators, with multiplicity. *)
 
 val is_clique : t -> Varset.t -> bool
 

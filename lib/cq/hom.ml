@@ -183,16 +183,20 @@ let iter_homs_body ?root_slice q db yield =
   go ~root:true (List.init natoms (fun i -> (i, Array.length rows.(i))))
 
 (* One [hom.enumerations] bump and one [hom.enumerate] span per
-   enumeration, however it is split across domains. *)
+   enumeration, however it is split across domains.  The attributes are
+   built only when tracing is on. *)
 let enumeration_span ?(par = false) q f =
   Obs.Metrics.bump c_enumerations;
-  let attrs =
-    [ ("vars", Obs.Span.Int (Query.nvars q));
-      ("atoms", Obs.Span.Int (List.length (Query.atoms q))) ]
-  in
-  Obs.Span.with_span ~name:"hom.enumerate"
-    ~attrs:(if par then attrs @ [ ("par", Obs.Span.Bool true) ] else attrs)
-    f
+  if not !Obs.Runtime.enabled then f ()
+  else begin
+    let attrs =
+      [ ("vars", Obs.Span.Int (Query.nvars q));
+        ("atoms", Obs.Span.Int (List.length (Query.atoms q))) ]
+    in
+    Obs.Span.with_span ~name:"hom.enumerate"
+      ~attrs:(if par then attrs @ [ ("par", Obs.Span.Bool true) ] else attrs)
+      f
+  end
 
 let iter_homs q db yield = enumeration_span q @@ fun () -> iter_homs_body q db yield
 
@@ -306,6 +310,124 @@ let contained_on q1 q2 db =
       acc && c1 <= (match RowTbl.find_opt a2 key with Some c -> c | None -> 0))
     a1 true
 
+(* ---------------- searches on int-coded rows ---------------- *)
+
+module ITbl = Hashtbl.Make (Int)
+
+(* Above this many candidate rows an atom is matched through an index on
+   one bound position instead of a scan. *)
+let scan_max = 16
+
+(* Backtracking over int-coded rows: atom [i], with arguments [args.(i)]
+   over variables [0, nvars), ranges over the rows [rows.(i)] (codes
+   [≥ 0], equal codes for equal values).  [phi] holds −1 for an unbound
+   variable, and a trail undoes a row's bindings.  The atom expanded
+   next has the most bound positions, ties to fewer rows, then to the
+   earlier atom — [iter_homs_body]'s choice.  A large row set is matched
+   through a lazy index on the atom's first bound position, whose
+   buckets keep row order, so the order of the homomorphisms is the
+   scan's.  [yield] receives the live assignment; copy it to keep it. *)
+let iter_rows ~nvars args rows yield =
+  let natoms = Array.length args in
+  let phi = Array.make nvars (-1) in
+  let trail = Array.make nvars 0 and top = ref 0 in
+  let pending = Array.make natoms true in
+  let index = Array.make natoms [||] in
+  let bucket ai p =
+    if Array.length index.(ai) = 0 then
+      index.(ai) <- Array.make (Array.length args.(ai)) None;
+    match index.(ai).(p) with
+    | Some tbl -> tbl
+    | None ->
+      let rs = rows.(ai) in
+      let tbl = ITbl.create (Array.length rs) in
+      for r = Array.length rs - 1 downto 0 do
+        let row = rs.(r) in
+        ITbl.replace tbl row.(p)
+          (row :: Option.value (ITbl.find_opt tbl row.(p)) ~default:[])
+      done;
+      index.(ai).(p) <- Some tbl;
+      tbl
+  in
+  let rec go remaining =
+    if remaining = 0 then yield phi
+    else begin
+      let best = ref (-1) and best_cnt = ref (-1) and best_size = ref 0 in
+      for i = 0 to natoms - 1 do
+        if pending.(i) then begin
+          let cnt = ref 0 in
+          Array.iter (fun v -> if phi.(v) >= 0 then incr cnt) args.(i);
+          let size = Array.length rows.(i) in
+          if !cnt > !best_cnt || (!cnt = !best_cnt && size < !best_size) then begin
+            best := i;
+            best_cnt := !cnt;
+            best_size := size
+          end
+        end
+      done;
+      let ai = !best in
+      let a = args.(ai) in
+      let arity = Array.length a in
+      pending.(ai) <- false;
+      let try_row row =
+        let base = !top in
+        let pos = ref 0 in
+        while !pos < arity do
+          let v = a.(!pos) and x = row.(!pos) in
+          let cur = phi.(v) in
+          if cur < 0 then begin
+            phi.(v) <- x;
+            trail.(!top) <- v;
+            incr top;
+            incr pos
+          end
+          else if cur = x then incr pos
+          else pos := arity + 1
+        done;
+        if !pos = arity then go (remaining - 1);
+        while !top > base do
+          decr top;
+          phi.(trail.(!top)) <- -1
+        done
+      in
+      let cands = rows.(ai) in
+      if Array.length cands <= scan_max || !best_cnt = 0 then Array.iter try_row cands
+      else begin
+        let p = ref 0 in
+        while phi.(a.(!p)) < 0 do incr p done;
+        match ITbl.find_opt (bucket ai !p) phi.(a.(!p)) with
+        | Some bucket -> List.iter try_row bucket
+        | None -> ()
+      end;
+      pending.(ai) <- true
+    end
+  in
+  go natoms
+
+let count_coded ?limit q rows =
+  let atoms = Array.of_list (Query.atoms q) in
+  if Array.length rows <> Array.length atoms then
+    invalid_arg "Hom.count_coded: one row set per atom";
+  let args = Array.map (fun (a : Query.atom) -> a.args) atoms in
+  Array.iteri
+    (fun i rs ->
+      Array.iter
+        (fun row ->
+          if Array.length row <> Array.length args.(i) then
+            invalid_arg "Hom.count_coded: row arity differs from its atom's")
+        rs)
+    rows;
+  enumeration_span q @@ fun () ->
+  let n = ref 0 in
+  (try
+     iter_rows ~nvars:(Query.nvars q) args rows (fun _ ->
+         incr n;
+         match limit with
+         | Some l when !n >= l -> raise Limit_reached
+         | _ -> ())
+   with Limit_reached -> ());
+  !n
+
 (* ---------------- homomorphisms between queries ---------------- *)
 
 (* [hom(Qa, Qb)] with both queries as structures, searched on variable
@@ -316,9 +438,7 @@ let contained_on q1 q2 db =
    [Database.canonical qb], since [Value.compare] on [Str] is
    [String.compare].  With [iter_homs_body]'s atom choice on top, the
    homomorphisms come out in the general engine's order on that
-   database — the order of Eq. 8's sides.
-
-   [yield] receives the live assignment; copy it to keep it. *)
+   database — the order of Eq. 8's sides. *)
 let iter_between qa qb yield =
   let nb = Query.nvars qb in
   let name = Query.var_name qb in
@@ -366,60 +486,7 @@ let iter_between qa qb yield =
   let a_atoms = Array.of_list (Query.atoms qa) in
   let rows = Array.map rows_for a_atoms in
   let args = Array.map (fun (a : Query.atom) -> a.args) a_atoms in
-  let natoms = Array.length args in
-  let na = Query.nvars qa in
-  let phi = Array.make na (-1) in
-  (* Variables bound along the current path, for undoing a row. *)
-  let trail = Array.make na 0 and top = ref 0 in
-  let pending = Array.make natoms true in
-  let rec go remaining =
-    if remaining = 0 then yield phi
-    else begin
-      (* Most bound positions first, ties to fewer rows; first maximum
-         wins — [iter_homs_body]'s choice. *)
-      let best = ref (-1) and best_cnt = ref (-1) and best_size = ref 0 in
-      for i = 0 to natoms - 1 do
-        if pending.(i) then begin
-          let cnt = ref 0 in
-          Array.iter (fun v -> if phi.(v) >= 0 then incr cnt) args.(i);
-          let size = Array.length rows.(i) in
-          if !cnt > !best_cnt || (!cnt = !best_cnt && size < !best_size) then begin
-            best := i;
-            best_cnt := !cnt;
-            best_size := size
-          end
-        end
-      done;
-      let ai = !best in
-      let a = args.(ai) in
-      let arity = Array.length a in
-      pending.(ai) <- false;
-      Array.iter
-        (fun row ->
-          let base = !top in
-          let pos = ref 0 in
-          while !pos < arity do
-            let v = a.(!pos) and x = row.(!pos) in
-            let cur = phi.(v) in
-            if cur < 0 then begin
-              phi.(v) <- x;
-              trail.(!top) <- v;
-              incr top;
-              incr pos
-            end
-            else if cur = x then incr pos
-            else pos := arity + 1
-          done;
-          if !pos = arity then go (remaining - 1);
-          while !top > base do
-            decr top;
-            phi.(trail.(!top)) <- -1
-          done)
-        rows.(ai);
-      pending.(ai) <- true
-    end
-  in
-  go natoms
+  iter_rows ~nvars:(Query.nvars qa) args rows yield
 
 let enumerate_between qa qb =
   enumeration_span qa @@ fun () ->

@@ -40,6 +40,18 @@ val contained_on : Query.t -> Query.t -> Database.t -> bool
     containment with explicit witnesses, and in randomized tests.)
     @raise Invalid_argument if head lengths differ. *)
 
+val count_coded : ?limit:int -> Query.t -> int array array array -> int
+(** [count_coded q rows] is [|hom(Q, D)|] (head variables ignored) for
+    the database [D] given on integer codes: [rows.(i)] is the relation
+    of [q]'s [i]-th atom, its tuples over codes [≥ 0], equal codes for
+    equal values; atoms of one relation share one array.  [~limit] as
+    in {!count}.  The search is {!enumerate_between}'s, with an index on
+    one bound position for atoms with many rows; it counts one
+    [hom.enumerations] and opens one [hom.enumerate] span, and never
+    fans out over the pool.
+    @raise Invalid_argument if [rows] does not have one entry per atom,
+    or a row's length is not its atom's arity. *)
+
 (** {2 Homomorphisms between queries}
 
     Eq. 8 needs [hom(Q₂, Q₁)] with both queries as structures (heads

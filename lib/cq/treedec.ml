@@ -330,22 +330,44 @@ let join_tree q =
     if cyclic then None else Some (prune (make ~bags ~edges:!edges))
   end
 
-let is_acyclic q = join_tree q <> None
+(* A clique tree from [Graph.clique_tree] is a forest by construction.
+   A query whose atoms are all nullary has no variable and so no
+   clique; one empty bag still covers its atoms. *)
+let of_clique_tree q (bags, edges) =
+  if Array.length bags = 0 && Query.atoms q <> [] then
+    { bags = [| Varset.empty |]; edges = [] }
+  else { bags; edges }
+
+(* α-acyclic iff the Gaifman graph is chordal and every maximal clique
+   lies inside an atom (Beeri, Fagin, Maier and Yannakakis 1983). *)
+let clique_tree q =
+  match Graph.clique_tree (Graph.gaifman q) with
+  | None -> None
+  | Some ((bags, _) as ct) ->
+    let atoms = Query.atoms q in
+    let acyclic =
+      Array.for_all
+        (fun c -> List.exists (fun a -> Varset.subset c (Query.atom_vars a)) atoms)
+        bags
+    in
+    Some (of_clique_tree q ct, acyclic)
+
+let is_acyclic q =
+  match clique_tree q with Some (_, acyclic) -> acyclic | None -> false
 
 let of_query q =
-  match join_tree q with
-  | Some t -> t
+  let g = Graph.gaifman q in
+  match Graph.clique_tree g with
+  | Some ct -> of_clique_tree q ct
   | None ->
-    let g = Graph.gaifman q in
-    let g = if Graph.is_chordal g then g else Graph.min_fill_triangulation g in
-    (match junction_tree g with
-     | Some t -> t
+    (match Graph.clique_tree (Graph.min_fill_triangulation g) with
+     | Some ct -> of_clique_tree q ct
      | None ->
        (* [min_fill_triangulation] returns a chordal supergraph by
-          construction, and [junction_tree] succeeds on every chordal
+          construction, and [clique_tree] succeeds on every chordal
           graph; failure here means one of the two is buggy. *)
        Bagcqc_num.Bagcqc_error.invariant ~where:"Treedec.of_query"
-         "junction_tree failed on a min-fill triangulated (hence chordal) \
+         "clique_tree failed on a min-fill triangulated (hence chordal) \
           graph")
 
 let pp fmt t =

@@ -63,17 +63,31 @@ val junction_tree : Graph.t -> t option
 (** Maximal cliques of a chordal graph, joined by a maximum-weight
     spanning forest on separator sizes (only positive separators are
     joined, so distinct connected components stay distinct trees).
-    [None] if the graph is not chordal. *)
+    [None] if the graph is not chordal.  A reference for {!of_query}. *)
 
 val join_tree : Query.t -> t option
 (** GYO reduction: [Some] of a tree decomposition whose bags are atom
-    variable-sets iff the query is α-acyclic. *)
+    variable-sets iff the query is α-acyclic.  A reference for
+    {!is_acyclic}. *)
+
+val clique_tree : Query.t -> (t * bool) option
+(** The one decomposition pass: a maximum-cardinality search over the
+    Gaifman graph ({!Graph.clique_tree}).  [None] if the query is not
+    chordal; else [Some (t, acyclic)], where [t] is a junction tree (its
+    bags the maximal cliques in ascending mask order, one tree per
+    connected component) and [acyclic] tells whether every maximal
+    clique lies inside an atom, which for a chordal query is
+    α-acyclicity (Beeri et al. 1983).  An acyclic query's maximal
+    cliques are its maximal atoms, the bags [prune] leaves of
+    {!join_tree}.  [E_T] reads the same on every clique tree of a
+    chordal graph, since they share their bags and, with multiplicity,
+    their separators. *)
 
 val is_acyclic : Query.t -> bool
 
 val of_query : Query.t -> t
-(** A valid tree decomposition for any query: the GYO join tree if
-    acyclic, else the junction tree of the (possibly min-fill
-    triangulated) Gaifman graph. *)
+(** A valid tree decomposition for any query: the clique tree of the
+    Gaifman graph, after a min-fill triangulation if the graph is not
+    chordal. *)
 
 val pp : Format.formatter -> t -> unit

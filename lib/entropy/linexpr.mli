@@ -23,6 +23,9 @@ val mutual : ?coeff:Rat.t -> Varset.t -> Varset.t -> Varset.t -> t
 (** [mutual a b x] is the conditional mutual information
     [I(a; b | x) = h(ax) + h(bx) − h(abx) − h(x)]. *)
 
+val add_term : Varset.t -> Rat.t -> t -> t
+(** [add_term x c e] is [e + c·h(x)]. *)
+
 val add : t -> t -> t
 val sub : t -> t -> t
 val neg : t -> t

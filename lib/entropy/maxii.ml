@@ -4,9 +4,10 @@ type form =
   | General of Linexpr.t list
   | Conditional of { q : Rat.t; sides : Cexpr.t list }
 
-(* [plain] is [sides_of_form ~n form], computed once in [make]: every
-   cone test reads the sides, and the conditional form would otherwise
-   rebuild [Cexpr.to_linexpr e − q·h(V)] on each. *)
+(* [plain] is [sides_of_form ~n form], computed once in [make] (or
+   handed over by the caller that built it): every cone test reads the
+   sides, and the conditional form would otherwise rebuild
+   [Cexpr.to_linexpr e − q·h(V)] on each. *)
 type t = { n : int; form : form; plain : Linexpr.t list }
 
 let sides_of_form ~n = function
@@ -15,12 +16,20 @@ let sides_of_form ~n = function
     let qhv = Linexpr.term ~coeff:q (Varset.full n) in
     List.map (fun e -> Linexpr.sub (Cexpr.to_linexpr e) qhv) sides
 
-let make ~n form =
+let make_with ~n form plain =
   (match form with
    | Conditional { q; _ } when Rat.sign q <= 0 ->
      invalid_arg "Maxii.make: q must be positive"
    | Conditional _ | General _ -> ());
-  let plain = sides_of_form ~n form in
+  let plain =
+    match plain, form with
+    | None, _ -> sides_of_form ~n form
+    | Some plain, Conditional { sides; _ }
+      when List.compare_lengths plain sides = 0 ->
+      plain
+    | Some _, (Conditional _ | General _) ->
+      invalid_arg "Maxii.conditional: one plain side per side"
+  in
   List.iter
     (fun e ->
       if Linexpr.max_var e >= n then
@@ -28,8 +37,9 @@ let make ~n form =
     plain;
   { n; form; plain }
 
+let make ~n form = make_with ~n form None
 let general ~n es = make ~n (General es)
-let conditional ~n ~q sides = make ~n (Conditional { q; sides })
+let conditional ?plain ~n ~q sides = make_with ~n (Conditional { q; sides }) plain
 
 let n_vars t = t.n
 let form t = t.form

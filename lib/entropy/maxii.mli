@@ -28,7 +28,14 @@ val make : n:int -> form -> t
     conditional form has [q ≤ 0]. *)
 
 val general : n:int -> Linexpr.t list -> t
-val conditional : n:int -> q:Rat.t -> Cexpr.t list -> t
+val conditional : ?plain:Linexpr.t list -> n:int -> q:Rat.t -> Cexpr.t list -> t
+(** [plain], when given, is taken as the sides [to_linexpr e − q·h(V)]
+    of the [Cexpr] sides, in order, so that they are not built twice
+    (Eq. 8 builds them on integer terms).  The cones decide — and a
+    certificate proves — the plain sides; the [Cexpr] sides only give
+    {!shape}.
+    @raise Invalid_argument as {!make}, or if the two lists differ in
+    length. *)
 
 val n_vars : t -> int
 val form : t -> form

@@ -57,7 +57,8 @@ let test_example_3_5 () =
    | Containment.Not_contained w ->
      Alcotest.(check bool) "|P| > hom2" true (w.Containment.hom2 < w.Containment.card_p);
      (* The database also carries at least |P| homomorphisms of Q1. *)
-     let hom1 = Hom.count ~limit:w.Containment.card_p ex35_q1 w.Containment.db in
+     let db = Containment.witness_db ex35_q1 w in
+     let hom1 = Hom.count ~limit:w.Containment.card_p ex35_q1 db in
      Alcotest.(check bool) "hom1 >= |P|" true (hom1 >= w.Containment.card_p)
    | Containment.Contained _ -> Alcotest.fail "Example 3.5 is a non-containment"
    | Containment.Unknown { reason; _ } -> Alcotest.failf "unexpected Unknown: %s" reason);
@@ -318,11 +319,10 @@ let prop_decide_sound =
             Hom.count q1 db <= Hom.count q2 db)
           [ 0; 1; 2; 3; 4 ]
       | Containment.Not_contained w ->
-        Hom.count ~limit:w.Containment.card_p q2 w.Containment.db
-        = w.Containment.hom2
+        let db = Containment.witness_db q1 w in
+        Hom.count ~limit:w.Containment.card_p q2 db = w.Containment.hom2
         && w.Containment.hom2 < w.Containment.card_p
-        && Hom.count ~limit:w.Containment.card_p q1 w.Containment.db
-           >= w.Containment.card_p
+        && Hom.count ~limit:w.Containment.card_p q1 db >= w.Containment.card_p
       | Containment.Unknown _ -> true)
 
 (* Random acyclic (path-shaped) and chordal (triangle-closed) containing
@@ -528,8 +528,8 @@ let test_k0_witness_check10k () =
              fail "counts (%d, %d), expected (%d, %d)" w.card_p w.hom2 r.card_p
                r.hom2;
            if
-             Format.asprintf "%a" Database.pp w.db
-             <> Format.asprintf "%a" Database.pp r.db
+             Format.asprintf "%a" Database.pp (Containment.witness_db d1 w)
+             <> Format.asprintf "%a" Database.pp (Containment.witness_db d1 r)
            then fail "databases print differently");
         if Containment.verify_witness q1 q2 w.p <> Some (w.card_p, w.hom2) then
           fail "verify_witness rejects the witness"

@@ -109,7 +109,7 @@ let test_entry_points_share_memo () =
         List.exists
           (Array.exists (function Value.Tag (v, _) -> v = name | _ -> false))
           (Relation.to_list rel))
-      (Bagcqc_cq.Database.relations w.Containment.db)
+      (Bagcqc_cq.Database.relations (Containment.witness_db r1 w))
   in
   Alcotest.(check bool) "renamed witness carries its own names" true
     (tagged_with "a" && not (tagged_with "x"))
